@@ -28,6 +28,7 @@ from .errors import (
     InsufficientPrecision,
     NotQuasiperiodic,
     PoleInDisk,
+    VerificationFailed,
     ZeroSeries,
 )
 from .dynsys import PPoint, RationalMap
@@ -365,7 +366,8 @@ def orbit_interpolate(
     samples = [orbit.value(ell + n * k) for n in range(order + 1)]
     series = MahlerSeries(prime, precision, k, ell, samples)
     for n in range(order + 1):
-        assert series.evaluate_residue(n) == samples[n]
+        if series.evaluate_residue(n) != samples[n]:
+            raise VerificationFailed(f"Mahler series misses its sample at n={n}")
     return series
 
 

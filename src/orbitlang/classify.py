@@ -18,7 +18,7 @@ from math import gcd as _int_gcd
 
 import sympy
 
-from .errors import HypothesisViolated, RootNotRational
+from .errors import HypothesisViolated, RootNotRational, VerificationFailed
 from .dynsys import RationalMap
 from .polynomials import QQ, Polynomial
 from .varieties import PlaneCurve
@@ -109,9 +109,11 @@ def normal_form(f) -> NormalFormRecord:
     composed = poly.substitute({"t": mu})
     normal = (composed - B) * (1 / A)
     ncoeffs = normal.univariate_coeffs()
-    assert ncoeffs[m] == 1 and ncoeffs[m - 1] == 0
+    if ncoeffs[m] != 1 or ncoeffs[m - 1] != 0:
+        raise VerificationFailed("conjugate is not monic with zero subleading term")
     # recomposition check: mu o normal == f o mu
-    assert normal * A + B == composed
+    if normal * A + B != composed:
+        raise VerificationFailed("normal form does not recompose to f")
     return NormalFormRecord(poly, A, B, normal, type_of(normal))
 
 
@@ -276,7 +278,8 @@ def decompose(f) -> Decomposition | Indecomposable:
             digits.append(rem)
         if all(d.is_constant() for d in digits):
             g = Polynomial.univariate([d.constant_value() for d in digits], var)
-            assert g.substitute({var: h}) == poly
+            if g.substitute({var: h}) != poly:
+                raise VerificationFailed("decomposition does not recompose to f")
             return Decomposition(g, h)
     return Indecomposable(m)
 
@@ -349,21 +352,13 @@ def periodic_curve_candidates(f, r_max: int, period_bound: int = 3) -> list[Curv
     t = Polynomial.variable("t")
     iterate = t
     for r in range(r_max + 1):
-        fx = _compose_into_plane(iterate, "x")
-        fy = _compose_into_plane(iterate, "y")
+        fx = iterate.placed(("x", "y"), "x")
+        fy = iterate.placed(("x", "y"), "y")
         for zeta in twists:
             push("x-of-y", {"r": r, "zeta": zeta}, x - fy * zeta)
             push("y-of-x", {"r": r, "zeta": zeta}, y - fx * zeta)
         iterate = poly.substitute({"t": iterate})
     return candidates
-
-
-def _compose_into_plane(univariate: Polynomial, var: str) -> Polynomial:
-    terms = {}
-    for (e,), c in univariate.terms.items():
-        key = (e, 0) if var == "x" else (0, e)
-        terms[key] = c
-    return Polynomial(QQ, ("x", "y"), terms)
 
 
 @dataclass(frozen=True)
@@ -387,8 +382,8 @@ def _image_curve(curve: PlaneCurve, f: Polynomial) -> PlaneCurve:
     """
     names = ("x", "y", "u", "v")
     C = curve.normalized().with_variables(names)
-    fx = _compose_univariate(f, "x", names)
-    fy = _compose_univariate(f, "y", names)
+    fx = f.placed(names, "x")
+    fy = f.placed(names, "y")
     u = Polynomial.variable("u", QQ, names)
     v = Polynomial.variable("v", QQ, names)
     r1 = C.resultant(u - fx, "x")
@@ -396,13 +391,12 @@ def _image_curve(curve: PlaneCurve, f: Polynomial) -> PlaneCurve:
     r2 = r2.with_variables(("u", "v"))
     _, factors = r2.factor_list()
     keep = []
-    plane_f_x = _compose_into_plane(f, "x")
-    plane_f_y = _compose_into_plane(f, "y")
+    uvxy = ("u", "v", "x", "y")
+    f_of_x = f.placed(uvxy, "x")
+    f_of_y = f.placed(uvxy, "y")
     for fac, _mult in factors:
         composed = fac.with_variables(("u", "v"))
-        substituted = composed.with_variables(("u", "v", "x", "y")).substitute(
-            {"u": plane_f_x.with_variables(("u", "v", "x", "y")), "v": plane_f_y.with_variables(("u", "v", "x", "y"))}
-        )
+        substituted = composed.with_variables(uvxy).substitute({"u": f_of_x, "v": f_of_y})
         substituted = substituted.drop_variables(["u", "v"])
         _, rem = sympy.div(substituted.to_sympy(), curve.normalized().to_sympy())
         if rem.is_zero:
@@ -414,16 +408,6 @@ def _image_curve(curve: PlaneCurve, f: Polynomial) -> PlaneCurve:
         image = image * fac.with_variables(("u", "v"))
     terms = {(eu, ev): c for (eu, ev), c in image.terms.items()}
     return PlaneCurve(Polynomial(QQ, ("x", "y"), terms))
-
-
-def _compose_univariate(f: Polynomial, var: str, names) -> Polynomial:
-    terms = {}
-    idx = names.index(var)
-    for (e,), c in f.terms.items():
-        key = [0] * len(names)
-        key[idx] = e
-        terms[tuple(key)] = c
-    return Polynomial(QQ, names, terms)
 
 
 def verify_invariant_curve(curve: PlaneCurve, f, k_max: int):

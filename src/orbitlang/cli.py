@@ -37,20 +37,24 @@ from .dynsys import (
     classify_cycle,
     exceptional_structure,
 )
-from .engine import EngineOptions, Inconclusive, IntersectionDescription, decide, decide_curve_pair
+from .engine import (
+    DEFAULT_ORDER,
+    DEFAULT_PRIME_BOUND,
+    DEFAULT_SCAN_LIMIT,
+    EngineOptions,
+    Inconclusive,
+    IntersectionDescription,
+    decide,
+    decide_curve_pair,
+)
 from .errors import ExpressionSyntaxError, OrbitlangError
 from .intersection import diagonal_pullback, layer, ramification_bound
-from .padics import is_prime
+from .padics import DEFAULT_PRECISION, is_prime
 from .parsing import format_map, parse_expression, parse_point
 from .polynomials import format_polynomial
-from .primesearch import (
-    NotFound,
-    find_good_prime_multi,
-    find_good_prime_quadratic,
-    qr_filter_for_minus_one,
-)
+from .primesearch import NotFound, find_good_prime
 from .reduction import good_reduction, reduce_map, reduce_point, residue_orbit
-from .varieties import AffineVariety, PlaneCurve
+from .varieties import PlaneCurve
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 1
@@ -147,13 +151,6 @@ def _parse_map(text: str) -> RationalMap:
     return parsed.value
 
 
-def _parse_curve(text: str) -> PlaneCurve:
-    parsed = parse_expression(text)
-    if parsed.kind == "curve":
-        return parsed.value
-    raise ExpressionSyntaxError("expected a plane curve in x and y", 0)
-
-
 def _parse_variety_generator(text: str):
     parsed = parse_expression(text)
     if parsed.kind == "curve":
@@ -174,7 +171,7 @@ def _default_precision() -> int:
                 return value
         except ValueError:
             pass
-    return 64
+    return DEFAULT_PRECISION
 
 
 # ---------------------------------------------------------------------------
@@ -248,19 +245,7 @@ def _require_maps(args):
 def _cmd_find_prime(args):
     maps = _require_maps(args)
     points = parse_point(args.points)
-    mode = args.mode
-    if mode == "auto":
-        if len(maps) > 1:
-            mode = "multi"
-        else:
-            c = maps[0].affine_coefficients()[0] if maps[0].is_polynomial else None
-            mode = "qr" if c == -1 else "quadratic"
-    if mode == "quadratic":
-        cert = find_good_prime_quadratic(maps[0], points, args.pmax)
-    elif mode == "qr":
-        cert = qr_filter_for_minus_one(maps[0], points, args.pmax)
-    else:
-        cert = find_good_prime_multi(maps, points, args.pmax)
+    cert = find_good_prime(maps, points, args.pmax, args.mode)
     code = EXIT_INCONCLUSIVE if isinstance(cert, NotFound) else EXIT_OK
     return cert, code
 
@@ -334,10 +319,9 @@ def _cmd_decide(args):
     if pair_mode:
         if len(points) != 2 or len(gens) != 1:
             raise ExpressionSyntaxError("curve-pair mode needs two coordinates and one curve", 0)
-        description = decide_curve_pair(maps[0], points, PlaneCurve(gens[0].rename_variables({"x1": "x", "x2": "y"})), options)
+        description = decide_curve_pair(maps[0], points, gens[0], options)
     else:
-        variety = AffineVariety.of(gens, len(points))
-        description = decide(maps if len(maps) > 1 else maps[0], points, variety, options)
+        description = decide(maps, points, gens, options)
     code = EXIT_INCONCLUSIVE if isinstance(description.certification, Inconclusive) else EXIT_OK
     trimmed = IntersectionDescription(
         description.progressions,
@@ -381,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     find_prime.add_argument("--map")
     find_prime.add_argument("--maps", help="semicolon-separated list for the multi-map mode")
     find_prime.add_argument("--points", required=True)
-    find_prime.add_argument("--pmax", type=int, default=1000)
+    find_prime.add_argument("--pmax", type=int, default=DEFAULT_PRIME_BOUND)
     find_prime.add_argument("--mode", choices=["auto", "quadratic", "qr", "multi"], default="auto")
 
     divisors = common(sub.add_parser("divisors", help="diagonal pullback layers"))
@@ -403,9 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
     decide_p.add_argument("--maps", help="semicolon-separated quadratic maps, one per coordinate")
     decide_p.add_argument("--point", required=True)
     decide_p.add_argument("--variety", action="append", help="repeatable; stdin supplies one per line when omitted")
-    decide_p.add_argument("--pmax", type=int, default=1000)
-    decide_p.add_argument("--nmax", type=int, default=1000, help="exact scan limit")
-    decide_p.add_argument("--order", type=int, default=48, help="Mahler truncation order")
+    decide_p.add_argument("--pmax", type=int, default=DEFAULT_PRIME_BOUND)
+    decide_p.add_argument("--nmax", type=int, default=DEFAULT_SCAN_LIMIT, help="exact scan limit")
+    decide_p.add_argument("--order", type=int, default=DEFAULT_ORDER, help="Mahler truncation order")
     decide_p.add_argument("--mode", choices=["auto", "coordinatewise", "curve-pair"], default="auto")
     decide_p.add_argument("--witnesses", action="store_true", help="include witnesses in the report")
     return parser

@@ -17,7 +17,7 @@ from math import gcd as _int_gcd
 from typing import Iterable, Union
 
 from .errors import SingularMu
-from .padics import is_prime, valuation
+from .padics import is_prime, prime_factors, valuation
 from .polynomials import QQ, Polynomial
 
 __all__ = [
@@ -34,6 +34,8 @@ __all__ = [
     "NotPeriodic",
     "OrbitStatus",
     "orbit_status",
+    "escape_radius",
+    "exceptional_points",
     "TwoExceptional",
     "OneExceptional",
     "NoExceptional",
@@ -417,8 +419,12 @@ class OrbitStatus:
         return self.prefix[self.tail : self.tail + self.cycle_length]
 
 
-def _poly_escape_radius(coeffs: list[Fraction]) -> Fraction:
-    """R with |z| >= R implying |f(z)| >= 2|z| (monotone escape), degree >= 2."""
+def escape_radius(coeffs: list[Fraction]) -> Fraction:
+    """R with |z| >= R implying |f(z)| >= 2|z| (monotone escape), degree >= 2.
+
+    The bound holds for complex z too, so no point of absolute value >= R is
+    periodic.
+    """
     lead = abs(coeffs[-1])
     rest = sum(abs(c) for c in coeffs[:-1])
     return max(Fraction(1), (2 + rest) / lead)
@@ -436,12 +442,34 @@ def _padic_escape_step(coeffs: list[Fraction], z: Fraction, p: int) -> bool:
     return top < lowest_other and top < vz
 
 
+def _padic_escape(coeffs: list[Fraction], z: Fraction) -> bool:
+    """Whether some prime of the denominator of z starts a p-adic escape.
+
+    In degree >= 2 every prime dividing no coefficient numerator or
+    denominator does, so a gcd against that data settles it without
+    factoring z; only the shared primes are tested one by one.
+    """
+    data = math.prod(c.numerator * c.denominator for c in coeffs if c)
+    shared = _int_gcd(z.denominator, data)
+    rest = z.denominator // shared
+    g = _int_gcd(rest, shared)
+    while g > 1:
+        rest //= g
+        g = _int_gcd(rest, g)
+    if rest > 1 and len(coeffs) > 2:
+        return True
+    return any(_padic_escape_step(coeffs, z, p) for p in prime_factors(shared))
+
+
+HEIGHT_CUTOFF_BITS = 200
+
+
 def orbit_status(
     phi: RationalMap,
     x,
     *,
     prefix_bound: int = 4096,
-    height_cutoff_bits: int = 200,
+    height_cutoff_bits: int = HEIGHT_CUTOFF_BITS,
 ) -> OrbitStatus:
     """Decide preperiodicity of x by exact orbit storage with escape cutoffs.
 
@@ -451,7 +479,7 @@ def orbit_status(
     """
     pt = PPoint.of(x)
     coeffs = phi.affine_coefficients() if phi.is_polynomial else None
-    radius = _poly_escape_radius(coeffs) if coeffs and phi.degree >= 2 else None
+    radius = escape_radius(coeffs) if coeffs and phi.degree >= 2 else None
     seen: dict[PPoint, int] = {}
     prefix: list[PPoint] = []
     for step in range(prefix_bound):
@@ -466,28 +494,12 @@ def orbit_status(
             z = pt.as_fraction()
             if radius is not None and abs(z) >= radius:
                 return OrbitStatus("wanders", None, None, tuple(prefix), True, "archimedean-escape")
-            if z.denominator > 1:
-                escaped = any(_padic_escape_step(coeffs, z, p) for p in _prime_factors(z.denominator))
-                if escaped:
-                    return OrbitStatus("wanders", None, None, tuple(prefix), True, "p-adic-escape")
+            if z.denominator > 1 and _padic_escape(coeffs, z):
+                return OrbitStatus("wanders", None, None, tuple(prefix), True, "p-adic-escape")
         if pt.height_bits() > height_cutoff_bits:
             return OrbitStatus("wanders", None, None, tuple(prefix), False, "height-cutoff")
         pt = phi.apply(pt)
     return OrbitStatus("wanders", None, None, tuple(prefix), False, "prefix-bound")
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 @dataclass(frozen=True)
@@ -639,3 +651,13 @@ def exceptional_structure(phi: RationalMap):
     if fixed:
         return OneExceptional(fixed[0])
     return NoExceptional()
+
+
+def exceptional_points(phi: RationalMap) -> set[PPoint]:
+    """The rational exceptional points; empty for an irrational conjugate pair."""
+    structure = exceptional_structure(phi)
+    if isinstance(structure, OneExceptional):
+        return {structure.point}
+    if isinstance(structure, TwoExceptional) and structure.points:
+        return set(structure.points)
+    return set()

@@ -1,10 +1,12 @@
 """Decision engine: orbit/variety intersections as progressions plus exceptions.
 
-Pipeline for the coordinatewise quadratic action (and for a pair of
-coordinates under one map): strip preperiodic coordinates, search for a
-prime making every relevant residue cycle indifferent, take the lcm k of
-the residue cycle lengths, and for each arithmetic class modulo k combine
-an exact scan with Mahler interpolation plus vanishing certificates.  An
+One pipeline serves the coordinatewise quadratic action and a pair of
+coordinates under one map: normalize the inputs, set up the exact orbit
+scanner, close finite orbits from their cycles, search for a prime making
+every relevant residue cycle indifferent, take the lcm k of the residue
+cycle lengths, and for each arithmetic class modulo k combine an exact scan
+with Mahler interpolation plus vanishing certificates.  The two front ends
+differ only in their hypothesis checks and their prime strategy.  An
 identically-vanishing class is reported as a full progression; a class with
 a nonzero witness contributes its (finitely many) scanned hits to the
 exceptional set.
@@ -21,25 +23,22 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .analytic import IdenticallyZeroAtPrecision, certify_vanishing, orbit_interpolate
-from .errors import (
-    HypothesisViolated,
-    IrrationalCriticalData,
-    NotQuasiperiodic,
-    PowerMapCase,
-    RootNotRational,
-)
+from .analytic import DEFAULT_ORDER, IdenticallyZeroAtPrecision, certify_vanishing, orbit_interpolate
+from .errors import HypothesisViolated, NotQuasiperiodic, PowerMapCase, VerificationFailed
 from .classify import normal_form
-from .dynsys import PPoint, RationalMap, TwoExceptional, exceptional_structure, orbit_status, ramification_portrait
+from .dynsys import (
+    PPoint,
+    RationalMap,
+    TwoExceptional,
+    exceptional_points,
+    exceptional_structure,
+    orbit_status,
+    ramification_portrait,
+)
+from .intersection import _factor_has_periodic_root
 from .padics import DEFAULT_PRECISION, primes_upto
 from .polynomials import QQ, Polynomial, format_polynomial
-from .primesearch import (
-    NotFound,
-    common_residue_search,
-    find_good_prime_multi,
-    find_good_prime_quadratic,
-    qr_filter_for_minus_one,
-)
+from .primesearch import NotFound, common_residue_search, find_good_prime
 from .reduction import (
     good_reduction,
     reduce_map,
@@ -62,10 +61,10 @@ __all__ = [
     "brute_force_scan",
 ]
 
-DEFAULT_ORDER = 48
 DEFAULT_SCAN_LIMIT = 1000
 DEFAULT_CHECK_LIMIT = 64
 DEFAULT_PRIME_BOUND = 1000
+RESIDUE_SEARCH_DEPTH = 10
 
 
 @dataclass(frozen=True)
@@ -147,12 +146,23 @@ class EngineOptions:
     order: int = DEFAULT_ORDER
     precision: int = DEFAULT_PRECISION
     check_limit: int = DEFAULT_CHECK_LIMIT
-    scan_only: bool = False
-    residue_search_depth: int = 10
 
 
 # ---------------------------------------------------------------------------
 # input normalization
+
+
+def _normalize(maps, alpha, variety):
+    """One map per coordinate, rational starting values, generators in x1..xg."""
+    if isinstance(maps, RationalMap):
+        maps = [maps]
+    maps = list(maps)
+    alpha = [Fraction(a) for a in alpha]
+    if len(maps) == 1 and len(alpha) > 1:
+        maps = maps * len(alpha)
+    if len(maps) != len(alpha):
+        raise ValueError("coordinate count mismatch")
+    return maps, alpha, _as_variety(variety, len(alpha))
 
 
 def _as_variety(variety, g: int) -> AffineVariety:
@@ -172,40 +182,97 @@ def _quadratic_normal_form(phi: RationalMap) -> tuple[RationalMap, Fraction, Fra
     coeffs = phi.affine_coefficients()
     if coeffs[2] == 1 and coeffs[1] == 0:
         return phi, Fraction(1), Fraction(0)
-    try:
-        record = normal_form(Polynomial.univariate(coeffs, "t"))
-    except RootNotRational as exc:  # cannot happen in degree 2; kept for clarity
-        raise IrrationalCriticalData(str(exc)) from exc
+    record = normal_form(Polynomial.univariate(coeffs, "t"))  # degree 2: the scale is always rational
     model = RationalMap.polynomial(record.normal.univariate_coeffs())
     return model, record.scale, record.shift
 
 
 def _transform_inputs(maps, alpha, variety):
     """Conjugate every coordinate into the t^2 + c model, moving points and variety."""
-    models, scales, shifts = [], [], []
-    for phi in maps:
-        m, A, B = _quadratic_normal_form(phi)
-        models.append(m)
-        scales.append(A)
-        shifts.append(B)
-    new_alpha = []
-    for x, A, B in zip(alpha, scales, shifts):
-        q = Fraction(x)
-        new_alpha.append((q - B) / A)
     names = tuple(f"x{i + 1}" for i in range(len(maps)))
-    gens = []
-    for gen in variety.generators:
-        work = gen.with_variables(names)
-        sub = {}
-        for i, (A, B) in enumerate(zip(scales, shifts)):
-            if A == 1 and B == 0:
-                continue
-            var = Polynomial.variable(names[i], QQ, names)
-            sub[names[i]] = var * A + B
-        if sub:
-            work = work.substitute(sub)
-        gens.append(work)
+    models, new_alpha, sub = [], [], {}
+    for name, phi, x in zip(names, maps, alpha):
+        model, A, B = _quadratic_normal_form(phi)
+        models.append(model)
+        new_alpha.append((x - B) / A)
+        if A != 1 or B != 0:
+            sub[name] = Polynomial.variable(name, QQ, names) * A + B
+    gens = [gen.with_variables(names) for gen in variety.generators]
+    if sub:
+        gens = [gen.substitute(sub) for gen in gens]
     return models, new_alpha, AffineVariety(tuple(gens), len(maps))
+
+
+# ---------------------------------------------------------------------------
+# the pipeline
+
+
+def _pipeline(maps, alpha, variety, options: EngineOptions, witnesses: dict, choose_prime, *, orbit_record=False):
+    """Scanner, finite-orbit closure, prime strategy, then the classes.
+
+    `choose_prime(maps, alpha, stream_coords, options, witnesses)` returns
+    (prime, None) or (None, reason); without a prime the scanned hits are
+    reported as Inconclusive(reason).
+    """
+    scanner = OrbitScanner(maps, alpha)
+    if orbit_record:
+        record = scanner.record()
+        witnesses["orbit-record"] = {
+            "preperiodic": list(record.preperiodic),
+            "tails": list(record.tails),
+            "cycles": list(record.cycles),
+        }
+    generators = list(variety.generators)
+    if scanner.all_preperiodic:
+        return _assemble_from_cycles(scanner, generators, options, witnesses)
+    stream_coords = [i for i, m in enumerate(scanner.models) if m.kind != "preperiodic"]
+    prime, reason = choose_prime(maps, alpha, stream_coords, options, witnesses)
+    if prime is None:
+        hits = scanner.scan(generators, options.scan_limit)
+        return IntersectionDescription((), tuple(hits), Inconclusive(reason), witnesses)
+    return _certified_classes(maps, alpha, generators, scanner, prime, options, witnesses)
+
+
+def _quadratic_prime(maps, alpha, stream_coords, options: EngineOptions, witnesses: dict):
+    """Prime strategy of `decide`: the quadratic, QR-filter or multi-map search."""
+    cert = find_good_prime([maps[i] for i in stream_coords], [alpha[i] for i in stream_coords], options.prime_bound)
+    if isinstance(cert, NotFound):
+        return None, f"no qualifying prime below {cert.p_max}"
+    witnesses["prime-certificate"] = cert.as_dict()
+    return cert.prime, None
+
+
+def _common_residue_prime(maps, alpha, stream_coords, options: EngineOptions, witnesses: dict):
+    """Prime strategy of `decide_curve_pair`: the first candidate at which every
+    residue cycle met by a wandering coordinate has a unit multiplier.
+
+    Candidates come from the common-residue search when both coordinates
+    wander, from all odd primes below the bound otherwise.
+    """
+    phi = maps[0]
+    if len(stream_coords) == 2:
+        pairs = common_residue_search(phi, alpha[0], alpha[1], options.prime_bound, RESIDUE_SEARCH_DEPTH)
+        candidates = sorted({p for p, _n in pairs})
+    else:
+        candidates = [p for p in primes_upto(options.prime_bound) if p > 2]
+    tried = []
+    for p in candidates:
+        if not good_reduction(phi, p):
+            tried.append((p, "bad reduction"))
+        elif any(PPoint.of(alpha[i]).b % p == 0 for i in stream_coords):
+            tried.append((p, "point not p-integral"))
+        else:
+            phi_v = reduce_map(phi, p)
+            for i in stream_coords:
+                orb = residue_orbit(phi_v, reduce_point(PPoint.of(alpha[i]), p))
+                if residue_cycle_multiplier(phi_v, orb.cycle) in (None, 0):
+                    tried.append((p, f"coordinate {i}: residue cycle not indifferent"))
+                    break
+            else:
+                witnesses["prime"] = p
+                return p, None
+    witnesses["rejected-primes"] = tried[:40]
+    return None, "no qualifying prime from the residue search"
 
 
 # ---------------------------------------------------------------------------
@@ -290,24 +357,20 @@ def _certified_classes(
                 sub = gen.with_variables(names)
                 assignments = {}
                 for i in pre_coords:
-                    model = scanner.models[i]
-                    rep = model.tail + ((base - model.tail) % model.cycle)
-                    pt = model.prefix[rep]
+                    pt = scanner.preperiodic_value(scanner.models[i], base)
                     if pt.is_infinity:
                         raise NotQuasiperiodic("preperiodic coordinate at infinity")
                     assignments[names[i]] = Polynomial.constant(pt.as_fraction(), QQ, names)
                 if assignments:
                     sub = sub.substitute(assignments)
                 sub = sub.drop_variables([names[i] for i in pre_coords])
-                if sub.is_zero:
-                    verdicts.append({"generator": format_polynomial(gen), "verdict": "identically-zero"})
-                    continue
-                verdict = certify_vanishing(sub, [thetas[i] for i in stream_coords])
-                if isinstance(verdict, IdenticallyZeroAtPrecision):
-                    verdicts.append({"generator": format_polynomial(gen), "verdict": "identically-zero"})
-                else:
-                    verdicts.append({"generator": format_polynomial(gen), "verdict": f"nonzero-witness at n={verdict.n}"})
-                    all_zero = False
+                verdict = "identically-zero"
+                if not sub.is_zero:
+                    cert = certify_vanishing(sub, [thetas[i] for i in stream_coords])
+                    if not isinstance(cert, IdenticallyZeroAtPrecision):
+                        verdict = f"nonzero-witness at n={cert.n}"
+                        all_zero = False
+                verdicts.append({"generator": format_polynomial(gen), "verdict": verdict})
         except NotQuasiperiodic as exc:
             degraded.append(f"class {ell}: {exc}")
             exceptional.update(class_hits)
@@ -355,7 +418,7 @@ def _soundness_check(description: IntersectionDescription, scanner, generators, 
     """Re-verify every reported index up to the check limit by exact evaluation."""
     for n in description.described_indices(options.check_limit):
         if not scanner.is_hit(generators, n):
-            raise AssertionError(f"reported index {n} fails exact membership")
+            raise VerificationFailed(f"reported index {n} fails exact membership")
 
 
 # ---------------------------------------------------------------------------
@@ -371,75 +434,23 @@ def decide(maps, alpha, variety, options: EngineOptions | None = None) -> Inters
     multiplicative theory and are rejected with PowerMapCase.
     """
     options = options or EngineOptions()
-    if isinstance(maps, RationalMap):
-        maps = [maps]
-    maps = list(maps)
-    alpha = [Fraction(a) for a in alpha]
-    if len(maps) == 1 and len(alpha) > 1:
-        maps = maps * len(alpha)
-    if len(maps) != len(alpha):
-        raise ValueError("coordinate count mismatch")
-    variety = _as_variety(variety, len(alpha))
+    maps, alpha, variety = _normalize(maps, alpha, variety)
     maps, alpha, variety = _transform_inputs(maps, alpha, variety)
     for phi in maps:
         if phi.affine_coefficients()[0] == 0:
             raise PowerMapCase("t -> t^2 is a multiplicative-group endomorphism; out of scope")
     witnesses: dict = {"maps": [repr(m) for m in maps], "alpha": [str(a) for a in alpha]}
-    scanner = OrbitScanner(maps, alpha)
-    witnesses["orbit-record"] = {
-        "preperiodic": list(scanner.record().preperiodic),
-        "tails": list(scanner.record().tails),
-        "cycles": list(scanner.record().cycles),
-    }
-    generators = list(variety.generators)
-    if options.scan_only:
-        hits = scanner.scan(generators, options.scan_limit)
-        return IntersectionDescription((), tuple(hits), ScanOnly(options.scan_limit), witnesses)
-    if scanner.all_preperiodic:
-        return _assemble_from_cycles(scanner, generators, options, witnesses)
-    stream_coords = [i for i, m in enumerate(scanner.models) if m.kind != "preperiodic"]
-    points = [alpha[i] for i in stream_coords]
-    same_map = len({(m.coeffs_f, m.coeffs_g) for m in maps}) == 1
-    if same_map:
-        c = maps[0].affine_coefficients()[0]
-        if c == -1:
-            cert = qr_filter_for_minus_one(maps[0], points, options.prime_bound)
-        else:
-            cert = find_good_prime_quadratic(maps[0], points, options.prime_bound)
-    else:
-        cert = find_good_prime_multi([maps[i] for i in stream_coords], points, options.prime_bound)
-    if isinstance(cert, NotFound):
-        hits = scanner.scan(generators, options.scan_limit)
-        return IntersectionDescription(
-            (),
-            tuple(hits),
-            Inconclusive(f"no qualifying prime below {cert.p_max}"),
-            witnesses,
-        )
-    witnesses["prime-certificate"] = cert.as_dict()
-    return _certified_classes(maps, alpha, generators, scanner, cert.prime, options, witnesses)
+    return _pipeline(maps, alpha, variety, options, witnesses, _quadratic_prime, orbit_record=True)
 
 
 def _has_superattracting_cycle_off_exceptional(phi: RationalMap) -> bool:
-    from .dynsys import OneExceptional
-
-    structure = exceptional_structure(phi)
-    exceptional = set()
-    if isinstance(structure, OneExceptional):
-        exceptional.add(structure.point)
-    elif isinstance(structure, TwoExceptional) and structure.points:
-        exceptional.update(structure.points)
+    exceptional = exceptional_points(phi)
     for place, _e in ramification_portrait(phi):
         if isinstance(place, PPoint):
-            if place in exceptional:
-                continue
-            if orbit_status(phi, place).kind == "periodic":
+            if place not in exceptional and orbit_status(phi, place).kind == "periodic":
                 return True
-        else:
-            from .intersection import _factor_has_periodic_root
-
-            if _factor_has_periodic_root(phi, place):
-                return True
+        elif _factor_has_periodic_root(phi, place):
+            return True
     return False
 
 
@@ -457,66 +468,12 @@ def decide_curve_pair(phi: RationalMap, alpha, curve, options: EngineOptions | N
         raise PowerMapCase("conjugate to a power map: multiplicative case out of scope")
     if _has_superattracting_cycle_off_exceptional(phi):
         raise HypothesisViolated("superattracting cycle away from the exceptional locus")
-    if isinstance(curve, PlaneCurve):
-        variety = AffineVariety.of([curve.poly], 2)
-    else:
-        variety = _as_variety(curve, 2)
-    alpha = [Fraction(a) for a in alpha]
-    maps = [phi, phi]
+    maps, alpha, variety = _normalize(phi, alpha, curve)
     witnesses: dict = {"map": repr(phi), "alpha": [str(a) for a in alpha]}
-    scanner = OrbitScanner(maps, alpha)
-    generators = list(variety.generators)
-    if options.scan_only:
-        hits = scanner.scan(generators, options.scan_limit)
-        return IntersectionDescription((), tuple(hits), ScanOnly(options.scan_limit), witnesses)
-    if scanner.all_preperiodic:
-        return _assemble_from_cycles(scanner, generators, options, witnesses)
-    stream_coords = [i for i, m in enumerate(scanner.models) if m.kind != "preperiodic"]
-    status_both_wander = len(stream_coords) == 2
-    prime = None
-    tried = []
-    if status_both_wander:
-        pairs = common_residue_search(phi, alpha[0], alpha[1], options.prime_bound, options.residue_search_depth)
-        candidates = sorted({p for p, _n in pairs})
-    else:
-        candidates = [p for p in primes_upto(options.prime_bound) if p > 2]
-    for p in candidates:
-        if not good_reduction(phi, p):
-            tried.append((p, "bad reduction"))
-            continue
-        if any(PPoint.of(alpha[i]).b % p == 0 for i in stream_coords):
-            tried.append((p, "point not p-integral"))
-            continue
-        ok = True
-        for i in stream_coords:
-            phi_v = reduce_map(phi, p)
-            orb = residue_orbit(phi_v, reduce_point(PPoint.of(alpha[i]), p))
-            lam = residue_cycle_multiplier(phi_v, orb.cycle)
-            if lam is None or lam == 0:
-                ok = False
-                tried.append((p, f"coordinate {i}: residue cycle not indifferent"))
-                break
-        if ok:
-            prime = p
-            break
-    if prime is None:
-        hits = scanner.scan(generators, options.scan_limit)
-        witnesses["rejected-primes"] = tried[:40]
-        return IntersectionDescription(
-            (), tuple(hits), Inconclusive("no qualifying prime from the residue search"), witnesses
-        )
-    witnesses["prime"] = prime
-    return _certified_classes(maps, alpha, generators, scanner, prime, options, witnesses)
+    return _pipeline(maps, alpha, variety, options, witnesses, _common_residue_prime)
 
 
 def brute_force_scan(maps, alpha, variety, limit: int) -> list[int]:
     """Exact hit indices n <= limit of Phi^n(alpha) against the variety."""
-    if isinstance(maps, RationalMap):
-        maps = [maps]
-    maps = list(maps)
-    alpha = [Fraction(a) for a in alpha]
-    if len(maps) == 1 and len(alpha) > 1:
-        maps = maps * len(alpha)
-    variety = _as_variety(variety, len(alpha))
-    scanner = OrbitScanner(maps, alpha)
-    return scanner.scan(list(variety.generators), limit)
+    maps, alpha, variety = _normalize(maps, alpha, variety)
+    return OrbitScanner(maps, alpha).scan(list(variety.generators), limit)

@@ -29,10 +29,6 @@ class SingularMu(OrbitlangError):
     code = "singular-mu"
 
 
-class EscapeDetected(OrbitlangError):
-    code = "escape-detected"
-
-
 class UndecidedPeriodicity(OrbitlangError):
     """Search bounds exhausted without a periodicity proof either way."""
 
@@ -103,12 +99,10 @@ class HypothesisViolated(OrbitlangError):
     code = "hypothesis-violated"
 
 
-class NoQualifyingPrime(OrbitlangError):
-    code = "no-qualifying-prime"
+class VerificationFailed(OrbitlangError):
+    """An internal self-check of a computed result did not hold."""
 
-
-class IrrationalCriticalData(OrbitlangError):
-    code = "irrational-critical-data"
+    code = "verification-failed"
 
 
 # --- parsing / CLI -----------------------------------------------------------

@@ -14,14 +14,23 @@ the exact bivariate gcd as fallback).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegreeCapExceeded, InexactDivision, PeriodicCriticalPoint, PreperiodicInput, UndecidedPeriodicity
-from .dynsys import PPoint, RationalMap, exceptional_structure, orbit_status, ramification_portrait
-from .padics import is_prime, next_prime, primes_upto
-from .polynomials import QQ, Polynomial
+from .dynsys import (
+    HEIGHT_CUTOFF_BITS,
+    PPoint,
+    RationalMap,
+    escape_radius,
+    exceptional_points,
+    orbit_status,
+    ramification_portrait,
+)
+from .padics import is_prime, next_prime, prime_factors
+from .polynomials import QQ, Polynomial, poly_eval
 from .reduction import good_reduction
 
 __all__ = [
@@ -56,15 +65,6 @@ class PlaceSet:
     @property
     def includes_archimedean(self) -> bool:
         return True
-
-
-def _univariate_to_axis(poly: Polynomial, axis: int) -> dict:
-    """Coefficient dict of a univariate polynomial placed on one plane axis."""
-    out = {}
-    for (e,), c in poly.terms.items():
-        key = (e, 0) if axis == 0 else (0, e)
-        out[key] = c
-    return out
 
 
 def _difference_poly(iter_poly: Polynomial) -> Polynomial:
@@ -124,10 +124,10 @@ def _rational_chain(phi: RationalMap, n: int) -> list[Polynomial]:
     def cross_difference(psi: RationalMap | None) -> Polynomial:
         if psi is None:
             return Polynomial(QQ, _BIV, {(1, 0): 1, (0, 1): -1})
-        fx = Polynomial(QQ, _BIV, _univariate_to_axis(psi.affine_numerator(), 0))
-        gx = Polynomial(QQ, _BIV, _univariate_to_axis(psi.affine_denominator(), 0))
-        fy = Polynomial(QQ, _BIV, _univariate_to_axis(psi.affine_numerator(), 1))
-        gy = Polynomial(QQ, _BIV, _univariate_to_axis(psi.affine_denominator(), 1))
+        fx = psi.affine_numerator().placed(_BIV, "x")
+        gx = psi.affine_denominator().placed(_BIV, "x")
+        fy = psi.affine_numerator().placed(_BIV, "y")
+        gy = psi.affine_denominator().placed(_BIV, "y")
         return fx * gy - fy * gx
 
     chain.append(cross_difference(None))
@@ -148,8 +148,8 @@ def diagonal_pullback(phi: RationalMap, n: int, cap: int = DEFAULT_LEVEL_CAP) ->
         f = Polynomial.univariate(phi.affine_coefficients(), "t")
         iterate = Polynomial.variable("t")
         for k in range(1, n + 1):
-            ux = Polynomial(QQ, _BIV, _univariate_to_axis(iterate, 0))
-            uy = Polynomial(QQ, _BIV, _univariate_to_axis(iterate, 1))
+            ux = iterate.placed(_BIV, "x")
+            uy = iterate.placed(_BIV, "y")
             quotient = _substitute_pair(dd, ux, uy)
             if chain[k - 1] * quotient != chain[k]:
                 raise InexactDivision(f"chain verification failed at level {k}")
@@ -195,8 +195,8 @@ def layer(phi: RationalMap, n: int, cap: int = DEFAULT_LEVEL_CAP) -> tuple[Polyn
     if phi.is_polynomial:
         dd = divided_difference(phi.affine_coefficients())
         prev = phi.iterate_polynomial(n - 1)
-        ux = Polynomial(QQ, _BIV, _univariate_to_axis(prev, 0))
-        uy = Polynomial(QQ, _BIV, _univariate_to_axis(prev, 1))
+        ux = prev.placed(_BIV, "x")
+        uy = prev.placed(_BIV, "y")
         Y = _substitute_pair(dd, ux, uy)
     else:
         pullback = diagonal_pullback(phi, n, cap)
@@ -309,18 +309,20 @@ def _factor_has_periodic_root(phi: RationalMap, factor: Polynomial, bound: int =
     Polynomial maps with good reduction at a prime dividing the factor's
     leading coefficient cannot have those roots periodic (periodic points
     stay integral at good primes).  Otherwise iterate t mod factor: a gcd
-    hit proves a periodic root, a state revisit proves there is none.
+    hit proves a periodic root; a state revisit proves there is none, and so
+    does an iterate with a conjugate beyond the escape radius.  Iterates
+    whose coefficients pass the height cutoff leave the question open.
     """
-    var = factor.variables[0]
-    if phi.is_polynomial:
-        _, prim = factor.content_and_primitive()
-        lead = prim.terms[max(prim.terms)]
-        for ell in _small_prime_factors(int(lead)):
-            if good_reduction(phi, ell):
-                return False
-    f = Polynomial.univariate(phi.affine_coefficients(), var) if phi.is_polynomial else None
-    if f is None:
+    if not phi.is_polynomial:
         raise UndecidedPeriodicity("irrational critical points of a non-polynomial map")
+    _, prim = factor.content_and_primitive()
+    lead = prim.terms[max(prim.terms)]
+    if any(good_reduction(phi, ell) for ell in prime_factors(int(lead))):
+        return False
+    var = factor.variables[0]
+    coeffs = phi.affine_coefficients()
+    f = Polynomial.univariate(coeffs, var)
+    radius = escape_radius(coeffs)
     t = Polynomial.variable(var)
     h = t
     seen = {h}
@@ -328,10 +330,27 @@ def _factor_has_periodic_root(phi: RationalMap, factor: Polynomial, bound: int =
         h = _poly_mod(f.substitute({var: h}), factor)
         if (h - t).gcd(factor).total_degree() > 0:
             return True
-        if h in seen:
+        if h in seen or _has_conjugate_beyond(h, factor, radius):
             return False
+        if max(max(abs(c.numerator), c.denominator).bit_length() for c in h.terms.values()) > HEIGHT_CUTOFF_BITS:
+            break
         seen.add(h)
     raise UndecidedPeriodicity("periodicity of conjugate critical points unresolved")
+
+
+def _has_conjugate_beyond(h: Polynomial, factor: Polynomial, radius: Fraction) -> bool:
+    """Whether |h(theta)| > radius for some complex root theta of the factor.
+
+    The values h(theta) are the roots of Res_t(factor(t), z - h(t)); were
+    they all in the closed disk of that radius, the coefficient k places
+    below the top would be at most binom(d, k) * radius^k times the top one.
+    """
+    var = factor.variables[0]
+    names = (var, "z")
+    z = Polynomial.variable("z", QQ, names)
+    char = factor.with_variables(names).resultant(z - h.with_variables(names), var).univariate_coeffs()
+    d = len(char) - 1
+    return any(abs(char[d - k]) > math.comb(d, k) * radius**k * abs(char[d]) for k in range(1, d + 1))
 
 
 def _poly_mod(poly: Polynomial, modulus: Polynomial) -> Polynomial:
@@ -339,21 +358,6 @@ def _poly_mod(poly: Polynomial, modulus: Polynomial) -> Polynomial:
 
     _, r = sympy.div(poly.to_sympy(), modulus.to_sympy())
     return Polynomial.from_sympy(r, poly.ring, poly.variables)
-
-
-def _small_prime_factors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    for p in primes_upto(10**5):
-        if p * p > n:
-            break
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-    if n > 1 and is_prime(n):
-        out.append(n)
-    return out
 
 
 def ramification_bound(phi: RationalMap) -> int:
@@ -364,14 +368,7 @@ def ramification_bound(phi: RationalMap) -> int:
     """
     if phi.degree < 2:
         raise ValueError("degree must be at least 2")
-    from .dynsys import OneExceptional, TwoExceptional
-
-    exceptional: set[PPoint] = set()
-    structure = exceptional_structure(phi)
-    if isinstance(structure, OneExceptional):
-        exceptional.add(structure.point)
-    elif isinstance(structure, TwoExceptional) and structure.points:
-        exceptional.update(structure.points)
+    exceptional = exceptional_points(phi)
     bound = 1
     for place, e in ramification_portrait(phi):
         if isinstance(place, PPoint):
@@ -443,13 +440,6 @@ def s_integrality_scan(phi: RationalMap, alpha, beta, places: PlaceSet, n_max: i
     for n in range(n_max + 1):
         if _is_s_unit(a - b, places):
             hits.append(n)
-        a = _poly_eval(coeffs, a)
-        b = _poly_eval(coeffs, b)
+        a = poly_eval(coeffs, a)
+        b = poly_eval(coeffs, b)
     return hits
-
-
-def _poly_eval(coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc

@@ -19,6 +19,7 @@ __all__ = [
     "is_prime",
     "primes_upto",
     "next_prime",
+    "prime_factors",
     "INFINITY",
 ]
 
@@ -76,6 +77,27 @@ def next_prime(n: int) -> int:
     while not is_prime(k):
         k += 1
     return k
+
+
+def prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of |n|, ascending, by trial division to 10^5.
+
+    A cofactor left after trial division is reported when it is prime and
+    dropped otherwise, so the list is complete below 10^10 and may miss
+    factors above; callers use it only for sufficient conditions.
+    """
+    n = abs(n)
+    out = []
+    for p in primes_upto(10**5):
+        if p * p > n:
+            break
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+    if n > 1 and is_prime(n):
+        out.append(n)
+    return out
 
 
 # ---------------------------------------------------------------------------

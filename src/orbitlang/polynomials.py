@@ -1,4 +1,4 @@
-"""Exact dense-coefficient polynomial arithmetic over Q, F_p and capped Q_p.
+"""Exact dense-coefficient polynomial arithmetic over Q and F_p.
 
 Representation is a sparse map from exponent vectors to coefficients, tagged
 with the coefficient ring.  Ring math (add/mul/substitute/derive/evaluate)
@@ -17,23 +17,21 @@ from typing import Iterable
 import sympy
 
 from .errors import InexactDivision, RingMismatch
-from .padics import PadicNumber
 
-__all__ = ["RingTag", "QQ", "mod_ring", "padic_ring", "Polynomial", "poly_arith"]
+__all__ = ["RingTag", "QQ", "mod_ring", "Polynomial", "poly_arith", "poly_eval"]
 
 
 @dataclass(frozen=True)
 class RingTag:
-    """Coefficient ring marker: rational, residue field mod p, or capped Q_p."""
+    """Coefficient ring marker: rational or residue field mod p."""
 
-    kind: str  # "rational" | "mod" | "padic"
+    kind: str  # "rational" | "mod"
     prime: int | None = None
-    precision: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("rational", "mod", "padic"):
+        if self.kind not in ("rational", "mod"):
             raise ValueError(f"unknown ring kind {self.kind}")
-        if self.kind != "rational" and self.prime is None:
+        if self.kind == "mod" and self.prime is None:
             raise ValueError("prime required")
 
 
@@ -44,30 +42,12 @@ def mod_ring(p: int) -> RingTag:
     return RingTag("mod", p)
 
 
-def padic_ring(p: int, precision: int) -> RingTag:
-    return RingTag("padic", p, precision)
-
-
 def _coerce(ring: RingTag, c):
     if ring.kind == "rational":
         return c if isinstance(c, Fraction) else Fraction(c)
-    if ring.kind == "mod":
-        if isinstance(c, Fraction):
-            return c.numerator * pow(c.denominator, -1, ring.prime) % ring.prime
-        return int(c) % ring.prime
-    if isinstance(c, PadicNumber):
-        return c
-    if isinstance(c, (int, Fraction)):
-        from .padics import padic_of_rational
-
-        return padic_of_rational(Fraction(c), ring.prime, ring.precision)
-    raise TypeError(f"cannot coerce {c!r} into {ring}")
-
-
-def _is_zero_coeff(ring: RingTag, c) -> bool:
-    if ring.kind == "padic":
-        return c.is_zero_at_precision
-    return c == 0
+    if isinstance(c, Fraction):
+        return c.numerator * pow(c.denominator, -1, ring.prime) % ring.prime
+    return int(c) % ring.prime
 
 
 _SYMBOL_CACHE: dict[str, sympy.Symbol] = {}
@@ -94,7 +74,7 @@ class Polynomial:
             if len(exps) != width:
                 raise ValueError("exponent vector width mismatch")
             c = _coerce(ring, c)
-            if not _is_zero_coeff(ring, c):
+            if c != 0:
                 clean[exps] = c
         self.terms = clean
 
@@ -193,7 +173,7 @@ class Polynomial:
             raise RingMismatch(f"variable sets differ: {self.variables} vs {other.variables}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, PadicNumber)):
+        if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(other, self.ring, self.variables)
         self._compat(other)
         terms = dict(self.terms)
@@ -213,7 +193,7 @@ class Polynomial:
         return Polynomial(self.ring, self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, PadicNumber)):
+        if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(other, self.ring, self.variables)
         return self + (-other)
 
@@ -221,7 +201,7 @@ class Polynomial:
         return Polynomial.constant(other, self.ring, self.variables) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, PadicNumber)):
+        if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(other, self.ring, self.variables)
         self._compat(other)
         if len(self.terms) < len(other.terms):
@@ -290,8 +270,7 @@ class Polynomial:
                 if e:
                     cache = powers[i]
                     if e not in cache:
-                        p = vals[i] ** e if isinstance(vals[i], (int, Fraction)) else _pow_generic(vals[i], e)
-                        cache[e] = p
+                        cache[e] = vals[i] ** e
                     term = term * cache[e]
             acc = acc + term
         if self.ring.kind == "mod":
@@ -331,6 +310,10 @@ class Polynomial:
 
     def rename_variables(self, mapping: dict) -> "Polynomial":
         return Polynomial(self.ring, tuple(mapping.get(v, v) for v in self.variables), self.terms)
+
+    def placed(self, variables: Iterable[str], name: str) -> "Polynomial":
+        """This univariate polynomial written in `name`, over the variable tuple `variables`."""
+        return self.rename_variables({self.variables[0]: name}).with_variables(variables)
 
     def drop_variables(self, names: Iterable[str]) -> "Polynomial":
         names = set(names)
@@ -383,11 +366,7 @@ class Polynomial:
     # -- sympy bridge ----------------------------------------------------------------------
 
     def _domain(self):
-        if self.ring.kind == "rational":
-            return sympy.QQ
-        if self.ring.kind == "mod":
-            return sympy.GF(self.ring.prime)
-        raise RingMismatch("operation not supported over capped Q_p coefficients")
+        return sympy.QQ if self.ring.kind == "rational" else sympy.GF(self.ring.prime)
 
     def to_sympy(self):
         syms = [_symbol(v) for v in self.variables] or [_symbol("_c")]
@@ -483,10 +462,11 @@ class Polynomial:
         return f"Polynomial({format_polynomial(self)!r})"
 
 
-def _pow_generic(value, e: int):
-    acc = value
-    for _ in range(e - 1):
-        acc = acc * value
+def poly_eval(coeffs, x: Fraction) -> Fraction:
+    """Horner evaluation of sum(coeffs[i] * x**i) from low-to-high coefficients."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
     return acc
 
 

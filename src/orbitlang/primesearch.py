@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import PeriodicCriticalPoint, PreperiodicInput
+from .errors import HypothesisViolated, PeriodicCriticalPoint, PreperiodicInput
 from .dynsys import PPoint, RationalMap, orbit_status
 from .padics import primes_upto, valuation
 from .reduction import (
@@ -28,6 +28,7 @@ from .reduction import (
 __all__ = [
     "PrimeCertificate",
     "NotFound",
+    "find_good_prime",
     "find_good_prime_quadratic",
     "qr_filter_for_minus_one",
     "find_good_prime_multi",
@@ -62,10 +63,29 @@ class NotFound:
 
 
 def _quadratic_shift(f: RationalMap) -> Fraction:
-    coeffs = f.affine_coefficients()
+    coeffs = f.affine_coefficients() if f.is_polynomial else []
     if len(coeffs) != 3 or coeffs[2] != 1 or coeffs[1] != 0:
-        raise ValueError("expected a map t -> t^2 + c")
+        raise HypothesisViolated("expected a map t -> t^2 + c")
     return coeffs[0]
+
+
+def find_good_prime(maps: list[RationalMap], points, p_max: int, mode: str = "auto"):
+    """Run the prime search named by `mode`: quadratic, qr or multi.
+
+    `auto` takes the multi-map search when the maps differ, the QR filter
+    for t^2 - 1 and the quadratic search otherwise.  The single-map searches
+    read maps[0]; the multi-map search takes one map per point.
+    """
+    if mode == "auto":
+        if len(set(maps)) > 1:
+            mode = "multi"
+        else:
+            mode = "qr" if _quadratic_shift(maps[0]) == -1 else "quadratic"
+    if mode == "quadratic":
+        return find_good_prime_quadratic(maps[0], points, p_max)
+    if mode == "qr":
+        return qr_filter_for_minus_one(maps[0], points, p_max)
+    return find_good_prime_multi(maps, points, p_max)
 
 
 def functional_graph_cycles(phi_v: ReducedMap) -> list[tuple]:
@@ -166,7 +186,7 @@ def qr_filter_for_minus_one(f: RationalMap, points, p_max: int):
     never met and every residue cycle the orbits do meet is indifferent.
     """
     if _quadratic_shift(f) != -1:
-        raise ValueError("filter applies to t^2 - 1 only")
+        raise HypothesisViolated("filter applies to t^2 - 1 only")
     pts = [Fraction(PPoint.of(x).a, PPoint.of(x).b) if not PPoint.of(x).is_infinity else None for x in points]
     if any(pt is None for pt in pts):
         raise PreperiodicInput("infinity is a fixed point")

@@ -10,7 +10,6 @@ fallback for large p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BadReduction
 from .dynsys import PPoint, RationalMap
@@ -239,12 +238,3 @@ def residue_cycle_multiplier(phi_v: ReducedMap, cycle: tuple[RPoint, ...]) -> in
         except BadReduction:
             return None
     return lam
-
-
-def point_is_p_integral(x, p: int) -> bool:
-    x = PPoint.of(x)
-    return x.b % p != 0
-
-
-def fraction_is_p_integral(q: Fraction, p: int) -> bool:
-    return Fraction(q).denominator % p != 0

@@ -26,28 +26,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PrecisionExhausted
-from .dynsys import PPoint, RationalMap, orbit_status
+from .dynsys import PPoint, RationalMap, escape_radius, orbit_status
 from .padics import next_prime
-from .polynomials import QQ, Polynomial
+from .polynomials import QQ, Polynomial, poly_eval
 
 __all__ = ["OrbitScanner", "OrbitRecord"]
 
 EXACT_BITS_CAP = 65536
 PREFIX_LIMIT = 48
 CONTROL_PRIME_COUNT = 5
-
-
-def _poly_eval(coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _escape_radius(coeffs) -> Fraction:
-    lead = abs(coeffs[-1])
-    rest = sum(abs(c) for c in coeffs[:-1])
-    return max(Fraction(1), (2 + rest) / lead)
 
 
 def _log2_bounds(q: Fraction) -> tuple[int, int]:
@@ -71,7 +58,7 @@ class _Stream:
         for q in control_primes:
             self.residues.append([self.start.numerator * pow(self.start.denominator, -1, q) % q])
         # monotone escape (|f(z)| >= 2|z| beyond the radius) needs degree >= 2
-        self.radius = _escape_radius(self.coeffs) if phi.degree >= 2 else None
+        self.radius = escape_radius(self.coeffs) if phi.degree >= 2 else None
         self.escape_at: int | None = None
         self._lead_log = _log2_bounds(self.coeffs[-1])
         self.log_lo: list[int | None] = [None]
@@ -99,7 +86,7 @@ class _Stream:
                     acc = (acc * self.residues[qi][m] + c.numerator * pow(c.denominator, -1, q)) % q
                 self.residues[qi].append(acc)
             if not self.exact_done and len(self.exact) == m + 1:
-                value = _poly_eval(self.coeffs, self.exact[m])
+                value = poly_eval(self.coeffs, self.exact[m])
                 if max(abs(value.numerator), value.denominator).bit_length() > EXACT_BITS_CAP:
                     self.exact_done = True
                 else:
@@ -174,7 +161,7 @@ class OrbitRecord:
 class OrbitScanner:
     """Exact hit-testing of Phi^n(alpha) against polynomial generators."""
 
-    def __init__(self, maps, alpha, *, height_cutoff_bits: int = 200):
+    def __init__(self, maps, alpha):
         self.maps = list(maps)
         self.alpha = [PPoint.of(a) for a in alpha]
         if len(self.maps) != len(self.alpha):
@@ -185,7 +172,7 @@ class OrbitScanner:
         self._statuses = []
         wanderers = []
         for i, (phi, x) in enumerate(zip(self.maps, self.alpha)):
-            status = orbit_status(phi, x, height_cutoff_bits=height_cutoff_bits)
+            status = orbit_status(phi, x)
             self._statuses.append(status)
             if status.is_preperiodic:
                 self.models.append(
@@ -237,7 +224,7 @@ class OrbitScanner:
             # prefix of this coordinate's own orbit, for collision search
             prefix = [start]
             while len(prefix) < PREFIX_LIMIT:
-                nxt = _poly_eval(phi.affine_coefficients(), prefix[-1])
+                nxt = poly_eval(phi.affine_coefficients(), prefix[-1])
                 if max(abs(nxt.numerator), nxt.denominator).bit_length() > EXACT_BITS_CAP:
                     break
                 prefix.append(nxt)
@@ -329,7 +316,7 @@ class OrbitScanner:
     def _own_prefix_value(self, model: _CoordModel, n: int) -> Fraction | None:
         v = model.start.as_fraction()
         for _ in range(n):
-            v = _poly_eval(model.phi.affine_coefficients(), v)
+            v = poly_eval(model.phi.affine_coefficients(), v)
         return v
 
     def _exact_only_value(self, model: _CoordModel, n: int, bits_cap: int = EXACT_BITS_CAP) -> PPoint | None:
@@ -405,9 +392,7 @@ class OrbitScanner:
         return acc
 
     def _own_residue(self, model: _CoordModel, n: int, q: int) -> int:
-        v = model.start.as_fraction()
-        for _ in range(n):
-            v = _poly_eval(model.phi.affine_coefficients(), v)
+        v = self._own_prefix_value(model, n)
         return v.numerator * pow(v.denominator, -1, q) % q
 
     # -- structural analysis --------------------------------------------------------------

@@ -1,7 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from orbitlang.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, run
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def invoke(argv, stdin_text=None, env=None, monkeypatch=None):
@@ -155,3 +163,46 @@ def test_syntax_error_exit_two(monkeypatch):
     )
     assert code == EXIT_USAGE
     assert "division by zero" in jsonline(out)["result"]["message"]
+
+
+@pytest.mark.parametrize("mapping, point", [("t^3+1", "0"), ("(t^2+1)/t", "1")])
+def test_find_prime_non_quadratic_map_exit_two(monkeypatch, mapping, point):
+    code, out = invoke(["--json", "find-prime", "--map", mapping, "--points", point], monkeypatch=monkeypatch)
+    assert code == EXIT_USAGE
+    assert jsonline(out)["result"]["code"] == "hypothesis-violated"
+
+
+def run_cli_process(argv, timeout, prelude="", python_flags=()):
+    """Run the CLI in a fresh interpreter, after an optional line of setup code."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    script = f"{prelude}\nfrom orbitlang.cli import main\nmain()"
+    return subprocess.run(
+        [sys.executable, *python_flags, "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env=env,
+    )
+
+
+def test_divisors_conjugate_critical_points_within_budget():
+    # the critical points +-sqrt(-2) of t^3 + 6t leave the escape disk at f^2
+    proc = run_cli_process(["--json", "divisors", "--map", "t^3+6*t", "--level", "1"], timeout=5)
+    assert proc.returncode == EXIT_OK
+    assert jsonline(proc.stdout)["result"]["ramification_bound"] == 4
+
+
+def test_curve_pair_conjugate_critical_points_within_budget():
+    argv = ["--json", "decide", "--mode", "curve-pair", "--map", "t^3+6*t", "--point", "1,2", "--variety", "x-y"]
+    proc = run_cli_process(argv + ["--nmax", "20"], timeout=5)
+    assert proc.returncode == EXIT_OK
+    assert jsonline(proc.stdout)["result"]["certification"]["type"] == "Certified"
+
+
+def test_failed_self_check_is_an_error_under_optimize():
+    # a Mahler series that misses its samples must be caught even with asserts stripped
+    prelude = "from orbitlang import analytic; analytic.MahlerSeries.evaluate_residue = lambda self, n: -1"
+    argv = ["--json", "decide", "--map", "t^2-1", "--point", "1/2,-3/4", "--variety", "y-(x^2-1)", "--nmax", "20"]
+    proc = run_cli_process(argv, timeout=30, prelude=prelude, python_flags=("-O",))
+    assert proc.returncode == EXIT_USAGE
+    assert jsonline(proc.stdout)["result"]["code"] == "verification-failed"

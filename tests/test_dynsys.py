@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from orbitlang.dynsys import (
     orbit_status,
 )
 from orbitlang.errors import SingularMu
+from orbitlang.padics import next_prime
 from orbitlang.polynomials import Polynomial
 
 
@@ -174,3 +176,11 @@ def test_iterate_polynomial_matches_pointwise():
     f3 = T_SQ_PLUS_1.iterate_polynomial(3)
     assert f3.evaluate({"t": 0}) == 5
     assert f3.evaluate({"t": 1}) == 26
+
+
+def test_orbit_status_semiprime_denominator_escapes_without_factoring():
+    p, q = next_prime(10**9), next_prime(10**9 + 100)
+    started = time.monotonic()
+    status = orbit_status(T_SQ_PLUS_1, Fraction(1, p * q))
+    assert time.monotonic() - started < 1.0
+    assert (status.kind, status.reason, status.proven) == ("wanders", "p-adic-escape", True)

@@ -9,6 +9,7 @@ from orbitlang.padics import (
     is_prime,
     next_prime,
     padic_of_rational,
+    prime_factors,
     primes_upto,
     valuation,
 )
@@ -117,3 +118,11 @@ def test_division():
     b = padic_of_rational(Fraction(5, 4), p, 6)
     q = a / b
     assert q == padic_of_rational(Fraction(6, 5), p, q.precision)
+
+
+def test_prime_factors():
+    assert prime_factors(1) == []
+    assert prime_factors(-360) == [2, 3, 5]
+    p = next_prime(10**4)
+    assert prime_factors(4 * p * p) == [2, p]
+    assert prime_factors(next_prime(10**12)) == [next_prime(10**12)]
