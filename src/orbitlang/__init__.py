@@ -2,7 +2,7 @@
 
 Submodules:
 
-* padics, polynomials: exact scalars and polynomial rings
+* padics, polynomials: p-adic scalars, exact polynomials over Q, reduction mod m
 * dynsys, reduction: self-maps of P^1 over Q and their mod-p models
 * analytic: Strassmann counting, quasiperiodicity disks, Mahler interpolation
 * intersection: diagonal pullbacks, ramification bounds, integrality scans

@@ -32,8 +32,8 @@ from .errors import (
     ZeroSeries,
 )
 from .dynsys import PPoint, RationalMap
-from .padics import DEFAULT_PRECISION, PadicNumber, valuation
-from .polynomials import Polynomial
+from .padics import DEFAULT_PRECISION, PadicNumber, residue, valuation
+from .polynomials import Polynomial, residue_eval
 from .reduction import INF_RESIDUE, ReducedMap, good_reduction, reduce_map, reduce_point
 
 __all__ = [
@@ -266,7 +266,7 @@ class ModularOrbit:
         self.modulus = p**precision
         self._f = [int(c) % self.modulus for c in phi.coeffs_f]
         self._g = [int(c) % self.modulus for c in phi.coeffs_g]
-        self._values = [pt.a * pow(pt.b, -1, self.modulus) % self.modulus]
+        self._values = [residue(pt.as_fraction(), self.modulus)]
 
     def value(self, n: int) -> int:
         while len(self._values) <= n:
@@ -431,19 +431,9 @@ def certify_vanishing(F: Polynomial, thetas: list[MahlerSeries], order=None, pre
         raise ValueError("variable count does not match the coordinate series")
     Fp = _p_normalized_integer_coeffs(F, p)
     mod = p**M
-    int_terms = {e: (c.numerator * pow(c.denominator, -1, mod)) % mod for e, c in Fp.terms.items()}
-    values = []
+    int_terms = Fp.residues(mod)
     for n in range(J + 1):
-        coords = [t.samples[n] for t in thetas]
-        acc = 0
-        for exps, c in int_terms.items():
-            term = c
-            for xi, e in zip(coords, exps):
-                if e:
-                    term = term * pow(xi, e, mod) % mod
-            acc = (acc + term) % mod
-        values.append(acc)
-        if acc % mod:
+        if residue_eval(int_terms, [t.samples[n] for t in thetas], mod):
             return NonzeroWitness(n)
     # Mahler coefficients of the composition: finite differences of zeros vanish
     return IdenticallyZeroAtPrecision(J, M)

@@ -20,7 +20,7 @@ import sympy
 
 from .errors import HypothesisViolated, RootNotRational, VerificationFailed
 from .dynsys import RationalMap
-from .polynomials import QQ, Polynomial
+from .polynomials import Polynomial
 from .varieties import PlaneCurve
 
 __all__ = [
@@ -144,7 +144,7 @@ def chebyshev(m: int) -> Polynomial:
     if m < 0:
         raise ValueError("m must be nonnegative")
     t = Polynomial.variable("t")
-    prev, cur = Polynomial.constant(2, QQ, ("t",)), t
+    prev, cur = Polynomial.constant(2, ("t",)), t
     if m == 0:
         return prev
     for _ in range(m - 1):
@@ -175,7 +175,7 @@ def power_or_chebyshev_class(f):
     """
     record = normal_form(f)
     m = record.normal.total_degree()
-    t_power = Polynomial(QQ, ("t",), {(m,): 1})
+    t_power = Polynomial(("t",), {(m,): 1})
     if record.normal == t_power:
         return PowerConjugate(m)
     if record.normal == chebyshev(m):
@@ -334,8 +334,8 @@ def periodic_curve_candidates(f, r_max: int, period_bound: int = 3) -> list[Curv
     if b and b % 2 == 0 and a % 2 == 1:
         twists.append(Fraction(-1))
     periodic = rational_periodic_points(poly, period_bound)
-    x = Polynomial.variable("x", QQ, ("x", "y"))
-    y = Polynomial.variable("y", QQ, ("x", "y"))
+    x = Polynomial.variable("x", ("x", "y"))
+    y = Polynomial.variable("y", ("x", "y"))
     candidates: list[CurveCandidate] = []
     seen = set()
 
@@ -384,8 +384,8 @@ def _image_curve(curve: PlaneCurve, f: Polynomial) -> PlaneCurve:
     C = curve.normalized().with_variables(names)
     fx = f.placed(names, "x")
     fy = f.placed(names, "y")
-    u = Polynomial.variable("u", QQ, names)
-    v = Polynomial.variable("v", QQ, names)
+    u = Polynomial.variable("u", names)
+    v = Polynomial.variable("v", names)
     r1 = C.resultant(u - fx, "x")
     r2 = r1.with_variables(names).resultant(v - fy, "y")
     r2 = r2.with_variables(("u", "v"))
@@ -407,7 +407,7 @@ def _image_curve(curve: PlaneCurve, f: Polynomial) -> PlaneCurve:
     for fac in keep[1:]:
         image = image * fac.with_variables(("u", "v"))
     terms = {(eu, ev): c for (eu, ev), c in image.terms.items()}
-    return PlaneCurve(Polynomial(QQ, ("x", "y"), terms))
+    return PlaneCurve(Polynomial(("x", "y"), terms))
 
 
 def verify_invariant_curve(curve: PlaneCurve, f, k_max: int):

@@ -47,7 +47,7 @@ from .engine import (
     decide,
     decide_curve_pair,
 )
-from .errors import ExpressionSyntaxError, OrbitlangError
+from .errors import ExpressionSyntaxError, InvalidOption, OrbitlangError
 from .intersection import diagonal_pullback, layer, ramification_bound
 from .padics import DEFAULT_PRECISION, is_prime
 from .parsing import format_map, parse_expression, parse_point
@@ -236,15 +236,19 @@ def _cmd_classify(args):
     return result, EXIT_OK
 
 
-def _require_maps(args):
+def _require_maps(args, points):
+    """The maps of --map/--maps: one, used for every point, or one per point."""
     if not args.maps and not args.map:
         raise ExpressionSyntaxError("--map or --maps is required", 0)
-    return [_parse_map(m) for m in args.maps.split(";")] if args.maps else [_parse_map(args.map)]
+    maps = [_parse_map(m) for m in args.maps.split(";")] if args.maps else [_parse_map(args.map)]
+    if len(maps) not in (1, len(points)):
+        raise ExpressionSyntaxError(f"{len(maps)} maps for {len(points)} points: give one map or one per point", 0)
+    return maps
 
 
 def _cmd_find_prime(args):
-    maps = _require_maps(args)
     points = parse_point(args.points)
+    maps = _require_maps(args, points)
     cert = find_good_prime(maps, points, args.pmax, args.mode)
     code = EXIT_INCONCLUSIVE if isinstance(cert, NotFound) else EXIT_OK
     return cert, code
@@ -285,6 +289,8 @@ def _cmd_ms_curves(args):
 
 def _cmd_strassmann(args):
     p = args.prime
+    if args.precision < 1:
+        raise InvalidOption(f"--precision must be at least 1, got {args.precision}")
     coeffs = [Fraction(parse_expression(c.strip()).value) for c in args.coeffs.split(",")]
     tail = math.inf if args.tail is None else args.tail
     series = TruncatedPadicSeries.from_rationals(coeffs, p, args.precision, tail)
@@ -293,8 +299,8 @@ def _cmd_strassmann(args):
 
 
 def _cmd_decide(args):
-    maps = _require_maps(args)
     points = parse_point(args.point)
+    maps = _require_maps(args, points)
     gens = []
     if args.variety:
         sources = args.variety

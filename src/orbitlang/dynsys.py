@@ -18,7 +18,7 @@ from typing import Iterable, Union
 
 from .errors import SingularMu
 from .padics import is_prime, prime_factors, valuation
-from .polynomials import QQ, Polynomial
+from .polynomials import Polynomial
 
 __all__ = [
     "PPoint",
@@ -122,7 +122,7 @@ class MoebiusMap:
         return PPoint(self.a * x.a + self.b * x.b, self.c * x.a + self.d * x.b)
 
     def as_polynomial_pair(self, variables=("t",)) -> tuple[Polynomial, Polynomial]:
-        t = Polynomial.variable(variables[0], QQ, variables)
+        t = Polynomial.variable(variables[0], variables)
         return (t * self.a + self.b, t * self.c + self.d)
 
     def is_identity(self) -> bool:
@@ -192,7 +192,7 @@ class RationalMap:
     @classmethod
     def from_affine(cls, num: Polynomial, den: Polynomial | None = None) -> "RationalMap":
         if den is None:
-            den = Polynomial.constant(1, QQ, num.variables)
+            den = Polynomial.constant(1, num.variables)
         if num.variables != den.variables or len(num.variables) != 1:
             raise ValueError("affine pieces must share one variable")
         dn = num.total_degree()
@@ -281,8 +281,8 @@ class RationalMap:
         """The critical form F_X G_Y - F_Y G_X in variables (X, Y), degree 2d-2."""
         d = self.degree
         vars_ = ("X", "Y")
-        F = Polynomial(QQ, vars_, {(i, d - i): c for i, c in enumerate(self.coeffs_f)})
-        G = Polynomial(QQ, vars_, {(i, d - i): c for i, c in enumerate(self.coeffs_g)})
+        F = Polynomial(vars_, {(i, d - i): c for i, c in enumerate(self.coeffs_f)})
+        G = Polynomial(vars_, {(i, d - i): c for i, c in enumerate(self.coeffs_g)})
         W = F.derivative("X") * G.derivative("Y") - F.derivative("Y") * G.derivative("X")
         return W
 
@@ -292,11 +292,11 @@ class RationalMap:
         """self after other (x -> self(other(x)))."""
         vars_ = ("X", "Y")
         e = other.degree
-        Fo = Polynomial(QQ, vars_, {(i, e - i): c for i, c in enumerate(other.coeffs_f)})
-        Go = Polynomial(QQ, vars_, {(i, e - i): c for i, c in enumerate(other.coeffs_g)})
+        Fo = Polynomial(vars_, {(i, e - i): c for i, c in enumerate(other.coeffs_f)})
+        Go = Polynomial(vars_, {(i, e - i): c for i, c in enumerate(other.coeffs_g)})
         d = self.degree
-        newF = Polynomial(QQ, vars_, {})
-        newG = Polynomial(QQ, vars_, {})
+        newF = Polynomial(vars_, {})
+        newG = Polynomial(vars_, {})
         for i in range(d + 1):
             mono = (Fo**i) * (Go ** (d - i))
             if self.coeffs_f[i]:
@@ -342,11 +342,11 @@ def conjugate(phi: RationalMap, mu: MoebiusMap) -> RationalMap:
     d = phi.degree
     # substitute (X, Y) -> (a X + b Y, c X + d Y) into both forms
     sub = {
-        "X": Polynomial(QQ, vars_, {(1, 0): mu.a, (0, 1): mu.b}),
-        "Y": Polynomial(QQ, vars_, {(1, 0): mu.c, (0, 1): mu.d}),
+        "X": Polynomial(vars_, {(1, 0): mu.a, (0, 1): mu.b}),
+        "Y": Polynomial(vars_, {(1, 0): mu.c, (0, 1): mu.d}),
     }
-    F = Polynomial(QQ, vars_, {(i, d - i): c for i, c in enumerate(phi.coeffs_f)}).substitute(sub)
-    G = Polynomial(QQ, vars_, {(i, d - i): c for i, c in enumerate(phi.coeffs_g)}).substitute(sub)
+    F = Polynomial(vars_, {(i, d - i): c for i, c in enumerate(phi.coeffs_f)}).substitute(sub)
+    G = Polynomial(vars_, {(i, d - i): c for i, c in enumerate(phi.coeffs_g)}).substitute(sub)
     # apply the adjugate of mu on the output side
     newF = F * mu.d - G * mu.b
     newG = F * (-mu.c) + G * mu.a
@@ -374,7 +374,7 @@ def ramification_portrait(phi: RationalMap) -> list[tuple[object, int]]:
     if y_mult > 0:
         out.append((INFINITY_POINT, y_mult + 1))
     # W is a form, so each term has a distinct X-exponent: W(t, 1) collides nothing
-    affine = Polynomial(QQ, ("t",), {(ex,): c for (ex, _ey), c in W.terms.items()})
+    affine = Polynomial(("t",), {(ex,): c for (ex, _ey), c in W.terms.items()})
     if affine.is_constant():
         return out
     _, factors = affine.factor_list()
@@ -643,7 +643,7 @@ def exceptional_structure(phi: RationalMap):
         t_num = phi.affine_numerator()
         t_den = phi.affine_denominator()
         coeffs = fac.univariate_coeffs()
-        acc = Polynomial(QQ, ("t",), {})
+        acc = Polynomial(("t",), {})
         for i, c in enumerate(coeffs):
             acc = acc + (t_num**i) * (t_den ** (len(coeffs) - 1 - i)) * c
         if not acc.is_zero and acc.gcd(fac) == fac.monic():

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .analytic import DEFAULT_ORDER, IdenticallyZeroAtPrecision, certify_vanishing, orbit_interpolate
-from .errors import HypothesisViolated, NotQuasiperiodic, PowerMapCase, VerificationFailed
+from .errors import HypothesisViolated, InvalidOption, NotQuasiperiodic, PowerMapCase, VerificationFailed
 from .classify import normal_form
 from .dynsys import (
     PPoint,
@@ -37,7 +37,7 @@ from .dynsys import (
 )
 from .intersection import _factor_has_periodic_root
 from .padics import DEFAULT_PRECISION, primes_upto
-from .polynomials import QQ, Polynomial, format_polynomial
+from .polynomials import Polynomial, format_polynomial
 from .primesearch import NotFound, common_residue_search, find_good_prime
 from .reduction import (
     good_reduction,
@@ -147,6 +147,11 @@ class EngineOptions:
     precision: int = DEFAULT_PRECISION
     check_limit: int = DEFAULT_CHECK_LIMIT
 
+    def __post_init__(self):
+        for name, least in (("scan_limit", 0), ("order", 1), ("precision", 1)):
+            if getattr(self, name) < least:
+                raise InvalidOption(f"{name} must be at least {least}, got {getattr(self, name)}")
+
 
 # ---------------------------------------------------------------------------
 # input normalization
@@ -196,7 +201,7 @@ def _transform_inputs(maps, alpha, variety):
         models.append(model)
         new_alpha.append((x - B) / A)
         if A != 1 or B != 0:
-            sub[name] = Polynomial.variable(name, QQ, names) * A + B
+            sub[name] = Polynomial.variable(name, names) * A + B
     gens = [gen.with_variables(names) for gen in variety.generators]
     if sub:
         gens = [gen.substitute(sub) for gen in gens]
@@ -360,7 +365,7 @@ def _certified_classes(
                     pt = scanner.preperiodic_value(scanner.models[i], base)
                     if pt.is_infinity:
                         raise NotQuasiperiodic("preperiodic coordinate at infinity")
-                    assignments[names[i]] = Polynomial.constant(pt.as_fraction(), QQ, names)
+                    assignments[names[i]] = Polynomial.constant(pt.as_fraction(), names)
                 if assignments:
                     sub = sub.substitute(assignments)
                 sub = sub.drop_variables([names[i] for i in pre_coords])

@@ -14,6 +14,8 @@ class OrbitlangError(Exception):
 # --- arithmetic substrate ---------------------------------------------------
 
 class RingMismatch(OrbitlangError):
+    """Polynomial operands over different variable tuples."""
+
     code = "ring-mismatch"
 
 
@@ -97,6 +99,12 @@ class PowerMapCase(OrbitlangError):
 
 class HypothesisViolated(OrbitlangError):
     code = "hypothesis-violated"
+
+
+class InvalidOption(OrbitlangError):
+    """An option value outside its range (a negative limit, a zero order or precision)."""
+
+    code = "invalid-option"
 
 
 class VerificationFailed(OrbitlangError):

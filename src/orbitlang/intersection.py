@@ -30,7 +30,7 @@ from .dynsys import (
     ramification_portrait,
 )
 from .padics import is_prime, next_prime, prime_factors
-from .polynomials import QQ, Polynomial, poly_eval
+from .polynomials import Polynomial, poly_eval
 from .reduction import good_reduction
 
 __all__ = [
@@ -75,7 +75,7 @@ def _difference_poly(iter_poly: Polynomial) -> Polynomial:
             continue
         terms[(e, 0)] = c
         terms[(0, e)] = -c
-    return Polynomial(QQ, _BIV, terms)
+    return Polynomial(_BIV, terms)
 
 
 def divided_difference(f_coeffs: list[Fraction]) -> Polynomial:
@@ -87,7 +87,7 @@ def divided_difference(f_coeffs: list[Fraction]) -> Polynomial:
         for j in range(i):
             key = (j, i - 1 - j)
             terms[key] = terms.get(key, Fraction(0)) + a
-    return Polynomial(QQ, _BIV, terms)
+    return Polynomial(_BIV, terms)
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ def _rational_chain(phi: RationalMap, n: int) -> list[Polynomial]:
 
     def cross_difference(psi: RationalMap | None) -> Polynomial:
         if psi is None:
-            return Polynomial(QQ, _BIV, {(1, 0): 1, (0, 1): -1})
+            return Polynomial(_BIV, {(1, 0): 1, (0, 1): -1})
         fx = psi.affine_numerator().placed(_BIV, "x")
         gx = psi.affine_denominator().placed(_BIV, "x")
         fy = psi.affine_numerator().placed(_BIV, "y")
@@ -163,8 +163,8 @@ def diagonal_pullback(phi: RationalMap, n: int, cap: int = DEFAULT_LEVEL_CAP) ->
 
 def _substitute_pair(plane_poly: Polynomial, ux: Polynomial, uy: Polynomial) -> Polynomial:
     """Evaluate a plane polynomial at (ux(x), uy(y)) for univariate images."""
-    x_pows: dict[int, Polynomial] = {0: Polynomial.constant(1, QQ, _BIV)}
-    y_pows: dict[int, Polynomial] = {0: Polynomial.constant(1, QQ, _BIV)}
+    x_pows: dict[int, Polynomial] = {0: Polynomial.constant(1, _BIV)}
+    y_pows: dict[int, Polynomial] = {0: Polynomial.constant(1, _BIV)}
 
     def power(cache, base, e):
         if e not in cache:
@@ -175,9 +175,9 @@ def _substitute_pair(plane_poly: Polynomial, ux: Polynomial, uy: Polynomial) -> 
             cache[e] = acc
         return cache[e]
 
-    acc = Polynomial(QQ, _BIV, {})
+    acc = Polynomial(_BIV, {})
     for (ex, ey), c in plane_poly.terms.items():
-        term = Polynomial.constant(c, QQ, _BIV)
+        term = Polynomial.constant(c, _BIV)
         if ex:
             term = term * power(x_pows, ux, ex)
         if ey:
@@ -191,7 +191,7 @@ def layer(phi: RationalMap, n: int, cap: int = DEFAULT_LEVEL_CAP) -> tuple[Polyn
     if n > cap:
         raise DegreeCapExceeded(f"level {n} exceeds cap {cap}")
     if n == 0:
-        return Polynomial(QQ, _BIV, {(1, 0): 1, (0, 1): -1}), True
+        return Polynomial(_BIV, {(1, 0): 1, (0, 1): -1}), True
     if phi.is_polynomial:
         dd = divided_difference(phi.affine_coefficients())
         prev = phi.iterate_polynomial(n - 1)
@@ -210,15 +210,15 @@ def layer(phi: RationalMap, n: int, cap: int = DEFAULT_LEVEL_CAP) -> tuple[Polyn
 
 def _specialized_mod_q(poly: Polynomial, y0: int, q: int) -> list[int] | None:
     """Dense coefficient list of poly(x, y0) mod q, or None if q hits denominators."""
-    deg = poly.degree("x")
-    out = [0] * (deg + 1)
+    try:
+        residues = poly.residues(q)
+    except ZeroDivisionError:
+        return None
+    out = [0] * (poly.degree("x") + 1)
     ypow = {0: 1}
-    for (ex, ey), c in poly.terms.items():
-        if c.denominator % q == 0:
-            return None
+    for (ex, ey), val in residues.items():
         if ey not in ypow:
             ypow[ey] = pow(y0, ey, q)
-        val = c.numerator * pow(c.denominator, -1, q) % q
         out[ex] = (out[ex] + val * ypow[ey]) % q
     return out
 
@@ -290,7 +290,7 @@ def _content_in_x(poly: Polynomial) -> Polynomial:
     by_x: dict[int, dict] = {}
     for (ex, ey), c in poly.terms.items():
         by_x.setdefault(ex, {})[(ey,)] = c
-    coeffs = [Polynomial(QQ, ("y",), t) for t in by_x.values()]
+    coeffs = [Polynomial(("y",), t) for t in by_x.values()]
     g = coeffs[0]
     for c in coeffs[1:]:
         g = g.gcd(c)
@@ -347,7 +347,7 @@ def _has_conjugate_beyond(h: Polynomial, factor: Polynomial, radius: Fraction) -
     """
     var = factor.variables[0]
     names = (var, "z")
-    z = Polynomial.variable("z", QQ, names)
+    z = Polynomial.variable("z", names)
     char = factor.with_variables(names).resultant(z - h.with_variables(names), var).univariate_coeffs()
     d = len(char) - 1
     return any(abs(char[d - k]) > math.comb(d, k) * radius**k * abs(char[d]) for k in range(1, d + 1))
@@ -357,7 +357,7 @@ def _poly_mod(poly: Polynomial, modulus: Polynomial) -> Polynomial:
     import sympy
 
     _, r = sympy.div(poly.to_sympy(), modulus.to_sympy())
-    return Polynomial.from_sympy(r, poly.ring, poly.variables)
+    return Polynomial.from_sympy(r, poly.variables)
 
 
 def ramification_bound(phi: RationalMap) -> int:

@@ -14,6 +14,7 @@ from functools import lru_cache
 
 __all__ = [
     "valuation",
+    "residue",
     "PadicNumber",
     "padic_of_rational",
     "is_prime",
@@ -309,6 +310,19 @@ class PadicNumber:
         if self._val == 0:
             return f"{self.unit} + O({p}^{M})"
         return f"{self.unit}*{p}^{self._val} + O({p}^{M})"
+
+
+def residue(x, m: int) -> int:
+    """x mod m for an integer, or a rational whose denominator is prime to m.
+
+    Raises ZeroDivisionError when the denominator is not invertible mod m.
+    """
+    if isinstance(x, int):
+        return x % m
+    try:
+        return x.numerator * pow(x.denominator, -1, m) % m
+    except ValueError:
+        raise ZeroDivisionError(f"denominator of {x} is not invertible mod {m}") from None
 
 
 def padic_of_rational(q, p: int, precision: int = DEFAULT_PRECISION) -> PadicNumber:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import ExpressionSyntaxError, NonPolynomialWhereRequired
 from .dynsys import RationalMap
-from .polynomials import QQ, Polynomial, format_polynomial
+from .polynomials import Polynomial, format_polynomial
 from .varieties import PlaneCurve
 
 __all__ = ["parse_expression", "parse_point", "format_map", "ParsedExpression"]
@@ -71,8 +71,8 @@ class _RationalFunction:
     @classmethod
     def constant(cls, value, variables):
         return cls(
-            Polynomial.constant(value, QQ, variables),
-            Polynomial.constant(1, QQ, variables),
+            Polynomial.constant(value, variables),
+            Polynomial.constant(1, variables),
         )
 
     def __add__(self, other):
@@ -174,8 +174,8 @@ class _Parser:
             if tok.text not in self.variables:
                 raise ExpressionSyntaxError(f"unknown variable {tok.text!r}", tok.position)
             return _RationalFunction(
-                Polynomial.variable(tok.text, QQ, self.variables),
-                Polynomial.constant(1, QQ, self.variables),
+                Polynomial.variable(tok.text, self.variables),
+                Polynomial.constant(1, self.variables),
             )
         if tok.kind == "op" and tok.text == "(":
             value = self.expr()

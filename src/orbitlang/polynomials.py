@@ -1,55 +1,29 @@
-"""Exact dense-coefficient polynomial arithmetic over Q and F_p.
+"""Exact sparse polynomial arithmetic over Q.
 
-Representation is a sparse map from exponent vectors to coefficients, tagged
-with the coefficient ring.  Ring math (add/mul/substitute/derive/evaluate)
-is implemented directly on the maps; the heavy algebra (gcd, resultants,
-exact division, factorization) is delegated to sympy for the exact rings.
-All values are immutable.
+Representation is a sparse map from exponent vectors to Fraction
+coefficients.  Add/mul/substitute/derive/evaluate are implemented directly
+on the maps; the heavy algebra (gcd, resultants, exact division,
+factorization) is delegated to sympy.  Reduction modulo m goes through
+:meth:`Polynomial.residues` and :func:`residue_eval`.  All values are
+immutable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd
 from typing import Iterable
 
 import sympy
+from sympy.polys.domains import RationalField
 
 from .errors import InexactDivision, RingMismatch
+from .padics import residue
 
-__all__ = ["RingTag", "QQ", "mod_ring", "Polynomial", "poly_arith", "poly_eval"]
-
-
-@dataclass(frozen=True)
-class RingTag:
-    """Coefficient ring marker: rational or residue field mod p."""
-
-    kind: str  # "rational" | "mod"
-    prime: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("rational", "mod"):
-            raise ValueError(f"unknown ring kind {self.kind}")
-        if self.kind == "mod" and self.prime is None:
-            raise ValueError("prime required")
+__all__ = ["Polynomial", "poly_eval", "residue_eval"]
 
 
-QQ = RingTag("rational")
-
-
-def mod_ring(p: int) -> RingTag:
-    return RingTag("mod", p)
-
-
-def _coerce(ring: RingTag, c):
-    if ring.kind == "rational":
-        return c if isinstance(c, Fraction) else Fraction(c)
-    if isinstance(c, Fraction):
-        return c.numerator * pow(c.denominator, -1, ring.prime) % ring.prime
-    return int(c) % ring.prime
-
-
+_RATIONALS = RationalField()
 _SYMBOL_CACHE: dict[str, sympy.Symbol] = {}
 
 
@@ -59,13 +33,20 @@ def _symbol(name: str) -> sympy.Symbol:
     return _SYMBOL_CACHE[name]
 
 
+def _as_fraction(c) -> Fraction:
+    return c if isinstance(c, Fraction) else Fraction(c)
+
+
+def _from_sympy_number(value) -> Fraction:
+    return Fraction(int(sympy.numer(value)), int(sympy.denom(value)))
+
+
 class Polynomial:
     """Sparse exact polynomial in an ordered list of named variables."""
 
-    __slots__ = ("ring", "variables", "terms")
+    __slots__ = ("variables", "terms")
 
-    def __init__(self, ring: RingTag, variables: Iterable[str], terms: dict):
-        self.ring = ring
+    def __init__(self, variables: Iterable[str], terms: dict):
         self.variables = tuple(variables)
         clean = {}
         width = len(self.variables)
@@ -73,7 +54,7 @@ class Polynomial:
             exps = tuple(exps)
             if len(exps) != width:
                 raise ValueError("exponent vector width mismatch")
-            c = _coerce(ring, c)
+            c = _as_fraction(c)
             if c != 0:
                 clean[exps] = c
         self.terms = clean
@@ -81,21 +62,21 @@ class Polynomial:
     # -- constructors ----------------------------------------------------------
 
     @classmethod
-    def constant(cls, value, ring: RingTag = QQ, variables: Iterable[str] = ()) -> "Polynomial":
+    def constant(cls, value, variables: Iterable[str] = ()) -> "Polynomial":
         variables = tuple(variables)
-        return cls(ring, variables, {(0,) * len(variables): value})
+        return cls(variables, {(0,) * len(variables): value})
 
     @classmethod
-    def variable(cls, name: str, ring: RingTag = QQ, variables: Iterable[str] | None = None) -> "Polynomial":
+    def variable(cls, name: str, variables: Iterable[str] | None = None) -> "Polynomial":
         variables = (name,) if variables is None else tuple(variables)
         idx = variables.index(name)
         exps = tuple(1 if i == idx else 0 for i in range(len(variables)))
-        return cls(ring, variables, {exps: 1})
+        return cls(variables, {exps: 1})
 
     @classmethod
-    def univariate(cls, coeffs: Iterable, var: str = "t", ring: RingTag = QQ) -> "Polynomial":
+    def univariate(cls, coeffs: Iterable, var: str = "t") -> "Polynomial":
         """Build sum(coeffs[i] * var**i) from low-to-high coefficients."""
-        return cls(ring, (var,), {(i,): c for i, c in enumerate(coeffs)})
+        return cls((var,), {(i,): c for i, c in enumerate(coeffs)})
 
     # -- structure ----------------------------------------------------------------
 
@@ -117,7 +98,7 @@ class Polynomial:
         return max(e[i] for e in self.terms)
 
     def coefficient(self, exps) -> object:
-        return self.terms.get(tuple(exps), _coerce(self.ring, 0))
+        return self.terms.get(tuple(exps), Fraction(0))
 
     def univariate_coeffs(self) -> list:
         """Low-to-high dense coefficient list; requires exactly one variable."""
@@ -126,8 +107,7 @@ class Polynomial:
         deg = self.degree(self.variables[0])
         if deg is None:
             return []
-        zero = _coerce(self.ring, 0)
-        out = [zero] * (deg + 1)
+        out = [Fraction(0)] * (deg + 1)
         for (e,), c in self.terms.items():
             out[e] = c
         return out
@@ -136,7 +116,7 @@ class Polynomial:
         return all(sum(e) == 0 for e in self.terms)
 
     def constant_value(self):
-        return self.terms.get((0,) * len(self.variables), _coerce(self.ring, 0))
+        return self.terms.get((0,) * len(self.variables), Fraction(0))
 
     def with_variables(self, variables: Iterable[str]) -> "Polynomial":
         """Reinterpret over a different variable tuple.
@@ -160,21 +140,19 @@ class Polynomial:
                 if p is not None:
                     new[p] = e
             terms[tuple(new)] = c
-        return Polynomial(self.ring, variables, terms)
+        return Polynomial(variables, terms)
 
-    # -- ring ops --------------------------------------------------------------------
+    # -- arithmetic ------------------------------------------------------------------
 
     def _compat(self, other: "Polynomial"):
         if not isinstance(other, Polynomial):
             raise TypeError("expected Polynomial")
-        if self.ring != other.ring:
-            raise RingMismatch(f"{self.ring} vs {other.ring}")
         if self.variables != other.variables:
             raise RingMismatch(f"variable sets differ: {self.variables} vs {other.variables}")
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other, self.ring, self.variables)
+            other = Polynomial.constant(other, self.variables)
         self._compat(other)
         terms = dict(self.terms)
         for exps, c in other.terms.items():
@@ -182,49 +160,45 @@ class Polynomial:
                 terms[exps] = terms[exps] + c
             else:
                 terms[exps] = c
-        return Polynomial(self.ring, self.variables, terms)
+        return Polynomial(self.variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.ring.kind == "mod":
-            p = self.ring.prime
-            return Polynomial(self.ring, self.variables, {e: (-c) % p for e, c in self.terms.items()})
-        return Polynomial(self.ring, self.variables, {e: -c for e, c in self.terms.items()})
+        return Polynomial(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other, self.ring, self.variables)
+            other = Polynomial.constant(other, self.variables)
         return self + (-other)
 
     def __rsub__(self, other):
-        return Polynomial.constant(other, self.ring, self.variables) + (-self)
+        return Polynomial.constant(other, self.variables) + (-self)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other, self.ring, self.variables)
+            other = Polynomial.constant(other, self.variables)
         self._compat(other)
         if len(self.terms) < len(other.terms):
             small, large = self.terms, other.terms
         else:
             small, large = other.terms, self.terms
         acc: dict = {}
-        modp = self.ring.prime if self.ring.kind == "mod" else None
         for e1, c1 in small.items():
             for e2, c2 in large.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
                 v = c1 * c2
                 if key in acc:
                     v = acc[key] + v
-                acc[key] = v % modp if modp else v
-        return Polynomial(self.ring, self.variables, acc)
+                acc[key] = v
+        return Polynomial(self.variables, acc)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        result = Polynomial.constant(1, self.ring, self.variables)
+        result = Polynomial.constant(1, self.variables)
         base = self
         while n:
             if n & 1:
@@ -238,10 +212,10 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ring == other.ring and self.variables == other.variables and self.terms == other.terms
+        return self.variables == other.variables and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ring, self.variables, frozenset(self.terms.items())))
+        return hash((self.variables, frozenset(self.terms.items())))
 
     # -- calculus / evaluation ----------------------------------------------------------
 
@@ -256,14 +230,13 @@ class Polynomial:
             key = tuple(new)
             add = c * exps[i]
             terms[key] = terms[key] + add if key in terms else add
-        return Polynomial(self.ring, self.variables, terms)
+        return Polynomial(self.variables, terms)
 
     def evaluate(self, values: dict):
         """Full evaluation; `values` must cover every variable."""
-        zero = _coerce(self.ring, 0)
-        acc = zero
-        powers = [{0: _coerce(self.ring, 1)} for _ in self.variables]
-        vals = [_coerce(self.ring, values[v]) for v in self.variables]
+        acc = Fraction(0)
+        powers = [{0: Fraction(1)} for _ in self.variables]
+        vals = [_as_fraction(values[v]) for v in self.variables]
         for exps, c in self.terms.items():
             term = c
             for i, e in enumerate(exps):
@@ -273,9 +246,15 @@ class Polynomial:
                         cache[e] = vals[i] ** e
                     term = term * cache[e]
             acc = acc + term
-        if self.ring.kind == "mod":
-            acc %= self.ring.prime
         return acc
+
+    def residues(self, m: int) -> dict:
+        """Coefficients reduced mod m, {exponents: int}; see :func:`residue_eval`.
+
+        Raises ZeroDivisionError when a coefficient denominator is not
+        invertible mod m.
+        """
+        return {e: residue(c, m) for e, c in self.terms.items()}
 
     def substitute(self, assignments: dict) -> "Polynomial":
         """Substitute Polynomials/constants for a subset of the variables.
@@ -286,12 +265,12 @@ class Polynomial:
         subs = {}
         for name, val in assignments.items():
             if not isinstance(val, Polynomial):
-                val = Polynomial.constant(val, self.ring, self.variables)
+                val = Polynomial.constant(val, self.variables)
             elif val.variables != self.variables:
                 val = val.with_variables(self.variables)
             subs[self.variables.index(name)] = val
-        one = Polynomial.constant(1, self.ring, self.variables)
-        acc = Polynomial(self.ring, self.variables, {})
+        one = Polynomial.constant(1, self.variables)
+        acc = Polynomial(self.variables, {})
         pow_cache: dict[tuple[int, int], Polynomial] = {}
         for exps, c in self.terms.items():
             rest = list(exps)
@@ -304,12 +283,12 @@ class Polynomial:
                     if key not in pow_cache:
                         pow_cache[key] = subs[i] ** e
                     factor = factor * pow_cache[key]
-            mono = Polynomial(self.ring, self.variables, {tuple(rest): c})
+            mono = Polynomial(self.variables, {tuple(rest): c})
             acc = acc + mono * factor
         return acc
 
     def rename_variables(self, mapping: dict) -> "Polynomial":
-        return Polynomial(self.ring, tuple(mapping.get(v, v) for v in self.variables), self.terms)
+        return Polynomial(tuple(mapping.get(v, v) for v in self.variables), self.terms)
 
     def placed(self, variables: Iterable[str], name: str) -> "Polynomial":
         """This univariate polynomial written in `name`, over the variable tuple `variables`."""
@@ -323,12 +302,11 @@ class Polynomial:
                 raise ValueError(f"variable {n} still occurs")
         keep = [i for i, v in enumerate(self.variables) if v not in names]
         return Polynomial(
-            self.ring,
             tuple(self.variables[i] for i in keep),
             {tuple(e[i] for i in keep): c for e, c in self.terms.items()},
         )
 
-    # -- rational-ring helpers ------------------------------------------------------------
+    # -- content and normalization ---------------------------------------------------------
 
     def content_and_primitive(self) -> tuple[Fraction, "Polynomial"]:
         """Write self = content * primitive with integer coprime coefficients.
@@ -336,8 +314,6 @@ class Polynomial:
         Sign convention: the leading coefficient (lexicographically largest
         exponent vector) of the primitive part is positive.
         """
-        if self.ring.kind != "rational":
-            raise RingMismatch("content defined over the rationals only")
         if not self.terms:
             return Fraction(0), self
         den_lcm = 1
@@ -350,7 +326,7 @@ class Polynomial:
         lead = max(self.terms)
         if self.terms[lead] < 0:
             content = -content
-        prim = Polynomial(self.ring, self.variables, {e: c / content for e, c in self.terms.items()})
+        prim = Polynomial(self.variables, {e: c / content for e, c in self.terms.items()})
         return content, prim
 
     def monic(self) -> "Polynomial":
@@ -358,42 +334,24 @@ class Polynomial:
         if len(self.variables) != 1 or self.is_zero:
             raise ValueError("monic() needs a nonzero univariate polynomial")
         lead = self.terms[max(self.terms)]
-        if self.ring.kind == "mod":
-            inv = pow(lead, -1, self.ring.prime)
-            return Polynomial(self.ring, self.variables, {e: c * inv % self.ring.prime for e, c in self.terms.items()})
-        return Polynomial(self.ring, self.variables, {e: c / lead for e, c in self.terms.items()})
+        return Polynomial(self.variables, {e: c / lead for e, c in self.terms.items()})
 
     # -- sympy bridge ----------------------------------------------------------------------
-
-    def _domain(self):
-        return sympy.QQ if self.ring.kind == "rational" else sympy.GF(self.ring.prime)
 
     def to_sympy(self):
         syms = [_symbol(v) for v in self.variables] or [_symbol("_c")]
         terms = self.terms or {(0,) * len(syms): 0}
-        if self.ring.kind == "rational":
-            d = {e if self.variables else (0,): sympy.Rational(c.numerator, c.denominator) for e, c in terms.items()}
-        else:
-            d = {e if self.variables else (0,): int(c) for e, c in terms.items()}
-        return sympy.Poly.from_dict(d, *syms, domain=self._domain())
+        d = {e if self.variables else (0,): sympy.Rational(c.numerator, c.denominator) for e, c in terms.items()}
+        return sympy.Poly.from_dict(d, *syms, domain=_RATIONALS)
 
     @classmethod
-    def from_sympy(cls, poly, ring: RingTag, variables: Iterable[str]) -> "Polynomial":
+    def from_sympy(cls, poly, variables: Iterable[str]) -> "Polynomial":
         variables = tuple(variables)
         if not variables:
             value = sympy.sympify(poly if not isinstance(poly, sympy.Poly) else poly.as_expr())
-            if ring.kind == "rational":
-                return cls(ring, (), {(): Fraction(int(sympy.numer(value)), int(sympy.denom(value)))})
-            return cls(ring, (), {(): int(value) % ring.prime})
-        expr = sympy.Poly(poly, *[_symbol(v) for v in variables], domain="QQ" if ring.kind == "rational" else sympy.GF(ring.prime))
-        terms = {}
-        for exps, c in expr.terms():
-            if ring.kind == "rational":
-                c = Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
-            else:
-                c = int(c) % ring.prime
-            terms[tuple(exps)] = c
-        return cls(ring, variables, terms)
+            return cls((), {(): _from_sympy_number(value)})
+        expr = sympy.Poly(poly, *[_symbol(v) for v in variables], domain=_RATIONALS)
+        return cls(variables, {tuple(exps): _from_sympy_number(c) for exps, c in expr.terms()})
 
     # -- heavy algebra (delegated) ------------------------------------------------------------
 
@@ -406,20 +364,17 @@ class Polynomial:
         q, r = sympy.div(self.to_sympy(), other.to_sympy())
         if not r.is_zero:
             raise InexactDivision("remainder is nonzero")
-        return Polynomial.from_sympy(q, self.ring, self.variables)
+        return Polynomial.from_sympy(q, self.variables)
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
         """Polynomial gcd, normalized monic in the lexicographically leading term."""
         self._compat(other)
         g = sympy.gcd(self.to_sympy(), other.to_sympy())
-        result = Polynomial.from_sympy(g, self.ring, self.variables)
+        result = Polynomial.from_sympy(g, self.variables)
         if result.is_zero:
             return result
         lead = result.terms[max(result.terms)]
-        if self.ring.kind == "mod":
-            inv = pow(lead, -1, self.ring.prime)
-            return Polynomial(self.ring, self.variables, {e: c * inv % self.ring.prime for e, c in result.terms.items()})
-        return Polynomial(self.ring, self.variables, {e: c / lead for e, c in result.terms.items()})
+        return Polynomial(self.variables, {e: c / lead for e, c in result.terms.items()})
 
     def resultant(self, other: "Polynomial", var: str) -> "Polynomial":
         """Resultant eliminating `var`; result lives in the remaining variables."""
@@ -427,18 +382,11 @@ class Polynomial:
         sym = _symbol(var)
         res = sympy.resultant(self.to_sympy().as_expr(), other.to_sympy().as_expr(), sym)
         rest = tuple(v for v in self.variables if v != var)
-        return Polynomial.from_sympy(sympy.Poly(res, *[_symbol(v) for v in rest] or [_symbol("_c")]), self.ring, rest)
+        return Polynomial.from_sympy(sympy.Poly(res, *[_symbol(v) for v in rest] or [_symbol("_c")]), rest)
 
     def factor_list(self) -> tuple[Fraction, list[tuple["Polynomial", int]]]:
         const, factors = sympy.factor_list(self.to_sympy())
-        if self.ring.kind == "rational":
-            const = Fraction(int(sympy.numer(const)), int(sympy.denom(const)))
-        else:
-            const = int(const)
-        out = []
-        for f, mult in factors:
-            out.append((Polynomial.from_sympy(f, self.ring, self.variables), int(mult)))
-        return const, out
+        return _from_sympy_number(const), [(Polynomial.from_sympy(f, self.variables), int(mult)) for f, mult in factors]
 
     def is_irreducible(self) -> bool:
         if self.is_zero or self.is_constant():
@@ -470,6 +418,19 @@ def poly_eval(coeffs, x: Fraction) -> Fraction:
     return acc
 
 
+def residue_eval(residues: dict, coords, m: int) -> int:
+    """Value mod m of the polynomial with coefficient residues `residues`
+    (from :meth:`Polynomial.residues`) at the residue coordinates `coords`."""
+    acc = 0
+    for exps, c in residues.items():
+        term = c
+        for x, e in zip(coords, exps):
+            if e:
+                term = term * pow(x, e, m) % m
+        acc += term
+    return acc % m
+
+
 def format_polynomial(poly: Polynomial) -> str:
     """Canonical text form: terms ordered by descending exponent vector."""
     if poly.is_zero:
@@ -494,19 +455,3 @@ def format_polynomial(poly: Polynomial) -> str:
         text += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
     return text
 
-
-def poly_arith(a: Polynomial, b: Polynomial, op: str, var: str | None = None) -> Polynomial:
-    """Single entry point for the ring operations: add|mul|divexact|gcd|resultant."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "divexact":
-        return a.divexact(b)
-    if op == "gcd":
-        return a.gcd(b)
-    if op == "resultant":
-        if var is None:
-            raise ValueError("resultant needs the variable to eliminate")
-        return a.resultant(b, var)
-    raise ValueError(f"unknown op {op}")

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import HypothesisViolated, PeriodicCriticalPoint, PreperiodicInput
 from .dynsys import PPoint, RationalMap, orbit_status
-from .padics import primes_upto, valuation
+from .padics import primes_upto, residue, valuation
 from .reduction import (
     INF_RESIDUE,
     ReducedMap,
@@ -74,7 +74,8 @@ def find_good_prime(maps: list[RationalMap], points, p_max: int, mode: str = "au
 
     `auto` takes the multi-map search when the maps differ, the QR filter
     for t^2 - 1 and the quadratic search otherwise.  The single-map searches
-    read maps[0]; the multi-map search takes one map per point.
+    read maps[0]; the multi-map search takes one map per point, or a single
+    map used for every point.
     """
     if mode == "auto":
         if len(set(maps)) > 1:
@@ -85,7 +86,7 @@ def find_good_prime(maps: list[RationalMap], points, p_max: int, mode: str = "au
         return find_good_prime_quadratic(maps[0], points, p_max)
     if mode == "qr":
         return qr_filter_for_minus_one(maps[0], points, p_max)
-    return find_good_prime_multi(maps, points, p_max)
+    return find_good_prime_multi(maps * len(points) if len(maps) == 1 else maps, points, p_max)
 
 
 def functional_graph_cycles(phi_v: ReducedMap) -> list[tuple]:
@@ -345,14 +346,15 @@ def jones_density_estimate(maps: list[RationalMap], points, p_max: int) -> Jones
     for f, x in zip(maps, pts):
         if x.is_infinity or orbit_status(f, x.as_fraction()).is_preperiodic:
             raise PreperiodicInput(f"{x} is preperiodic")
+    starts = [x.as_fraction() for x in pts]
     hits: dict[int, bool] = {}
     for p in primes_upto(p_max):
         hit = False
-        for f, c, x in zip(maps, shifts, pts):
-            if c.denominator % p == 0 or x.b % p == 0:
-                continue
-            c_mod = c.numerator * pow(c.denominator, -1, p) % p
-            start = x.a * pow(x.b, -1, p) % p
+        for c, x in zip(shifts, starts):
+            try:
+                c_mod, start = residue(c, p), residue(x, p)
+            except ZeroDivisionError:
+                continue  # not p-integral
             if _zero_meets_quadratic_orbit(c_mod, start, p):
                 hit = True
                 break

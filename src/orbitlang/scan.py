@@ -27,8 +27,8 @@ from fractions import Fraction
 
 from .errors import PrecisionExhausted
 from .dynsys import PPoint, RationalMap, escape_radius, orbit_status
-from .padics import next_prime
-from .polynomials import QQ, Polynomial, poly_eval
+from .padics import next_prime, residue
+from .polynomials import Polynomial, poly_eval, residue_eval
 
 __all__ = ["OrbitScanner", "OrbitRecord"]
 
@@ -54,9 +54,9 @@ class _Stream:
         self.exact: list[Fraction] = [self.start]
         self.exact_done = False
         self.control_primes = control_primes
-        self.residues: list[list[int]] = []
-        for q in control_primes:
-            self.residues.append([self.start.numerator * pow(self.start.denominator, -1, q) % q])
+        # control primes avoid the map's denominators, so these reductions exist
+        self.residues = [[residue(self.start, q)] for q in control_primes]
+        self._coeff_residues = [[residue(c, q) for c in reversed(self.coeffs)] for q in control_primes]
         # monotone escape (|f(z)| >= 2|z| beyond the radius) needs degree >= 2
         self.radius = escape_radius(self.coeffs) if phi.degree >= 2 else None
         self.escape_at: int | None = None
@@ -81,9 +81,10 @@ class _Stream:
         while len(self.residues[0]) <= n:
             m = len(self.residues[0]) - 1
             for qi, q in enumerate(self.control_primes):
+                x = self.residues[qi][m]
                 acc = 0
-                for c in reversed(self.coeffs):
-                    acc = (acc * self.residues[qi][m] + c.numerator * pow(c.denominator, -1, q)) % q
+                for c in self._coeff_residues[qi]:
+                    acc = (acc * x + c) % q
                 self.residues[qi].append(acc)
             if not self.exact_done and len(self.exact) == m + 1:
                 value = poly_eval(self.coeffs, self.exact[m])
@@ -196,6 +197,7 @@ class OrbitScanner:
         self.control_primes = self._pick_control_primes()
         self._assemble_streams(wanderers)
         self._structural_cache: dict = {}
+        self._residue_cache: dict = {}
 
     # -- setup ------------------------------------------------------------------
 
@@ -372,28 +374,30 @@ class OrbitScanner:
                 pt = self.preperiodic_value(m, n)
                 if pt.is_infinity:
                     return 1  # left affine space: not on the variety
-                if pt.b % q == 0:
-                    raise PrecisionExhausted("control prime collides with a denominator")
-                coords.append(pt.a * pow(pt.b, -1, q) % q)
+                try:
+                    coords.append(residue(pt.as_fraction(), q))
+                except ZeroDivisionError:
+                    raise PrecisionExhausted("control prime collides with a denominator") from None
             elif m.kind == "stream":
                 stream = self.streams[m.stream]
                 coords.append(stream.residue(n + m.delta, qi) if n >= m.valid_from else self._own_residue(m, n, q))
             else:
                 raise PrecisionExhausted("exact-only coordinate past its horizon")
-        acc = 0
-        for exps, c in gen.terms.items():
-            if c.denominator % q == 0:
-                raise PrecisionExhausted("control prime collides with a coefficient")
-            term = c.numerator * pow(c.denominator, -1, q) % q
-            for xi, e in zip(coords, exps):
-                if e:
-                    term = term * pow(xi, e, q) % q
-            acc = (acc + term) % q
-        return acc
+        return residue_eval(self._generator_residues(gen, qi), coords, q)
+
+    def _generator_residues(self, gen: Polynomial, qi: int) -> dict:
+        """gen's coefficients mod the qi-th control prime, reduced once per scanner."""
+        key = (id(gen), qi)
+        if key not in self._residue_cache:
+            try:
+                # the entry holds gen, so its id stays unique while cached
+                self._residue_cache[key] = (gen, gen.residues(self.control_primes[qi]))
+            except ZeroDivisionError:
+                raise PrecisionExhausted("control prime collides with a coefficient") from None
+        return self._residue_cache[key][1]
 
     def _own_residue(self, model: _CoordModel, n: int, q: int) -> int:
-        v = self._own_prefix_value(model, n)
-        return v.numerator * pow(v.denominator, -1, q) % q
+        return residue(self._own_prefix_value(model, n), q)
 
     # -- structural analysis --------------------------------------------------------------
 
@@ -428,16 +432,11 @@ class OrbitScanner:
                     # coordinate permanently outside the affine chart on this class
                     self._structural_cache[key] = (None, [])
                     return self._structural_cache[key]
-                assignments[var] = Polynomial.constant(pt.as_fraction(), QQ, names)
+                assignments[var] = Polynomial.constant(pt.as_fraction(), names)
             else:
-                sid = stream_ids.index(m.stream)
-                u = Polynomial.variable(u_names[sid], QQ, names)
+                u_name = u_names[stream_ids.index(m.stream)]
                 power = m.delta - base_shift[m.stream]
-                iterate = u
-                coeffs = m.phi.affine_coefficients()
-                for _ in range(power):
-                    iterate = _compose_coeffs(coeffs, iterate)
-                assignments[var] = iterate
+                assignments[var] = m.phi.iterate_polynomial(power, u_name).with_variables(names)
         work = work.substitute(assignments)
         work = work.drop_variables([f"x{i + 1}" for i in range(self.g)])
         shifts = [base_shift[s] for s in stream_ids]
@@ -486,17 +485,6 @@ class OrbitScanner:
             if sub is None or not sub.is_zero:
                 return False
         return True
-
-
-def _compose_coeffs(coeffs, inner: Polynomial) -> Polynomial:
-    acc = Polynomial.constant(0, inner.ring, inner.variables)
-    power = Polynomial.constant(1, inner.ring, inner.variables)
-    for i, c in enumerate(coeffs):
-        if c:
-            acc = acc + power * c
-        if i < len(coeffs) - 1:
-            power = power * inner
-    return acc
 
 
 def _cauchy_root_bound_log2(univ: Polynomial) -> int:

@@ -30,7 +30,7 @@ from orbitlang.dynsys import RationalMap, iterate
 from orbitlang.engine import Certified, EngineOptions, brute_force_scan, decide
 from orbitlang.intersection import diagonal_pullback, layer, ramification_bound
 from orbitlang.padics import primes_upto
-from orbitlang.polynomials import QQ, Polynomial
+from orbitlang.polynomials import Polynomial
 from orbitlang.primesearch import (
     find_good_prime_quadratic,
     jones_density_estimate,
@@ -171,7 +171,7 @@ def _graph_generator(f: RationalMap, r: int, g: int, source: int = 0, target: in
     tkey[target] = 1
     tkey = tuple(tkey)
     terms[tkey] = terms.get(tkey, Fraction(0)) + 1
-    return Polynomial(QQ, names, terms)
+    return Polynomial(names, terms)
 
 
 def _line(coeffs, g):
@@ -181,7 +181,7 @@ def _line(coeffs, g):
         key = [0] * g
         key[i] = 1
         terms[tuple(key)] = Fraction(coeffs[i])
-    return Polynomial(QQ, names, terms)
+    return Polynomial(names, terms)
 
 
 def test_criterion_5_engine_agreement():
@@ -221,7 +221,6 @@ def test_criterion_5_engine_agreement():
         instances.append(("random-line", f, [a, b], [_line(coeffs, 2)]))
         names = ("x1", "x2")
         conic = Polynomial(
-            QQ,
             names,
             {
                 (2, 0): rng.randint(1, 10),
@@ -287,12 +286,12 @@ def test_criterion_7_classification():
         mu = tv * A + B
         mu_inv = (tv - B) * (1 / A)
         for base, expected in (
-            (Polynomial(QQ, ("t",), {(m,): 1}), PowerConjugate(m)),
+            (Polynomial(("t",), {(m,): 1}), PowerConjugate(m)),
             (chebyshev(m), ChebyshevConjugate(m)),
         ):
             conj = mu_inv.substitute({"t": base.substitute({"t": mu})})
             assert power_or_chebyshev_class(conj) == expected
-            perturbed = conj + Polynomial(QQ, ("t",), {(0,): Fraction(1, 7)})
+            perturbed = conj + Polynomial(("t",), {(0,): Fraction(1, 7)})
             assert power_or_chebyshev_class(perturbed) == Neither()
             conjugates += 1
     assert conjugates == 100
@@ -325,10 +324,10 @@ def test_criterion_8_invariant_curves():
         assert verdict.period <= 6
 
     square = Polynomial.univariate([0, 0, 1], "t")
-    anti_diagonal = PlaneCurve(Polynomial(QQ, ("x", "y"), {(1, 0): 1, (0, 1): 1}))
+    anti_diagonal = PlaneCurve(Polynomial(("x", "y"), {(1, 0): 1, (0, 1): 1}))
     verdict = verify_invariant_curve(anti_diagonal, square, 5)
     assert isinstance(verdict, NotPeriodicUpTo)
-    diag = Polynomial(QQ, ("x", "y"), {(1, 0): 1, (0, 1): -1})
+    diag = Polynomial(("x", "y"), {(1, 0): 1, (0, 1): -1})
     assert verdict.chain[1] == diag and verdict.chain[2] == diag
     budget.done(f"({len(candidates)} candidates for t^3+t, r <= 2; preperiodic x+y=0 chain reported)")
 

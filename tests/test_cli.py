@@ -172,6 +172,45 @@ def test_find_prime_non_quadratic_map_exit_two(monkeypatch, mapping, point):
     assert jsonline(out)["result"]["code"] == "hypothesis-violated"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decide", "--maps", "t^2+1;t^2+2", "--point", "0", "--variety", "x1"],
+        ["find-prime", "--maps", "t^2+1;t^2+2", "--points", "0"],
+    ],
+)
+def test_map_point_count_mismatch_exit_two(monkeypatch, argv):
+    code, out = invoke(["--json", *argv], monkeypatch=monkeypatch)
+    assert code == EXIT_USAGE
+    assert jsonline(out)["result"]["code"] == "syntax-error"
+
+
+def test_find_prime_multi_mode_uses_one_map_for_every_point(monkeypatch):
+    code, out = invoke(
+        ["--json", "find-prime", "--map", "t^2+1", "--points", "0,1", "--mode", "multi"], monkeypatch=monkeypatch
+    )
+    assert code == EXIT_OK
+    result = jsonline(out)["result"]
+    assert result["kind"] == "multi-quadratic"
+    assert sorted(result["witnesses"]["residue_orbits"]) == ["0", "1"]
+
+
+@pytest.mark.parametrize("option", [["--nmax", "-5"], ["--order", "0"], ["--precision", "0"]])
+def test_decide_out_of_range_option_exit_two(monkeypatch, option):
+    # f^4(0) = 26 under t^2+1: these used to print an empty Certified answer
+    argv = ["--json", "decide", "--map", "t^2+1", "--point", "0", "--variety", "x1-26", *option]
+    code, out = invoke(argv, monkeypatch=monkeypatch)
+    assert code == EXIT_USAGE
+    assert jsonline(out)["result"]["code"] == "invalid-option"
+
+
+def test_strassmann_zero_precision_exit_two(monkeypatch):
+    argv = ["--json", "strassmann", "--prime", "5", "--coeffs", "1,2", "--precision", "0"]
+    code, out = invoke(argv, monkeypatch=monkeypatch)
+    assert code == EXIT_USAGE
+    assert jsonline(out)["result"]["code"] == "invalid-option"
+
+
 def run_cli_process(argv, timeout, prelude="", python_flags=()):
     """Run the CLI in a fresh interpreter, after an optional line of setup code."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))

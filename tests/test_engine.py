@@ -15,12 +15,12 @@ from orbitlang.engine import (
     decide_curve_pair,
 )
 from orbitlang.errors import HypothesisViolated, PowerMapCase
-from orbitlang.polynomials import QQ, Polynomial
+from orbitlang.polynomials import Polynomial
 from orbitlang.varieties import AffineVariety, PlaneCurve
 
 
 def gen(vars_, terms):
-    return Polynomial(QQ, vars_, terms)
+    return Polynomial(vars_, terms)
 
 
 def x_minus_y():
@@ -40,7 +40,7 @@ def invariant_graph(c, r=1, g=2):
     ykey = [0] * g
     ykey[1] = 1
     terms[tuple(ykey)] = terms.get(tuple(ykey), Fraction(0)) + 1
-    return Polynomial(QQ, names, terms)
+    return Polynomial(names, terms)
 
 
 OPTS = EngineOptions(scan_limit=200, check_limit=48)
@@ -137,7 +137,7 @@ def invariant_graph_general(f):
     for (e,), coeff in fr.terms.items():
         terms[(e, 0)] = -coeff
     terms[(0, 1)] = terms.get((0, 1), Fraction(0)) + 1
-    return Polynomial(QQ, ("x1", "x2"), terms)
+    return Polynomial(("x1", "x2"), terms)
 
 
 def test_decide_multi_map_mode():

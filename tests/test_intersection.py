@@ -15,11 +15,11 @@ from orbitlang.intersection import (
     ramification_bound,
     s_integrality_scan,
 )
-from orbitlang.polynomials import QQ, Polynomial
+from orbitlang.polynomials import Polynomial
 
 
 def plane(terms):
-    return Polynomial(QQ, ("x", "y"), terms)
+    return Polynomial(("x", "y"), terms)
 
 
 def test_level_zero_is_diagonal():

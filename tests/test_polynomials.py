@@ -1,14 +1,16 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from orbitlang.errors import InexactDivision, RingMismatch
-from orbitlang.polynomials import QQ, Polynomial, format_polynomial, mod_ring, poly_arith
+from orbitlang.padics import residue
+from orbitlang.polynomials import Polynomial, format_polynomial, residue_eval
 
 
 def biv(x_exp_y_exp_coeff):
-    return Polynomial(QQ, ("x", "y"), x_exp_y_exp_coeff)
+    return Polynomial(("x", "y"), x_exp_y_exp_coeff)
 
 
 X2_MINUS_Y2 = biv({(2, 0): 1, (0, 2): -1})
@@ -17,60 +19,74 @@ X_PLUS_Y = biv({(1, 0): 1, (0, 1): 1})
 
 
 def test_gcd_example():
-    assert poly_arith(X2_MINUS_Y2, X_MINUS_Y, "gcd") == X_MINUS_Y
+    assert X2_MINUS_Y2.gcd(X_MINUS_Y) == X_MINUS_Y
 
 
 def test_divexact_example():
-    assert poly_arith(X2_MINUS_Y2, X_MINUS_Y, "divexact") == X_PLUS_Y
+    assert X2_MINUS_Y2.divexact(X_MINUS_Y) == X_PLUS_Y
 
 
 def test_divexact_raises_on_remainder():
     with pytest.raises(InexactDivision):
-        poly_arith(X2_MINUS_Y2, X_PLUS_Y + 1, "divexact")
+        X2_MINUS_Y2.divexact(X_PLUS_Y + 1)
 
 
 def test_resultant_example():
     # eliminating x from (u - x^2, y - x) leaves u - y^2
     ring_vars = ("x", "y", "u")
-    f = Polynomial(QQ, ring_vars, {(0, 0, 1): 1, (2, 0, 0): -1})
-    g = Polynomial(QQ, ring_vars, {(0, 1, 0): 1, (1, 0, 0): -1})
-    res = poly_arith(f, g, "resultant", var="x")
-    expected = Polynomial(QQ, ("y", "u"), {(0, 1): 1, (2, 0): -1})
+    f = Polynomial(ring_vars, {(0, 0, 1): 1, (2, 0, 0): -1})
+    g = Polynomial(ring_vars, {(0, 1, 0): 1, (1, 0, 0): -1})
+    res = f.resultant(g, "x")
+    expected = Polynomial(("y", "u"), {(0, 1): 1, (2, 0): -1})
     assert res == expected
 
 
 def test_ring_mismatch():
-    f = Polynomial(QQ, ("x",), {(1,): 1})
-    g = Polynomial(mod_ring(5), ("x",), {(1,): 1})
+    f = Polynomial(("x",), {(1,): 1})
+    g = Polynomial(("x", "y"), {(1, 0): 1})
     with pytest.raises(RingMismatch):
-        poly_arith(f, g, "add")
-
-
-def test_mod_ring_arithmetic():
-    ring = mod_ring(5)
-    f = Polynomial(ring, ("t",), {(1,): 3, (0,): 4})
-    g = Polynomial(ring, ("t",), {(1,): 4})
-    assert (f * g).terms == {(2,): 2, (1,): 1}
-    assert f.evaluate({"t": 2}) == 0
+        f + g
 
 
 def test_divexact_mul_round_trip():
     rng = random.Random(3)
     vars_ = ("x", "y")
     for _ in range(25):
-        a = Polynomial(
-            QQ, vars_, {(rng.randint(0, 3), rng.randint(0, 3)): Fraction(rng.randint(-5, 5)) for _ in range(4)}
-        )
-        b = Polynomial(
-            QQ, vars_, {(rng.randint(0, 3), rng.randint(0, 3)): Fraction(rng.randint(-5, 5)) for _ in range(4)}
-        )
+        a = Polynomial(vars_, {(rng.randint(0, 3), rng.randint(0, 3)): Fraction(rng.randint(-5, 5)) for _ in range(4)})
+        b = Polynomial(vars_, {(rng.randint(0, 3), rng.randint(0, 3)): Fraction(rng.randint(-5, 5)) for _ in range(4)})
         if a.is_zero or b.is_zero:
             continue
         assert (a * b).divexact(b) == a
 
 
+@pytest.mark.parametrize("m", [(1 << 61) - 1, 5**8])
+def test_residues_commute_with_evaluation(m):
+    rng = random.Random(8)
+
+    def rational():
+        den = rng.randint(1, 40)
+        while gcd(den, m) != 1:
+            den = rng.randint(1, 40)
+        return Fraction(rng.randint(-10**6, 10**6), den)
+
+    for vars_ in (("x", "y"), ("x", "y", "z")):
+        for _ in range(25):
+            poly = Polynomial(vars_, {tuple(rng.randint(0, 4) for _ in vars_): rational() for _ in range(6)})
+            point = {v: rational() for v in vars_}
+            coords = [residue(point[v], m) for v in vars_]
+            assert residue_eval(poly.residues(m), coords, m) == residue(poly.evaluate(point), m)
+
+
+@pytest.mark.parametrize("m, bad", [((1 << 61) - 1, Fraction(3, (1 << 61) - 1)), (5**8, Fraction(2, 15))])
+def test_residue_rejects_a_denominator_not_invertible(m, bad):
+    with pytest.raises(ZeroDivisionError):
+        residue(bad, m)
+    with pytest.raises(ZeroDivisionError):
+        Polynomial(("x", "y"), {(1, 0): 1, (0, 0): bad}).residues(m)
+
+
 def test_zero_polynomial_degree_sentinel():
-    z = Polynomial(QQ, ("x",), {})
+    z = Polynomial(("x",), {})
     assert z.is_zero
     assert z.total_degree() is None
     assert z.degree("x") is None
@@ -92,17 +108,17 @@ def test_compose_polynomials():
 
 
 def test_content_and_primitive():
-    f = Polynomial(QQ, ("x",), {(2,): Fraction(4, 3), (0,): Fraction(-2, 3)})
+    f = Polynomial(("x",), {(2,): Fraction(4, 3), (0,): Fraction(-2, 3)})
     c, prim = f.content_and_primitive()
     assert c == Fraction(2, 3)
     assert prim.terms == {(2,): 2, (0,): -1}
-    neg = Polynomial(QQ, ("x",), {(1,): -2})
+    neg = Polynomial(("x",), {(1,): -2})
     c2, prim2 = neg.content_and_primitive()
     assert c2 == -2 and prim2.terms == {(1,): 1}
 
 
 def test_factor_list_and_irreducibility():
-    x4_minus_y4 = Polynomial(QQ, ("x", "y"), {(4, 0): 1, (0, 4): -1})
+    x4_minus_y4 = Polynomial(("x", "y"), {(4, 0): 1, (0, 4): -1})
     _, factors = x4_minus_y4.factor_list()
     degrees = sorted(f.total_degree() for f, _ in factors)
     assert degrees == [1, 1, 2]
