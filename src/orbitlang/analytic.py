@@ -8,7 +8,7 @@ Four pieces:
   rational arithmetic (the disk-normalized expansion has rational
   coefficients, so every inequality on |.|_p is decided exactly);
 * Mahler (binomial-basis) interpolation of an orbit along an arithmetic
-  progression of iteration indices, computed modulo p**M;
+  progression of iteration indices, sampled by the map reduced mod p**M;
 * vanishing certificates for a polynomial composed with such interpolants.
 
 Verdicts produced here are precision-stamped: "identically zero at
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    BadReduction,
     InsufficientPrecision,
     NotQuasiperiodic,
     PoleInDisk,
@@ -34,7 +33,7 @@ from .errors import (
 from .dynsys import PPoint, RationalMap
 from .padics import DEFAULT_PRECISION, PadicNumber, residue, valuation
 from .polynomials import Polynomial, residue_eval
-from .reduction import INF_RESIDUE, ReducedMap, good_reduction, reduce_map, reduce_point
+from .reduction import INF_RESIDUE, ReducedMap, reduce_map, reduce_point, residue_cycle_multiplier
 
 __all__ = [
     "TruncatedPadicSeries",
@@ -47,7 +46,6 @@ __all__ = [
     "certify_vanishing",
     "IdenticallyZeroAtPrecision",
     "NonzeroWitness",
-    "ModularOrbit",
 ]
 
 DEFAULT_ORDER = 48
@@ -223,19 +221,16 @@ def residue_disk_quasiperiodic(
     off the reduced denominator's zeros, and the chain-rule multiplier along
     the k steps is a unit.  Returns (ok, reason, multiplier mod p).
     """
-    p = phi_v.prime
-    pt = center_residue
-    lam = 1
+    path = [center_residue]
     for _ in range(k):
-        if pt is INF_RESIDUE:
-            return False, "trajectory meets infinity", None
-        try:
-            step = phi_v.derivative_at(pt)
-        except BadReduction:
-            return False, "trajectory meets a pole residue", None
-        lam = lam * step % p
-        pt = phi_v.apply(pt)
-    if pt != center_residue:
+        path.append(phi_v.apply(path[-1]))
+    lam = residue_cycle_multiplier(phi_v, path[:-1])
+    if lam is None:
+        # the first step off the finite chart names the reason: a pole residue maps to infinity
+        i = next(i for i in range(k) if INF_RESIDUE in (path[i], path[i + 1]))
+        reason = "trajectory meets infinity" if path[i] is INF_RESIDUE else "trajectory meets a pole residue"
+        return False, reason, None
+    if path[-1] != center_residue:
         return False, "residue disk is not k-periodic", None
     if lam == 0:
         return False, "attracting residue class", 0
@@ -243,48 +238,7 @@ def residue_disk_quasiperiodic(
 
 
 # ---------------------------------------------------------------------------
-# modular orbits and Mahler interpolation
-
-
-class ModularOrbit:
-    """Forward orbit of a p-integral point computed modulo p**precision.
-
-    Requires good reduction and a trajectory whose residues stay finite and
-    away from the reduced denominator's zeros (automatic for polynomial maps
-    with a p-integral start).
-    """
-
-    def __init__(self, phi: RationalMap, x, p: int, precision: int = DEFAULT_PRECISION):
-        if not good_reduction(phi, p):
-            raise BadReduction(f"bad reduction at {p}")
-        pt = PPoint.of(x)
-        if pt.is_infinity or pt.b % p == 0:
-            raise NotQuasiperiodic("start is not p-integral")
-        self.phi = phi
-        self.prime = p
-        self.precision = precision
-        self.modulus = p**precision
-        self._f = [int(c) % self.modulus for c in phi.coeffs_f]
-        self._g = [int(c) % self.modulus for c in phi.coeffs_g]
-        self._values = [residue(pt.as_fraction(), self.modulus)]
-
-    def value(self, n: int) -> int:
-        while len(self._values) <= n:
-            self._values.append(self._step(self._values[-1]))
-        return self._values[n]
-
-    def _step(self, v: int) -> int:
-        mod = self.modulus
-        num = 0
-        den = 0
-        power = 1
-        for i in range(self.phi.degree + 1):
-            num = (num + self._f[i] * power) % mod
-            den = (den + self._g[i] * power) % mod
-            power = power * v % mod
-        if den % self.prime == 0:
-            raise NotQuasiperiodic("orbit leaves the p-integral domain")
-        return num * pow(den, -1, mod) % mod
+# Mahler interpolation
 
 
 class MahlerSeries:
@@ -355,15 +309,24 @@ def orbit_interpolate(
     """
     if k < 1:
         raise ValueError("step k must be >= 1")
-    orbit = ModularOrbit(phi, x, prime, precision)
-    phi_v = reduce_map(phi, prime)
-    base_residue = reduce_point(PPoint.of(x), prime)
+    phi_m = reduce_map(phi, prime, precision)
+    pt = PPoint.of(x)
+    if pt.is_infinity or pt.b % prime == 0:
+        raise NotQuasiperiodic("start is not p-integral")
+    phi_v = phi_m.at_precision(1)
+    base_residue = reduce_point(pt, prime)
     for _ in range(ell):
         base_residue = phi_v.apply(base_residue)
     ok, reason, _ = residue_disk_quasiperiodic(phi_v, base_residue, k)
     if not ok:
         raise NotQuasiperiodic(reason)
-    samples = [orbit.value(ell + n * k) for n in range(order + 1)]
+    values = [residue(pt.as_fraction(), phi_m.modulus)]
+    while len(values) <= ell + order * k:
+        value = phi_m.apply(values[-1])
+        if value is INF_RESIDUE:
+            raise NotQuasiperiodic("orbit leaves the p-integral domain")
+        values.append(value)
+    samples = values[ell::k]
     series = MahlerSeries(prime, precision, k, ell, samples)
     for n in range(order + 1):
         if series.evaluate_residue(n) != samples[n]:

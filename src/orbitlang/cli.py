@@ -47,13 +47,13 @@ from .engine import (
     decide,
     decide_curve_pair,
 )
-from .errors import ExpressionSyntaxError, InvalidOption, OrbitlangError
+from .errors import BadReduction, ExpressionSyntaxError, InvalidOption, OrbitlangError
 from .intersection import diagonal_pullback, layer, ramification_bound
 from .padics import DEFAULT_PRECISION, is_prime
 from .parsing import format_map, parse_expression, parse_point
 from .polynomials import format_polynomial
 from .primesearch import NotFound, find_good_prime
-from .reduction import good_reduction, reduce_map, reduce_point, residue_orbit
+from .reduction import reduce_map, reduce_point, residue_orbit
 from .varieties import PlaneCurve
 
 EXIT_OK = 0
@@ -201,17 +201,19 @@ def _cmd_reduce(args):
     p = args.prime
     if not is_prime(p):
         raise ExpressionSyntaxError("--prime must be prime", 0)
-    good = good_reduction(phi, p)
-    result = {"prime": p, "good_reduction": good}
-    if good:
+    try:
         rm = reduce_map(phi, p)
+    except BadReduction:
+        rm = None
+    result = {"prime": p, "good_reduction": rm is not None}
+    if rm is not None:
         result["reduced"] = {"coeffs_f": list(rm.coeffs_f), "coeffs_g": list(rm.coeffs_g), "degree": rm.degree}
         if args.point is not None:
             x = parse_point(args.point)[0]
             r = reduce_point(Fraction(x), p)
             orb = residue_orbit(rm, r)
             result["point"] = {"residue": "inf" if r is None else r, "orbit": orb}
-    return result, EXIT_OK if good else EXIT_INCONCLUSIVE
+    return result, EXIT_OK if rm is not None else EXIT_INCONCLUSIVE
 
 
 def _cmd_classify(args):
@@ -343,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit JSON lines")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, precision=True):
+    def common(p, precision=False):
         # accept --json after the subcommand too; SUPPRESS keeps the
         # top-level value when the flag is absent here
         p.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
@@ -383,12 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
     ms.add_argument("--rmax", type=int, default=1)
     ms.add_argument("--kmax", type=int, default=6)
 
-    strass = common(sub.add_parser("strassmann", help="unit-disk zero count"))
+    strass = common(sub.add_parser("strassmann", help="unit-disk zero count"), precision=True)
     strass.add_argument("--prime", type=int, required=True)
     strass.add_argument("--coeffs", required=True, help="comma-separated rational coefficients a0,a1,...")
     strass.add_argument("--tail", type=int, default=None, help="lower bound on tail valuations (omit for polynomial)")
 
-    decide_p = common(sub.add_parser("decide", help="orbit/variety intersection description"))
+    decide_p = common(sub.add_parser("decide", help="orbit/variety intersection description"), precision=True)
     decide_p.add_argument("--map")
     decide_p.add_argument("--maps", help="semicolon-separated quadratic maps, one per coordinate")
     decide_p.add_argument("--point", required=True)
@@ -443,3 +445,7 @@ def run(argv=None, stream=None) -> int:
 
 def main():
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -121,13 +121,6 @@ class MoebiusMap:
         x = PPoint.of(x)
         return PPoint(self.a * x.a + self.b * x.b, self.c * x.a + self.d * x.b)
 
-    def as_polynomial_pair(self, variables=("t",)) -> tuple[Polynomial, Polynomial]:
-        t = Polynomial.variable(variables[0], variables)
-        return (t * self.a + self.b, t * self.c + self.d)
-
-    def is_identity(self) -> bool:
-        return self.b == self.c == 0 and self.a == self.d
-
     def __repr__(self):
         return f"({self.a}*t + {self.b})/({self.c}*t + {self.d})"
 
@@ -307,15 +300,6 @@ class RationalMap:
         F = [newF.terms.get((i, deg - i), Fraction(0)) for i in range(deg + 1)]
         G = [newG.terms.get((i, deg - i), Fraction(0)) for i in range(deg + 1)]
         return RationalMap(F, G)
-
-    def iterate_map(self, n: int) -> "RationalMap":
-        """The n-th iterate as a map (degree d**n: keep n small)."""
-        if n < 1:
-            raise ValueError("n >= 1")
-        result = self
-        for _ in range(n - 1):
-            result = self.compose(result)
-        return result
 
     def iterate_polynomial(self, n: int, var: str = "t") -> Polynomial:
         """f^n as a univariate polynomial; requires a polynomial map."""
@@ -509,9 +493,6 @@ class CycleRecord:
     multiplier: Fraction
     place: Place
     cycle_class: str  # attracting | indifferent | superattracting | repelling
-
-    def is_superattracting(self) -> bool:
-        return self.multiplier == 0
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .analytic import DEFAULT_ORDER, IdenticallyZeroAtPrecision, certify_vanishing, orbit_interpolate
-from .errors import HypothesisViolated, InvalidOption, NotQuasiperiodic, PowerMapCase, VerificationFailed
+from .errors import (
+    BadReduction,
+    HypothesisViolated,
+    InvalidOption,
+    NotQuasiperiodic,
+    PowerMapCase,
+    VerificationFailed,
+)
 from .classify import normal_form
 from .dynsys import (
     PPoint,
@@ -39,13 +46,7 @@ from .intersection import _factor_has_periodic_root
 from .padics import DEFAULT_PRECISION, primes_upto
 from .polynomials import Polynomial, format_polynomial
 from .primesearch import NotFound, common_residue_search, find_good_prime
-from .reduction import (
-    good_reduction,
-    reduce_map,
-    reduce_point,
-    residue_cycle_multiplier,
-    residue_orbit,
-)
+from .reduction import reduce_map, reduce_point, residue_cycle_multiplier, residue_orbit
 from .scan import OrbitScanner
 from .varieties import AffineVariety, PlaneCurve
 
@@ -262,20 +263,22 @@ def _common_residue_prime(maps, alpha, stream_coords, options: EngineOptions, wi
         candidates = [p for p in primes_upto(options.prime_bound) if p > 2]
     tried = []
     for p in candidates:
-        if not good_reduction(phi, p):
-            tried.append((p, "bad reduction"))
-        elif any(PPoint.of(alpha[i]).b % p == 0 for i in stream_coords):
-            tried.append((p, "point not p-integral"))
-        else:
+        try:
             phi_v = reduce_map(phi, p)
-            for i in stream_coords:
-                orb = residue_orbit(phi_v, reduce_point(PPoint.of(alpha[i]), p))
-                if residue_cycle_multiplier(phi_v, orb.cycle) in (None, 0):
-                    tried.append((p, f"coordinate {i}: residue cycle not indifferent"))
-                    break
-            else:
-                witnesses["prime"] = p
-                return p, None
+        except BadReduction:
+            tried.append((p, "bad reduction"))
+            continue
+        if any(PPoint.of(alpha[i]).b % p == 0 for i in stream_coords):
+            tried.append((p, "point not p-integral"))
+            continue
+        for i in stream_coords:
+            orb = residue_orbit(phi_v, reduce_point(PPoint.of(alpha[i]), p))
+            if residue_cycle_multiplier(phi_v, orb.cycle) in (None, 0):
+                tried.append((p, f"coordinate {i}: residue cycle not indifferent"))
+                break
+        else:
+            witnesses["prime"] = p
+            return p, None
     witnesses["rejected-primes"] = tried[:40]
     return None, "no qualifying prime from the residue search"
 

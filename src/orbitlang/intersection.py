@@ -62,10 +62,6 @@ class PlaceSet:
                 raise ValueError(f"{p} is not prime")
         object.__setattr__(self, "primes", ps)
 
-    @property
-    def includes_archimedean(self) -> bool:
-        return True
-
 
 def _difference_poly(iter_poly: Polynomial) -> Polynomial:
     """g(x) - g(y) as a plane polynomial, for univariate g."""

@@ -13,17 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import HypothesisViolated, PeriodicCriticalPoint, PreperiodicInput
+from .errors import BadReduction, HypothesisViolated, PeriodicCriticalPoint, PreperiodicInput
 from .dynsys import PPoint, RationalMap, orbit_status
 from .padics import primes_upto, residue, valuation
-from .reduction import (
-    INF_RESIDUE,
-    ReducedMap,
-    good_reduction,
-    reduce_map,
-    reduce_point,
-    residue_orbit,
-)
+from .reduction import INF_RESIDUE, ReducedMap, reduce_map, reduce_point, residue_orbit
 
 __all__ = [
     "PrimeCertificate",
@@ -136,11 +129,12 @@ def find_good_prime_quadratic(f: RationalMap, points, p_max: int):
     for p in primes_upto(p_max):
         if p == 2:
             continue
-        if not good_reduction(f, p):
+        try:
+            fv = reduce_map(f, p)
+        except BadReduction:
             continue
         if any(pt.is_infinity or pt.b % p == 0 for pt in pts):
             continue
-        fv = reduce_map(f, p)
         crit_orbit = residue_orbit(fv, 0)
         if crit_orbit.tail == 0:
             continue
@@ -222,20 +216,9 @@ def qr_filter_for_minus_one(f: RationalMap, points, p_max: int):
     return NotFound(p_max)
 
 
-def _zero_meets_forward_residue_orbit(fv: ReducedMap, start) -> bool:
-    """Whether 0 appears among the residues f(x), f^2(x), ... (n >= 1)."""
-    seen = set()
-    pt = fv.apply(start)
-    while pt not in seen:
-        if pt == 0:
-            return True
-        seen.add(pt)
-        pt = fv.apply(pt)
-    return False
-
-
 def _zero_meets_quadratic_orbit(c_mod: int, start: int, p: int) -> bool:
-    """Fast path of the check above for x -> x^2 + c on integral residues."""
+    """Whether 0 appears among the residues f(x), f^2(x), ... (n >= 1) of
+    f = x^2 + c on integral residues mod p."""
     seen = set()
     x = (start * start + c_mod) % p
     while x not in seen:
@@ -244,6 +227,23 @@ def _zero_meets_quadratic_orbit(c_mod: int, start: int, p: int) -> bool:
         seen.add(x)
         x = (x * x + c_mod) % p
     return False
+
+
+def _multi_quadratic_prime(shifts: list[Fraction], pts: list[PPoint], p: int) -> bool:
+    """The per-prime conditions of the multi-map search for maps t^2 + c_j."""
+    if p == 2 or any(pt.is_infinity or pt.b % p == 0 for pt in pts):
+        return False
+    if any(c == -1 for c in shifts) and _legendre(2, p) != -1:
+        return False
+    for c, pt in zip(shifts, pts):
+        if c.denominator % p == 0:
+            return False  # bad reduction of t^2 + c
+        x = pt.as_fraction()
+        if c == -1 and (valuation(x, p) != 0 or valuation(x * x - 1, p) != 0):
+            return False
+        if _zero_meets_quadratic_orbit(residue(c, p), residue(x, p), p):
+            return False
+    return True
 
 
 def find_good_prime_multi(maps: list[RationalMap], points, p_max: int):
@@ -262,40 +262,20 @@ def find_good_prime_multi(maps: list[RationalMap], points, p_max: int):
             raise PreperiodicInput("infinity is preperiodic")
         if orbit_status(f, x.as_fraction()).is_preperiodic:
             raise PreperiodicInput(f"{x} is preperiodic")
-    needs_qr = any(c == -1 for c in shifts)
     for p in primes_upto(p_max):
-        if p == 2:
+        if not _multi_quadratic_prime(shifts, pts, p):
             continue
-        if any(not good_reduction(f, p) for f in maps):
-            continue
-        if any(pt.b % p == 0 for pt in pts):
-            continue
-        if needs_qr and _legendre(2, p) != -1:
-            continue
-        orbits = {}
-        ok = True
-        for j, (f, c, x) in enumerate(zip(maps, shifts, pts)):
-            fv = reduce_map(f, p)
-            r = reduce_point(x, p)
-            if c == -1:
-                xq = x.as_fraction()
-                if valuation(xq, p) != 0 or valuation(xq * xq - 1, p) != 0:
-                    ok = False
-                    break
-            if _zero_meets_forward_residue_orbit(fv, r):
-                ok = False
-                break
-            orbits[j] = _residue_orbit_witness(residue_orbit(fv, r))
-        if not ok:
-            continue
+        orbits = {
+            str(j): _residue_orbit_witness(residue_orbit(reduce_map(f, p), reduce_point(x, p)))
+            for j, (f, x) in enumerate(zip(maps, pts))
+        }
         checklist = {
             "good-reduction": True,
             "points-p-integral": True,
             "zero-off-forward-residue-orbits": True,
-            "qr-filter": needs_qr,
+            "qr-filter": any(c == -1 for c in shifts),
         }
-        witnesses = {"residue_orbits": {str(j): w for j, w in orbits.items()}}
-        return PrimeCertificate(p, "multi-quadratic", checklist, witnesses)
+        return PrimeCertificate(p, "multi-quadratic", checklist, {"residue_orbits": orbits})
     return NotFound(p_max)
 
 
@@ -370,10 +350,10 @@ def replay_certificate(cert: PrimeCertificate, maps, points) -> bool:
         maps = [maps]
     p = cert.prime
     if cert.kind == "quadratic-good-prime":
-        f = maps[0]
-        if not good_reduction(f, p):
+        try:
+            fv = reduce_map(maps[0], p)
+        except BadReduction:
             return False
-        fv = reduce_map(f, p)
         crit = residue_orbit(fv, 0)
         if crit.tail == 0:
             return False
@@ -405,11 +385,6 @@ def replay_certificate(cert: PrimeCertificate, maps, points) -> bool:
                 return False
         return True
     if cert.kind == "multi-quadratic":
-        for f, x in zip(maps, points):
-            if not good_reduction(f, p):
-                return False
-            fv = reduce_map(f, p)
-            if _zero_meets_forward_residue_orbit(fv, reduce_point(PPoint.of(x), p)):
-                return False
-        return True
+        pts = [PPoint.of(x) for x in points]
+        return len(maps) == len(pts) and _multi_quadratic_prime([_quadratic_shift(f) for f in maps], pts, p)
     raise ValueError(f"unknown certificate kind {cert.kind}")

@@ -2,14 +2,16 @@
 
 Good reduction is tested through the resultant of the normalized integral
 model: the reduced map keeps full degree exactly when the resultant of the
-coefficient forms is a p-adic unit.  Residue orbits are computed exactly
-over the finite set P^1(F_p), with Brent's cycle finder as the memory-light
-fallback for large p.
+coefficient forms is a p-adic unit.  `reduce_map` gives the one model of
+a map acting on residues, mod p or mod p**M.  Residue orbits are computed
+exactly over the finite set P^1(F_p), with Brent's cycle finder as the
+memory-light fallback for large p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import BadReduction
 from .dynsys import PPoint, RationalMap
@@ -93,37 +95,57 @@ def reduce_point(x, p: int) -> RPoint:
 
 @dataclass(frozen=True)
 class ReducedMap:
-    """The mod-p model of a map of good reduction, acting on P^1(F_p)."""
+    """A map of good reduction acting on residues mod prime**precision.
+
+    At precision 1 the points are P^1(F_p): residues in [0, p) and
+    INF_RESIDUE.  Above it a residue is a p-integral point mod p**precision,
+    and INF_RESIDUE stands for every point off the p-integral chart.  A
+    polynomial map steps by one Horner pass over its affine coefficients.
+    """
 
     prime: int
+    precision: int
+    modulus: int  # prime**precision
     coeffs_f: tuple[int, ...]
     coeffs_g: tuple[int, ...]
     degree: int
-    good: bool
+    # affine coefficients high to low, for a polynomial map; None otherwise
+    horner: tuple[int, ...] | None
+
+    def at_precision(self, precision: int) -> "ReducedMap":
+        """The same map mod prime**precision, for precision <= self.precision."""
+        if not 1 <= precision <= self.precision:
+            raise ValueError(f"precision {precision} is outside 1..{self.precision}")
+        return _model(self.prime, precision, self.coeffs_f, self.coeffs_g)
 
     def apply(self, x: RPoint) -> RPoint:
-        p = self.prime
+        m = self.modulus
+        if self.horner is not None:
+            if x is INF_RESIDUE:
+                return INF_RESIDUE
+            acc = 0
+            for c in self.horner:
+                acc = (acc * x + c) % m
+            return acc
+        a, b = (1, 0) if x is INF_RESIDUE else (x, 1)
         d = self.degree
-        if x is INF_RESIDUE:
-            a, b = 1, 0
-        else:
-            a, b = x, 1
         pa = [1] * (d + 1)
         pb = [1] * (d + 1)
         for i in range(1, d + 1):
-            pa[i] = pa[i - 1] * a % p
-            pb[i] = pb[i - 1] * b % p
-        fv = sum(self.coeffs_f[i] * pa[i] * pb[d - i] for i in range(d + 1)) % p
-        gv = sum(self.coeffs_g[i] * pa[i] * pb[d - i] for i in range(d + 1)) % p
-        if gv == 0:
-            if fv == 0:
+            pa[i] = pa[i - 1] * a % m
+            pb[i] = pb[i - 1] * b % m
+        fv = sum(self.coeffs_f[i] * pa[i] * pb[d - i] for i in range(d + 1)) % m
+        gv = sum(self.coeffs_g[i] * pa[i] * pb[d - i] for i in range(d + 1)) % m
+        if gv % self.prime == 0:
+            if fv % self.prime == 0:
                 raise BadReduction("common root mod p")
             return INF_RESIDUE
-        return fv * pow(gv, -1, p) % p
+        return fv * pow(gv, -1, m) % m
 
+    @cached_property
     def derivative_terms(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(numerator, denominator) coefficient vectors of the affine derivative mod p."""
-        p = self.prime
+        """(numerator, denominator) coefficient vectors of the affine derivative."""
+        m = self.modulus
         f = list(self.coeffs_f)
         g = list(self.coeffs_g)
 
@@ -132,37 +154,44 @@ class ReducedMap:
             for i, ai in enumerate(a):
                 if ai:
                     for j, bj in enumerate(b):
-                        out[i + j] = (out[i + j] + ai * bj) % p
+                        out[i + j] = (out[i + j] + ai * bj) % m
             return out
 
         def deriv(cs):
-            return [i * c % p for i, c in enumerate(cs)][1:]
+            return [i * c % m for i, c in enumerate(cs)][1:]
 
         # both products have length 2d because the form vectors keep full length
-        num = [(x - y) % p for x, y in zip(mul(deriv(f), g), mul(f, deriv(g)))]
+        num = [(x - y) % m for x, y in zip(mul(deriv(f), g), mul(f, deriv(g)))]
         return tuple(num), tuple(mul(g, g))
 
     def derivative_at(self, x: int) -> int:
-        """Affine derivative value mod p at a finite non-pole residue."""
-        num, den = self.derivative_terms()
-        dv = sum(c * pow(x, i, self.prime) for i, c in enumerate(den)) % self.prime
-        if dv == 0:
+        """Affine derivative value at a finite non-pole residue."""
+        m = self.modulus
+        num, den = self.derivative_terms
+        dv = sum(c * pow(x, i, m) for i, c in enumerate(den)) % m
+        if dv % self.prime == 0:
             raise BadReduction("derivative at a pole residue")
-        nv = sum(c * pow(x, i, self.prime) for i, c in enumerate(num)) % self.prime
-        return nv * pow(dv, -1, self.prime) % self.prime
+        nv = sum(c * pow(x, i, m) for i, c in enumerate(num)) % m
+        return nv * pow(dv, -1, m) % m
 
 
-def reduce_map(phi: RationalMap, p: int) -> ReducedMap:
-    """Reduction of the normalized integral model; raises on bad reduction."""
+def _model(p: int, precision: int, coeffs_f, coeffs_g) -> ReducedMap:
+    m = p**precision
+    f = tuple(c % m for c in coeffs_f)
+    g = tuple(c % m for c in coeffs_g)
+    horner = None
+    if not any(g[1:]):
+        # polynomial map: good reduction makes the constant denominator a unit
+        inv = pow(g[0], -1, m)
+        horner = tuple(c * inv % m for c in reversed(f))
+    return ReducedMap(p, precision, m, f, g, len(f) - 1, horner)
+
+
+def reduce_map(phi: RationalMap, p: int, precision: int = 1) -> ReducedMap:
+    """Reduction of the normalized integral model mod p**precision; raises on bad reduction."""
     if not good_reduction(phi, p):
-        raise BadReduction(f"map has bad reduction at {p}")
-    return ReducedMap(
-        p,
-        tuple(c % p for c in phi.coeffs_f),
-        tuple(c % p for c in phi.coeffs_g),
-        phi.degree,
-        True,
-    )
+        raise BadReduction(f"bad reduction at {p}")
+    return _model(p, precision, phi.coeffs_f, phi.coeffs_g)
 
 
 @dataclass(frozen=True)
@@ -173,10 +202,6 @@ class ResidueOrbit:
     tail: int
     cycle_length: int
     cycle: tuple[RPoint, ...]
-
-    @property
-    def period_of_start(self) -> int | None:
-        return self.cycle_length if self.tail == 0 else None
 
 
 def residue_orbit(phi_v: ReducedMap, x: RPoint, *, brent_threshold: int = 10**6) -> ResidueOrbit:
@@ -224,7 +249,7 @@ def _residue_orbit_brent(phi_v: ReducedMap, x: RPoint) -> ResidueOrbit:
 
 
 def residue_cycle_multiplier(phi_v: ReducedMap, cycle: tuple[RPoint, ...]) -> int | None:
-    """Product of derivative values along a residue cycle, mod p.
+    """Product of derivative values along a residue cycle, mod the map's modulus.
 
     Returns None when the cycle passes through infinity or a pole residue,
     where the affine chain rule does not apply directly.
@@ -234,7 +259,7 @@ def residue_cycle_multiplier(phi_v: ReducedMap, cycle: tuple[RPoint, ...]) -> in
         if pt is INF_RESIDUE:
             return None
         try:
-            lam = lam * phi_v.derivative_at(pt) % phi_v.prime
+            lam = lam * phi_v.derivative_at(pt) % phi_v.modulus
         except BadReduction:
             return None
     return lam

@@ -25,10 +25,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PrecisionExhausted
+from .errors import BadReduction, PrecisionExhausted
 from .dynsys import PPoint, RationalMap, escape_radius, orbit_status
 from .padics import next_prime, residue
 from .polynomials import Polynomial, poly_eval, residue_eval
+from .reduction import ReducedMap, reduce_map
 
 __all__ = ["OrbitScanner", "OrbitRecord"]
 
@@ -47,16 +48,15 @@ def _log2_bounds(q: Fraction) -> tuple[int, int]:
 class _Stream:
     """One wandering orbit: exact prefix, modular continuations, growth bounds."""
 
-    def __init__(self, phi: RationalMap, start: Fraction, control_primes):
+    def __init__(self, phi: RationalMap, start: Fraction, reduced: list[ReducedMap]):
         self.phi = phi
         self.coeffs = phi.affine_coefficients()
         self.start = Fraction(start)
         self.exact: list[Fraction] = [self.start]
         self.exact_done = False
-        self.control_primes = control_primes
-        # control primes avoid the map's denominators, so these reductions exist
-        self.residues = [[residue(self.start, q)] for q in control_primes]
-        self._coeff_residues = [[residue(c, q) for c in reversed(self.coeffs)] for q in control_primes]
+        # one track per control prime; the start is integral at each of them
+        self.reduced = reduced
+        self.residues = [[residue(self.start, r.prime)] for r in reduced]
         # monotone escape (|f(z)| >= 2|z| beyond the radius) needs degree >= 2
         self.radius = escape_radius(self.coeffs) if phi.degree >= 2 else None
         self.escape_at: int | None = None
@@ -80,12 +80,8 @@ class _Stream:
         d = self.phi.degree
         while len(self.residues[0]) <= n:
             m = len(self.residues[0]) - 1
-            for qi, q in enumerate(self.control_primes):
-                x = self.residues[qi][m]
-                acc = 0
-                for c in self._coeff_residues[qi]:
-                    acc = (acc * x + c) % q
-                self.residues[qi].append(acc)
+            for track, model in zip(self.residues, self.reduced):
+                track.append(model.apply(track[m]))
             if not self.exact_done and len(self.exact) == m + 1:
                 value = poly_eval(self.coeffs, self.exact[m])
                 if max(abs(value.numerator), value.denominator).bit_length() > EXACT_BITS_CAP:
@@ -194,7 +190,7 @@ class OrbitScanner:
                 wanderers.append(i)
             else:
                 self.models.append(_CoordModel(i, "exact-only", phi, x))
-        self.control_primes = self._pick_control_primes()
+        self.control_primes, self._reductions = self._pick_control_primes()
         self._assemble_streams(wanderers)
         self._structural_cache: dict = {}
         self._residue_cache: dict = {}
@@ -202,20 +198,21 @@ class OrbitScanner:
     # -- setup ------------------------------------------------------------------
 
     def _pick_control_primes(self):
-        needed = set()
-        for phi, x in zip(self.maps, self.alpha):
-            if phi.is_polynomial:
-                for c in phi.affine_coefficients():
-                    needed.add(c.denominator)
-            needed.add(x.b if x.b else 1)
-        primes = []
+        """The first primes above 2^61 at which every map has good reduction
+        and every finite start is integral, with each map's reduction there."""
+        primes, reductions = [], []
         seed = (1 << 61) + 7
         while len(primes) < CONTROL_PRIME_COUNT:
             q = next_prime(seed)
             seed = q + 2
-            if all(d % q for d in needed if d):
-                primes.append(q)
-        return tuple(primes)
+            if any(x.b % q == 0 for x in self.alpha if x.b):
+                continue
+            try:
+                reductions.append({phi: reduce_map(phi, q) for phi in dict.fromkeys(self.maps)})
+            except BadReduction:
+                continue
+            primes.append(q)
+        return tuple(primes), reductions
 
     def _assemble_streams(self, wanderers):
         lookup: dict[Fraction, tuple[int, int]] = {}
@@ -237,7 +234,7 @@ class OrbitScanner:
                     hit = (lookup[key], b)
                     break
             if hit is None:
-                stream = _Stream(phi, start, self.control_primes)
+                stream = _Stream(phi, start, [r[phi] for r in self._reductions])
                 self.streams.append(stream)
                 stream_id = len(self.streams) - 1
                 for a, value in enumerate(prefix):

@@ -245,3 +245,23 @@ def test_failed_self_check_is_an_error_under_optimize():
     proc = run_cli_process(argv, timeout=30, prelude=prelude, python_flags=("-O",))
     assert proc.returncode == EXIT_USAGE
     assert jsonline(proc.stdout)["result"]["code"] == "verification-failed"
+
+
+def test_module_entry_point_runs_the_command(monkeypatch):
+    argv = ["decide", "--map", "t^2+1", "--point", "0", "--variety", "x1"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "orbitlang.cli", *argv], capture_output=True, text=True, timeout=30, env=env
+    )
+    code, out = invoke(argv, monkeypatch=monkeypatch)
+
+    def without_timing(text):
+        return [line for line in text.splitlines() if not line.startswith("elapsed:")]
+
+    assert proc.returncode == code
+    assert without_timing(proc.stdout) == without_timing(out) != []
+
+
+def test_precision_is_rejected_where_unread(monkeypatch):
+    code, _ = invoke(["--json", "divisors", "--map", "t^2+1", "--level", "2", "--precision", "5"], monkeypatch=monkeypatch)
+    assert code == EXIT_USAGE

@@ -119,3 +119,30 @@ def test_find_good_prime_multi_with_minus_one_component():
     cert = find_good_prime_multi(maps, [Fraction(1, 2), 0], 200)
     assert isinstance(cert, PrimeCertificate)
     assert cert.checklist["qr-filter"]
+
+
+def test_find_good_prime_multi_with_minus_one_component_replays():
+    maps = [RationalMap.quadratic(-1), RationalMap.quadratic(1)]
+    points = [Fraction(1, 2), 0]
+    cert = find_good_prime_multi(maps, points, 200)
+    assert replay_certificate(cert, maps, points)
+
+
+def _multi_certificate(p):
+    checks = ("good-reduction", "points-p-integral", "zero-off-forward-residue-orbits", "qr-filter")
+    return PrimeCertificate(p, "multi-quadratic", dict.fromkeys(checks, True), {"residue_orbits": {}})
+
+
+def test_multi_replay_applies_the_qr_filter():
+    # 2 is a square mod 31, so the search skips 31 when some map is t^2 - 1
+    maps = [RationalMap.quadratic(-1), RationalMap.quadratic(1)]
+    points = [Fraction(5, 2), 1]
+    assert pow(2, 15, 31) == 1
+    assert not replay_certificate(_multi_certificate(31), maps, points)
+
+
+def test_multi_replay_requires_p_integral_points():
+    maps = [RationalMap.quadratic(-1), RationalMap.quadratic(2)]
+    points = [3, Fraction(1, 5)]
+    assert find_good_prime_multi(maps, points, 5) == NotFound(5)
+    assert not replay_certificate(_multi_certificate(5), maps, points)

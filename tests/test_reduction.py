@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitlang.dynsys import INFINITY_POINT, RationalMap, iterate
 from orbitlang.errors import BadReduction
+from orbitlang.padics import residue
 from orbitlang.polynomials import Polynomial
 from orbitlang.reduction import (
     INF_RESIDUE,
@@ -134,3 +137,53 @@ def test_residue_cycle_multiplier():
     orb = residue_orbit(rm, 0)  # 0 -> 1 -> 2 -> 2: cycle (2,)
     lam = residue_cycle_multiplier(rm, orb.cycle)
     assert lam == 2 * 2 % 3 == 1
+
+
+def _p_integral(p):
+    return st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12).filter(lambda d: d % p))
+
+
+@st.composite
+def _map_prime_start(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    kind = draw(st.sampled_from(["t^2+c", "t^3+b*t", "(t^2+1)/t"]))
+    if kind == "t^2+c":
+        phi = RationalMap.quadratic(draw(_p_integral(p)))
+    elif kind == "t^3+b*t":
+        phi = RationalMap.polynomial([0, draw(_p_integral(p)), 0, 1])
+    else:
+        phi = RationalMap.from_affine(Polynomial.univariate([1, 0, 1]), Polynomial.univariate([0, 1]))
+    return phi, p, draw(_p_integral(p))
+
+
+def _residue_or_inf(pt, m, p):
+    return INF_RESIDUE if pt.b % p == 0 else residue(pt.as_fraction(), m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_map_prime_start(), st.integers(1, 6), st.integers(0, 5))
+def test_reduced_steps_match_exact_iteration(case, M, n):
+    phi, p, x = case
+    model = reduce_map(phi, p, M)
+    value = _residue_or_inf(iterate(phi, x, 0), p**M, p)
+    for step in range(1, n + 1):
+        value = model.apply(value)
+        assert value == _residue_or_inf(iterate(phi, x, step), p**M, p)
+
+
+def _forms_on_p1(phi, p, x):
+    """The action on P^1(F_p) read off the reduced forms at [x : 1] or [1 : 0]."""
+    a, b = (1, 0) if x is INF_RESIDUE else (x, 1)
+    d = phi.degree
+    fv = sum(c * a**i * b ** (d - i) for i, c in enumerate(phi.coeffs_f)) % p
+    gv = sum(c * a**i * b ** (d - i) for i, c in enumerate(phi.coeffs_g)) % p
+    return INF_RESIDUE if gv == 0 else fv * pow(gv, -1, p) % p
+
+
+@settings(max_examples=60, deadline=None)
+@given(_map_prime_start())
+def test_reduced_map_at_precision_one_acts_on_p1(case):
+    phi, p, _ = case
+    model = reduce_map(phi, p)
+    for x in list(range(p)) + [INF_RESIDUE]:
+        assert model.apply(x) == _forms_on_p1(phi, p, x)
