@@ -54,6 +54,7 @@ from .parsing import format_map, parse_expression, parse_point
 from .polynomials import format_polynomial
 from .primesearch import NotFound, find_good_prime
 from .reduction import reduce_map, reduce_point, residue_orbit
+from .scan import EXACT_BITS_CAP
 from .varieties import PlaneCurve
 
 EXIT_OK = 0
@@ -162,6 +163,11 @@ def _parse_variety_generator(text: str):
     raise ExpressionSyntaxError("expected a polynomial in the plane/space variables", 0)
 
 
+def _at_least(flag: str, value: int, least: int):
+    if value < least:
+        raise InvalidOption(f"{flag} must be at least {least}, got {value}")
+
+
 def _default_precision() -> int:
     env = os.environ.get(ENV_PRECISION)
     if env:
@@ -183,17 +189,25 @@ def _cmd_orbit(args):
     points = parse_point(args.point)
     if len(points) != 1:
         raise ExpressionSyntaxError("orbit takes a single coordinate", 0)
+    _at_least("--steps", args.steps, 0)
+    # values up to the exact cap are printed in full (log10(2) < 1/3)
+    digits = EXACT_BITS_CAP // 3 + 1
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < digits:
+        sys.set_int_max_str_digits(digits)
     values = []
+    result, code = {"orbit": values}, EXIT_OK
     pt = PPoint.of(points[0])
     for n in range(args.steps + 1):
+        if pt.height_bits() > EXACT_BITS_CAP:
+            result["stopped_at"], code = n, EXIT_INCONCLUSIVE
+            break
         values.append({"n": n, "value": pt})
         if n < args.steps:
             pt = phi.apply(pt)
-    result = {"orbit": values}
     if args.place is not None:
         record = classify_cycle(phi, points[0], args.place if args.place != 0 else "archimedean")
         result["cycle"] = record
-    return result, EXIT_OK
+    return result, code
 
 
 def _cmd_reduce(args):
@@ -258,6 +272,7 @@ def _cmd_find_prime(args):
 
 def _cmd_divisors(args):
     phi = _parse_map(args.map)
+    _at_least("--level", args.level, 0)
     pullback = diagonal_pullback(phi, args.level, cap=max(args.level, 6))
     layers = []
     for n in range(args.level + 1):
@@ -281,6 +296,8 @@ def _cmd_divisors(args):
 
 def _cmd_ms_curves(args):
     phi = _parse_map(args.map)
+    _at_least("--rmax", args.rmax, 0)
+    _at_least("--kmax", args.kmax, 0)
     candidates = periodic_curve_candidates(phi, args.rmax)
     rows = []
     for cand in candidates:
@@ -291,8 +308,7 @@ def _cmd_ms_curves(args):
 
 def _cmd_strassmann(args):
     p = args.prime
-    if args.precision < 1:
-        raise InvalidOption(f"--precision must be at least 1, got {args.precision}")
+    _at_least("--precision", args.precision, 1)
     coeffs = [Fraction(parse_expression(c.strip()).value) for c in args.coeffs.split(",")]
     tail = math.inf if args.tail is None else args.tail
     series = TruncatedPadicSeries.from_rationals(coeffs, p, args.precision, tail)

@@ -66,7 +66,14 @@ class PPoint:
         if value is math.inf:
             return INFINITY_POINT
         q = Fraction(value)
-        return cls(q.numerator, q.denominator)
+        return cls._coprime(q.numerator, q.denominator)
+
+    @classmethod
+    def _coprime(cls, a: int, b: int) -> "PPoint":
+        """[a : b] from a pair already coprime with b > 0, without the gcd."""
+        pt = object.__new__(cls)
+        pt.a, pt.b = a, b
+        return pt
 
     @property
     def is_infinity(self) -> bool:
@@ -254,8 +261,23 @@ class RationalMap:
 
     def apply(self, x) -> PPoint:
         x = PPoint.of(x)
-        fv, gv = self._eval_forms(x.a, x.b)
-        return PPoint(fv, gv)
+        if not self.is_polynomial or x.is_infinity:
+            fv, gv = self._eval_forms(x.a, x.b)
+            return PPoint(fv, gv)
+        # Horner on [a : b].  A prime dividing both F(a, b) and g0 * b^d
+        # divides lead * g0, since a and b are coprime, so only that small
+        # content is divided out and no gcd of the growing values is taken.
+        f, g0 = self.coeffs_f, self.coeffs_g[0]
+        a, b = x.a, x.b
+        fv, bpow = f[-1], 1
+        for c in f[-2::-1]:
+            bpow *= b
+            fv = fv * a + c * bpow
+        gv = g0 * bpow
+        content = abs(f[-1] * g0)
+        while content > 1 and (h := _int_gcd(fv % content, gv % content, content)) > 1:
+            fv, gv = fv // h, gv // h
+        return PPoint._coprime(-fv, -gv) if gv < 0 else PPoint._coprime(fv, gv)
 
     def derivative_pair(self, var: str = "t") -> tuple[Polynomial, Polynomial]:
         """(num, den) with the affine derivative equal to num/den."""

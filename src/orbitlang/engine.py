@@ -365,7 +365,7 @@ def _certified_classes(
                 sub = gen.with_variables(names)
                 assignments = {}
                 for i in pre_coords:
-                    pt = scanner.preperiodic_value(scanner.models[i], base)
+                    pt = scanner.coordinate_value(scanner.models[i], base)
                     if pt.is_infinity:
                         raise NotQuasiperiodic("preperiodic coordinate at infinity")
                     assignments[names[i]] = Polynomial.constant(pt.as_fraction(), names)

@@ -374,7 +374,11 @@ def replay_certificate(cert: PrimeCertificate, maps, points) -> bool:
                     return False
         return all(PPoint.of(x).b % p != 0 for x in points)
     if cert.kind == "qr-minus-one":
-        f = maps[0]
+        try:
+            if _quadratic_shift(maps[0]) != -1:
+                return False
+        except HypothesisViolated:
+            return False
         if _legendre(2, p) != -1:
             return False
         if pow(2, (p - 1) // 2, p) != cert.witnesses["legendre"]["power"]:

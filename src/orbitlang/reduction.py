@@ -33,6 +33,9 @@ __all__ = [
 RPoint = int | None
 INF_RESIDUE: RPoint = None
 
+# above this prime a residue orbit is walked by Brent's finder in O(1) memory
+BRENT_THRESHOLD = 10**6
+
 
 def binary_form_resultant(coeffs_f, coeffs_g) -> int:
     """Resultant of two degree-d binary forms given low-to-high in X.
@@ -204,9 +207,9 @@ class ResidueOrbit:
     cycle: tuple[RPoint, ...]
 
 
-def residue_orbit(phi_v: ReducedMap, x: RPoint, *, brent_threshold: int = 10**6) -> ResidueOrbit:
+def residue_orbit(phi_v: ReducedMap, x: RPoint) -> ResidueOrbit:
     """Exact tail and cycle data of x under the reduced map."""
-    if phi_v.prime <= brent_threshold:
+    if phi_v.prime <= BRENT_THRESHOLD:
         seen: dict[RPoint, int] = {}
         pt = x
         path = []

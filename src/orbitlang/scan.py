@@ -1,17 +1,18 @@
 """Exact orbit/variety membership scanning at desk scale.
 
-Orbit values of a degree-d polynomial map grow doubly exponentially, so a
-scan to n = 1000 cannot hold exact values.  Membership of the orbit point in
-a variety is still decided exactly by combining:
+Orbit heights under a map of degree d >= 2 grow like d^n, so a scan to
+n = 1000 cannot hold exact values.  Membership of the orbit point in a
+variety is still decided exactly by combining:
 
-* exact rational evaluation while coordinate heights stay below a cap;
+* exact evaluation while coordinate heights stay below a cap;
 * orbit-shift structure: coordinates whose starting values lie on a common
   orbit are aliases of one stream, so each generator restricted to a class
-  becomes a polynomial in one stream value per stream - identically zero
-  means a certified hit for every index of the class;
-* escape growth: past its escape index a stream grows monotonically, so a
-  nonzero univariate substituted generator cannot vanish once the stream
-  value provably exceeds the generator's root bound;
+  becomes, after clearing the denominators of the iterates, a polynomial in
+  one stream value per stream - identically zero means a certified hit for
+  every index of the class;
+* escape growth: past its escape index a stream under a polynomial map grows
+  monotonically, so a nonzero univariate substituted generator cannot vanish
+  once the stream value provably exceeds the generator's root bound;
 * modular certificates: a generator value nonzero modulo one of several
   61-bit control primes is certainly nonzero.
 
@@ -27,9 +28,9 @@ from fractions import Fraction
 
 from .errors import BadReduction, PrecisionExhausted
 from .dynsys import PPoint, RationalMap, escape_radius, orbit_status
-from .padics import next_prime, residue
-from .polynomials import Polynomial, poly_eval, residue_eval
-from .reduction import ReducedMap, reduce_map
+from .padics import next_prime
+from .polynomials import Polynomial, residue_eval
+from .reduction import INF_RESIDUE, ReducedMap, RPoint, reduce_map, reduce_point
 
 __all__ = ["OrbitScanner", "OrbitRecord"]
 
@@ -38,110 +39,85 @@ PREFIX_LIMIT = 48
 CONTROL_PRIME_COUNT = 5
 
 
-def _log2_bounds(q: Fraction) -> tuple[int, int]:
-    """Integer lo <= log2|q| <= hi for a nonzero rational."""
-    num, den = abs(q.numerator), q.denominator
-    lo = num.bit_length() - den.bit_length() - 1
-    return lo, lo + 2
+def _log2_lower(num: int, den: int) -> int:
+    """Integer lo <= log2|num/den| for nonzero num."""
+    return abs(num).bit_length() - den.bit_length() - 1
 
 
 class _Stream:
-    """One wandering orbit: exact prefix, modular continuations, growth bounds."""
+    """One wandering orbit: exact prefix, control-prime tracks, growth bounds.
 
-    def __init__(self, phi: RationalMap, start: Fraction, reduced: list[ReducedMap]):
+    Exact values are points of P^1(Q) up to the height cap.  Each control
+    prime's track steps through the map's reduction there, and a residue may
+    sit at infinity.
+    """
+
+    def __init__(self, phi: RationalMap, prefix, reduced: list[ReducedMap]):
         self.phi = phi
-        self.coeffs = phi.affine_coefficients()
-        self.start = Fraction(start)
-        self.exact: list[Fraction] = [self.start]
+        self.exact: list[PPoint] = list(prefix)
         self.exact_done = False
-        # one track per control prime; the start is integral at each of them
         self.reduced = reduced
-        self.residues = [[residue(self.start, r.prime)] for r in reduced]
-        # monotone escape (|f(z)| >= 2|z| beyond the radius) needs degree >= 2
-        self.radius = escape_radius(self.coeffs) if phi.degree >= 2 else None
-        self.escape_at: int | None = None
-        self._lead_log = _log2_bounds(self.coeffs[-1])
-        self.log_lo: list[int | None] = [None]
-        self.log_hi: list[int | None] = [None]
-        self._refresh_growth(0)
+        self.residues = [[reduce_point(self.exact[0], r.prime)] for r in reduced]
 
-    def _refresh_growth(self, n: int):
-        v = self.exact[n] if n < len(self.exact) else None
-        if v is None:
-            return
-        if self.radius is not None and self.escape_at is None and abs(v) >= self.radius:
-            self.escape_at = n
-        if self.escape_at is not None and v != 0:
-            lo, hi = _log2_bounds(v)
-            self.log_lo[n], self.log_hi[n] = lo, hi
+    def exact_value(self, n: int) -> PPoint | None:
+        """The n-th orbit point, or None past the height cap."""
+        while not self.exact_done and len(self.exact) <= n:
+            value = self.phi.apply(self.exact[-1])
+            if value.height_bits() > EXACT_BITS_CAP:
+                self.exact_done = True
+            else:
+                self.exact.append(value)
+        return self.exact[n] if n < len(self.exact) else None
 
-    def extend(self, n: int):
-        """Make index n available on every track that can still advance."""
-        d = self.phi.degree
-        while len(self.residues[0]) <= n:
-            m = len(self.residues[0]) - 1
-            for track, model in zip(self.residues, self.reduced):
-                track.append(model.apply(track[m]))
-            if not self.exact_done and len(self.exact) == m + 1:
-                value = poly_eval(self.coeffs, self.exact[m])
-                if max(abs(value.numerator), value.denominator).bit_length() > EXACT_BITS_CAP:
-                    self.exact_done = True
-                else:
-                    self.exact.append(value)
-            self.log_lo.append(None)
-            self.log_hi.append(None)
-            idx = m + 1
-            if idx < len(self.exact):
-                self._refresh_growth(idx)
-            elif self.escape_at is not None and self.log_lo[m] is not None:
-                llo, lhi = self._lead_log
-                self.log_lo[idx] = d * self.log_lo[m] + llo - 1
-                self.log_hi[idx] = d * self.log_hi[m] + lhi + 1
-
-    def exact_value(self, n: int) -> Fraction | None:
-        if n < len(self.exact):
-            return self.exact[n]
-        return None
-
-    def residue(self, n: int, qi: int) -> int:
-        self.extend(n)
-        return self.residues[qi][n]
+    def residue(self, n: int, qi: int) -> RPoint:
+        track, model = self.residues[qi], self.reduced[qi]
+        while len(track) <= n:
+            track.append(model.apply(track[-1]))
+        return track[n]
 
     def eventually_exceeds(self, bound_log2: int) -> int | None:
-        """Smallest index from which |value| > 2**bound_log2 forever, if provable."""
-        if self.escape_at is None:
+        """Smallest index from which |value| > 2**bound_log2 forever, if provable.
+
+        Beyond the escape radius a polynomial of degree >= 2 at least doubles
+        |z|; no other map gives a bound.
+        """
+        phi = self.phi
+        if not phi.is_polynomial or phi.degree < 2:
             return None
-        n = self.escape_at
-        while True:
-            self.extend(n)
-            lo = self.log_lo[n] if n < len(self.log_lo) else None
-            if lo is None:
-                v = self.exact_value(n)
-                if v is None:
-                    return None
-                if v != 0 and _log2_bounds(v)[0] > bound_log2:
-                    return n
-            elif lo > bound_log2:
+        coeffs = phi.affine_coefficients()
+        radius = escape_radius(coeffs)
+        lead = _log2_lower(coeffs[-1].numerator, coeffs[-1].denominator)
+        lo = None  # lower bound on log2|value n| once the orbit has escaped
+        n = 0
+        while n <= len(self.exact) + 4096:
+            v = self.exact_value(n)
+            if v is not None:
+                if lo is not None or abs(v.a) * radius.denominator >= radius.numerator * v.b:
+                    lo = _log2_lower(v.a, v.b)
+            elif lo is None:
+                return None
+            else:
+                lo = phi.degree * lo + lead - 1
+            if lo is not None and lo > bound_log2:
                 return n
             n += 1
-            if n > len(self.exact) + 4096:
-                return None
+        return None
 
 
 @dataclass(frozen=True)
 class _CoordModel:
-    index: int
-    kind: str  # "preperiodic" | "stream" | "exact-only"
+    """One coordinate: its exact values before index len(prefix), then either
+    the cycle prefix[tail:] or the values of stream `stream` shifted by delta."""
+
+    kind: str  # "preperiodic" | "stream"
     phi: RationalMap
-    start: PPoint
+    prefix: tuple[PPoint, ...]
     # preperiodic data
-    prefix: tuple | None = None
     tail: int | None = None
     cycle: int | None = None
     # stream data
     stream: int | None = None
     delta: int | None = None
-    valid_from: int | None = None
 
 
 @dataclass(frozen=True)
@@ -156,42 +132,29 @@ class OrbitRecord:
 
 
 class OrbitScanner:
-    """Exact hit-testing of Phi^n(alpha) against polynomial generators."""
+    """Exact hit-testing of Phi^n(alpha) against polynomial generators in x1..xg."""
 
     def __init__(self, maps, alpha):
         self.maps = list(maps)
         self.alpha = [PPoint.of(a) for a in alpha]
         if len(self.maps) != len(self.alpha):
             raise ValueError("one map per coordinate")
-        self.g = len(self.maps)
+        self.control_primes, self._reductions = self._pick_control_primes()
         self.models: list[_CoordModel] = []
         self.streams: list[_Stream] = []
-        self._statuses = []
-        wanderers = []
+        # (map, exact value) -> (stream, index) over each stream's first PREFIX_LIMIT values
+        lookup: dict[tuple[RationalMap, PPoint], tuple[int, int]] = {}
         for i, (phi, x) in enumerate(zip(self.maps, self.alpha)):
             status = orbit_status(phi, x)
-            self._statuses.append(status)
             if status.is_preperiodic:
-                self.models.append(
-                    _CoordModel(
-                        i,
-                        "preperiodic",
-                        phi,
-                        x,
-                        prefix=status.prefix,
-                        tail=status.tail,
-                        cycle=status.cycle_length,
-                    )
-                )
-            elif phi.is_polynomial and not x.is_infinity:
-                if not status.proven:
-                    raise PrecisionExhausted(f"cannot prove coordinate {i} non-preperiodic")
-                self.models.append(None)  # placeholder, filled by stream assembly
-                wanderers.append(i)
+                model = _CoordModel("preperiodic", phi, status.prefix, tail=status.tail, cycle=status.cycle_length)
+            elif phi.is_polynomial and not status.proven:
+                # escape proves that a polynomial orbit wanders; a rational orbit is
+                # taken to wander once its height passes the status cutoff
+                raise PrecisionExhausted(f"cannot prove coordinate {i} non-preperiodic")
             else:
-                self.models.append(_CoordModel(i, "exact-only", phi, x))
-        self.control_primes, self._reductions = self._pick_control_primes()
-        self._assemble_streams(wanderers)
+                model = self._stream_model(phi, status.prefix, lookup)
+            self.models.append(model)
         self._structural_cache: dict = {}
         self._residue_cache: dict = {}
 
@@ -214,47 +177,22 @@ class OrbitScanner:
             primes.append(q)
         return tuple(primes), reductions
 
-    def _assemble_streams(self, wanderers):
-        lookup: dict[Fraction, tuple[int, int]] = {}
-        for i in wanderers:
-            phi = self.maps[i]
-            start = self.alpha[i].as_fraction()
-            stream_id = None
-            # prefix of this coordinate's own orbit, for collision search
-            prefix = [start]
-            while len(prefix) < PREFIX_LIMIT:
-                nxt = poly_eval(phi.affine_coefficients(), prefix[-1])
-                if max(abs(nxt.numerator), nxt.denominator).bit_length() > EXACT_BITS_CAP:
-                    break
-                prefix.append(nxt)
-            hit = None
-            for b, value in enumerate(prefix):
-                key = (self._map_key(phi), value)
-                if key in lookup:
-                    hit = (lookup[key], b)
-                    break
-            if hit is None:
-                stream = _Stream(phi, start, [r[phi] for r in self._reductions])
-                self.streams.append(stream)
-                stream_id = len(self.streams) - 1
-                for a, value in enumerate(prefix):
-                    lookup.setdefault((self._map_key(phi), value), (stream_id, a))
-                model = _CoordModel(i, "stream", phi, self.alpha[i], stream=stream_id, delta=0, valid_from=0)
-            else:
-                (stream_id, a), b = hit
-                model = _CoordModel(
-                    i,
-                    "stream",
-                    phi,
-                    self.alpha[i],
-                    stream=stream_id,
-                    delta=a - b,
-                    valid_from=b,
-                )
-            self.models[i] = model
-
-    def _map_key(self, phi: RationalMap):
-        return (phi.coeffs_f, phi.coeffs_g)
+    def _stream_model(self, phi: RationalMap, prefix, lookup) -> _CoordModel:
+        """Alias a wandering coordinate onto an earlier stream at the first
+        exact value they share, or open a stream for it; `prefix` starts its orbit."""
+        stream = _Stream(phi, prefix, [r[phi] for r in self._reductions])
+        for b in range(PREFIX_LIMIT):
+            value = stream.exact_value(b)
+            if value is None:
+                break
+            if (phi, value) in lookup:
+                s, a = lookup[(phi, value)]
+                return _CoordModel("stream", phi, tuple(stream.exact[:b]), stream=s, delta=a - b)
+        self.streams.append(stream)
+        s = len(self.streams) - 1
+        for a, value in enumerate(stream.exact[:PREFIX_LIMIT]):
+            lookup.setdefault((phi, value), (s, a))
+        return _CoordModel("stream", phi, (), stream=s, delta=0)
 
     # -- values ---------------------------------------------------------------------
 
@@ -269,11 +207,7 @@ class OrbitScanner:
 
     @property
     def preperiodic_cycle_lcm(self) -> int:
-        out = 1
-        for m in self.models:
-            if m.kind == "preperiodic":
-                out = out * m.cycle // math.gcd(out, m.cycle)
-        return out
+        return math.lcm(*(m.cycle for m in self.models if m.kind == "preperiodic"))
 
     @property
     def max_tail(self) -> int:
@@ -283,48 +217,23 @@ class OrbitScanner:
     def all_preperiodic(self) -> bool:
         return all(m.kind == "preperiodic" for m in self.models)
 
-    def preperiodic_value(self, model: _CoordModel, n: int) -> PPoint:
+    def coordinate_value(self, model: _CoordModel, n: int) -> PPoint | None:
+        """Coordinate `model` of Phi^n(alpha) exactly, or None past the exact horizon."""
         if n < len(model.prefix):
             return model.prefix[n]
-        idx = model.tail + (n - model.tail) % model.cycle
-        return model.prefix[idx]
+        if model.kind == "preperiodic":
+            return model.prefix[model.tail + (n - model.tail) % model.cycle]
+        return self.streams[model.stream].exact_value(n + model.delta)
 
     def exact_point(self, n: int) -> list[PPoint] | None:
         """All coordinates of Phi^n(alpha) as exact points, or None past the horizon."""
         out = []
         for m in self.models:
-            if m.kind == "preperiodic":
-                out.append(self.preperiodic_value(m, n))
-            elif m.kind == "stream":
-                stream = self.streams[m.stream]
-                if n >= m.valid_from:
-                    stream.extend(n + m.delta)
-                    v = stream.exact_value(n + m.delta)
-                else:
-                    v = self._own_prefix_value(m, n)
-                if v is None:
-                    return None
-                out.append(PPoint.of(v))
-            else:
-                v = self._exact_only_value(m, n)
-                if v is None:
-                    return None
-                out.append(v)
-        return out
-
-    def _own_prefix_value(self, model: _CoordModel, n: int) -> Fraction | None:
-        v = model.start.as_fraction()
-        for _ in range(n):
-            v = poly_eval(model.phi.affine_coefficients(), v)
-        return v
-
-    def _exact_only_value(self, model: _CoordModel, n: int, bits_cap: int = EXACT_BITS_CAP) -> PPoint | None:
-        pt = model.start
-        for _ in range(n):
-            pt = model.phi.apply(pt)
-            if pt.height_bits() > bits_cap:
+            v = self.coordinate_value(m, n)
+            if v is None:
                 return None
-        return pt
+            out.append(v)
+        return out
 
     # -- membership -------------------------------------------------------------------
 
@@ -334,52 +243,52 @@ class OrbitScanner:
         if not gens:
             return True
         point = self.exact_point(n)
-        if point is not None:
-            if any(p.is_infinity for p in point):
-                return False
-            values = {f"x{i + 1}": p.as_fraction() for i, p in enumerate(point)}
-            return all(gen.evaluate(values) == 0 for gen in gens)
-        return self._structural_hit(gens, n)
-
-    def _structural_hit(self, gens, n: int) -> bool:
-        for gen in gens:
-            if not self._generator_vanishes(gen, n):
-                return False
-        return True
+        if point is None:
+            return all(self._generator_vanishes(gen, n) for gen in gens)
+        if any(p.is_infinity for p in point):
+            return False
+        coords = [(p.a, p.b) for p in point]
+        return all(_cleared(gen, coords, 0) == 0 for gen in gens)
 
     def _generator_vanishes(self, gen: Polynomial, n: int) -> bool:
         if gen.is_zero:
             return True
         # modular pass: any visible nonzero residue settles it
-        for qi, q in enumerate(self.control_primes):
-            if self._modular_value(gen, n, qi, q) != 0:
+        informed = False
+        for qi in range(len(self.control_primes)):
+            value = self._modular_value(gen, n, qi)
+            if value is None:
+                continue
+            if value:
                 return False
-        # every control residue vanished: resolve through structure
+            informed = True
+        # the structure holds where every coordinate is finite, which one
+        # control prime seeing them all finite proves
+        if not informed:
+            raise PrecisionExhausted(f"no control prime sees every coordinate at index {n} finite")
         verdict = self._structural_verdict(gen, n)
-        if verdict == "zero":
-            return True
-        if verdict == "nonzero":
-            return False
-        raise PrecisionExhausted(
-            f"membership at index {n} is beyond the exact horizon and has no structural certificate"
-        )
+        if verdict == "unknown":
+            raise PrecisionExhausted(
+                f"membership at index {n} is beyond the exact horizon and has no structural certificate"
+            )
+        return verdict == "zero"
 
-    def _modular_value(self, gen: Polynomial, n: int, qi: int, q: int) -> int:
+    def _modular_value(self, gen: Polynomial, n: int, qi: int) -> int | None:
+        """gen at Phi^n(alpha) mod the qi-th control prime; None when some
+        coordinate's residue there is at infinity, which tells nothing."""
+        q = self.control_primes[qi]
         coords = []
         for m in self.models:
-            if m.kind == "preperiodic":
-                pt = self.preperiodic_value(m, n)
-                if pt.is_infinity:
-                    return 1  # left affine space: not on the variety
-                try:
-                    coords.append(residue(pt.as_fraction(), q))
-                except ZeroDivisionError:
-                    raise PrecisionExhausted("control prime collides with a denominator") from None
-            elif m.kind == "stream":
-                stream = self.streams[m.stream]
-                coords.append(stream.residue(n + m.delta, qi) if n >= m.valid_from else self._own_residue(m, n, q))
+            if m.kind == "stream" and n >= len(m.prefix):
+                r = self.streams[m.stream].residue(n + m.delta, qi)
             else:
-                raise PrecisionExhausted("exact-only coordinate past its horizon")
+                pt = self.coordinate_value(m, n)
+                if pt.is_infinity:
+                    return 1  # off the affine chart: not on the variety
+                r = reduce_point(pt, q)
+            if r is INF_RESIDUE:
+                return None
+            coords.append(r)
         return residue_eval(self._generator_residues(gen, qi), coords, q)
 
     def _generator_residues(self, gen: Polynomial, qi: int) -> dict:
@@ -393,75 +302,55 @@ class OrbitScanner:
                 raise PrecisionExhausted("control prime collides with a coefficient") from None
         return self._residue_cache[key][1]
 
-    def _own_residue(self, model: _CoordModel, n: int, q: int) -> int:
-        return residue(self._own_prefix_value(model, n), q)
-
     # -- structural analysis --------------------------------------------------------------
 
-    def substituted_generator(self, gen: Polynomial, n_class: int) -> tuple[Polynomial, list[int]]:
+    def substituted_generator(self, gen: Polynomial, n_class: int) -> tuple[Polynomial | None, list[int]]:
         """Generator with preperiodic coordinates frozen and stream coordinates
-        written as iterates of one variable per stream.
+        written as iterates of one variable per stream, denominators cleared.
 
-        Valid for indices n >= max(tails, valid_from) with n = n_class modulo
-        the preperiodic cycle lcm.  Returns the polynomial in variables
-        u1..um plus, per stream variable, the sample shift: the stream value
-        to substitute for uj at index n is stream(n + shift_j).
+        Valid for indices n >= max(tails, len(prefix)) with n = n_class modulo
+        the preperiodic cycle lcm, wherever every coordinate is finite.
+        Returns the polynomial in variables u1..um plus, per stream variable,
+        the sample shift: the stream value to substitute for uj at index n is
+        stream(n + shift_j).  The polynomial is None when a preperiodic
+        coordinate sits at infinity on the class.
         """
-        cycle = self.preperiodic_cycle_lcm
-        key = (gen, n_class % cycle if cycle else 0)
-        if key in self._structural_cache:
-            return self._structural_cache[key]
-        stream_ids = sorted({m.stream for m in self.models if m.kind == "stream"})
-        base_shift = {
-            s: min(m.delta for m in self.models if m.kind == "stream" and m.stream == s)
-            for s in stream_ids
-        }
-        u_names = tuple(f"u{j + 1}" for j in range(len(stream_ids)))
-        names = tuple(f"x{i + 1}" for i in range(self.g)) + u_names
-        work = gen.with_variables(names)
-        assignments = {}
-        for m in self.models:
-            var = f"x{m.index + 1}"
-            if m.kind == "preperiodic":
-                rep = m.tail + ((n_class - m.tail) % m.cycle)
-                pt = m.prefix[rep]
-                if pt.is_infinity:
-                    # coordinate permanently outside the affine chart on this class
-                    self._structural_cache[key] = (None, [])
-                    return self._structural_cache[key]
-                assignments[var] = Polynomial.constant(pt.as_fraction(), names)
-            else:
-                u_name = u_names[stream_ids.index(m.stream)]
-                power = m.delta - base_shift[m.stream]
-                assignments[var] = m.phi.iterate_polynomial(power, u_name).with_variables(names)
-        work = work.substitute(assignments)
-        work = work.drop_variables([f"x{i + 1}" for i in range(self.g)])
-        shifts = [base_shift[s] for s in stream_ids]
-        self._structural_cache[key] = (work, shifts)
+        key = (gen, n_class % self.preperiodic_cycle_lcm)
+        if key not in self._structural_cache:
+            self._structural_cache[key] = self._substitute(gen, n_class)
         return self._structural_cache[key]
 
+    def _substitute(self, gen: Polynomial, n_class: int) -> tuple[Polynomial | None, list[int]]:
+        stream_ids = sorted({m.stream for m in self.models if m.kind == "stream"})
+        base_shift = {s: min(m.delta for m in self.models if m.stream == s) for s in stream_ids}
+        u_names = tuple(f"u{j + 1}" for j in range(len(stream_ids)))
+        coords = []
+        for m in self.models:
+            if m.kind == "preperiodic":
+                pt = m.prefix[m.tail + (n_class - m.tail) % m.cycle]
+                if pt.is_infinity:
+                    return None, []
+                coords.append((pt.a, pt.b))
+            else:
+                u_name = u_names[stream_ids.index(m.stream)]
+                coords.append(_iterate_fraction(m.phi, m.delta - base_shift[m.stream], u_name, u_names))
+        return _cleared(gen, coords, Polynomial(u_names, {})), [base_shift[s] for s in stream_ids]
+
     def _structural_verdict(self, gen: Polynomial, n: int) -> str:
-        cycle = self.preperiodic_cycle_lcm
-        if n < self.max_tail or any(
-            m.kind == "stream" and n < m.valid_from for m in self.models
-        ):
+        if n < self.max_tail or any(m.kind == "stream" and n < len(m.prefix) for m in self.models):
             return "unknown"
-        sub, shifts = self.substituted_generator(gen, n % cycle if cycle else 0)
+        sub, shifts = self.substituted_generator(gen, n)
         if sub is None:
             # a preperiodic coordinate sits at infinity on this class
             return "nonzero"
-        if sub.is_zero:
-            return "zero"
         if sub.is_constant():
-            return "zero" if sub.constant_value() == 0 else "nonzero"
+            return "zero" if sub.is_zero else "nonzero"
         live = [j for j, name in enumerate(sub.variables) if sub.degree(name)]
         if len(live) == 1:
             j = live[0]
             stream_ids = sorted({m.stream for m in self.models if m.kind == "stream"})
-            stream = self.streams[stream_ids[j]]
             univ = sub.with_variables((sub.variables[j],))
-            bound = _cauchy_root_bound_log2(univ)
-            threshold = stream.eventually_exceeds(bound)
+            threshold = self.streams[stream_ids[j]].eventually_exceeds(_cauchy_root_bound_log2(univ))
             if threshold is not None and n + shifts[j] >= threshold:
                 return "nonzero"
         return "unknown"
@@ -472,16 +361,40 @@ class OrbitScanner:
         return [n for n in range(limit + 1) if self.is_hit(generators, n)]
 
     def class_is_structurally_zero(self, generators, n_class: int) -> bool:
-        """Proof that every generator vanishes on the whole class (all n >= base)."""
-        if any(m.kind == "exact-only" for m in self.models):
-            return False
-        for gen in generators:
-            if gen.is_zero:
-                continue
-            sub, _ = self.substituted_generator(gen, n_class)
-            if sub is None or not sub.is_zero:
-                return False
-        return True
+        """Proof that every generator vanishes on the whole class (all n >= base)
+        wherever every coordinate is finite."""
+        return all(
+            sub is not None and sub.is_zero
+            for sub, _ in (self.substituted_generator(gen, n_class) for gen in generators)
+        )
+
+
+def _iterate_fraction(phi: RationalMap, k: int, var: str, variables) -> tuple[Polynomial, Polynomial]:
+    """(N, D) over `variables` with phi^k(var) = N(var) / D(var); D is a
+    constant when phi is a polynomial."""
+    if k == 0:
+        return Polynomial.variable(var, variables), Polynomial.constant(1, variables)
+    it = phi
+    for _ in range(k - 1):
+        it = phi.compose(it)
+    return it.affine_numerator(var).with_variables(variables), it.affine_denominator(var).with_variables(variables)
+
+
+def _cleared(gen: Polynomial, coords, zero):
+    """gen at x_i = N_i / D_i times the product of D_i ** deg_{x_i}(gen).
+
+    `coords` holds one (N_i, D_i) pair per variable of gen, as ints or as
+    Polynomials; where every D_i is nonzero the result vanishes exactly when
+    gen does.  `zero` is the zero of the result's ring.
+    """
+    tops = [gen.degree(v) or 0 for v in gen.variables]
+    total = zero
+    for exps, c in gen.terms.items():
+        term = c
+        for (num, den), e, top in zip(coords, exps, tops):
+            term = term * num**e * den ** (top - e)
+        total = total + term
+    return total
 
 
 def _cauchy_root_bound_log2(univ: Polynomial) -> int:

@@ -265,3 +265,35 @@ def test_module_entry_point_runs_the_command(monkeypatch):
 def test_precision_is_rejected_where_unread(monkeypatch):
     code, _ = invoke(["--json", "divisors", "--map", "t^2+1", "--level", "2", "--precision", "5"], monkeypatch=monkeypatch)
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbit", "--map", "t^2+1", "--point", "0", "--steps", "-3"],
+        ["divisors", "--map", "t^2+1", "--level", "-1"],
+        ["ms-curves", "--map", "t^2+1", "--rmax", "-1"],
+        ["ms-curves", "--map", "t^2+1", "--kmax", "-1"],
+    ],
+)
+def test_negative_limit_exit_two(monkeypatch, argv):
+    code, out = invoke(["--json", *argv], monkeypatch=monkeypatch)
+    assert code == EXIT_USAGE
+    assert jsonline(out)["result"]["code"] == "invalid-option"
+
+
+def test_orbit_stops_past_the_exact_cap():
+    # heights double under t^2+1: f^30(0) would take 2^29 bits
+    proc = run_cli_process(["--json", "orbit", "--map", "t^2+1", "--point", "0", "--steps", "30"], timeout=20)
+    assert proc.returncode == EXIT_INCONCLUSIVE
+    result = jsonline(proc.stdout)["result"]
+    assert [v["n"] for v in result["orbit"]] == list(range(18))
+    assert result["stopped_at"] == 18
+
+
+def test_curve_pair_scans_a_rational_map(monkeypatch):
+    argv = ["--json", "decide", "--mode", "curve-pair", "--map", "(t^2+4)/t", "--point", "2,3", "--variety", "x-y"]
+    code, out = invoke(argv, monkeypatch=monkeypatch)
+    assert code == EXIT_OK
+    result = jsonline(out)["result"]
+    assert result["progressions"] == [] and result["exceptional"] == []

@@ -62,6 +62,12 @@ def test_qr_filter_examples():
     assert cert2.prime == 5
 
 
+def test_qr_certificate_replay_rejects_other_maps():
+    cert = qr_filter_for_minus_one(RationalMap.quadratic(-1), [Fraction(1, 2)], 100)
+    assert not replay_certificate(cert, RationalMap.quadratic(5), [Fraction(1, 2)])
+    assert not replay_certificate(cert, RationalMap.polynomial([0, 0, 0, 1]), [Fraction(1, 2)])
+
+
 def test_qr_filter_bound_and_preperiodic():
     f = RationalMap.quadratic(-1)
     assert isinstance(qr_filter_for_minus_one(f, [Fraction(1, 5)], 5), NotFound)
