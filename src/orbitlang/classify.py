@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd
 
-import sympy
-
 from .errors import HypothesisViolated, RootNotRational, VerificationFailed
 from .dynsys import RationalMap
 from .polynomials import Polynomial
@@ -398,7 +396,7 @@ def _image_curve(curve: PlaneCurve, f: Polynomial) -> PlaneCurve:
         composed = fac.with_variables(("u", "v"))
         substituted = composed.with_variables(uvxy).substitute({"u": f_of_x, "v": f_of_y})
         substituted = substituted.drop_variables(["u", "v"])
-        _, rem = sympy.div(substituted.to_sympy(), curve.normalized().to_sympy())
+        _, rem = substituted.divmod(curve.normalized())
         if rem.is_zero:
             keep.append(fac)
     if not keep:

@@ -48,7 +48,7 @@ from .engine import (
     decide_curve_pair,
 )
 from .errors import BadReduction, ExpressionSyntaxError, InvalidOption, OrbitlangError
-from .intersection import diagonal_pullback, layer, ramification_bound
+from .intersection import bivariate_squarefree, diagonal_pullback, ramification_bound
 from .padics import DEFAULT_PRECISION, is_prime
 from .parsing import format_map, parse_expression, parse_point
 from .polynomials import format_polynomial
@@ -169,15 +169,16 @@ def _at_least(flag: str, value: int, least: int):
 
 
 def _default_precision() -> int:
+    """--precision when the flag is absent: ORBITLANG_PRECISION, else the library default."""
     env = os.environ.get(ENV_PRECISION)
-    if env:
-        try:
-            value = int(env)
-            if value >= 1:
-                return value
-        except ValueError:
-            pass
-    return DEFAULT_PRECISION
+    if not env:
+        return DEFAULT_PRECISION
+    try:
+        value = int(env)
+    except ValueError:
+        raise InvalidOption(f"{ENV_PRECISION} must be an integer, got {env!r}") from None
+    _at_least(ENV_PRECISION, value, 1)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -274,19 +275,17 @@ def _cmd_divisors(args):
     phi = _parse_map(args.map)
     _at_least("--level", args.level, 0)
     pullback = diagonal_pullback(phi, args.level, cap=max(args.level, 6))
-    layers = []
-    for n in range(args.level + 1):
-        Y, squarefree = layer(phi, n, cap=max(args.level, 6))
-        layers.append(
-            {
-                "level": n,
-                "degree_x": pullback.chain[n].degree("x"),
-                "degree_y": pullback.chain[n].degree("y"),
-                "layer": format_polynomial(Y) if Y.total_degree() <= 8 else f"degree {Y.total_degree()}",
-                "squarefree": squarefree,
-            }
-        )
-    result = {"levels": layers}
+    levels = [
+        {
+            "level": n,
+            "degree_x": pullback.chain[n].degree("x"),
+            "degree_y": pullback.chain[n].degree("y"),
+            "layer": format_polynomial(Y) if Y.total_degree() <= 8 else f"degree {Y.total_degree()}",
+            "squarefree": bivariate_squarefree(Y),
+        }
+        for n, Y in enumerate(pullback.layers)
+    ]
+    result = {"levels": levels}
     try:
         result["ramification_bound"] = ramification_bound(phi)
     except OrbitlangError as exc:
@@ -366,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
         # top-level value when the flag is absent here
         p.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
         if precision:
-            p.add_argument("--precision", type=int, default=_default_precision())
+            # None: filled from the environment by run(), where a bad value is reported
+            p.add_argument("--precision", type=int, default=None)
         return p
 
     orbit = common(sub.add_parser("orbit", help="exact forward orbit"))
@@ -438,15 +438,12 @@ def run(argv=None, stream=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     started = time.monotonic()
-    inputs = {
-        key: value
-        for key, value in vars(args).items()
-        if key not in ("command", "json") and value is not None
-    }
     try:
+        if hasattr(args, "precision") and args.precision is None:
+            args.precision = _default_precision()
         result, code = _HANDLERS[args.command](args)
     except OrbitlangError as exc:
-        report = _report(args.command, inputs, {}, {"error": type(exc).__name__, "code": exc.code, "message": str(exc)}, started)
+        report = _report(args.command, _inputs(args), {}, {"error": type(exc).__name__, "code": exc.code, "message": str(exc)}, started)
         _emit(report, args.json, stream)
         return EXIT_USAGE
     parameters = {}
@@ -454,9 +451,14 @@ def run(argv=None, stream=None) -> int:
         parameters["precision"] = args.precision
     if hasattr(args, "order"):
         parameters["order"] = args.order
-    report = _report(args.command, inputs, parameters, result, started)
+    report = _report(args.command, _inputs(args), parameters, result, started)
     _emit(report, args.json, stream)
     return code
+
+
+def _inputs(args) -> dict:
+    """The parsed options echoed in the report."""
+    return {key: value for key, value in vars(args).items() if key not in ("command", "json") and value is not None}
 
 
 def main():

@@ -18,7 +18,7 @@ from typing import Iterable, Union
 
 from .errors import SingularMu
 from .padics import is_prime, prime_factors, valuation
-from .polynomials import Polynomial
+from .polynomials import Polynomial, horner_forms
 
 __all__ = [
     "PPoint",
@@ -30,6 +30,7 @@ __all__ = [
     "classify_cycle",
     "exceptional_structure",
     "conjugate",
+    "form_scale",
     "CycleRecord",
     "NotPeriodic",
     "OrbitStatus",
@@ -141,6 +142,22 @@ def _form_from_affine(num: Polynomial, den: Polynomial, degree: int) -> tuple[li
     return F, G
 
 
+def form_scale(F, G) -> Fraction:
+    """The scalar s that makes (s F, s G) coprime integers with the top
+    nonzero coefficient of s F (of s G when F vanishes) positive."""
+    lcm = 1
+    for c in (*F, *G):
+        lcm = lcm * c.denominator // _int_gcd(lcm, c.denominator)
+    content = 0
+    for c in (*F, *G):
+        content = _int_gcd(content, c.numerator * (lcm // c.denominator))
+    scale = Fraction(lcm, content)
+    lead = next((c for c in reversed(F) if c), None)
+    if lead is None:
+        lead = next(c for c in reversed(G) if c)
+    return -scale if lead < 0 else scale
+
+
 class RationalMap:
     """A morphism of P^1 given by coprime degree-d integer forms [F : G].
 
@@ -156,22 +173,9 @@ class RationalMap:
             raise ValueError("F and G must be forms of equal degree")
         if len(F) > 1 and F[-1] == 0 and G[-1] == 0:
             raise ValueError("degree is ambiguous: top coefficients both vanish")
-        lcm = 1
-        for c in F + G:
-            lcm = lcm * c.denominator // _int_gcd(lcm, c.denominator)
-        fi = [int(c * lcm) for c in F]
-        gi = [int(c * lcm) for c in G]
-        content = 0
-        for v in fi + gi:
-            content = _int_gcd(content, v)
-        fi = [v // content for v in fi]
-        gi = [v // content for v in gi]
-        lead = next((v for v in reversed(fi) if v), None)
-        if lead is None:
-            lead = next(v for v in reversed(gi) if v)
-        if lead < 0:
-            fi = [-v for v in fi]
-            gi = [-v for v in gi]
+        scale = form_scale(F, G)
+        fi = [int(c * scale) for c in F]
+        gi = [int(c * scale) for c in G]
         self.coeffs_f = tuple(fi)
         self.coeffs_g = tuple(gi)
         self.degree = len(fi) - 1
@@ -303,33 +307,39 @@ class RationalMap:
 
     # -- composition --------------------------------------------------------------------
 
+    def forms_at(self, p: Polynomial, q: Polynomial) -> tuple[Polynomial, Polynomial]:
+        """(F(p, q), G(p, q)): the affine forms of self o [p : q] for
+        one-variable polynomials p, q, unnormalized."""
+        F, G = horner_forms((self.coeffs_f, self.coeffs_g), p, q)
+        return F, G
+
     def compose(self, other: "RationalMap") -> "RationalMap":
-        """self after other (x -> self(other(x)))."""
-        vars_ = ("X", "Y")
-        e = other.degree
-        Fo = Polynomial(vars_, {(i, e - i): c for i, c in enumerate(other.coeffs_f)})
-        Go = Polynomial(vars_, {(i, e - i): c for i, c in enumerate(other.coeffs_g)})
-        d = self.degree
-        newF = Polynomial(vars_, {})
-        newG = Polynomial(vars_, {})
-        for i in range(d + 1):
-            mono = (Fo**i) * (Go ** (d - i))
-            if self.coeffs_f[i]:
-                newF = newF + mono * self.coeffs_f[i]
-            if self.coeffs_g[i]:
-                newG = newG + mono * self.coeffs_g[i]
-        deg = d * e
-        F = [newF.terms.get((i, deg - i), Fraction(0)) for i in range(deg + 1)]
-        G = [newG.terms.get((i, deg - i), Fraction(0)) for i in range(deg + 1)]
-        return RationalMap(F, G)
+        """self after other (x -> self(other(x))), one Horner step on other's affine forms."""
+        F, G = self.forms_at(other.affine_numerator(), other.affine_denominator())
+        return RationalMap(_padded(F, self.degree * other.degree), _padded(G, self.degree * other.degree))
+
+    def iterate_forms(self, n: int, var: str = "t") -> tuple[Polynomial, Polynomial]:
+        """The normalized affine forms (N, D) of self^n: self^n(var) = N(var) / D(var),
+        scaled as RationalMap scales them; n = 0 gives (var, 1)."""
+        num, den = Polynomial.variable(var), Polynomial.constant(1, (var,))
+        for _ in range(n):
+            num, den = self.forms_at(num, den)
+            scale = form_scale(num.univariate_coeffs(), den.univariate_coeffs())
+            num, den = num * scale, den * scale
+        return num, den
 
     def iterate_polynomial(self, n: int, var: str = "t") -> Polynomial:
         """f^n as a univariate polynomial; requires a polynomial map."""
-        f = Polynomial.univariate(self.affine_coefficients(), var)
-        result = Polynomial.variable(var)
-        for _ in range(n):
-            result = f.substitute({var: result})
-        return result
+        if not self.is_polynomial:
+            raise ValueError("not a polynomial map")
+        num, den = self.iterate_forms(n, var)
+        return num * (1 / den.constant_value())
+
+
+def _padded(poly: Polynomial, degree: int) -> list[Fraction]:
+    """Coefficients c[0..degree] of a univariate polynomial of degree <= degree."""
+    coeffs = poly.univariate_coeffs()
+    return coeffs + [Fraction(0)] * (degree + 1 - len(coeffs))
 
 
 def iterate(phi: RationalMap, x, n: int) -> PPoint:
@@ -343,22 +353,11 @@ def iterate(phi: RationalMap, x, n: int) -> PPoint:
 
 
 def conjugate(phi: RationalMap, mu: MoebiusMap) -> RationalMap:
-    """mu^(-1) o phi o mu in normalized coordinates."""
-    vars_ = ("X", "Y")
+    """mu^(-1) o phi o mu in normalized coordinates: phi's forms at
+    (a t + b, c t + d), then the adjugate of mu on the output side."""
+    F, G = phi.forms_at(Polynomial.univariate([mu.b, mu.a]), Polynomial.univariate([mu.d, mu.c]))
     d = phi.degree
-    # substitute (X, Y) -> (a X + b Y, c X + d Y) into both forms
-    sub = {
-        "X": Polynomial(vars_, {(1, 0): mu.a, (0, 1): mu.b}),
-        "Y": Polynomial(vars_, {(1, 0): mu.c, (0, 1): mu.d}),
-    }
-    F = Polynomial(vars_, {(i, d - i): c for i, c in enumerate(phi.coeffs_f)}).substitute(sub)
-    G = Polynomial(vars_, {(i, d - i): c for i, c in enumerate(phi.coeffs_g)}).substitute(sub)
-    # apply the adjugate of mu on the output side
-    newF = F * mu.d - G * mu.b
-    newG = F * (-mu.c) + G * mu.a
-    Fc = [newF.terms.get((i, d - i), Fraction(0)) for i in range(d + 1)]
-    Gc = [newG.terms.get((i, d - i), Fraction(0)) for i in range(d + 1)]
-    return RationalMap(Fc, Gc)
+    return RationalMap(_padded(F * mu.d - G * mu.b, d), _padded(G * mu.a - F * mu.c, d))
 
 
 # ---------------------------------------------------------------------------
@@ -643,12 +642,7 @@ def exceptional_structure(phi: RationalMap):
         return TwoExceptional((p, q), None, swapped=True)
     for fac in quad_factors:
         # roots of fac form a stable pair iff fac divides the numerator of fac(phi(t))
-        t_num = phi.affine_numerator()
-        t_den = phi.affine_denominator()
-        coeffs = fac.univariate_coeffs()
-        acc = Polynomial(("t",), {})
-        for i, c in enumerate(coeffs):
-            acc = acc + (t_num**i) * (t_den ** (len(coeffs) - 1 - i)) * c
+        (acc,) = horner_forms([fac.univariate_coeffs()], phi.affine_numerator(), phi.affine_denominator())
         if not acc.is_zero and acc.gcd(fac) == fac.monic():
             return TwoExceptional(None, fac, swapped=False)
     if fixed:

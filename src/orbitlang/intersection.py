@@ -1,10 +1,16 @@
 """Pullbacks of the diagonal under diagonal iterates, and integrality scans.
 
-For a degree-d self-map of the line acting diagonally on the plane, the
-level-n divisor is cut out (in the affine chart) by the difference of the
-n-th iterates in the two variables.  Each level is divisible by the one
-before; the fresh layer at level n is the quotient, computed for polynomial
-maps through the divided-difference polynomial rather than by long division.
+For a degree-d self-map phi = [F : G] of the line acting diagonally on the
+plane, the level-k divisor is cut out (in the affine chart) by the cross
+difference p_k(x) q_k(y) - p_k(y) q_k(x) of the affine forms of phi^k, which
+is f^k(x) - f^k(y) for a polynomial map f.  One construction serves every
+map.  Each level is the one before times a fresh layer: the Bezoutian of phi,
+
+    (F(X1, Y1) G(X2, Y2) - F(X2, Y2) G(X1, Y1)) / (X1 Y2 - X2 Y1),
+
+evaluated at (p_{k-1}, q_{k-1}) in x and in y (the divided difference
+(f(x) - f(y)) / (x - y) for a polynomial map).  No long division is done:
+every level is checked by the exact product chain[k-1] * layer_k == chain[k].
 
 Squarefreeness of a layer is certified by specializing one variable and one
 prime: if the specialized image keeps the x-degree and is squarefree over
@@ -26,11 +32,12 @@ from .dynsys import (
     RationalMap,
     escape_radius,
     exceptional_points,
+    form_scale,
     orbit_status,
     ramification_portrait,
 )
 from .padics import is_prime, next_prime, prime_factors
-from .polynomials import Polynomial, poly_eval
+from .polynomials import Polynomial, horner_forms, poly_eval
 from .reduction import good_reduction
 
 __all__ = [
@@ -63,29 +70,6 @@ class PlaceSet:
         object.__setattr__(self, "primes", ps)
 
 
-def _difference_poly(iter_poly: Polynomial) -> Polynomial:
-    """g(x) - g(y) as a plane polynomial, for univariate g."""
-    terms = {}
-    for (e,), c in iter_poly.terms.items():
-        if e == 0:
-            continue
-        terms[(e, 0)] = c
-        terms[(0, e)] = -c
-    return Polynomial(_BIV, terms)
-
-
-def divided_difference(f_coeffs: list[Fraction]) -> Polynomial:
-    """(f(x) - f(y)) / (x - y) as an exact plane polynomial."""
-    terms: dict = {}
-    for i, a in enumerate(f_coeffs):
-        if i == 0 or a == 0:
-            continue
-        for j in range(i):
-            key = (j, i - 1 - j)
-            terms[key] = terms.get(key, Fraction(0)) + a
-    return Polynomial(_BIV, terms)
-
-
 @dataclass(frozen=True)
 class DiagonalPullback:
     """Defining polynomial of the level-n diagonal pullback with its factor chain."""
@@ -94,109 +78,74 @@ class DiagonalPullback:
     level: int
     poly: Polynomial
     chain: tuple[Polynomial, ...]  # levels 0..n, each dividing the next
-
-    def layer(self, n: int) -> Polynomial:
-        if n == 0:
-            return self.chain[0]
-        return self.chain[n].divexact(self.chain[n - 1])
+    layers: tuple[Polynomial, ...]  # layers[k] = chain[k] / chain[k-1]; layers[0] = chain[0]
 
 
-def _polynomial_chain(phi: RationalMap, n: int) -> list[Polynomial]:
-    f = Polynomial.univariate(phi.affine_coefficients(), "t")
-    iterates = [Polynomial.variable("t")]
-    for _ in range(n):
-        iterates.append(f.substitute({"t": iterates[-1]}))
-    return [_difference_poly(g) for g in iterates]
+def _bezout_matrix(phi: RationalMap) -> list[list[Fraction]]:
+    """B with F(X1, Y1) G(X2, Y2) - F(X2, Y2) G(X1, Y1) equal to
+    (X1 Y2 - X2 Y1) * sum B[a][b] X1^a Y1^(d-1-a) X2^b Y2^(d-1-b)."""
+    f, g, d = phi.coeffs_f, phi.coeffs_g, phi.degree
+    B = [[Fraction(0)] * d for _ in range(d)]
+    for i in range(1, d + 1):
+        for j in range(i):
+            c = f[i] * g[j] - f[j] * g[i]
+            if c:
+                # the pair (i, j) contributes c (U^m - V^m) / (U - V) times a
+                # common monomial, with U = X1 Y2, V = X2 Y1 and m = i - j
+                for ell in range(i - j):
+                    B[j + ell][i - 1 - ell] += c
+    return B
 
 
-def _rational_chain(phi: RationalMap, n: int) -> list[Polynomial]:
-    chain = []
-    current = phi
-    pairs = []
-    for _ in range(n):
-        pairs.append(current)
-        current = phi.compose(current)
+def _cross(p: Polynomial, q: Polynomial) -> Polynomial:
+    """p(x) q(y) - p(y) q(x) for univariate p, q."""
+    return p.placed(_BIV, "x") * q.placed(_BIV, "y") - p.placed(_BIV, "y") * q.placed(_BIV, "x")
 
-    def cross_difference(psi: RationalMap | None) -> Polynomial:
-        if psi is None:
-            return Polynomial(_BIV, {(1, 0): 1, (0, 1): -1})
-        fx = psi.affine_numerator().placed(_BIV, "x")
-        gx = psi.affine_denominator().placed(_BIV, "x")
-        fy = psi.affine_numerator().placed(_BIV, "y")
-        gy = psi.affine_denominator().placed(_BIV, "y")
-        return fx * gy - fy * gx
 
-    chain.append(cross_difference(None))
-    for k in range(n):
-        chain.append(cross_difference(pairs[k]))
-    return chain
+def _bezoutian_at(bezout: list[list[Fraction]], p: Polynomial, q: Polynomial) -> Polynomial:
+    """The Bezoutian at (X1, Y1) = (p(x), q(x)) and (X2, Y2) = (p(y), q(y))."""
+    d = len(bezout)
+    basis = horner_forms([[int(a == b) for b in range(d)] for a in range(d)], p, q)  # p^a q^(d-1-a)
+    rows = horner_forms(bezout, p, q)
+    acc = Polynomial(_BIV, {})
+    for left, right in zip(basis, rows):
+        if not right.is_zero:
+            acc = acc + left.placed(_BIV, "x") * right.placed(_BIV, "y")
+    return acc
 
 
 def diagonal_pullback(phi: RationalMap, n: int, cap: int = DEFAULT_LEVEL_CAP) -> DiagonalPullback:
-    """Exact defining polynomial of the level-n pullback, chain verified."""
+    """Exact defining polynomial of the level-n pullback, every level checked.
+
+    (p_k, q_k) is phi's Horner step at (p_{k-1}, q_{k-1}) times the scalar s_k
+    that makes q_k = 1 for a polynomial map and normalizes the forms as
+    RationalMap does otherwise, so layer k is s_k^2 times the Bezoutian.
+    """
     if phi.degree < 1:
         raise ValueError("degree must be at least 1")
     if n > cap:
         raise DegreeCapExceeded(f"level {n} exceeds cap {cap}")
-    if phi.is_polynomial:
-        chain = _polynomial_chain(phi, n)
-        dd = divided_difference(phi.affine_coefficients())
-        f = Polynomial.univariate(phi.affine_coefficients(), "t")
-        iterate = Polynomial.variable("t")
-        for k in range(1, n + 1):
-            ux = iterate.placed(_BIV, "x")
-            uy = iterate.placed(_BIV, "y")
-            quotient = _substitute_pair(dd, ux, uy)
-            if chain[k - 1] * quotient != chain[k]:
-                raise InexactDivision(f"chain verification failed at level {k}")
-            iterate = f.substitute({"t": iterate})
-    else:
-        chain = _rational_chain(phi, n)
-        for k in range(1, n + 1):
-            chain[k].divexact(chain[k - 1])  # raises InexactDivision on failure
-    return DiagonalPullback(phi, n, chain[n], tuple(chain))
-
-
-def _substitute_pair(plane_poly: Polynomial, ux: Polynomial, uy: Polynomial) -> Polynomial:
-    """Evaluate a plane polynomial at (ux(x), uy(y)) for univariate images."""
-    x_pows: dict[int, Polynomial] = {0: Polynomial.constant(1, _BIV)}
-    y_pows: dict[int, Polynomial] = {0: Polynomial.constant(1, _BIV)}
-
-    def power(cache, base, e):
-        if e not in cache:
-            best = max(k for k in cache if k <= e)
-            acc = cache[best]
-            for _ in range(e - best):
-                acc = acc * base
-            cache[e] = acc
-        return cache[e]
-
-    acc = Polynomial(_BIV, {})
-    for (ex, ey), c in plane_poly.terms.items():
-        term = Polynomial.constant(c, _BIV)
-        if ex:
-            term = term * power(x_pows, ux, ex)
-        if ey:
-            term = term * power(y_pows, uy, ey)
-        acc = acc + term
-    return acc
+    bezout = _bezout_matrix(phi)
+    p, q = Polynomial.variable("t"), Polynomial.constant(1, ("t",))
+    chain = [_cross(p, q)]
+    layers = [chain[0]]
+    for k in range(1, n + 1):
+        P, Q = phi.forms_at(p, q)
+        if phi.is_polynomial:
+            scale = 1 / Q.constant_value()
+        else:
+            scale = form_scale(P.univariate_coeffs(), Q.univariate_coeffs())
+        layers.append(_bezoutian_at(bezout, p, q) * (scale * scale))
+        p, q = P * scale, Q * scale
+        chain.append(_cross(p, q))
+        if chain[k - 1] * layers[k] != chain[k]:
+            raise InexactDivision(f"chain verification failed at level {k}")
+    return DiagonalPullback(phi, n, chain[n], tuple(chain), tuple(layers))
 
 
 def layer(phi: RationalMap, n: int, cap: int = DEFAULT_LEVEL_CAP) -> tuple[Polynomial, bool]:
     """The fresh layer at level n with its squarefreeness certificate."""
-    if n > cap:
-        raise DegreeCapExceeded(f"level {n} exceeds cap {cap}")
-    if n == 0:
-        return Polynomial(_BIV, {(1, 0): 1, (0, 1): -1}), True
-    if phi.is_polynomial:
-        dd = divided_difference(phi.affine_coefficients())
-        prev = phi.iterate_polynomial(n - 1)
-        ux = prev.placed(_BIV, "x")
-        uy = prev.placed(_BIV, "y")
-        Y = _substitute_pair(dd, ux, uy)
-    else:
-        pullback = diagonal_pullback(phi, n, cap)
-        Y = pullback.chain[n].divexact(pullback.chain[n - 1])
+    Y = diagonal_pullback(phi, n, cap).layers[n]
     return Y, bivariate_squarefree(Y)
 
 
@@ -243,10 +192,12 @@ def _gf_gcd_degree(a: list[int], b: list[int], q: int) -> int:
 def bivariate_squarefree(poly: Polynomial, attempts: int = 8, seed: int = 20240613) -> bool:
     """Exact squarefreeness of a plane polynomial over Q.
 
-    Fast path: a specialization y = y0 reduced mod a random prime q that
-    keeps the x-degree and is squarefree over F_q proves squarefreeness of
-    the x-primitive part; the x-content is handled separately.  Falls back
-    to the exact bivariate gcd when no specialization certifies.
+    poly = c(y) * prim with c its x-content; no factor of c divides the
+    x-primitive part prim, so poly is squarefree iff c and prim are.  Fast
+    path: a specialization y = y0 reduced mod a random prime q that keeps
+    the x-degree and is squarefree over F_q proves prim squarefree (poly's
+    specialization is prim's times the unit c(y0)).  Falls back to the
+    exact bivariate gcd when no specialization certifies.
     """
     if poly.is_zero:
         return False
@@ -255,24 +206,19 @@ def bivariate_squarefree(poly: Polynomial, attempts: int = 8, seed: int = 202406
     content = _content_in_x(poly)
     if content.degree("y") and not _univariate_squarefree(content, "y"):
         return False
-    if content.degree("y"):
-        prim = poly.divexact(content.with_variables(_BIV))
-        if prim.gcd(content.with_variables(_BIV)).total_degree() > 0:
-            return False
-    else:
-        prim = poly
     rng = random.Random(seed)
-    deg = prim.degree("x")
+    deg = poly.degree("x")
     for _ in range(attempts):
         y0 = rng.randint(2, 997)
         q = next_prime(rng.randint(1 << 29, 1 << 30))
-        coeffs = _specialized_mod_q(prim, y0, q)
+        coeffs = _specialized_mod_q(poly, y0, q)
         if coeffs is None or len(coeffs) - 1 != deg or coeffs[-1] == 0:
             continue
         deriv = [i * c % q for i, c in enumerate(coeffs)][1:]
         if _gf_gcd_degree(coeffs, deriv, q) == 0:
             return True
-    gx = prim.gcd(prim.derivative("x"))
+    # gcd(c prim, c prim_x) = c gcd(prim, prim_x): its x-degree is prim's
+    gx = poly.gcd(poly.derivative("x"))
     return gx.degree("x") == 0
 
 
@@ -323,7 +269,7 @@ def _factor_has_periodic_root(phi: RationalMap, factor: Polynomial, bound: int =
     h = t
     seen = {h}
     for _ in range(bound):
-        h = _poly_mod(f.substitute({var: h}), factor)
+        _, h = f.substitute({var: h}).divmod(factor)
         if (h - t).gcd(factor).total_degree() > 0:
             return True
         if h in seen or _has_conjugate_beyond(h, factor, radius):
@@ -347,13 +293,6 @@ def _has_conjugate_beyond(h: Polynomial, factor: Polynomial, radius: Fraction) -
     char = factor.with_variables(names).resultant(z - h.with_variables(names), var).univariate_coeffs()
     d = len(char) - 1
     return any(abs(char[d - k]) > math.comb(d, k) * radius**k * abs(char[d]) for k in range(1, d + 1))
-
-
-def _poly_mod(poly: Polynomial, modulus: Polynomial) -> Polynomial:
-    import sympy
-
-    _, r = sympy.div(poly.to_sympy(), modulus.to_sympy())
-    return Polynomial.from_sympy(r, poly.variables)
 
 
 def ramification_bound(phi: RationalMap) -> int:

@@ -2,10 +2,11 @@
 
 Representation is a sparse map from exponent vectors to Fraction
 coefficients.  Add/mul/substitute/derive/evaluate are implemented directly
-on the maps; the heavy algebra (gcd, resultants, exact division,
-factorization) is delegated to sympy.  Reduction modulo m goes through
-:meth:`Polynomial.residues` and :func:`residue_eval`.  All values are
-immutable.
+on the maps, as is :func:`horner_forms`, the one composition step.  The
+heavy algebra (gcd, resultants, division, factorization) is delegated to
+sympy; :meth:`Polynomial.divmod` is the one polynomial division.  Reduction
+modulo m goes through :meth:`Polynomial.residues` and :func:`residue_eval`.
+All values are immutable.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from sympy.polys.domains import RationalField
 from .errors import InexactDivision, RingMismatch
 from .padics import residue
 
-__all__ = ["Polynomial", "poly_eval", "residue_eval"]
+__all__ = ["Polynomial", "horner_forms", "poly_eval", "residue_eval"]
 
 
 _RATIONALS = RationalField()
@@ -355,16 +356,22 @@ class Polynomial:
 
     # -- heavy algebra (delegated) ------------------------------------------------------------
 
+    def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
+        """Quotient and remainder of sympy's (lexicographic) division by `other`."""
+        self._compat(other)
+        if other.is_zero:
+            raise ZeroDivisionError("division by the zero polynomial")
+        q, r = sympy.div(self.to_sympy(), other.to_sympy())
+        return Polynomial.from_sympy(q, self.variables), Polynomial.from_sympy(r, self.variables)
+
     def divexact(self, other: "Polynomial") -> "Polynomial":
         self._compat(other)
         if other.is_zero:
             raise InexactDivision("division by the zero polynomial")
-        if self.is_zero:
-            return self
-        q, r = sympy.div(self.to_sympy(), other.to_sympy())
+        q, r = self.divmod(other)
         if not r.is_zero:
             raise InexactDivision("remainder is nonzero")
-        return Polynomial.from_sympy(q, self.variables)
+        return q
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
         """Polynomial gcd, normalized monic in the lexicographically leading term."""
@@ -408,6 +415,28 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({format_polynomial(self)!r})"
+
+
+def horner_forms(forms, p: Polynomial, q: Polynomial) -> list[Polynomial]:
+    """Each degree-d form sum(c[i] X^i Y^(d-i)) of `forms` at (X, Y) = (p, q).
+
+    One homogeneous Horner pass per coefficient list c (all of length d + 1),
+    sharing the powers of q; p and q share one variable tuple.  With q = 1
+    this is the composition c(p) of a polynomial with p.
+    """
+    d = len(forms[0]) - 1
+    q_pows = [Polynomial.constant(1, p.variables), q]
+    for _ in range(2, d + 1):
+        q_pows.append(q_pows[-1] * q)
+    out = []
+    for c in forms:
+        acc = q_pows[0] * c[d]
+        for i in range(d - 1, -1, -1):
+            acc = acc * p
+            if c[i]:
+                acc = acc + q_pows[d - i] * c[i]
+        out.append(acc)
+    return out
 
 
 def poly_eval(coeffs, x: Fraction) -> Fraction:

@@ -315,10 +315,11 @@ class OrbitScanner:
         stream(n + shift_j).  The polynomial is None when a preperiodic
         coordinate sits at infinity on the class.
         """
-        key = (gen, n_class % self.preperiodic_cycle_lcm)
+        key = (id(gen), n_class % self.preperiodic_cycle_lcm)
         if key not in self._structural_cache:
-            self._structural_cache[key] = self._substitute(gen, n_class)
-        return self._structural_cache[key]
+            # the entry holds gen, so its id stays unique while cached
+            self._structural_cache[key] = (gen, self._substitute(gen, n_class))
+        return self._structural_cache[key][1]
 
     def _substitute(self, gen: Polynomial, n_class: int) -> tuple[Polynomial | None, list[int]]:
         stream_ids = sorted({m.stream for m in self.models if m.kind == "stream"})
@@ -372,12 +373,8 @@ class OrbitScanner:
 def _iterate_fraction(phi: RationalMap, k: int, var: str, variables) -> tuple[Polynomial, Polynomial]:
     """(N, D) over `variables` with phi^k(var) = N(var) / D(var); D is a
     constant when phi is a polynomial."""
-    if k == 0:
-        return Polynomial.variable(var, variables), Polynomial.constant(1, variables)
-    it = phi
-    for _ in range(k - 1):
-        it = phi.compose(it)
-    return it.affine_numerator(var).with_variables(variables), it.affine_denominator(var).with_variables(variables)
+    num, den = phi.iterate_forms(k, var)
+    return num.with_variables(variables), den.with_variables(variables)
 
 
 def _cleared(gen: Polynomial, coords, zero):

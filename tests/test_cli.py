@@ -297,3 +297,15 @@ def test_curve_pair_scans_a_rational_map(monkeypatch):
     assert code == EXIT_OK
     result = jsonline(out)["result"]
     assert result["progressions"] == [] and result["exceptional"] == []
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5"])
+def test_bad_env_precision_exits_two(value):
+    # the default used to be read while building the parser, where a bad
+    # value was silently replaced by 64
+    argv = ["--json", "decide", "--map", "t^2+1", "--point", "0", "--variety", "x1-5", "--nmax", "20"]
+    prelude = f"import os; os.environ['ORBITLANG_PRECISION'] = {value!r}"
+    proc = run_cli_process(argv, timeout=30, prelude=prelude)
+    assert proc.returncode == EXIT_USAGE
+    assert "Traceback" not in proc.stderr
+    assert jsonline(proc.stdout)["result"]["code"] == "invalid-option"

@@ -3,6 +3,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from orbitlang.dynsys import (
     INFINITY_POINT,
@@ -184,3 +186,35 @@ def test_orbit_status_semiprime_denominator_escapes_without_factoring():
     status = orbit_status(T_SQ_PLUS_1, Fraction(1, p * q))
     assert time.monotonic() - started < 1.0
     assert (status.kind, status.reason, status.proven) == ("wanders", "p-adic-escape", True)
+
+
+@st.composite
+def _maps(draw):
+    d = draw(st.integers(1, 3))
+    coeff = st.integers(-4, 4)
+    F = draw(st.lists(coeff, min_size=d + 1, max_size=d + 1))
+    G = draw(st.lists(coeff, min_size=d + 1, max_size=d + 1))
+    try:
+        return RationalMap(F, G)
+    except ValueError:
+        assume(False)
+
+
+@st.composite
+def _moebius(draw):
+    a, b, c, d = (draw(st.integers(-3, 3)) for _ in range(4))
+    assume(a * d != b * c)
+    return MoebiusMap(a, b, c, d)
+
+
+_POINTS = st.one_of(
+    st.just(INFINITY_POINT),
+    st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6)),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_maps(), _maps(), _moebius(), _POINTS)
+def test_compose_and_conjugate_match_pointwise_apply(phi, psi, mu, x):
+    assert phi.compose(psi).apply(x) == phi.apply(psi.apply(x))
+    assert conjugate(phi, mu).apply(x) == mu.inverse().apply(phi.apply(mu.apply(x)))

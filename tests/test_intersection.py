@@ -1,15 +1,17 @@
+import io
 import random
 from fractions import Fraction
 
 import pytest
 
+import orbitlang.cli as cli
+import orbitlang.intersection as intersection
 from orbitlang.dynsys import RationalMap
-from orbitlang.errors import DegreeCapExceeded, PeriodicCriticalPoint, PreperiodicInput
+from orbitlang.errors import DegreeCapExceeded, InexactDivision, PeriodicCriticalPoint, PreperiodicInput
 from orbitlang.intersection import (
     PlaceSet,
     bivariate_squarefree,
     diagonal_pullback,
-    divided_difference,
     layer,
     multiplicity_at,
     ramification_bound,
@@ -31,7 +33,7 @@ def test_level_one_factors_for_quadratic():
     for c in (1, 2, Fraction(-1)):
         X1 = diagonal_pullback(RationalMap.quadratic(c), 1)
         assert X1.poly == plane({(2, 0): 1, (0, 2): -1})
-        Y1 = X1.layer(1)
+        Y1 = X1.layers[1]
         assert Y1 == plane({(1, 0): 1, (0, 1): 1})
 
 
@@ -44,7 +46,7 @@ def test_power_map_level_two_factors():
 
 
 def test_divided_difference():
-    dd = divided_difference([Fraction(0), Fraction(1), Fraction(0), Fraction(1)])  # t^3 + t
+    dd = diagonal_pullback(RationalMap.polynomial([0, 1, 0, 1]), 1).layers[1]  # t^3 + t
     # (u^3 + u - v^3 - v)/(u - v) = u^2 + uv + v^2 + 1
     assert dd == plane({(2, 0): 1, (1, 1): 1, (0, 2): 1, (0, 0): 1})
 
@@ -113,7 +115,7 @@ def test_multiplicity_bounded_by_ramification():
         P = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
         Q = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
         layers_hit = sum(
-            1 for n in range(5) if pb.layer(n).evaluate({"x": P, "y": Q}) == 0
+            1 for n in range(5) if pb.layers[n].evaluate({"x": P, "y": Q}) == 0
         )
         assert layers_hit <= M
 
@@ -136,3 +138,46 @@ def test_s_integrality_scan_examples():
 def test_s_integrality_rejects_preperiodic():
     with pytest.raises(PreperiodicInput):
         s_integrality_scan(RationalMap.quadratic(-1), 0, 3, PlaceSet(), 3)
+
+
+RATIONAL_MAPS = [
+    ((1, 0, 1), (0, 1)),  # (t^2 + 1)/t
+    ((-2, 0, 1), (0, 2)),  # (t^2 - 2)/(2t)
+    ((1, 0, 0, 1), (0, 0, 1)),  # (t^3 + 1)/t^2
+]
+
+
+@pytest.mark.parametrize("num, den", RATIONAL_MAPS)
+def test_rational_layers_match_long_division(num, den):
+    phi = RationalMap.from_affine(Polynomial.univariate(num), Polynomial.univariate(den))
+    pb = diagonal_pullback(phi, 3)
+    assert pb.layers[0] == pb.chain[0] == plane({(1, 0): 1, (0, 1): -1})
+    for k in range(1, 4):
+        assert pb.layers[k] == pb.chain[k].divexact(pb.chain[k - 1])
+
+
+@pytest.mark.parametrize("phi", [RationalMap.quadratic(1), RationalMap.from_affine(Polynomial.univariate([1, 0, 1]), Polynomial.univariate([0, 1]))], ids=["t^2+1", "(t^2+1)/t"])
+def test_tampered_layer_fails_the_chain_check(monkeypatch, phi):
+    honest = intersection._bezoutian_at
+
+    def tampered(bezout, p, q):
+        return honest(bezout, p, q) + plane({(0, 0): 1})
+
+    monkeypatch.setattr(intersection, "_bezoutian_at", tampered)
+    with pytest.raises(InexactDivision):
+        diagonal_pullback(phi, 2)
+
+
+def test_divisors_builds_one_pullback(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return diagonal_pullback(*args, **kwargs)
+
+    # both names: the command's own call and any call made through layer()
+    monkeypatch.setattr(cli, "diagonal_pullback", counted)
+    monkeypatch.setattr(intersection, "diagonal_pullback", counted)
+    code = cli.run(["--json", "divisors", "--map", "(t^2+1)/t", "--level", "3"], stream=io.StringIO())
+    assert code == 0
+    assert len(calls) == 1
