@@ -44,7 +44,6 @@ __all__ = [
     "PlaceSet",
     "DiagonalPullback",
     "diagonal_pullback",
-    "layer",
     "ramification_bound",
     "multiplicity_at",
     "s_integrality_scan",
@@ -144,7 +143,10 @@ def diagonal_pullback(phi: RationalMap, n: int, cap: int = DEFAULT_LEVEL_CAP) ->
 
 
 def layer(phi: RationalMap, n: int, cap: int = DEFAULT_LEVEL_CAP) -> tuple[Polynomial, bool]:
-    """The fresh layer at level n with its squarefreeness certificate."""
+    """The fresh layer at level n with its squarefreeness certificate.
+
+    It builds the whole pullback; callers read `diagonal_pullback(...).layers`.
+    Kept only for bench/spans.py, which traces `intersection.layer` by name."""
     Y = diagonal_pullback(phi, n, cap).layers[n]
     return Y, bivariate_squarefree(Y)
 
@@ -228,16 +230,18 @@ def _univariate_squarefree(poly: Polynomial, var: str) -> bool:
 
 
 def _content_in_x(poly: Polynomial) -> Polynomial:
-    """gcd over Q[y] of the coefficients of poly viewed in (Q[y])[x]."""
+    """gcd over Q[y], up to a unit, of the coefficients of poly viewed in
+    (Q[y])[x].  Lowest y-degree first, so a constant coefficient (as in every
+    layer of a monic polynomial map) settles it without a gcd."""
     by_x: dict[int, dict] = {}
     for (ex, ey), c in poly.terms.items():
         by_x.setdefault(ex, {})[(ey,)] = c
-    coeffs = [Polynomial(("y",), t) for t in by_x.values()]
+    coeffs = sorted((Polynomial(("y",), t) for t in by_x.values()), key=lambda c: c.degree("y"))
     g = coeffs[0]
     for c in coeffs[1:]:
-        g = g.gcd(c)
         if g.total_degree() == 0:
             break
+        g = g.gcd(c)
     return g
 
 

@@ -3,6 +3,10 @@
 Representation is a sparse map from exponent vectors to Fraction
 coefficients.  Add/mul/substitute/derive/evaluate are implemented directly
 on the maps, as is :func:`horner_forms`, the one composition step.  The
+product is one packed integer kernel: each exponent vector becomes one int
+key (mixed radix, carry-free under addition), each operand integer
+numerators over its common denominator, and each output term one Fraction
+(packed exponent vectors: Monagan and Pearce, CASC 2007).  The
 heavy algebra (gcd, resultants, division, factorization) is delegated to
 sympy; :meth:`Polynomial.divmod` is the one polynomial division.  Reduction
 modulo m goes through :meth:`Polynomial.residues` and :func:`residue_eval`.
@@ -12,7 +16,8 @@ All values are immutable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm
+from operator import attrgetter, mul
 from typing import Iterable
 
 import sympy
@@ -25,6 +30,7 @@ __all__ = ["Polynomial", "horner_forms", "poly_eval", "residue_eval"]
 
 
 _RATIONALS = RationalField()
+_denominator = attrgetter("denominator")
 _SYMBOL_CACHE: dict[str, sympy.Symbol] = {}
 
 
@@ -40,6 +46,25 @@ def _as_fraction(c) -> Fraction:
 
 def _from_sympy_number(value) -> Fraction:
     return Fraction(int(sympy.numer(value)), int(sympy.denom(value)))
+
+
+def _packed(terms: dict, weights: list) -> tuple[int, list]:
+    """(den, [(key, numerator)]) with terms = {exps: numerator / den} and
+    each exponent vector packed into the key sum(e * w for e, w in zip(exps, weights))."""
+    den = lcm(*map(_denominator, terms.values()))
+    return den, [(sum(map(mul, e, weights)), c.numerator * (den // c.denominator)) for e, c in terms.items()]
+
+
+def _unpacked(keys, weights: list):
+    """The exponent vectors of packed keys, in order."""
+    if not weights:
+        return [()] * len(keys)
+    cols = []
+    for w in weights[:0:-1]:
+        cols.append([k // w for k in keys])
+        keys = [k % w for k in keys]
+    cols.append(keys)  # weights[0] == 1
+    return zip(*reversed(cols))
 
 
 class Polynomial:
@@ -61,6 +86,15 @@ class Polynomial:
         self.terms = clean
 
     # -- constructors ----------------------------------------------------------
+
+    @classmethod
+    def _of(cls, variables: tuple, terms: dict) -> "Polynomial":
+        """Wrap terms that are already clean: exponent tuples of the right
+        width mapped to nonzero Fractions."""
+        poly = object.__new__(cls)
+        poly.variables = variables
+        poly.terms = terms
+        return poly
 
     @classmethod
     def constant(cls, value, variables: Iterable[str] = ()) -> "Polynomial":
@@ -184,15 +218,23 @@ class Polynomial:
             small, large = self.terms, other.terms
         else:
             small, large = other.terms, self.terms
+        # the digit of variable v in a key runs to deg_small(v) + deg_large(v),
+        # so keys of the two operands add without carry
+        weights, w = [], 1
+        for es, el in zip(zip(*small), zip(*large)):
+            weights.append(w)
+            w *= max(es) + max(el) + 1
+        den_s, packed_s = _packed(small, weights)
+        den_l, packed_l = _packed(large, weights)
         acc: dict = {}
-        for e1, c1 in small.items():
-            for e2, c2 in large.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                v = c1 * c2
-                if key in acc:
-                    v = acc[key] + v
-                acc[key] = v
-        return Polynomial(self.variables, acc)
+        get = acc.get
+        for ks, cs in packed_s:
+            for kl, cl in packed_l:
+                k = ks + kl
+                acc[k] = get(k, 0) + cs * cl
+        den = den_s * den_l
+        terms = {e: Fraction(v, den) for e, v in zip(_unpacked(acc, weights), acc.values()) if v}
+        return Polynomial._of(self.variables, terms)
 
     __rmul__ = __mul__
 

@@ -52,3 +52,14 @@ def brute_orbit(f_coeffs, x, steps):
     for _ in range(steps):
         out.append(poly_eval_fraction(f_coeffs, out[-1]))
     return out
+
+
+def schoolbook_product(a_terms, b_terms):
+    """Product of two {exponent tuple: Fraction} maps, one Fraction
+    multiply-add per pair of terms, zero coefficients dropped."""
+    acc = {}
+    for e1, c1 in a_terms.items():
+        for e2, c2 in b_terms.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            acc[key] = acc.get(key, Fraction(0)) + c1 * c2
+    return {k: v for k, v in acc.items() if v}

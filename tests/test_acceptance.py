@@ -28,7 +28,7 @@ from orbitlang.classify import (
 )
 from orbitlang.dynsys import RationalMap, iterate
 from orbitlang.engine import Certified, EngineOptions, brute_force_scan, decide
-from orbitlang.intersection import diagonal_pullback, layer, ramification_bound
+from orbitlang.intersection import bivariate_squarefree, diagonal_pullback, ramification_bound
 from orbitlang.padics import primes_upto
 from orbitlang.polynomials import Polynomial
 from orbitlang.primesearch import (
@@ -111,8 +111,8 @@ def test_criterion_2_divisor_structure():
             assert pullback.chain[n].degree("x") == d**n
             assert pullback.chain[n].degree("y") == d**n
         for n in range(6):
-            Y, squarefree = layer(phi, n, cap=5)
-            assert squarefree, (phi, n)
+            Y = pullback.layers[n]
+            assert bivariate_squarefree(Y), (phi, n)
             if n:
                 assert pullback.chain[n - 1] * Y == pullback.chain[n]
     budget.done("(f in {t^2+1, t^2+2, t^3+t}, n <= 5)")
@@ -123,7 +123,7 @@ def test_criterion_3_multiplicity_bound():
     f = RationalMap.quadratic(1)
     M = ramification_bound(f)
     assert M == 2
-    layers = [layer(f, n, cap=6)[0] for n in range(7)]
+    layers = diagonal_pullback(f, 6, cap=6).layers
     rng = random.Random(202)
     for _ in range(100):
         P = Fraction(rng.randint(-50, 50), rng.randint(1, 50))

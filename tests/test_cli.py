@@ -238,6 +238,14 @@ def test_curve_pair_conjugate_critical_points_within_budget():
     assert jsonline(proc.stdout)["result"]["certification"]["type"] == "Certified"
 
 
+def test_divisors_level_six_within_budget():
+    # the level-6 chain check of t^3+t multiplies 244 x 15,371 term pairs
+    proc = run_cli_process(["--json", "divisors", "--map", "t^3+t", "--level", "6"], timeout=20)
+    assert proc.returncode == EXIT_OK
+    levels = jsonline(proc.stdout)["result"]["levels"]
+    assert [(lv["level"], lv["degree_x"], lv["squarefree"]) for lv in levels] == [(n, 3**n, True) for n in range(7)]
+
+
 def test_failed_self_check_is_an_error_under_optimize():
     # a Mahler series that misses its samples must be caught even with asserts stripped
     prelude = "from orbitlang import analytic; analytic.MahlerSeries.evaluate_residue = lambda self, n: -1"

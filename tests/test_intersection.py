@@ -12,7 +12,6 @@ from orbitlang.intersection import (
     PlaceSet,
     bivariate_squarefree,
     diagonal_pullback,
-    layer,
     multiplicity_at,
     ramification_bound,
     s_integrality_scan,
@@ -52,17 +51,17 @@ def test_divided_difference():
 
 
 def test_layer_examples():
-    Y1, sf1 = layer(RationalMap.quadratic(3), 1)
-    assert Y1 == plane({(1, 0): 1, (0, 1): 1}) and sf1
+    Y1 = diagonal_pullback(RationalMap.quadratic(3), 1).layers[1]
+    assert Y1 == plane({(1, 0): 1, (0, 1): 1}) and bivariate_squarefree(Y1)
 
-    Y2, sf2 = layer(RationalMap.quadratic(0), 2)
-    assert Y2 == plane({(2, 0): 1, (0, 2): 1}) and sf2
+    Y2 = diagonal_pullback(RationalMap.quadratic(0), 2).layers[2]
+    assert Y2 == plane({(2, 0): 1, (0, 2): 1}) and bivariate_squarefree(Y2)
 
     f = RationalMap.quadratic(-1)
     X2 = diagonal_pullback(f, 2)
-    Y2b, sf2b = layer(f, 2)
+    Y2b = X2.layers[2]
     assert X2.chain[1] * Y2b == X2.poly
-    assert sf2b
+    assert bivariate_squarefree(Y2b)
 
 
 def test_degree_cap():
@@ -126,6 +125,26 @@ def test_squarefree_detects_squares():
     assert bivariate_squarefree(plane({(2, 0): 1, (0, 2): 1}))
 
 
+def test_content_in_x():
+    y_plus_1 = plane({(0, 1): 1, (0, 0): 1})
+    poly = y_plus_1 * plane({(2, 0): 1, (1, 1): 3, (0, 1): -1})
+    assert intersection._content_in_x(poly).monic() == Polynomial(("y",), {(1,): 1, (0,): 1})
+    assert intersection._content_in_x(plane({(2, 0): 3, (1, 0): 2, (0, 2): 1})).total_degree() == 0
+    assert not bivariate_squarefree(y_plus_1 * y_plus_1 * plane({(1, 0): 1, (0, 1): -1}))
+
+
+@pytest.mark.parametrize("coeffs", [[1, 0, 1], [0, 1, 0, 1], [0, 7, 0, 1]], ids=["t^2+1", "t^3+t", "t^3+7t"])
+def test_layer_content_of_a_monic_map_needs_no_gcd(monkeypatch, coeffs):
+    layers = diagonal_pullback(RationalMap.polynomial(coeffs), 4).layers
+
+    def no_gcd(self, other):
+        raise AssertionError("a layer of a monic map has a constant x-coefficient")
+
+    monkeypatch.setattr(Polynomial, "gcd", no_gcd)
+    for Y in layers:
+        assert intersection._content_in_x(Y).total_degree() == 0
+
+
 def test_s_integrality_scan_examples():
     f = RationalMap.quadratic(1)
     only_arch = PlaceSet()
@@ -175,7 +194,7 @@ def test_divisors_builds_one_pullback(monkeypatch):
         calls.append(args)
         return diagonal_pullback(*args, **kwargs)
 
-    # both names: the command's own call and any call made through layer()
+    # both names: the command's own call and any call made inside the intersection module
     monkeypatch.setattr(cli, "diagonal_pullback", counted)
     monkeypatch.setattr(intersection, "diagonal_pullback", counted)
     code = cli.run(["--json", "divisors", "--map", "(t^2+1)/t", "--level", "3"], stream=io.StringIO())

@@ -3,7 +3,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import schoolbook_product
 from orbitlang.errors import InexactDivision, RingMismatch
 from orbitlang.padics import residue
 from orbitlang.polynomials import Polynomial, format_polynomial, residue_eval
@@ -57,6 +60,60 @@ def test_divexact_mul_round_trip():
         if a.is_zero or b.is_zero:
             continue
         assert (a * b).divexact(b) == a
+
+
+# ints and Fractions, denominator 1 about half the time; exponents mostly
+# small, sometimes far apart
+RATIONALS = st.one_of(st.integers(-20, 20), st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12)))
+EXPONENTS = st.one_of(st.integers(0, 4), st.integers(0, 10**12))
+
+
+@st.composite
+def polynomial_pairs(draw):
+    """Two polynomials over one tuple of 0-3 variables, each zero, one term or up to 6 terms."""
+    variables = ("x", "y", "z")[: draw(st.integers(0, 3))]
+    terms = st.dictionaries(st.tuples(*[EXPONENTS] * len(variables)), RATIONALS, max_size=6)
+    return Polynomial(variables, draw(terms)), Polynomial(variables, draw(terms))
+
+
+def assert_clean_product(product, expected):
+    assert product.terms == expected
+    assert all(type(e) is tuple and type(c) is Fraction and c for e, c in product.terms.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomial_pairs())
+def test_product_matches_schoolbook_oracle(pair):
+    a, b = pair
+    expected = schoolbook_product(a.terms, b.terms)
+    assert_clean_product(a * b, expected)
+    assert_clean_product(b * a, expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomial_pairs(), RATIONALS)
+def test_scalar_product_matches_schoolbook_oracle(pair, scalar):
+    a, _ = pair
+    expected = schoolbook_product(a.terms, {(0,) * len(a.variables): Fraction(scalar)})
+    assert_clean_product(a * scalar, expected)
+    assert_clean_product(scalar * a, expected)
+
+
+@pytest.mark.parametrize(
+    "a, b, product",
+    [
+        (X_MINUS_Y, X_PLUS_Y, X2_MINUS_Y2),
+        (
+            biv({(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)}),
+            biv({(1, 0): 2, (0, 1): -3}),
+            biv({(2, 0): 1, (1, 1): Fraction(-5, 6), (0, 2): -1}),
+        ),
+        (biv({(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}), biv({(1, 0): 2, (0, 1): -2}), biv({(2, 0): 1, (0, 2): -1})),
+    ],
+)
+def test_product_with_internal_cancellation(a, b, product):
+    assert_clean_product(a * b, schoolbook_product(a.terms, b.terms))
+    assert a * b == product
 
 
 @pytest.mark.parametrize("m", [(1 << 61) - 1, 5**8])
