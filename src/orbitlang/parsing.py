@@ -57,8 +57,21 @@ def _tokenize(src: str) -> list[_Token]:
     return out
 
 
+def _is_one(p: Polynomial) -> bool:
+    return len(p.terms) == 1 and p.terms.get((0,) * len(p.variables)) == 1
+
+
+def _times(a: Polynomial, b: Polynomial) -> Polynomial:
+    """a * b, skipping the product when a factor is the constant 1."""
+    if _is_one(b):
+        return a
+    return b if _is_one(a) else a * b
+
+
 class _RationalFunction:
-    """Exact pair num/den over a shared variable tuple."""
+    """Exact pair num/den over a shared variable tuple.  Products by the
+    constant 1 are skipped, so the denominators of a polynomial expression
+    are never multiplied."""
 
     __slots__ = ("num", "den")
 
@@ -76,21 +89,25 @@ class _RationalFunction:
         )
 
     def __add__(self, other):
-        return _RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
+        return _RationalFunction(
+            _times(self.num, other.den) + _times(other.num, self.den), _times(self.den, other.den)
+        )
 
     def __sub__(self, other):
-        return _RationalFunction(self.num * other.den - other.num * self.den, self.den * other.den)
+        return _RationalFunction(
+            _times(self.num, other.den) - _times(other.num, self.den), _times(self.den, other.den)
+        )
 
     def __mul__(self, other):
-        return _RationalFunction(self.num * other.num, self.den * other.den)
+        return _RationalFunction(_times(self.num, other.num), _times(self.den, other.den))
 
     def __truediv__(self, other):
         if other.num.is_zero:
             raise ZeroDivisionError
-        return _RationalFunction(self.num * other.den, self.den * other.num)
+        return _RationalFunction(_times(self.num, other.den), _times(other.num, self.den))
 
     def __pow__(self, e: int):
-        return _RationalFunction(self.num**e, self.den**e)
+        return _RationalFunction(self.num**e, self.den if _is_one(self.den) else self.den**e)
 
 
 class _Parser:

@@ -241,16 +241,17 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        result = Polynomial.constant(1, self.variables)
+        if n == 0:
+            return Polynomial.constant(1, self.variables)
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base_needed = n > 1
+                result = base if result is None else result * base
             n >>= 1
-            if base_needed and n:
-                base = base * base
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):

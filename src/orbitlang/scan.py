@@ -5,6 +5,8 @@ n = 1000 cannot hold exact values.  Membership of the orbit point in a
 variety is still decided exactly by combining:
 
 * exact evaluation while coordinate heights stay below a cap;
+* modular certificates: a generator value nonzero modulo one of several
+  61-bit control primes is certainly nonzero;
 * orbit-shift structure: coordinates whose starting values lie on a common
   orbit are aliases of one stream, so each generator restricted to a class
   becomes, after clearing the denominators of the iterates, a polynomial in
@@ -12,12 +14,17 @@ variety is still decided exactly by combining:
   every index of the class;
 * escape growth: past its escape index a stream under a polynomial map grows
   monotonically, so a nonzero univariate substituted generator cannot vanish
-  once the stream value provably exceeds the generator's root bound;
-* modular certificates: a generator value nonzero modulo one of several
-  61-bit control primes is certainly nonzero.
+  once the stream value provably exceeds the generator's root bound.
 
-When none of those resolve an index the scanner raises PrecisionExhausted
-rather than guessing.
+Past the exact horizon each generator is evaluated at the first control
+prime that sees every coordinate finite.  A nonzero residue is a miss.  A
+zero residue hands over to the class structure, whose substituted generator
+is built once per class n mod L (L the lcm of the preperiodic cycles) and
+holds at n because that prime sees every coordinate finite: identically
+zero is a hit; a nonzero constant, a preperiodic coordinate at infinity or
+an escaped stream is a miss.  Only when the structure settles nothing do
+the remaining primes run, and when none of them shows a nonzero residue
+the scanner raises PrecisionExhausted rather than guessing.
 """
 
 from __future__ import annotations
@@ -37,6 +44,17 @@ __all__ = ["OrbitScanner", "OrbitRecord"]
 EXACT_BITS_CAP = 65536
 PREFIX_LIMIT = 48
 CONTROL_PRIME_COUNT = 5
+
+
+_control_candidates: list[int] = []
+
+
+def _control_candidate(i: int) -> int:
+    """The i-th candidate control prime above 2^61, found once per process."""
+    while len(_control_candidates) <= i:
+        seed = _control_candidates[-1] + 2 if _control_candidates else (1 << 61) + 7
+        _control_candidates.append(next_prime(seed))
+    return _control_candidates[i]
 
 
 def _log2_lower(num: int, den: int) -> int:
@@ -155,6 +173,14 @@ class OrbitScanner:
             else:
                 model = self._stream_model(phi, status.prefix, lookup)
             self.models.append(model)
+        cycles = [m for m in self.models if m.kind == "preperiodic"]
+        self.preperiodic_cycle_lcm = math.lcm(*(m.cycle for m in cycles))
+        self.max_tail = max((m.tail for m in cycles), default=0)
+        self.all_preperiodic = len(cycles) == len(self.models)
+        self._stream_ids = sorted({m.stream for m in self.models if m.kind == "stream"})
+        # the first index from which every preperiodic coordinate is on its
+        # cycle and every aliased coordinate reads its stream
+        self._structural_base = max([self.max_tail] + [len(m.prefix) for m in self.models if m.kind == "stream"])
         self._structural_cache: dict = {}
         self._residue_cache: dict = {}
 
@@ -164,10 +190,10 @@ class OrbitScanner:
         """The first primes above 2^61 at which every map has good reduction
         and every finite start is integral, with each map's reduction there."""
         primes, reductions = [], []
-        seed = (1 << 61) + 7
+        i = 0
         while len(primes) < CONTROL_PRIME_COUNT:
-            q = next_prime(seed)
-            seed = q + 2
+            q = _control_candidate(i)
+            i += 1
             if any(x.b % q == 0 for x in self.alpha if x.b):
                 continue
             try:
@@ -205,18 +231,6 @@ class OrbitScanner:
             tuple(m.cycle for m in self.models),
         )
 
-    @property
-    def preperiodic_cycle_lcm(self) -> int:
-        return math.lcm(*(m.cycle for m in self.models if m.kind == "preperiodic"))
-
-    @property
-    def max_tail(self) -> int:
-        return max((m.tail for m in self.models if m.kind == "preperiodic"), default=0)
-
-    @property
-    def all_preperiodic(self) -> bool:
-        return all(m.kind == "preperiodic" for m in self.models)
-
     def coordinate_value(self, model: _CoordModel, n: int) -> PPoint | None:
         """Coordinate `model` of Phi^n(alpha) exactly, or None past the exact horizon."""
         if n < len(model.prefix):
@@ -251,27 +265,32 @@ class OrbitScanner:
         return all(_cleared(gen, coords, 0) == 0 for gen in gens)
 
     def _generator_vanishes(self, gen: Polynomial, n: int) -> bool:
+        """gen at Phi^n(alpha) past the exact horizon.
+
+        The first control prime at which every coordinate is finite decides:
+        a nonzero residue is a miss, and a zero one hands over to the class
+        structure, which holds there because that prime sees every
+        coordinate finite.  The remaining primes run only when the structure
+        does not settle the index.
+        """
         if gen.is_zero:
             return True
-        # modular pass: any visible nonzero residue settles it
-        informed = False
-        for qi in range(len(self.control_primes)):
+        count = len(self.control_primes)
+        for qi in range(count):
             value = self._modular_value(gen, n, qi)
             if value is None:
                 continue
             if value:
                 return False
-            informed = True
-        # the structure holds where every coordinate is finite, which one
-        # control prime seeing them all finite proves
-        if not informed:
-            raise PrecisionExhausted(f"no control prime sees every coordinate at index {n} finite")
-        verdict = self._structural_verdict(gen, n)
-        if verdict == "unknown":
+            verdict = self._structural_verdict(gen, n)
+            if verdict != "unknown":
+                return verdict == "zero"
+            if any(self._modular_value(gen, n, qj) for qj in range(qi + 1, count)):
+                return False
             raise PrecisionExhausted(
                 f"membership at index {n} is beyond the exact horizon and has no structural certificate"
             )
-        return verdict == "zero"
+        raise PrecisionExhausted(f"no control prime sees every coordinate at index {n} finite")
 
     def _modular_value(self, gen: Polynomial, n: int, qi: int) -> int | None:
         """gen at Phi^n(alpha) mod the qi-th control prime; None when some
@@ -322,7 +341,7 @@ class OrbitScanner:
         return self._structural_cache[key][1]
 
     def _substitute(self, gen: Polynomial, n_class: int) -> tuple[Polynomial | None, list[int]]:
-        stream_ids = sorted({m.stream for m in self.models if m.kind == "stream"})
+        stream_ids = self._stream_ids
         base_shift = {s: min(m.delta for m in self.models if m.stream == s) for s in stream_ids}
         u_names = tuple(f"u{j + 1}" for j in range(len(stream_ids)))
         coords = []
@@ -338,7 +357,7 @@ class OrbitScanner:
         return _cleared(gen, coords, Polynomial(u_names, {})), [base_shift[s] for s in stream_ids]
 
     def _structural_verdict(self, gen: Polynomial, n: int) -> str:
-        if n < self.max_tail or any(m.kind == "stream" and n < len(m.prefix) for m in self.models):
+        if n < self._structural_base:
             return "unknown"
         sub, shifts = self.substituted_generator(gen, n)
         if sub is None:
@@ -349,9 +368,8 @@ class OrbitScanner:
         live = [j for j, name in enumerate(sub.variables) if sub.degree(name)]
         if len(live) == 1:
             j = live[0]
-            stream_ids = sorted({m.stream for m in self.models if m.kind == "stream"})
             univ = sub.with_variables((sub.variables[j],))
-            threshold = self.streams[stream_ids[j]].eventually_exceeds(_cauchy_root_bound_log2(univ))
+            threshold = self.streams[self._stream_ids[j]].eventually_exceeds(_cauchy_root_bound_log2(univ))
             if threshold is not None and n + shifts[j] >= threshold:
                 return "nonzero"
         return "unknown"
@@ -359,7 +377,14 @@ class OrbitScanner:
     # -- convenience -------------------------------------------------------------------------
 
     def scan(self, generators, limit: int) -> list[int]:
-        return [n for n in range(limit + 1) if self.is_hit(generators, n)]
+        """Hit indices n <= limit: exact evaluation up to the exact horizon,
+        then is_hit's modular and structural path, with the first control
+        prime's stream tracks extended once to the limit."""
+        gens = list(generators)
+        for m in self.models:
+            if m.kind == "stream":
+                self.streams[m.stream].residue(limit + m.delta, 0)
+        return [n for n in range(limit + 1) if self.is_hit(gens, n)]
 
     def class_is_structurally_zero(self, generators, n_class: int) -> bool:
         """Proof that every generator vanishes on the whole class (all n >= base)

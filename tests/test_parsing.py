@@ -5,6 +5,7 @@ import pytest
 from orbitlang.dynsys import RationalMap
 from orbitlang.errors import ExpressionSyntaxError, NonPolynomialWhereRequired
 from orbitlang.parsing import format_map, parse_expression, parse_point
+from orbitlang.polynomials import Polynomial
 from orbitlang.varieties import PlaneCurve
 
 
@@ -79,3 +80,21 @@ def test_round_trip_canonical_forms():
 def test_format_map_polynomial_with_denominator():
     phi = RationalMap.polynomial([Fraction(3, 2), 0, 1])
     assert parse_expression(format_map(phi)).value == phi
+
+
+def test_polynomial_expressions_never_multiply_by_the_constant_one(monkeypatch):
+    products = []
+    mul = Polynomial.__mul__
+
+    def recorded(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", recorded)
+    parsed = parse_expression("(x1 + 2)^3*x2 - x1/2 + 1")
+    monkeypatch.undo()
+    one = Polynomial.constant(1, ("x1", "x2"))
+    assert products
+    assert not any(p == one for pair in products for p in pair)
+    x1, x2 = Polynomial.variable("x1", ("x1", "x2")), Polynomial.variable("x2", ("x1", "x2"))
+    assert parsed.value == ((x1 + 2) ** 3 * x2 - x1 * Fraction(1, 2) + 1) * 2

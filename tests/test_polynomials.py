@@ -99,6 +99,16 @@ def test_scalar_product_matches_schoolbook_oracle(pair, scalar):
     assert_clean_product(scalar * a, expected)
 
 
+@settings(max_examples=100, deadline=None)
+@given(polynomial_pairs(), st.integers(0, 5))
+def test_power_matches_repeated_schoolbook_products(pair, e):
+    a, _ = pair
+    expected = {(0,) * len(a.variables): Fraction(1)}
+    for _ in range(e):
+        expected = schoolbook_product(expected, a.terms)
+    assert_clean_product(a**e, expected)
+
+
 @pytest.mark.parametrize(
     "a, b, product",
     [

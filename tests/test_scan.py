@@ -8,6 +8,7 @@ from orbitlang.dynsys import RationalMap, iterate, orbit_status
 from orbitlang.engine import brute_force_scan
 from orbitlang.errors import PrecisionExhausted
 from orbitlang.polynomials import Polynomial
+from orbitlang import scan
 from orbitlang.scan import OrbitScanner
 
 
@@ -20,6 +21,63 @@ def test_control_prime_in_a_generator_denominator_exhausts_precision():
     assert scanner.exact_point(20) is None
     with pytest.raises(PrecisionExhausted, match="control prime collides with a coefficient"):
         scanner.is_hit([gen], 20)
+
+
+def test_classes_keyed_modulo_the_cycle_lcm():
+    # 0 -> -1 -> 0 under t^2-1 has cycle 2, and the orbit of 0 under t^2+1
+    # wanders, so x1 vanishes on the even class and nowhere on the odd one
+    maps = [RationalMap.quadratic(-1), RationalMap.quadratic(1)]
+    x1 = Polynomial.variable("x1", ("x1", "x2"))
+    assert brute_force_scan(maps, [0, 0], [x1], 1000) == list(range(0, 1001, 2))
+    scanner = OrbitScanner(maps, [0, 0])
+    assert scanner.preperiodic_cycle_lcm == 2
+    assert scanner.exact_point(1000) is None
+    assert scanner._structural_verdict(x1, 1000) == "zero"
+    assert scanner._structural_verdict(x1, 999) == "nonzero"
+
+
+def test_an_index_past_the_horizon_costs_one_residue_per_generator(monkeypatch):
+    # x2 = x1^2 + 1 holds at every index of the orbit of (0, 1) under t^2+1;
+    # each index past the exact horizon is settled by the first control
+    # prime and the class structure, for hits and misses alike
+    names = ("x1", "x2")
+    graph = Polynomial(names, {(0, 1): 1, (2, 0): -1, (0, 0): -1})
+    diagonal = Polynomial(names, {(1, 0): 1, (0, 1): -1})
+    maps = [RationalMap.quadratic(1), RationalMap.quadratic(1)]
+    scanner = OrbitScanner(maps, [0, 1])
+    calls = []
+    evaluate = OrbitScanner._modular_value
+
+    def counted(self, gen, n, qi):
+        calls.append((n, qi))
+        return evaluate(self, gen, n, qi)
+
+    monkeypatch.setattr(OrbitScanner, "_modular_value", counted)
+    assert scanner.exact_point(500) is None
+    assert scanner.is_hit([graph], 500)
+    assert calls == [(500, 0)]
+    calls.clear()
+    assert scanner.is_hit([graph, graph * diagonal], 501)
+    assert calls == [(501, 0), (501, 0)]
+    calls.clear()
+    assert not scanner.is_hit([diagonal], 502)
+    assert calls == [(502, 0)]
+    calls.clear()
+    assert scanner.scan([graph], 1000) == list(range(1001))
+    horizon = next(n for n in range(1001) if scanner.exact_point(n) is None)
+    assert calls == [(n, 0) for n in range(horizon, 1001)]
+
+
+def test_control_primes_are_searched_once_per_process(monkeypatch):
+    OrbitScanner([RationalMap.quadratic(1)], [0])
+
+    def no_search(n):
+        raise AssertionError("control prime candidates searched again")
+
+    monkeypatch.setattr(scan, "next_prime", no_search)
+    assert OrbitScanner([RationalMap.quadratic(2)], [Fraction(1, 3)]).control_primes == OrbitScanner(
+        [RationalMap.quadratic(1)], [0]
+    ).control_primes
 
 
 JOUKOWSKI = RationalMap([1, 0, 1], [0, 1, 0])  # t -> (t^2 + 1)/t
