@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -419,6 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the process's one parser, built on first use
+_parser = functools.cache(build_parser)
+
 _HANDLERS = {
     "orbit": _cmd_orbit,
     "reduce": _cmd_reduce,
@@ -432,9 +436,8 @@ _HANDLERS = {
 
 
 def run(argv=None, stream=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     started = time.monotonic()

@@ -495,11 +495,10 @@ def residue_eval(residues: dict, coords, m: int) -> int:
     (from :meth:`Polynomial.residues`) at the residue coordinates `coords`."""
     acc = 0
     for exps, c in residues.items():
-        term = c
         for x, e in zip(coords, exps):
             if e:
-                term = term * pow(x, e, m) % m
-        acc += term
+                c = c * (x if e == 1 else pow(x, e, m)) % m
+        acc += c
     return acc % m
 
 

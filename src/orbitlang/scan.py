@@ -2,33 +2,33 @@
 
 Orbit heights under a map of degree d >= 2 grow like d^n, so a scan to
 n = 1000 cannot hold exact values.  Membership of the orbit point in a
-variety is still decided exactly by combining:
+variety is still decided exactly, by one kernel that settles a whole index
+range.  Each generator's coefficients are reduced once mod the first of
+several 61-bit control primes, and each coordinate's residues there are
+read off its residue track (a preperiodic coordinate repeats its cycle).
+At every index:
 
-* exact evaluation while coordinate heights stay below a cap;
-* modular certificates: a generator value nonzero modulo one of several
-  61-bit control primes is certainly nonzero;
-* orbit-shift structure: coordinates whose starting values lie on a common
-  orbit are aliases of one stream, so each generator restricted to a class
-  becomes, after clearing the denominators of the iterates, a polynomial in
-  one stream value per stream - identically zero means a certified hit for
-  every index of the class;
-* escape growth: past its escape index a stream under a polynomial map grows
-  monotonically, so a nonzero univariate substituted generator cannot vanish
-  once the stream value provably exceeds the generator's root bound.
-
-Past the exact horizon each generator is evaluated at the first control
-prime that sees every coordinate finite.  A nonzero residue is a miss.  A
-zero residue hands over to the class structure, whose substituted generator
-is built once per class n mod L (L the lcm of the preperiodic cycles) and
-holds at n because that prime sees every coordinate finite: identically
-zero is a hit; a nonzero constant, a preperiodic coordinate at infinity or
-an escaped stream is a miss.  Only when the structure settles nothing do
-the remaining primes run, and when none of them shows a nonzero residue
-the scanner raises PrecisionExhausted rather than guessing.
+* a nonzero residue is a miss: the exact value is then certainly nonzero;
+* a zero residue, or a coordinate whose residue is at infinity, is decided
+  exactly while coordinate heights stay below a cap (the exact horizon);
+* past it the class structure decides.  Coordinates whose starting values
+  lie on a common orbit are aliases of one stream, so each generator on a
+  class n mod L (L the lcm of the preperiodic cycles) becomes, after
+  clearing the denominators of the iterates, a polynomial in one stream
+  value per stream, built once per class.  Identically zero is a hit; a
+  nonzero constant, a preperiodic coordinate at infinity or an escaped
+  stream (one that provably exceeds the root bound of a nonzero univariate
+  substitution) is a miss.  Once a class is identically zero, each of its
+  indices past the horizon whose residues are finite is a hit with no
+  residue at all;
+* when the structure settles nothing the remaining primes run, and when
+  none of them shows a nonzero residue the scanner raises
+  PrecisionExhausted rather than guessing.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,17 +44,25 @@ __all__ = ["OrbitScanner", "OrbitRecord"]
 EXACT_BITS_CAP = 65536
 PREFIX_LIMIT = 48
 CONTROL_PRIME_COUNT = 5
+# the residue of a prefix or cycle point at infinity: off the affine chart, so never a hit
+_OFF_CHART = -1
 
 
-_control_candidates: list[int] = []
-
-
+@functools.cache
 def _control_candidate(i: int) -> int:
     """The i-th candidate control prime above 2^61, found once per process."""
-    while len(_control_candidates) <= i:
-        seed = _control_candidates[-1] + 2 if _control_candidates else (1 << 61) + 7
-        _control_candidates.append(next_prime(seed))
-    return _control_candidates[i]
+    return next_prime(_control_candidate(i - 1) + 2 if i else (1 << 61) + 7)
+
+
+# bounded: a long run over many random maps would otherwise keep every reduction
+@functools.lru_cache(maxsize=1024)
+def _control_reduction(phi: RationalMap, q: int) -> ReducedMap | None:
+    """phi's reduction at the control prime q, or None where it is bad, found
+    once per process for the maps in recent use."""
+    try:
+        return reduce_map(phi, q)
+    except BadReduction:
+        return None
 
 
 def _log2_lower(num: int, den: int) -> int:
@@ -87,11 +95,12 @@ class _Stream:
                 self.exact.append(value)
         return self.exact[n] if n < len(self.exact) else None
 
-    def residue(self, n: int, qi: int) -> RPoint:
+    def track(self, n: int, qi: int) -> list[RPoint]:
+        """The qi-th control prime's residues, extended through index n."""
         track, model = self.residues[qi], self.reduced[qi]
         while len(track) <= n:
             track.append(model.apply(track[-1]))
-        return track[n]
+        return track
 
     def eventually_exceeds(self, bound_log2: int) -> int | None:
         """Smallest index from which |value| > 2**bound_log2 forever, if provable.
@@ -181,8 +190,21 @@ class OrbitScanner:
         # the first index from which every preperiodic coordinate is on its
         # cycle and every aliased coordinate reads its stream
         self._structural_base = max([self.max_tail] + [len(m.prefix) for m in self.models if m.kind == "stream"])
-        self._structural_cache: dict = {}
+        # the first index with no exact point, where known; the class verdicts
+        # stand in for exact evaluation only from here on
+        self._horizon = min(
+            (
+                max(len(m.prefix), len(self.streams[m.stream].exact) - m.delta)
+                for m in self.models
+                if m.kind == "stream" and self.streams[m.stream].exact_done
+            ),
+            default=math.inf,
+        )
+        self._heads: dict = {}
         self._residue_cache: dict = {}
+        self._structural_cache: dict = {}
+        # the keys of _structural_cache whose substituted generator is zero
+        self._zero_classes: set = set()
 
     # -- setup ------------------------------------------------------------------
 
@@ -196,10 +218,10 @@ class OrbitScanner:
             i += 1
             if any(x.b % q == 0 for x in self.alpha if x.b):
                 continue
-            try:
-                reductions.append({phi: reduce_map(phi, q) for phi in dict.fromkeys(self.maps)})
-            except BadReduction:
+            reduced = {phi: _control_reduction(phi, q) for phi in dict.fromkeys(self.maps)}
+            if None in reduced.values():
                 continue
+            reductions.append(reduced)
             primes.append(q)
         return tuple(primes), reductions
 
@@ -253,72 +275,107 @@ class OrbitScanner:
 
     def is_hit(self, generators, n: int) -> bool:
         """Exact membership of Phi^n(alpha) in the common zero locus."""
-        gens = list(generators)
-        if not gens:
-            return True
-        point = self.exact_point(n)
-        if point is None:
-            return all(self._generator_vanishes(gen, n) for gen in gens)
-        if any(p.is_infinity for p in point):
-            return False
-        coords = [(p.a, p.b) for p in point]
-        return all(_cleared(gen, coords, 0) == 0 for gen in gens)
+        return bool(self._hits(list(generators), n, n))
 
-    def _generator_vanishes(self, gen: Polynomial, n: int) -> bool:
-        """gen at Phi^n(alpha) past the exact horizon.
+    def scan(self, generators, limit: int) -> list[int]:
+        """Hit indices n <= limit."""
+        return self._hits(list(generators), 0, limit)
 
-        The first control prime at which every coordinate is finite decides:
-        a nonzero residue is a miss, and a zero one hands over to the class
-        structure, which holds there because that prime sees every
-        coordinate finite.  The remaining primes run only when the structure
-        does not settle the index.
+    def _hits(self, gens: list, lo: int, hi: int) -> list[int]:
+        """The membership kernel: indices lo <= n <= hi at which every generator vanishes.
+
+        Each generator costs one residue at the first control prime, read
+        from the coordinates' residue tracks there; a nonzero one is a miss.
+        A zero one, or a coordinate whose residue there is at infinity, goes
+        to `_vanishes`.  Past the exact horizon and the structural base, a
+        class whose verdict is already "zero" settles the index with no
+        residue at all.
         """
-        if gen.is_zero:
-            return True
-        count = len(self.control_primes)
-        for qi in range(count):
-            value = self._modular_value(gen, n, qi)
-            if value is None:
+        if not gens:
+            return list(range(lo, hi + 1))
+        q = self.control_primes[0]
+        tables = [(gen, id(gen), self._generator_residues(gen, 0)) for gen in gens]
+        period, zero_classes = self.preperiodic_cycle_lcm, self._zero_classes
+        settled_from = max(self._structural_base, self._horizon)
+        columns = [self._coordinate_residues(i, lo, hi, 0) for i in range(len(self.models))]
+        hits = []
+        for n, *x in zip(range(lo, hi + 1), *columns):
+            if _OFF_CHART in x:
                 continue
+            finite = INF_RESIDUE not in x
+            for gen, key, table in tables:
+                if finite and n >= settled_from and (key, n % period) in zero_classes:
+                    continue
+                seen = finite and table is not None
+                if seen and residue_eval(table, x, q) or not self._vanishes(gen, n, seen):
+                    break
+            else:
+                hits.append(n)
+        return hits
+
+    def _coordinate_residues(self, i: int, lo: int, hi: int, qi: int) -> list:
+        """Coordinate i's residues at the qi-th control prime for the indices
+        lo..hi: INF_RESIDUE where the residue is at infinity, _OFF_CHART where
+        a prefix or cycle point is."""
+        m = self.models[i]
+        if (i, qi) not in self._heads:
+            q = self.control_primes[qi]
+            self._heads[i, qi] = [_OFF_CHART if p.is_infinity else reduce_point(p, q) for p in m.prefix]
+        head = self._heads[i, qi]
+        if m.kind == "preperiodic":
+            return [head[n if n < m.tail else m.tail + (n - m.tail) % m.cycle] for n in range(lo, hi + 1)]
+        track = self.streams[m.stream].track(hi + m.delta, qi)
+        return head[lo : hi + 1] + track[max(lo, len(head)) + m.delta : hi + 1 + m.delta]
+
+    def _vanishes(self, gen: Polynomial, n: int, seen: bool) -> bool:
+        """gen at Phi^n(alpha), where the first control prime shows a zero
+        residue (seen) or shows nothing.
+
+        Below the exact horizon exact evaluation decides.  Past it the class
+        structure decides at the first prime that sees every coordinate
+        finite; only when it settles nothing do the remaining primes run.
+        """
+        point = self.exact_point(n)
+        if point is not None:
+            return not any(p.is_infinity for p in point) and _cleared(gen, [(p.a, p.b) for p in point], 1) == 0
+        residues = (self._residue(gen, n, qi) for qi in range(1 if seen else 0, len(self.control_primes)))
+        if not seen:
+            value = next((r for r in residues if r is not None), None)
+            if value is None:
+                raise PrecisionExhausted(f"no control prime sees every coordinate at index {n} finite")
             if value:
                 return False
-            verdict = self._structural_verdict(gen, n)
-            if verdict != "unknown":
-                return verdict == "zero"
-            if any(self._modular_value(gen, n, qj) for qj in range(qi + 1, count)):
-                return False
-            raise PrecisionExhausted(
-                f"membership at index {n} is beyond the exact horizon and has no structural certificate"
-            )
-        raise PrecisionExhausted(f"no control prime sees every coordinate at index {n} finite")
+        verdict = self._structural_verdict(gen, n)
+        if verdict != "unknown":
+            return verdict == "zero"
+        if any(residues):
+            return False
+        raise PrecisionExhausted(
+            f"membership at index {n} is beyond the exact horizon and has no structural certificate"
+        )
 
-    def _modular_value(self, gen: Polynomial, n: int, qi: int) -> int | None:
+    def _residue(self, gen: Polynomial, n: int, qi: int) -> int | None:
         """gen at Phi^n(alpha) mod the qi-th control prime; None when some
         coordinate's residue there is at infinity, which tells nothing."""
-        q = self.control_primes[qi]
-        coords = []
-        for m in self.models:
-            if m.kind == "stream" and n >= len(m.prefix):
-                r = self.streams[m.stream].residue(n + m.delta, qi)
-            else:
-                pt = self.coordinate_value(m, n)
-                if pt.is_infinity:
-                    return 1  # off the affine chart: not on the variety
-                r = reduce_point(pt, q)
-            if r is INF_RESIDUE:
-                return None
-            coords.append(r)
-        return residue_eval(self._generator_residues(gen, qi), coords, q)
+        x = [self._coordinate_residues(i, n, n, qi)[0] for i in range(len(self.models))]
+        if INF_RESIDUE in x:
+            return None
+        table = self._generator_residues(gen, qi)
+        if table is None:
+            raise PrecisionExhausted("control prime collides with a coefficient")
+        return residue_eval(table, x, self.control_primes[qi])
 
-    def _generator_residues(self, gen: Polynomial, qi: int) -> dict:
-        """gen's coefficients mod the qi-th control prime, reduced once per scanner."""
+    def _generator_residues(self, gen: Polynomial, qi: int) -> dict | None:
+        """gen's coefficients mod the qi-th control prime, reduced once per
+        scanner; None when that prime divides a coefficient's denominator."""
         key = (id(gen), qi)
         if key not in self._residue_cache:
             try:
-                # the entry holds gen, so its id stays unique while cached
-                self._residue_cache[key] = (gen, gen.residues(self.control_primes[qi]))
+                table = gen.residues(self.control_primes[qi])
             except ZeroDivisionError:
-                raise PrecisionExhausted("control prime collides with a coefficient") from None
+                table = None
+            # the entry holds gen, so its id stays unique while cached
+            self._residue_cache[key] = (gen, table)
         return self._residue_cache[key][1]
 
     # -- structural analysis --------------------------------------------------------------
@@ -337,7 +394,10 @@ class OrbitScanner:
         key = (id(gen), n_class % self.preperiodic_cycle_lcm)
         if key not in self._structural_cache:
             # the entry holds gen, so its id stays unique while cached
-            self._structural_cache[key] = (gen, self._substitute(gen, n_class))
+            sub, shifts = self._substitute(gen, n_class)
+            self._structural_cache[key] = (gen, (sub, shifts))
+            if sub is not None and sub.is_zero:
+                self._zero_classes.add(key)
         return self._structural_cache[key][1]
 
     def _substitute(self, gen: Polynomial, n_class: int) -> tuple[Polynomial | None, list[int]]:
@@ -354,7 +414,7 @@ class OrbitScanner:
             else:
                 u_name = u_names[stream_ids.index(m.stream)]
                 coords.append(_iterate_fraction(m.phi, m.delta - base_shift[m.stream], u_name, u_names))
-        return _cleared(gen, coords, Polynomial(u_names, {})), [base_shift[s] for s in stream_ids]
+        return _cleared(gen, coords, Polynomial.constant(1, u_names)), [base_shift[s] for s in stream_ids]
 
     def _structural_verdict(self, gen: Polynomial, n: int) -> str:
         if n < self._structural_base:
@@ -376,16 +436,6 @@ class OrbitScanner:
 
     # -- convenience -------------------------------------------------------------------------
 
-    def scan(self, generators, limit: int) -> list[int]:
-        """Hit indices n <= limit: exact evaluation up to the exact horizon,
-        then is_hit's modular and structural path, with the first control
-        prime's stream tracks extended once to the limit."""
-        gens = list(generators)
-        for m in self.models:
-            if m.kind == "stream":
-                self.streams[m.stream].residue(limit + m.delta, 0)
-        return [n for n in range(limit + 1) if self.is_hit(gens, n)]
-
     def class_is_structurally_zero(self, generators, n_class: int) -> bool:
         """Proof that every generator vanishes on the whole class (all n >= base)
         wherever every coordinate is finite."""
@@ -402,20 +452,23 @@ def _iterate_fraction(phi: RationalMap, k: int, var: str, variables) -> tuple[Po
     return num.with_variables(variables), den.with_variables(variables)
 
 
-def _cleared(gen: Polynomial, coords, zero):
+def _cleared(gen: Polynomial, coords, one):
     """gen at x_i = N_i / D_i times the product of D_i ** deg_{x_i}(gen).
 
     `coords` holds one (N_i, D_i) pair per variable of gen, as ints or as
-    Polynomials; where every D_i is nonzero the result vanishes exactly when
-    gen does.  `zero` is the zero of the result's ring.
+    Polynomials, and `one` is the unit of their ring; where every D_i is
+    nonzero the result vanishes exactly when gen does.  A factor equal to
+    one is never multiplied in.
     """
     tops = [gen.degree(v) or 0 for v in gen.variables]
-    total = zero
+    total = one - one
     for exps, c in gen.terms.items():
-        term = c
+        term = None
         for (num, den), e, top in zip(coords, exps, tops):
-            term = term * num**e * den ** (top - e)
-        total = total + term
+            for base, k in ((num, e), (den, top - e)):
+                if k and base != one:
+                    term = base**k if term is None else term * base**k
+        total = total + (c if term is None else term if c == 1 else term * c)
     return total
 
 

@@ -63,3 +63,34 @@ def schoolbook_product(a_terms, b_terms):
             key = tuple(x + y for x, y in zip(e1, e2))
             acc[key] = acc.get(key, Fraction(0)) + c1 * c2
     return {k: v for k, v in acc.items() if v}
+
+
+def fraction_orbit_hits(maps, starts, generators, limit):
+    """Indices n <= limit at which every generator vanishes at the orbit
+    point, by plain Fraction iteration.
+
+    `maps` holds one (numerator, denominator) pair of low-to-high coefficient
+    lists per coordinate and each generator is an {exponent tuple:
+    coefficient} map; no orbit may pass through infinity.
+    """
+    point = [Fraction(s) for s in starts]
+    hits = []
+    for n in range(limit + 1):
+        if n:
+            point = [poly_eval_fraction(num, x) / poly_eval_fraction(den, x) for (num, den), x in zip(maps, point)]
+        powers: dict = {}
+        values = []
+        for gen in generators:
+            total = Fraction(0)
+            for exps, c in gen.items():
+                term = Fraction(c)
+                for i, e in enumerate(exps):
+                    if e:
+                        if (i, e) not in powers:
+                            powers[i, e] = point[i] ** e
+                        term *= powers[i, e]
+                total += term
+            values.append(total)
+        if not any(values):
+            hits.append(n)
+    return hits

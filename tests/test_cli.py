@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from orbitlang import cli
 from orbitlang.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, run
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -154,6 +155,21 @@ def test_json_determinism_modulo_timing(monkeypatch):
 def test_usage_error_exit_two(monkeypatch):
     code, _ = invoke(["decide", "--point", "0"], monkeypatch=monkeypatch)
     assert code == EXIT_USAGE
+
+
+def test_runs_share_one_parser():
+    cli._parser.cache_clear()
+    argv = ["--json", "orbit", "--map", "t^2+1", "--point", "0", "--steps", "3"]
+    code, first = invoke(argv)
+    assert code == EXIT_OK
+    assert invoke(["decide", "--point", "0"])[0] == EXIT_USAGE
+    code, second = invoke(argv)
+    assert code == EXIT_OK
+    assert cli._parser.cache_info().misses == 1
+    a, b = jsonline(first), jsonline(second)
+    a.pop("timing")
+    b.pop("timing")
+    assert a == b and a["inputs"]["steps"] == 3
 
 
 def test_syntax_error_exit_two(monkeypatch):
