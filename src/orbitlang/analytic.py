@@ -367,7 +367,7 @@ def _p_normalized_integer_coeffs(F: Polynomial, p: int) -> Polynomial:
     if F.is_zero:
         return F
     shift = min(valuation(c, p) for c in F.terms.values())
-    return F * (Fraction(p) ** (-shift))
+    return F * (Fraction(p) ** (-shift)) if shift else F
 
 
 def certify_vanishing(F: Polynomial, thetas: list[MahlerSeries], order=None, precision=None):

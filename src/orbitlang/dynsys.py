@@ -187,6 +187,10 @@ class RationalMap:
         self.is_polynomial = all(gi[i] == 0 for i in range(1, d + 1))
 
     def _coprime(self) -> bool:
+        g0, *rest = self.coeffs_g
+        if g0 and not any(rest):
+            # a nonzero constant denominator shares no factor with anything
+            return True
         g = self.affine_numerator().gcd(self.affine_denominator())
         # a shared root at infinity is impossible: top coefficients never both vanish
         return g.total_degree() == 0
@@ -325,7 +329,8 @@ class RationalMap:
         for _ in range(n):
             num, den = self.forms_at(num, den)
             scale = form_scale(num.univariate_coeffs(), den.univariate_coeffs())
-            num, den = num * scale, den * scale
+            if scale != 1:
+                num, den = num * scale, den * scale
         return num, den
 
     def iterate_polynomial(self, n: int, var: str = "t") -> Polynomial:

@@ -239,7 +239,8 @@ def parse_expression(src: str) -> ParsedExpression:
         return ParsedExpression("map", phi, format_map(phi))
     if not value.den.is_constant():
         raise NonPolynomialWhereRequired("curve and variety expressions must be polynomial")
-    poly = value.num * (Fraction(1) / value.den.constant_value())
+    den = value.den.constant_value()
+    poly = value.num if den == 1 else value.num * (Fraction(1) / den)
     _, prim = poly.content_and_primitive()
     if set(variables) <= {"x", "y"}:
         curve_poly = prim.with_variables(("x", "y"))
@@ -269,6 +270,6 @@ def format_map(phi: RationalMap) -> str:
     num = phi.affine_numerator()
     den = phi.affine_denominator()
     if phi.is_polynomial:
-        scaled = num * Fraction(1, den.constant_value())
-        return format_polynomial(scaled)
+        lead = den.constant_value()
+        return format_polynomial(num if lead == 1 else num * Fraction(1, lead))
     return f"({format_polynomial(num)})/({format_polynomial(den)})"

@@ -465,19 +465,22 @@ def horner_forms(forms, p: Polynomial, q: Polynomial) -> list[Polynomial]:
 
     One homogeneous Horner pass per coefficient list c (all of length d + 1),
     sharing the powers of q; p and q share one variable tuple.  With q = 1
-    this is the composition c(p) of a polynomial with p.
+    this is the composition c(p) of a polynomial with p.  No product by the
+    constant 1 is taken.
     """
     d = len(forms[0]) - 1
-    q_pows = [Polynomial.constant(1, p.variables), q]
-    for _ in range(2, d + 1):
+    unit = q == Polynomial.constant(1, q.variables)
+    q_pows = [None, q]
+    while not unit and len(q_pows) <= d:
         q_pows.append(q_pows[-1] * q)
     out = []
     for c in forms:
-        acc = q_pows[0] * c[d]
+        acc = Polynomial.constant(c[d], p.variables) if d == 0 else p if c[d] == 1 else p * c[d]
         for i in range(d - 1, -1, -1):
-            acc = acc * p
             if c[i]:
-                acc = acc + q_pows[d - i] * c[i]
+                acc = acc + (c[i] if unit else q_pows[d - i] if c[i] == 1 else q_pows[d - i] * c[i])
+            if i:
+                acc = acc * p
         out.append(acc)
     return out
 

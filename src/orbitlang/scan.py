@@ -3,25 +3,25 @@
 Orbit heights under a map of degree d >= 2 grow like d^n, so a scan to
 n = 1000 cannot hold exact values.  Membership of the orbit point in a
 variety is still decided exactly, by one kernel that settles a whole index
-range.  Each generator's coefficients are reduced once mod the first of
-several 61-bit control primes, and each coordinate's residues there are
-read off its residue track (a preperiodic coordinate repeats its cycle).
-At every index:
+range and computes only what it reads.  Coordinates whose starting values
+lie on a common orbit are aliases of one stream.  Exact orbit values are
+computed on demand below a height cap (the exact horizon), and each
+generator on a class n mod L (L the lcm of the preperiodic cycles)
+becomes, after clearing the denominators of the iterates, a polynomial in
+one stream value per stream, built once per class.  Its verdict gives the
+class one cut, from which every later index of the class is settled with
+no residue: identically zero is a hit past the horizon (where every
+coordinate is finite by structure); a nonzero constant, a preperiodic
+coordinate at infinity or an escaped stream (one that provably exceeds the
+root bound of a nonzero univariate substitution) is a miss.  Below the cut:
 
-* a nonzero residue is a miss: the exact value is then certainly nonzero;
+* a generator costs one residue at the first of several 61-bit control
+  primes, read off the coordinates' residue tracks there (a preperiodic
+  coordinate repeats its cycle), and a nonzero residue is a miss;
 * a zero residue, or a coordinate whose residue is at infinity, is decided
-  exactly while coordinate heights stay below a cap (the exact horizon);
-* past it the class structure decides.  Coordinates whose starting values
-  lie on a common orbit are aliases of one stream, so each generator on a
-  class n mod L (L the lcm of the preperiodic cycles) becomes, after
-  clearing the denominators of the iterates, a polynomial in one stream
-  value per stream, built once per class.  Identically zero is a hit; a
-  nonzero constant, a preperiodic coordinate at infinity or an escaped
-  stream (one that provably exceeds the root bound of a nonzero univariate
-  substitution) is a miss.  Once a class is identically zero, each of its
-  indices past the horizon whose residues are finite is a hit with no
-  residue at all;
-* when the structure settles nothing the remaining primes run, and when
+  by exact evaluation below the horizon, once per scanner, and past it by
+  the class verdict;
+* when that settles nothing the remaining primes run, and when
   none of them shows a nonzero residue the scanner raises
   PrecisionExhausted rather than guessing.
 """
@@ -71,7 +71,7 @@ def _log2_lower(num: int, den: int) -> int:
 
 
 class _Stream:
-    """One wandering orbit: exact prefix, control-prime tracks, growth bounds.
+    """One wandering orbit: exact values on demand, control-prime tracks, growth bounds.
 
     Exact values are points of P^1(Q) up to the height cap.  Each control
     prime's track steps through the map's reduction there, and a residue may
@@ -85,9 +85,24 @@ class _Stream:
         self.reduced = reduced
         self.residues = [[reduce_point(self.exact[0], r.prime)] for r in reduced]
 
+    def past_cap(self, x: PPoint) -> bool:
+        """Whether phi(x) is provably past the height cap, without computing it.
+
+        For polynomial forms F = sum f_i X^i Y^(d-i), G = g0 Y^d and
+        K = 1 + sum_{i<d} |f_i|, max(|F(a, b)|, |G(a, b)|) >= max(|a|, |b|)^d / K^d
+        and gcd(F(a, b), G(a, b)) divides g0 f_d^d.
+        """
+        phi, f = self.phi, self.phi.coeffs_f
+        slack = phi.degree * ((1 + sum(map(abs, f[:-1]))).bit_length() + abs(f[-1]).bit_length())
+        slack += abs(phi.coeffs_g[0]).bit_length()
+        return phi.is_polynomial and phi.degree * (x.height_bits() - 1) - slack >= EXACT_BITS_CAP
+
     def exact_value(self, n: int) -> PPoint | None:
         """The n-th orbit point, or None past the height cap."""
         while not self.exact_done and len(self.exact) <= n:
+            if self.past_cap(self.exact[-1]):
+                self.exact_done = True
+                break
             value = self.phi.apply(self.exact[-1])
             if value.height_bits() > EXACT_BITS_CAP:
                 self.exact_done = True
@@ -169,8 +184,6 @@ class OrbitScanner:
         self.control_primes, self._reductions = self._pick_control_primes()
         self.models: list[_CoordModel] = []
         self.streams: list[_Stream] = []
-        # (map, exact value) -> (stream, index) over each stream's first PREFIX_LIMIT values
-        lookup: dict[tuple[RationalMap, PPoint], tuple[int, int]] = {}
         for i, (phi, x) in enumerate(zip(self.maps, self.alpha)):
             status = orbit_status(phi, x)
             if status.is_preperiodic:
@@ -180,7 +193,7 @@ class OrbitScanner:
                 # taken to wander once its height passes the status cutoff
                 raise PrecisionExhausted(f"cannot prove coordinate {i} non-preperiodic")
             else:
-                model = self._stream_model(phi, status.prefix, lookup)
+                model = self._stream_model(phi, status.prefix)
             self.models.append(model)
         cycles = [m for m in self.models if m.kind == "preperiodic"]
         self.preperiodic_cycle_lcm = math.lcm(*(m.cycle for m in cycles))
@@ -190,21 +203,12 @@ class OrbitScanner:
         # the first index from which every preperiodic coordinate is on its
         # cycle and every aliased coordinate reads its stream
         self._structural_base = max([self.max_tail] + [len(m.prefix) for m in self.models if m.kind == "stream"])
-        # the first index with no exact point, where known; the class verdicts
-        # stand in for exact evaluation only from here on
-        self._horizon = min(
-            (
-                max(len(m.prefix), len(self.streams[m.stream].exact) - m.delta)
-                for m in self.models
-                if m.kind == "stream" and self.streams[m.stream].exact_done
-            ),
-            default=math.inf,
-        )
         self._heads: dict = {}
         self._residue_cache: dict = {}
         self._structural_cache: dict = {}
-        # the keys of _structural_cache whose substituted generator is zero
-        self._zero_classes: set = set()
+        # (id(gen), class) -> (gen, class verdict); (id(gen), n) -> (gen, exact membership)
+        self._verdicts: dict = {}
+        self._exact: dict = {}
 
     # -- setup ------------------------------------------------------------------
 
@@ -225,22 +229,38 @@ class OrbitScanner:
             primes.append(q)
         return tuple(primes), reductions
 
-    def _stream_model(self, phi: RationalMap, prefix, lookup) -> _CoordModel:
+    def _stream_model(self, phi: RationalMap, prefix) -> _CoordModel:
         """Alias a wandering coordinate onto an earlier stream at the first
-        exact value they share, or open a stream for it; `prefix` starts its orbit."""
+        exact value they share, or open a stream for it; `prefix` starts its orbit.
+
+        Values b and a of the two orbits count for a, b < PREFIX_LIMIT below the
+        height cap: b ascending, then the streams in order, then a ascending.
+        Equal values have equal residues, so the first control prime's tracks
+        propose the pairs, and only their exact values are computed.
+        """
         stream = _Stream(phi, prefix, [r[phi] for r in self._reductions])
-        for b in range(PREFIX_LIMIT):
-            value = stream.exact_value(b)
-            if value is None:
-                break
-            if (phi, value) in lookup:
-                s, a = lookup[(phi, value)]
-                return _CoordModel("stream", phi, tuple(stream.exact[:b]), stream=s, delta=a - b)
+        earlier = [(s, st, st.track(PREFIX_LIMIT - 1, 0)) for s, st in enumerate(self.streams) if st.phi == phi]
+        for b, r in enumerate(stream.track(PREFIX_LIMIT - 1, 0) if earlier else ()):
+            for s, st, track in earlier:
+                for a in (a for a, ra in enumerate(track) if ra == r):
+                    value = stream.exact_value(b)
+                    if value is not None and st.exact_value(a) == value:
+                        return _CoordModel("stream", phi, tuple(stream.exact[:b]), stream=s, delta=a - b)
         self.streams.append(stream)
-        s = len(self.streams) - 1
-        for a, value in enumerate(stream.exact[:PREFIX_LIMIT]):
-            lookup.setdefault((phi, value), (s, a))
-        return _CoordModel("stream", phi, (), stream=s, delta=0)
+        return _CoordModel("stream", phi, (), stream=len(self.streams) - 1, delta=0)
+
+    @functools.cached_property
+    def _horizon(self) -> float:
+        """The first index with no exact point, where some stream passes the cap
+        within PREFIX_LIMIT values; zero verdicts settle indices only from here on."""
+        return min(
+            (
+                max(len(m.prefix), len(self.streams[m.stream].exact) - m.delta)
+                for m in self.models
+                if m.kind == "stream" and self.streams[m.stream].exact_value(PREFIX_LIMIT - 1) is None
+            ),
+            default=math.inf,
+        )
 
     # -- values ---------------------------------------------------------------------
 
@@ -284,34 +304,63 @@ class OrbitScanner:
     def _hits(self, gens: list, lo: int, hi: int) -> list[int]:
         """The membership kernel: indices lo <= n <= hi at which every generator vanishes.
 
-        Each generator costs one residue at the first control prime, read
-        from the coordinates' residue tracks there; a nonzero one is a miss.
-        A zero one, or a coordinate whose residue there is at infinity, goes
-        to `_vanishes`.  Past the exact horizon and the structural base, a
-        class whose verdict is already "zero" settles the index with no
-        residue at all.
+        An index is settled with no residue from a miss cut of one generator,
+        or from the hit cuts of all of them, on its class (`_cut`); the hit cuts
+        need every coordinate finite, which polynomial streams are.  Below, each
+        generator costs one residue at the first control prime, read from the
+        coordinates' residue tracks there; a nonzero one is a miss, and a hit
+        cut stands in for a zero one where every residue is finite.  A zero one,
+        or a coordinate whose residue there is at infinity, goes to `_vanishes`.
         """
         if not gens:
             return list(range(lo, hi + 1))
+        period = self.preperiodic_cycle_lcm
+        structural = all(m.phi.is_polynomial for m in self.models if m.kind == "stream")
+        # per class: the index from which it is a miss, from which it is a hit,
+        # and from which each generator vanishes
+        classes = {}
+        for n in range(lo, min(hi, lo + period - 1) + 1):
+            cuts = [self._cut(gen, n) if hi >= self._structural_base else (math.inf, False) for gen in gens]
+            zero = [cut if hit else math.inf for cut, hit in cuts]
+            miss = min([math.inf] + [cut for cut, hit in cuts if not hit])
+            classes[n % period] = (miss, max(zero) if structural else math.inf, zero)
+        hits, todo = [], []
+        for n in range(lo, hi + 1):
+            miss, hit, _ = classes[n % period]
+            if n < miss and n < hit:
+                todo.append(n)
+            elif n < miss:
+                hits.append(n)
+        if not todo:
+            return hits
         q = self.control_primes[0]
-        tables = [(gen, id(gen), self._generator_residues(gen, 0)) for gen in gens]
-        period, zero_classes = self.preperiodic_cycle_lcm, self._zero_classes
-        settled_from = max(self._structural_base, self._horizon)
-        columns = [self._coordinate_residues(i, lo, hi, 0) for i in range(len(self.models))]
-        hits = []
-        for n, *x in zip(range(lo, hi + 1), *columns):
+        tables = [(gen, self._generator_residues(gen, 0)) for gen in gens]
+        # the tracks are extended only as far as the unsettled indices reach
+        columns = [self._coordinate_residues(i, lo, todo[-1], 0) for i in range(len(self.models))]
+        for n in todo:
+            x = [column[n - lo] for column in columns]
             if _OFF_CHART in x:
                 continue
             finite = INF_RESIDUE not in x
-            for gen, key, table in tables:
-                if finite and n >= settled_from and (key, n % period) in zero_classes:
+            for (gen, table), zero_from in zip(tables, classes[n % period][2]):
+                if finite and n >= zero_from:
                     continue
                 seen = finite and table is not None
                 if seen and residue_eval(table, x, q) or not self._vanishes(gen, n, seen):
                     break
             else:
                 hits.append(n)
-        return hits
+        return sorted(hits)
+
+    def _cut(self, gen: Polynomial, n: int) -> tuple[float, bool]:
+        """The index from which gen's verdict settles every later index of the
+        class of n, and whether as hits.  A zero verdict stands in for exact
+        evaluation only past the horizon, and only where every coordinate is
+        finite (a preperiodic coordinate at infinity makes the verdict nonzero)."""
+        verdict, start = self._class_verdict(gen, n)
+        if verdict == "zero":
+            return max(start, self._horizon), True
+        return (start if verdict == "nonzero" else math.inf), False
 
     def _coordinate_residues(self, i: int, lo: int, hi: int, qi: int) -> list:
         """Coordinate i's residues at the qi-th control prime for the indices
@@ -331,13 +380,19 @@ class OrbitScanner:
         """gen at Phi^n(alpha), where the first control prime shows a zero
         residue (seen) or shows nothing.
 
-        Below the exact horizon exact evaluation decides.  Past it the class
-        structure decides at the first prime that sees every coordinate
-        finite; only when it settles nothing do the remaining primes run.
+        Below the exact horizon exact evaluation decides, once per scanner.  Past
+        it the class structure decides at the first prime that sees every
+        coordinate finite; only when it settles nothing do the remaining primes run.
         """
+        key = (id(gen), n)
+        if key in self._exact:
+            return self._exact[key][1]
         point = self.exact_point(n)
         if point is not None:
-            return not any(p.is_infinity for p in point) and _cleared(gen, [(p.a, p.b) for p in point], 1) == 0
+            hit = not any(p.is_infinity for p in point) and _cleared(gen, [(p.a, p.b) for p in point], 1) == 0
+            # the entry holds gen, so its id stays unique while cached
+            self._exact[key] = (gen, hit)
+            return hit
         residues = (self._residue(gen, n, qi) for qi in range(1 if seen else 0, len(self.control_primes)))
         if not seen:
             value = next((r for r in residues if r is not None), None)
@@ -396,8 +451,6 @@ class OrbitScanner:
             # the entry holds gen, so its id stays unique while cached
             sub, shifts = self._substitute(gen, n_class)
             self._structural_cache[key] = (gen, (sub, shifts))
-            if sub is not None and sub.is_zero:
-                self._zero_classes.add(key)
         return self._structural_cache[key][1]
 
     def _substitute(self, gen: Polynomial, n_class: int) -> tuple[Polynomial | None, list[int]]:
@@ -416,23 +469,30 @@ class OrbitScanner:
                 coords.append(_iterate_fraction(m.phi, m.delta - base_shift[m.stream], u_name, u_names))
         return _cleared(gen, coords, Polynomial.constant(1, u_names)), [base_shift[s] for s in stream_ids]
 
+    def _class_verdict(self, gen: Polynomial, n: int) -> tuple[str, float]:
+        """gen's verdict on the class of n, found once per scanner: "zero",
+        "nonzero" or "unknown", with the index from which it holds."""
+        key = (id(gen), n % self.preperiodic_cycle_lcm)
+        if key not in self._verdicts:
+            base = self._structural_base
+            sub, shifts = self.substituted_generator(gen, n)
+            verdict = ("unknown", math.inf)
+            if sub is None or sub.is_constant():
+                # None: a preperiodic coordinate sits at infinity on this class
+                verdict = ("zero" if sub is not None and sub.is_zero else "nonzero", base)
+            elif len(live := [j for j, name in enumerate(sub.variables) if sub.degree(name)]) == 1:
+                (j,) = live
+                bound = _cauchy_root_bound_log2(sub.with_variables((sub.variables[j],)))
+                threshold = self.streams[self._stream_ids[j]].eventually_exceeds(bound)
+                if threshold is not None:
+                    verdict = ("nonzero", max(base, threshold - shifts[j]))
+            # the entry holds gen, so its id stays unique while cached
+            self._verdicts[key] = (gen, verdict)
+        return self._verdicts[key][1]
+
     def _structural_verdict(self, gen: Polynomial, n: int) -> str:
-        if n < self._structural_base:
-            return "unknown"
-        sub, shifts = self.substituted_generator(gen, n)
-        if sub is None:
-            # a preperiodic coordinate sits at infinity on this class
-            return "nonzero"
-        if sub.is_constant():
-            return "zero" if sub.is_zero else "nonzero"
-        live = [j for j, name in enumerate(sub.variables) if sub.degree(name)]
-        if len(live) == 1:
-            j = live[0]
-            univ = sub.with_variables((sub.variables[j],))
-            threshold = self.streams[self._stream_ids[j]].eventually_exceeds(_cauchy_root_bound_log2(univ))
-            if threshold is not None and n + shifts[j] >= threshold:
-                return "nonzero"
-        return "unknown"
+        verdict, start = self._class_verdict(gen, n)
+        return verdict if n >= start else "unknown"
 
     # -- convenience -------------------------------------------------------------------------
 

@@ -3,6 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -172,6 +173,24 @@ def test_superattracting_iff_cycle_meets_critical_set():
         assert isinstance(rec, CycleRecord)
         crit = {p for p, _ in critical_points(phi)}
         assert (rec.multiplier == 0) == any(p in crit for p in rec.points)
+
+
+def test_a_constant_denominator_needs_no_gcd(monkeypatch):
+    def no_gcd(*args, **kwargs):
+        raise AssertionError("sympy.gcd called")
+
+    monkeypatch.setattr(sympy, "gcd", no_gcd)
+    phi = RationalMap([1, 0, 1], [1, 0, 0])
+    assert phi.is_polynomial and phi.apply(2) == PPoint(5, 1)
+    assert RationalMap([1, 0, 2], [3, 0, 0]).apply(1) == PPoint(1, 1)
+
+
+def test_a_zero_denominator_is_still_a_common_factor():
+    # (t)/(0): every form divides the zero form
+    with pytest.raises(ValueError, match="common factor"):
+        RationalMap([0, 1], [0, 0])
+    with pytest.raises(ValueError, match="common factor"):
+        RationalMap([1, 0, 1], [0, 0, 0])
 
 
 def test_iterate_polynomial_matches_pointwise():

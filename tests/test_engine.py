@@ -1,7 +1,10 @@
+import io
+import json
 from fractions import Fraction
 
 import pytest
 
+from orbitlang.cli import run
 from orbitlang.dynsys import RationalMap, iterate
 from orbitlang.engine import (
     Certified,
@@ -225,3 +228,26 @@ def test_soundness_of_reported_indices():
         x = iterate(f, a, n).as_fraction()
         y = iterate(f, _apply(f, a), n).as_fraction()
         assert y == x * x + Fraction(3, 2)
+
+
+def test_a_decide_multiplies_by_no_constant_one(monkeypatch):
+    # every Polynomial product in one decide on t^2+1, from parsing the input
+    # through the scan and the interpolation to the report
+    products = []
+    mul = Polynomial.__mul__
+
+    def is_one(x):
+        return x.is_constant() and x.constant_value() == 1 if isinstance(x, Polynomial) else x == 1
+
+    def recorded(a, b):
+        if is_one(a) or is_one(b):
+            products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", recorded)
+    monkeypatch.setattr(Polynomial, "__rmul__", recorded)
+    for variety, progressions in (("x2-x1^2-1", 1), ("x1-x2", 0)):
+        stream = io.StringIO()
+        assert run(["--json", "decide", "--map", "t^2+1", "--point", "0,1", "--variety", variety], stream=stream) == 0
+        assert len(json.loads(stream.getvalue())["result"]["progressions"]) == progressions
+    assert products == []

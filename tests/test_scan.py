@@ -1,8 +1,9 @@
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbitlang.dynsys import PPoint, RationalMap, iterate, orbit_status
@@ -23,14 +24,22 @@ from oracles import fraction_orbit_hits
 
 
 def test_control_prime_in_a_generator_denominator_exhausts_precision():
-    # the orbit of 0 under t^2+1 passes the exact horizon before n = 20
-    scanner = OrbitScanner([RationalMap.quadratic(1)], [0])
+    # the orbits of 0 under t^2+1 and t^2+2 are independent streams that pass
+    # the exact horizon before n = 20, so no class verdict settles x1/q + x2 + 1
+    maps = [RationalMap.quadratic(1), RationalMap.quadratic(2)]
+    scanner = OrbitScanner(maps, [0, 0])
     q = scanner.control_primes[0]
-    gen = Polynomial(("x1",), {(1,): Fraction(1, q), (0,): 1})
+    gen = Polynomial(("x1", "x2"), {(1, 0): Fraction(1, q), (0, 1): 1, (0, 0): 1})
     assert not scanner.is_hit([gen], 5)
     assert scanner.exact_point(20) is None
     with pytest.raises(PrecisionExhausted, match="control prime collides with a coefficient"):
         scanner.is_hit([gen], 20)
+    # on one stream x1/q + 1 is univariate, and index 20 is a proven escape miss
+    scanner = OrbitScanner([RationalMap.quadratic(1)], [0])
+    gen = Polynomial(("x1",), {(1,): Fraction(1, q), (0,): 1})
+    assert not scanner.is_hit([gen], 5)
+    assert scanner.exact_point(20) is None and scanner._structural_verdict(gen, 20) == "nonzero"
+    assert not scanner.is_hit([gen], 20)
 
 
 def test_classes_keyed_modulo_the_cycle_lcm():
@@ -48,8 +57,9 @@ def test_classes_keyed_modulo_the_cycle_lcm():
 
 def test_an_index_past_the_horizon_costs_one_residue_per_generator(monkeypatch):
     # x2 = x1^2 + 1 holds at every index of the orbit of (0, 1) under t^2+1;
-    # each index past the exact horizon is settled by the first control
-    # prime and the class structure, for hits and misses alike
+    # past the exact horizon a class that its verdict settles costs no
+    # residue, for hits and misses alike, and a class that it does not
+    # settle costs one first-prime residue per generator evaluated
     names = ("x1", "x2")
     graph = Polynomial(names, {(0, 1): 1, (2, 0): -1, (0, 0): -1})
     diagonal = Polynomial(names, {(1, 0): 1, (0, 1): -1})
@@ -64,20 +74,27 @@ def test_an_index_past_the_horizon_costs_one_residue_per_generator(monkeypatch):
 
     monkeypatch.setattr(scan, "residue_eval", counted)
     assert scanner.exact_point(500) is None
+    # graph and graph * diagonal are identically zero on the class, and
+    # diagonal is x1 - x1^2 - 1 there, a miss once the stream has escaped
     assert scanner.is_hit([graph], 500)
-    assert calls == [0]
-    calls.clear()
-    # graph's class is settled as zero at 500, so only the product costs a residue
     assert scanner.is_hit([graph, graph * diagonal], 501)
-    assert calls == [0]
-    calls.clear()
     assert not scanner.is_hit([diagonal], 502)
-    assert calls == [0]
-    calls.clear()
+    assert calls == []
     assert scanner.scan([graph], 1000) == list(range(1001))
     # below the horizon each index costs its residue; past it the class is settled
     horizon = next(n for n in range(1001) if scanner.exact_point(n) is None)
     assert scanner._structural_base == 0 and calls == [0] * horizon
+    calls.clear()
+    # 3 starts a stream of its own, so x1 - x3 has no class verdict and costs
+    # its residue, while graph, zero on the class, costs none
+    names = ("x1", "x2", "x3")
+    graph = Polynomial(names, {(0, 1, 0): 1, (2, 0, 0): -1, (0, 0, 0): -1})
+    apart = Polynomial(names, {(1, 0, 0): 1, (0, 0, 1): -1})
+    independent = OrbitScanner(maps + maps[:1], [0, 1, 3])
+    assert independent.exact_point(500) is None
+    assert not independent.is_hit([apart], 500)
+    assert not independent.is_hit([graph, apart], 501)
+    assert calls == [0, 0]
 
 
 def test_control_primes_are_searched_once_per_process(monkeypatch):
@@ -116,6 +133,26 @@ def test_rational_orbits_scan_past_the_exact_horizon():
     maps = [JOUKOWSKI, JOUKOWSKI]
     assert brute_force_scan(maps, [1, 2], [invariant], 1000) == list(range(1001))
     assert brute_force_scan(maps, [1, 2], [diagonal], 1000) == []
+
+
+def test_a_rational_zero_class_past_the_horizon_costs_no_residue(monkeypatch):
+    # x1 * x2 - x1^2 - 1 is invariant under (t^2+1)/t from (1, 2): the orbit
+    # could meet infinity, so the class is not settled without reading the
+    # residues, but where they are finite its zero verdict stands in
+    names = ("x1", "x2")
+    invariant = Polynomial(names, {(2, 0): 1, (0, 0): 1, (1, 1): -1})
+    scanner = OrbitScanner([JOUKOWSKI, JOUKOWSKI], [1, 2])
+    calls = []
+    evaluate = scan.residue_eval
+
+    def counted(table, x, q):
+        calls.append(x)
+        return evaluate(table, x, q)
+
+    monkeypatch.setattr(scan, "residue_eval", counted)
+    assert scanner.scan([invariant], 1000) == list(range(1001))
+    assert scanner._cut(invariant, 0) == (scanner._horizon, True)
+    assert len(calls) == scanner._horizon < 1000
 
 
 @st.composite
@@ -197,14 +234,14 @@ def test_a_structurally_zero_class_costs_no_residue(monkeypatch):
 
     monkeypatch.setattr(scan, "residue_eval", counted)
     assert scanner.scan([x1], 1000) == list(range(0, 1001, 2))
-    # every odd index costs its nonzero residue; the even class costs one
-    # residue per index up to its first index past the horizon, whose verdict
-    # is identically zero, and none after it
-    first_even_past = horizon + horizon % 2
+    # the odd class's substitution is the nonzero constant -1, which settles
+    # every odd index as a miss from the structural base with no residue; the
+    # even class costs one residue per index below the horizon and none from
+    # there on, where its verdict, identically zero, stands in
     assert scanner._structural_base == 0
-    assert len(calls) == 500 + first_even_past // 2 + 1
-    # the odd class's substitution is a nonzero constant, which settles no index
-    assert scanner._structural_verdict(x1, 999) == "nonzero"
+    assert scanner._structural_verdict(x1, 999) == "nonzero" and scanner._cut(x1, 999) == (0, False)
+    assert scanner._cut(x1, 1000) == (horizon, True)
+    assert len(calls) == (horizon + 1) // 2
     assert scanner.scan([x1], 1000) == list(range(0, 1001, 2))
 
 
@@ -345,8 +382,209 @@ def test_a_coordinate_at_infinity_is_never_a_hit(monkeypatch):
 
     monkeypatch.setattr(scan, "residue_eval", counted)
     assert scanner.scan([x1 + 1], 1000) == []
-    # an index with x1 = oo costs no residue
-    assert len(calls) == 501
+    # x1 + 1 is the nonzero constant 1 on the even class and x1 is at infinity
+    # on the odd one, so both classes are settled misses and no index costs a residue
+    assert calls == []
+    assert scanner._cut(x1 + 1, 0) == scanner._cut(x1 + 1, 1) == (0, False)
     monkeypatch.undo()
     assert scanner.scan([x1], 1000) == list(range(0, 1001, 2))
     assert not scanner.is_hit([x1 + 1], 999) and not scanner.is_hit([x1 * 0], 1)
+
+
+def test_a_no_hit_scan_computes_no_exact_value_past_the_status_prefix(monkeypatch):
+    # the orbits of 0 under t^2+1 and t^2+2 are independent streams, and
+    # x1 - x2 - 5 vanishes nowhere and has no class verdict, so every index
+    # is settled by a nonzero first-prime residue
+    maps = [RationalMap.quadratic(1), RationalMap.quadratic(2)]
+    gen = Polynomial(("x1", "x2"), {(1, 0): 1, (0, 1): -1, (0, 0): -5})
+    applied = []
+    apply = RationalMap.apply
+
+    def counted(phi, x):
+        applied.append(x)
+        return apply(phi, x)
+
+    scanner = OrbitScanner(maps, [0, 0])
+    monkeypatch.setattr(RationalMap, "apply", counted)
+    assert scanner.scan([gen], 1000) == []
+    assert applied == []
+    assert [s.exact for s in scanner.streams] == [list(orbit_status(phi, 0).prefix) for phi in maps]
+
+
+def _lookup_models(maps, starts):
+    """(stream, delta, prefix length) per wandering coordinate, by looking up
+    exact values: each orbit's first PREFIX_LIMIT values below the height cap,
+    the first shared value b, then the earliest stream, then its first index a."""
+    lookup, out, streams = {}, [], 0
+    for phi, x in zip(maps, starts):
+        values = [PPoint.of(x)]
+        while len(values) < scan.PREFIX_LIMIT:
+            value = phi.apply(values[-1])
+            if value.height_bits() > scan.EXACT_BITS_CAP:
+                break
+            values.append(value)
+        for b, value in enumerate(values):
+            if (phi, value) in lookup:
+                s, a = lookup[phi, value]
+                out.append((s, a - b, b))
+                break
+        else:
+            for a, value in enumerate(values):
+                lookup.setdefault((phi, value), (streams, a))
+            out.append((streams, 0, 0))
+            streams += 1
+    return out
+
+
+@pytest.mark.parametrize("c, s, j", [(1, 3, 1), (2, -5, 2), (-1, Fraction(1, 2), 1), (3, 2**300 + 1, 2)])
+def test_residue_aliasing_finds_the_exact_lookup_models(c, s, j):
+    # -f^j(s) and f^j(s) share f^(j+1)(s) one step later: the coordinate reads
+    # the first stream with delta j after a one-point prefix; 7 starts a
+    # stream of its own, and -7 and 7 then collide after one step; s + q has
+    # the residues of s at the first control prime q but none of its values
+    f = RationalMap.quadratic(c)
+    starts = [s, -iterate(f, s, j).as_fraction(), 7, -7, s + scan._control_candidate(0)]
+    scanner = OrbitScanner([f] * 5, starts)
+    models = [(m.stream, m.delta, len(m.prefix)) for m in scanner.models]
+    assert models == _lookup_models([f] * 5, starts)
+    assert models[1] == (0, j, 1) and models[3] == (1, 0, 1) and models[4] == (2, 0, 0)
+    assert scanner.models[1].prefix == (PPoint.of(starts[1]),)
+
+
+def _of_bits(lo: int, hi: int):
+    """Integers whose bit length is drawn uniformly from lo..hi."""
+    return st.integers(lo, hi).flatmap(lambda k: st.integers(2 ** (k - 1), 2**k - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@example([1, 0], 1, 1, 2**40, 1)  # past the cap: 2^80 + 1
+@example([0, 1], 1, 2, 2**32, 1)  # not past it: (2^64 + 2^32) / 2 has 64 bits
+@given(
+    st.lists(st.integers(-40, 40), min_size=1, max_size=3),
+    st.integers(-5, 5).filter(bool),
+    st.integers(1, 7),
+    st.tuples(st.sampled_from([1, -1]), _of_bits(18, 40)).map(lambda t: t[0] * t[1]),
+    st.one_of(st.just(1), _of_bits(1, 40)),
+)
+def test_the_height_bound_skips_only_values_past_the_cap(low, lead, g0, a, b):
+    phi = RationalMap(low + [lead], [g0] + [0] * len(low))
+    x = PPoint(a, b)
+    with mock.patch.object(scan, "EXACT_BITS_CAP", 64):
+        stream = scan._Stream(phi, [x], [])
+        if stream.past_cap(x):
+            assert phi.apply(x).height_bits() > 64
+        # the exact values are those of plain iteration up to the cap
+        values = [x]
+        for _ in range(20):
+            value = phi.apply(values[-1])
+            if value.height_bits() > 64:
+                break
+            values.append(value)
+        stream.exact_value(20)
+        assert stream.exact == values
+
+
+@st.composite
+def cut_instances(draw):
+    """Polynomial coordinates and generators whose class cuts come out zero,
+    nonzero or escape.
+
+    x1 is preperiodic; x2 wanders under t^2+c from a start big enough that
+    the exact horizon falls inside the scan; x3 = -f^j(x2's start) reads x2's
+    stream from index 1 with delta j, or, with x2 and x3 swapped, opens the
+    stream and x2 reads it with delta -j.  The first generator is the relation
+    x3 = f^j(x2) (identically zero on every class), x1 - k for k off x1's
+    orbit (a nonzero constant on every class) or x2 + m x3 + k (univariate in
+    the stream, so a miss once the stream escapes); a second one may follow.
+    """
+    c1, x1 = draw(st.sampled_from([(-1, 0), (-1, 1), (-2, -2), (0, -1)]))
+    c = draw(st.integers(1, 3))
+    s = 2 ** draw(st.integers(200, 300)) + draw(st.integers(-9, 9))
+    j = draw(st.integers(1, 2))
+    f = RationalMap.quadratic(c)
+    starts = [x1, s, -iterate(f, s, j).as_fraction()]
+    maps = [RationalMap.quadratic(c1), f, f]
+    names = ("x1", "x2", "x3")
+    xs = [Polynomial.variable(v, names) for v in names]
+    coeff = st.integers(-3, 3)
+    relation = xs[2] - f.iterate_polynomial(j, "x2").with_variables(names)
+    outcome = draw(st.sampled_from(["zero", "nonzero", "escape"]))
+    first = {
+        "zero": relation * (xs[0] + draw(coeff)),
+        "nonzero": xs[0] - draw(st.sampled_from([3, -3, 5])),
+        "escape": xs[1] + xs[2] * draw(coeff) + draw(coeff),
+    }[outcome]
+    pool = [relation, xs[0] - draw(st.integers(-2, 2)), xs[0] * draw(coeff) + xs[1] * draw(coeff) + draw(coeff)]
+    gens = [first] + draw(st.lists(st.sampled_from(pool), max_size=1))
+    if draw(st.booleans()):
+        starts[1:], maps[1:] = starts[:0:-1], maps[:0:-1]
+        gens = [Polynomial(names, {(e[0], e[2], e[1]): v for e, v in g.terms.items()}) for g in gens]
+    return maps, starts, gens, outcome
+
+
+@settings(max_examples=20, deadline=None)
+@given(cut_instances())
+def test_each_cut_outcome_agrees_with_plain_iteration(instance):
+    maps, starts, gens, outcome = instance
+    limit = 12
+    scanner = OrbitScanner(maps, starts)
+    period, base = scanner.preperiodic_cycle_lcm, scanner._structural_base
+    assert scanner.exact_point(limit) is None
+    assert [(m.stream, m.delta, len(m.prefix)) for m in scanner.models[1:]] == _lookup_models(maps[1:], starts[1:])
+    expected = fraction_orbit_hits([_as_pair(phi) for phi in maps], starts, [g.terms for g in gens], limit)
+    assert scanner.scan(gens, limit) == expected
+    assert [n for n in range(limit + 1) if scanner.is_hit(gens, n)] == expected
+    fresh = OrbitScanner(maps, starts)
+    assert [n for n in range(limit + 1) if fresh.is_hit(gens, n)] == expected
+    # the first generator's cuts settle indices inside the scan, as its outcome says
+    cuts = [scanner._cut(gens[0], n) for n in range(base, base + period)]
+    sub_is_constant = [scanner.substituted_generator(gens[0], n)[0].is_constant() for n in range(period)]
+    if outcome == "zero":
+        assert all(hit and cut == max(base, scanner._horizon) <= limit for cut, hit in cuts)
+    elif outcome == "nonzero":
+        assert all(sub_is_constant) and cuts == [(base, False)] * period
+    else:
+        assert not any(sub_is_constant) and all(not hit and cut <= limit for cut, hit in cuts)
+
+
+def test_an_escape_cut_reads_the_stream_at_its_shift():
+    # 1 opens the stream of t^2+1 and 0 reads it one step behind (delta -1):
+    # x2 = 26 at index 4, where the stream is at 677 and has escaped past 26's
+    # root bound, so the escape settles x2 - 26 as a miss only from index 5
+    f = RationalMap.quadratic(1)
+    gen = Polynomial(("x1", "x2"), {(0, 1): 1, (0, 0): -26})
+    scanner = OrbitScanner([f, f], [1, 0])
+    assert scanner.models[1].delta == -1 and scanner._cut(gen, 0) == (5, False)
+    assert scanner.scan([gen], 100) == [4] and scanner.is_hit([gen], 4)
+
+
+def test_the_soundness_check_reevaluates_no_scanned_index(monkeypatch):
+    # the orbit of (0, 1) under t^2+1: x2 = x1^2 + 1 at every index, and
+    # x1 = 26 at index 4 only
+    names = ("x1", "x2")
+    graph = Polynomial(names, {(0, 1): 1, (2, 0): -1, (0, 0): -1})
+    meets_26 = Polynomial(names, {(1, 0): 1, (0, 0): -26})
+    maps = [RationalMap.quadratic(1)] * 2
+    evaluated = []
+    cleared = scan._cleared
+
+    def counted(gen, coords, one):
+        if isinstance(one, int):
+            evaluated.append(gen)
+        return cleared(gen, coords, one)
+
+    monkeypatch.setattr(scan, "_cleared", counted)
+    for gens, description in (
+        ([graph], IntersectionDescription((Progression(1, 0, 0),), (), ScanOnly(100))),
+        ([meets_26], IntersectionDescription((), (4,), ScanOnly(100))),
+    ):
+        scanner = OrbitScanner(maps, [0, 1])
+        scanner.scan(gens, 100)
+        assert evaluated
+        evaluated.clear()
+        _soundness_check(description, scanner, gens, EngineOptions())
+        assert evaluated == []
+        # a fresh scanner evaluates them
+        _soundness_check(description, OrbitScanner(maps, [0, 1]), gens, EngineOptions())
+        assert evaluated
+        evaluated.clear()
