@@ -328,9 +328,12 @@ def orbit_interpolate(
         values.append(value)
     samples = values[ell::k]
     series = MahlerSeries(prime, precision, k, ell, samples)
+    # repeated prefix sums invert the forward-difference table: the series at n = 0, 1, ...
+    mod, table = phi_m.modulus, series.residues
     for n in range(order + 1):
-        if series.evaluate_residue(n) != samples[n]:
+        if table[0] != samples[n]:
             raise VerificationFailed(f"Mahler series misses its sample at n={n}")
+        table = [(a + b) % mod for a, b in zip(table, table[1:])]
     return series
 
 

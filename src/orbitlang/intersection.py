@@ -97,7 +97,9 @@ def _bezout_matrix(phi: RationalMap) -> list[list[Fraction]]:
 
 
 def _cross(p: Polynomial, q: Polynomial) -> Polynomial:
-    """p(x) q(y) - p(y) q(x) for univariate p, q."""
+    """p(x) q(y) - p(y) q(x) for univariate p, q, with no product by q = 1."""
+    if q == Polynomial.constant(1, q.variables):
+        return p.placed(_BIV, "x") - p.placed(_BIV, "y")
     return p.placed(_BIV, "x") * q.placed(_BIV, "y") - p.placed(_BIV, "y") * q.placed(_BIV, "x")
 
 
@@ -107,9 +109,11 @@ def _bezoutian_at(bezout: list[list[Fraction]], p: Polynomial, q: Polynomial) ->
     basis = horner_forms([[int(a == b) for b in range(d)] for a in range(d)], p, q)  # p^a q^(d-1-a)
     rows = horner_forms(bezout, p, q)
     acc = Polynomial(_BIV, {})
+    one = Polynomial.constant(1, p.variables)
     for left, right in zip(basis, rows):
         if not right.is_zero:
-            acc = acc + left.placed(_BIV, "x") * right.placed(_BIV, "y")
+            x_part, y_part = left.placed(_BIV, "x"), right.placed(_BIV, "y")
+            acc = acc + (y_part if left == one else x_part if right == one else x_part * y_part)
     return acc
 
 
@@ -129,13 +133,15 @@ def diagonal_pullback(phi: RationalMap, n: int, cap: int = DEFAULT_LEVEL_CAP) ->
     chain = [_cross(p, q)]
     layers = [chain[0]]
     for k in range(1, n + 1):
-        P, Q = phi.forms_at(p, q)
+        fresh = _bezoutian_at(bezout, p, q)
+        p, q = phi.forms_at(p, q)
         if phi.is_polynomial:
-            scale = 1 / Q.constant_value()
+            scale = 1 / q.constant_value()
         else:
-            scale = form_scale(P.univariate_coeffs(), Q.univariate_coeffs())
-        layers.append(_bezoutian_at(bezout, p, q) * (scale * scale))
-        p, q = P * scale, Q * scale
+            scale = form_scale(p.univariate_coeffs(), q.univariate_coeffs())
+        if scale != 1:  # a monic polynomial map has scale 1, and a product by it repacks the whole layer
+            fresh, p, q = fresh * (scale * scale), p * scale, q * scale
+        layers.append(fresh)
         chain.append(_cross(p, q))
         if chain[k - 1] * layers[k] != chain[k]:
             raise InexactDivision(f"chain verification failed at level {k}")

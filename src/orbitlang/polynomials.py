@@ -16,7 +16,7 @@ All values are immutable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd, lcm
+from math import gcd as _int_gcd, lcm, prod
 from operator import attrgetter, mul
 from typing import Iterable
 
@@ -26,7 +26,7 @@ from sympy.polys.domains import RationalField
 from .errors import InexactDivision, RingMismatch
 from .padics import residue
 
-__all__ = ["Polynomial", "horner_forms", "poly_eval", "residue_eval"]
+__all__ = ["Polynomial", "horner_forms", "poly_eval", "residue_eval", "residue_values"]
 
 
 _RATIONALS = RationalField()
@@ -469,7 +469,8 @@ def horner_forms(forms, p: Polynomial, q: Polynomial) -> list[Polynomial]:
     constant 1 is taken.
     """
     d = len(forms[0]) - 1
-    unit = q == Polynomial.constant(1, q.variables)
+    one = Polynomial.constant(1, q.variables)
+    unit = q == one
     q_pows = [None, q]
     while not unit and len(q_pows) <= d:
         q_pows.append(q_pows[-1] * q)
@@ -480,7 +481,7 @@ def horner_forms(forms, p: Polynomial, q: Polynomial) -> list[Polynomial]:
             if c[i]:
                 acc = acc + (c[i] if unit else q_pows[d - i] if c[i] == 1 else q_pows[d - i] * c[i])
             if i:
-                acc = acc * p
+                acc = p if acc == one else acc * p
         out.append(acc)
     return out
 
@@ -503,6 +504,16 @@ def residue_eval(residues: dict, coords, m: int) -> int:
                 c = c * (x if e == 1 else pow(x, e, m)) % m
         acc += c
     return acc % m
+
+
+def residue_values(residues: dict, points: list, m: int) -> list[int]:
+    """:func:`residue_eval` at each residue point of `points`, in one pass
+    over the terms for the whole batch."""
+    acc = [0] * len(points)
+    for exps, c in residues.items():
+        for k, x in enumerate(points):
+            acc[k] += prod((pow(v, e, m) for v, e in zip(x, exps) if e), start=c)
+    return [a % m for a in acc]
 
 
 def format_polynomial(poly: Polynomial) -> str:

@@ -3,27 +3,27 @@
 Orbit heights under a map of degree d >= 2 grow like d^n, so a scan to
 n = 1000 cannot hold exact values.  Membership of the orbit point in a
 variety is still decided exactly, by one kernel that settles a whole index
-range and computes only what it reads.  Coordinates whose starting values
-lie on a common orbit are aliases of one stream.  Exact orbit values are
-computed on demand below a height cap (the exact horizon), and each
-generator on a class n mod L (L the lcm of the preperiodic cycles)
-becomes, after clearing the denominators of the iterates, a polynomial in
-one stream value per stream, built once per class.  Its verdict gives the
-class one cut, from which every later index of the class is settled with
-no residue: identically zero is a hit past the horizon (where every
-coordinate is finite by structure); a nonzero constant, a preperiodic
-coordinate at infinity or an escaped stream (one that provably exceeds the
-root bound of a nonzero univariate substitution) is a miss.  Below the cut:
+range and computes only what it reads, in three steps.
 
-* a generator costs one residue at the first of several 61-bit control
-  primes, read off the coordinates' residue tracks there (a preperiodic
-  coordinate repeats its cycle), and a nonzero residue is a miss;
-* a zero residue, or a coordinate whose residue is at infinity, is decided
-  by exact evaluation below the horizon, once per scanner, and past it by
-  the class verdict;
-* when that settles nothing the remaining primes run, and when
-  none of them shows a nonzero residue the scanner raises
-  PrecisionExhausted rather than guessing.
+* The sieve: at a small prime of good reduction every residue orbit is
+  eventually periodic, so one residue per class settles as misses all the
+  indices of a class where some generator's residue is nonzero.
+* The cuts: coordinates whose starting values lie on a common orbit are
+  aliases of one stream, and exact orbit values are computed on demand below
+  a height cap (the exact horizon).  A generator on a class n mod L (L the
+  lcm of the preperiodic cycles) becomes, after clearing the denominators of
+  the iterates, a polynomial in one stream value per stream; its verdict
+  settles the rest of the class with no residue: identically zero is a hit
+  past the horizon (where every coordinate is finite by structure); a
+  nonzero constant, a preperiodic coordinate at infinity or an escaped
+  stream (one that provably exceeds the root bound of a nonzero univariate
+  substitution) is a miss.
+* The control primes: any other index costs one residue per generator at
+  the first of several 61-bit primes, and a nonzero one is a miss.  A zero
+  one, or one at infinity, is decided by exact evaluation below the horizon,
+  once per scanner, and past it by the class verdict, found there and then;
+  when that settles nothing the remaining primes run, and when none shows a
+  nonzero residue the scanner raises PrecisionExhausted rather than guessing.
 """
 
 from __future__ import annotations
@@ -35,15 +35,16 @@ from fractions import Fraction
 
 from .errors import BadReduction, PrecisionExhausted
 from .dynsys import PPoint, RationalMap, escape_radius, orbit_status
-from .padics import next_prime
-from .polynomials import Polynomial, residue_eval
-from .reduction import INF_RESIDUE, ReducedMap, RPoint, reduce_map, reduce_point
+from .padics import is_prime, next_prime
+from .polynomials import Polynomial, residue_eval, residue_values
+from .reduction import INF_RESIDUE, ReducedMap, RPoint, reduce_map, reduce_point, residue_orbit
 
 __all__ = ["OrbitScanner", "OrbitRecord"]
 
 EXACT_BITS_CAP = 65536
 PREFIX_LIMIT = 48
 CONTROL_PRIME_COUNT = 5
+SIEVE_PRIMES = tuple(q for q in range(2, 64) if is_prime(q))
 # the residue of a prefix or cycle point at infinity: off the affine chart, so never a hit
 _OFF_CHART = -1
 
@@ -56,9 +57,9 @@ def _control_candidate(i: int) -> int:
 
 # bounded: a long run over many random maps would otherwise keep every reduction
 @functools.lru_cache(maxsize=1024)
-def _control_reduction(phi: RationalMap, q: int) -> ReducedMap | None:
-    """phi's reduction at the control prime q, or None where it is bad, found
-    once per process for the maps in recent use."""
+def _reduction(phi: RationalMap, q: int) -> ReducedMap | None:
+    """phi's reduction at the control or sieve prime q, or None where it is
+    bad, found once per process for the maps in recent use."""
     try:
         return reduce_map(phi, q)
     except BadReduction:
@@ -204,6 +205,7 @@ class OrbitScanner:
         # cycle and every aliased coordinate reads its stream
         self._structural_base = max([self.max_tail] + [len(m.prefix) for m in self.models if m.kind == "stream"])
         self._heads: dict = {}
+        self._sieves: dict = {}
         self._residue_cache: dict = {}
         self._structural_cache: dict = {}
         # (id(gen), class) -> (gen, class verdict); (id(gen), n) -> (gen, exact membership)
@@ -212,21 +214,27 @@ class OrbitScanner:
 
     # -- setup ------------------------------------------------------------------
 
+    def _reductions_at(self, q: int) -> dict | None:
+        """Each map's reduction at q, or None unless every map has good
+        reduction there and every finite start is q-integral: the one test of
+        control and sieve primes."""
+        if any(x.b % q == 0 for x in self.alpha if x.b):
+            return None
+        reduced = {phi: _reduction(phi, q) for phi in dict.fromkeys(self.maps)}
+        return None if None in reduced.values() else reduced
+
     def _pick_control_primes(self):
-        """The first primes above 2^61 at which every map has good reduction
-        and every finite start is integral, with each map's reduction there."""
+        """The first primes above 2^61 that pass `_reductions_at`, with each
+        map's reduction there."""
         primes, reductions = [], []
         i = 0
         while len(primes) < CONTROL_PRIME_COUNT:
             q = _control_candidate(i)
             i += 1
-            if any(x.b % q == 0 for x in self.alpha if x.b):
-                continue
-            reduced = {phi: _control_reduction(phi, q) for phi in dict.fromkeys(self.maps)}
-            if None in reduced.values():
-                continue
-            reductions.append(reduced)
-            primes.append(q)
+            reduced = self._reductions_at(q)
+            if reduced is not None:
+                reductions.append(reduced)
+                primes.append(q)
         return tuple(primes), reductions
 
     def _stream_model(self, phi: RationalMap, prefix) -> _CoordModel:
@@ -304,53 +312,115 @@ class OrbitScanner:
     def _hits(self, gens: list, lo: int, hi: int) -> list[int]:
         """The membership kernel: indices lo <= n <= hi at which every generator vanishes.
 
-        An index is settled with no residue from a miss cut of one generator,
-        or from the hit cuts of all of them, on its class (`_cut`); the hit cuts
-        need every coordinate finite, which polynomial streams are.  Below, each
-        generator costs one residue at the first control prime, read from the
-        coordinates' residue tracks there; a nonzero one is a miss, and a hit
-        cut stands in for a zero one where every residue is finite.  A zero one,
-        or a coordinate whose residue there is at infinity, goes to `_vanishes`.
+        The sieve goes first (`_sieve`).  An open index is then settled with no
+        residue from a miss cut of one generator, or from the hit cuts of all of
+        them, on its class (`_cut`), once a verdict there is found; the hit cuts
+        need every coordinate finite, which polynomial streams are.  Otherwise
+        each generator costs one residue at the first control prime; a nonzero
+        one is a miss, and a hit cut stands in for a zero one where every residue
+        is finite.  A zero one, or one at infinity, goes to `_vanishes`.
         """
         if not gens:
             return list(range(lo, hi + 1))
         period = self.preperiodic_cycle_lcm
         structural = all(m.phi.is_polynomial for m in self.models if m.kind == "stream")
-        # per class: the index from which it is a miss, from which it is a hit,
-        # and from which each generator vanishes
-        classes = {}
-        for n in range(lo, min(hi, lo + period - 1) + 1):
-            cuts = [self._cut(gen, n) if hi >= self._structural_base else (math.inf, False) for gen in gens]
-            zero = [cut if hit else math.inf for cut, hit in cuts]
-            miss = min([math.inf] + [cut for cut, hit in cuts if not hit])
-            classes[n % period] = (miss, max(zero) if structural else math.inf, zero)
-        hits, todo = [], []
-        for n in range(lo, hi + 1):
-            miss, hit, _ = classes[n % period]
-            if n < miss and n < hit:
-                todo.append(n)
-            elif n < miss:
-                hits.append(n)
-        if not todo:
-            return hits
         q = self.control_primes[0]
-        tables = [(gen, self._generator_residues(gen, 0)) for gen in gens]
-        # the tracks are extended only as far as the unsettled indices reach
-        columns = [self._coordinate_residues(i, lo, todo[-1], 0) for i in range(len(self.models))]
-        for n in todo:
-            x = [column[n - lo] for column in columns]
+        tables = [(gen, self._generator_residues(gen, q)) for gen in gens]
+        classes, hits = {}, []
+        for n in self._sieve(gens, lo, hi):
+            c = n % period
+            if c not in classes:
+                # the cuts from the class verdicts found so far; a generator with none has no cut
+                cuts = [self._cut(gen, n) if (id(gen), c) in self._verdicts else (math.inf, False) for gen in gens]
+                zero = [cut if hit else math.inf for cut, hit in cuts]
+                miss = min([math.inf] + [cut for cut, hit in cuts if not hit])
+                classes[c] = (miss, max(zero) if structural else math.inf, zero)
+            miss, hit, zero = classes[c]
+            if n >= miss:
+                continue
+            if n >= hit:
+                hits.append(n)
+                continue
+            # the tracks are extended only as far as the open, uncut indices reach
+            x = [self._coordinate_residue(i, n, 0) for i in range(len(self.models))]
             if _OFF_CHART in x:
                 continue
             finite = INF_RESIDUE not in x
-            for (gen, table), zero_from in zip(tables, classes[n % period][2]):
+            for (gen, table), zero_from in zip(tables, zero):
                 if finite and n >= zero_from:
                     continue
                 seen = finite and table is not None
-                if seen and residue_eval(table, x, q) or not self._vanishes(gen, n, seen):
+                if seen and residue_eval(table, x, q):
+                    break
+                # past the horizon this finds the class verdict, so the class's cuts are read again
+                classes.pop(c, None)
+                if not self._vanishes(gen, n, seen):
                     break
             else:
                 hits.append(n)
-        return sorted(hits)
+        return hits
+
+    def _sieve(self, gens: list, lo: int, hi: int) -> list[int]:
+        """The indices lo..hi that no sieve prime settles as misses, in order.
+
+        At a prime q that passes `_reductions_at`, an index n >= T reads the
+        residues of its class c = n mod K in T..T+K-1 (`_sieve_orbits`), and one
+        below T is a class of its own.  A class is a miss when every coordinate
+        residue is finite and some generator with q-integral coefficients has a
+        nonzero residue: good reduction commutes with the map, and a finite
+        residue makes the coordinate q-integral.  The open indices are kept as
+        progressions inside one class at every prime so far.  A prime with more
+        classes than open indices is skipped, and a single open index is left to
+        the control primes.  A true hit never settles, but a miss can read zero
+        at one prime (the orbits of 0 and 2 under t^2+1 agree mod 2), so two
+        idle primes in a row stop the sieve.
+        """
+        runs, count, idle = [range(lo, hi + 1)], hi - lo + 1, 0
+        for q in SIEVE_PRIMES:
+            if count < 2 or idle == 2:
+                break
+            tables = [t for t in (self._generator_residues(gen, q) for gen in gens) if t is not None]
+            sieve = self._sieve_orbits(q) if tables else None
+            if sieve is None or sieve[1] > count:
+                continue
+            tail, period, paths = sieve
+            pieces = []
+            for run in runs:
+                # the members below the tail one by one, then one progression per class
+                below = min(len(run), max(0, -((run.start - tail) // run.step)))
+                rest, stride = run[below:], period // math.gcd(period, run.step)
+                pieces += [run[j : j + 1] for j in range(below)]
+                pieces += [rest[j::stride] for j in range(min(stride, len(rest)))]
+            classes = [n if n < tail else tail + (n - tail) % period for n in (piece[0] for piece in pieces)]
+            points = {c: [p[c if c < t else t + (c - t) % (len(p) - t)] for p, t in paths] for c in set(classes)}
+            finite = {c: x for c, x in points.items() if INF_RESIDUE not in x}
+            zero = finite
+            for table in tables:
+                zero = {c: x for (c, x), v in zip(zero.items(), residue_values(table, list(zero.values()), q)) if not v}
+            settled = finite.keys() - zero.keys()
+            idle = 0 if settled else idle + 1
+            runs = [piece for piece, c in zip(pieces, classes) if c not in settled]
+            count = sum(map(len, runs))
+        return sorted(n for run in runs for n in run)
+
+    def _sieve_orbits(self, q: int) -> tuple[int, int, list] | None:
+        """(T, K, per coordinate (path, tail)) at q, found once per scanner, or
+        None where q fails `_reductions_at`: T is the largest residue-orbit
+        tail, K the lcm of the cycle lengths, and a path holds the residues
+        below the tail and then one cycle."""
+        if q not in self._sieves:
+            reduced, sieve = self._reductions_at(q), None
+            if reduced is not None:
+                paths = []
+                for phi, x in zip(self.maps, self.alpha):
+                    orbit = residue_orbit(reduced[phi], reduce_point(x, q))
+                    path = [orbit.start]
+                    while len(path) < orbit.tail:
+                        path.append(reduced[phi].apply(path[-1]))
+                    paths.append((path[: orbit.tail] + list(orbit.cycle), orbit.tail))
+                sieve = (max(t for _, t in paths), math.lcm(*(len(p) - t for p, t in paths)), paths)
+            self._sieves[q] = sieve
+        return self._sieves[q]
 
     def _cut(self, gen: Polynomial, n: int) -> tuple[float, bool]:
         """The index from which gen's verdict settles every later index of the
@@ -362,19 +432,20 @@ class OrbitScanner:
             return max(start, self._horizon), True
         return (start if verdict == "nonzero" else math.inf), False
 
-    def _coordinate_residues(self, i: int, lo: int, hi: int, qi: int) -> list:
-        """Coordinate i's residues at the qi-th control prime for the indices
-        lo..hi: INF_RESIDUE where the residue is at infinity, _OFF_CHART where
-        a prefix or cycle point is."""
+    def _coordinate_residue(self, i: int, n: int, qi: int) -> RPoint:
+        """Coordinate i's residue at the qi-th control prime at index n:
+        INF_RESIDUE where the residue is at infinity, _OFF_CHART where a
+        prefix or cycle point is."""
         m = self.models[i]
         if (i, qi) not in self._heads:
             q = self.control_primes[qi]
             self._heads[i, qi] = [_OFF_CHART if p.is_infinity else reduce_point(p, q) for p in m.prefix]
         head = self._heads[i, qi]
+        if n < len(head):
+            return head[n]
         if m.kind == "preperiodic":
-            return [head[n if n < m.tail else m.tail + (n - m.tail) % m.cycle] for n in range(lo, hi + 1)]
-        track = self.streams[m.stream].track(hi + m.delta, qi)
-        return head[lo : hi + 1] + track[max(lo, len(head)) + m.delta : hi + 1 + m.delta]
+            return head[m.tail + (n - m.tail) % m.cycle]
+        return self.streams[m.stream].track(n + m.delta, qi)[n + m.delta]
 
     def _vanishes(self, gen: Polynomial, n: int, seen: bool) -> bool:
         """gen at Phi^n(alpha), where the first control prime shows a zero
@@ -412,21 +483,21 @@ class OrbitScanner:
     def _residue(self, gen: Polynomial, n: int, qi: int) -> int | None:
         """gen at Phi^n(alpha) mod the qi-th control prime; None when some
         coordinate's residue there is at infinity, which tells nothing."""
-        x = [self._coordinate_residues(i, n, n, qi)[0] for i in range(len(self.models))]
+        x = [self._coordinate_residue(i, n, qi) for i in range(len(self.models))]
         if INF_RESIDUE in x:
             return None
-        table = self._generator_residues(gen, qi)
+        table = self._generator_residues(gen, self.control_primes[qi])
         if table is None:
             raise PrecisionExhausted("control prime collides with a coefficient")
         return residue_eval(table, x, self.control_primes[qi])
 
-    def _generator_residues(self, gen: Polynomial, qi: int) -> dict | None:
-        """gen's coefficients mod the qi-th control prime, reduced once per
-        scanner; None when that prime divides a coefficient's denominator."""
-        key = (id(gen), qi)
+    def _generator_residues(self, gen: Polynomial, q: int) -> dict | None:
+        """gen's coefficients mod the control or sieve prime q, reduced once
+        per scanner; None when q divides a coefficient's denominator."""
+        key = (id(gen), q)
         if key not in self._residue_cache:
             try:
-                table = gen.residues(self.control_primes[qi])
+                table = gen.residues(q)
             except ZeroDivisionError:
                 table = None
             # the entry holds gen, so its id stays unique while cached

@@ -17,7 +17,8 @@ from orbitlang.analytic import (
     strassmann_count,
 )
 from orbitlang.dynsys import RationalMap, iterate
-from orbitlang.errors import InsufficientPrecision, NotQuasiperiodic, PoleInDisk, ZeroSeries
+from orbitlang import analytic
+from orbitlang.errors import InsufficientPrecision, NotQuasiperiodic, PoleInDisk, VerificationFailed, ZeroSeries
 from orbitlang.padics import residue
 from orbitlang.polynomials import Polynomial
 from orbitlang.reduction import reduce_map
@@ -168,6 +169,32 @@ def test_orbit_interpolate_matches_iteration():
     for n in range(17):
         exact = iterate(f, x, n).as_fraction()
         assert theta.evaluate_residue(n) == exact.numerator * pow(exact.denominator, -1, mod) % mod
+
+
+def test_orbit_interpolate_rejects_a_series_that_misses_one_sample(monkeypatch):
+    # the series is built from samples with one of them off by one, so the
+    # self-check's rebuilt samples differ from the orbit's at that index
+    build = analytic.MahlerSeries
+
+    def off_at_five(prime, precision, step, offset, samples):
+        samples = list(samples)
+        samples[5] += 1
+        return build(prime, precision, step, offset, samples)
+
+    f, x = RationalMap.quadratic(-1), Fraction(1, 2)
+    monkeypatch.setattr(analytic, "MahlerSeries", off_at_five)
+    with pytest.raises(VerificationFailed, match="n=5"):
+        orbit_interpolate(f, x, 1, 0, prime=5, order=16, precision=24)
+    monkeypatch.undo()
+
+    # the check builds no exact binomials: it never evaluates the series
+    def no_evaluation(self, n):
+        raise AssertionError("series evaluated")
+
+    monkeypatch.setattr(MahlerSeries, "evaluate_residue", no_evaluation)
+    assert orbit_interpolate(f, x, 1, 0, prime=5, order=16, precision=24).samples[5] == residue(
+        iterate(f, x, 5).as_fraction(), 5**24
+    )
 
 
 def test_orbit_interpolate_requires_unit_multiplier():

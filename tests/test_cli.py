@@ -263,8 +263,18 @@ def test_divisors_level_six_within_budget():
 
 
 def test_failed_self_check_is_an_error_under_optimize():
-    # a Mahler series that misses its samples must be caught even with asserts stripped
-    prelude = "from orbitlang import analytic; analytic.MahlerSeries.evaluate_residue = lambda self, n: -1"
+    # a Mahler series that misses its samples must be caught even with asserts
+    # stripped: every series gets one corrupted residue after it is built
+    prelude = "\n".join(
+        [
+            "from orbitlang import analytic",
+            "build = analytic.MahlerSeries.__init__",
+            "def corrupted(self, *args):",
+            "    build(self, *args)",
+            "    self.residues = self.residues[:1] + (self.residues[1] + 1,) + self.residues[2:]",
+            "analytic.MahlerSeries.__init__ = corrupted",
+        ]
+    )
     argv = ["--json", "decide", "--map", "t^2-1", "--point", "1/2,-3/4", "--variety", "y-(x^2-1)", "--nmax", "20"]
     proc = run_cli_process(argv, timeout=30, prelude=prelude, python_flags=("-O",))
     assert proc.returncode == EXIT_USAGE

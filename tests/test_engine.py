@@ -230,9 +230,8 @@ def test_soundness_of_reported_indices():
         assert y == x * x + Fraction(3, 2)
 
 
-def test_a_decide_multiplies_by_no_constant_one(monkeypatch):
-    # every Polynomial product in one decide on t^2+1, from parsing the input
-    # through the scan and the interpolation to the report
+def _record_products_by_one(monkeypatch) -> list:
+    """Every Polynomial product with a factor equal to the constant 1, from now on."""
     products = []
     mul = Polynomial.__mul__
 
@@ -246,8 +245,24 @@ def test_a_decide_multiplies_by_no_constant_one(monkeypatch):
 
     monkeypatch.setattr(Polynomial, "__mul__", recorded)
     monkeypatch.setattr(Polynomial, "__rmul__", recorded)
+    return products
+
+
+def test_a_decide_multiplies_by_no_constant_one(monkeypatch):
+    # every Polynomial product in one decide on t^2+1, from parsing the input
+    # through the scan and the interpolation to the report
+    products = _record_products_by_one(monkeypatch)
     for variety, progressions in (("x2-x1^2-1", 1), ("x1-x2", 0)):
         stream = io.StringIO()
         assert run(["--json", "decide", "--map", "t^2+1", "--point", "0,1", "--variety", variety], stream=stream) == 0
         assert len(json.loads(stream.getvalue())["result"]["progressions"]) == progressions
+    assert products == []
+
+
+def test_a_divisor_chain_multiplies_by_no_constant_one(monkeypatch):
+    # t^3+t is monic, so every pullback level's scale is 1
+    products = _record_products_by_one(monkeypatch)
+    stream = io.StringIO()
+    assert run(["--json", "divisors", "--map", "t^3+t", "--level", "4"], stream=stream) == 0
+    assert len(json.loads(stream.getvalue())["result"]["levels"]) == 5
     assert products == []

@@ -1,4 +1,5 @@
 import sys
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -55,38 +56,67 @@ def test_classes_keyed_modulo_the_cycle_lcm():
     assert scanner._structural_verdict(x1, 999) == "nonzero"
 
 
+def _count_residues(monkeypatch, scanner):
+    """Record the scan module's residues: (q, 1) per control-prime residue of
+    one index, (q, number of classes) per batch of sieve-class residues."""
+    calls = []
+    evaluate, batch = scan.residue_eval, scan.residue_values
+
+    def counted(table, x, q):
+        assert q in scanner.control_primes
+        calls.append((q, 1))
+        return evaluate(table, x, q)
+
+    def counted_batch(table, points, q):
+        assert q in scan.SIEVE_PRIMES
+        calls.append((q, len(points)))
+        return batch(table, points, q)
+
+    monkeypatch.setattr(scan, "residue_eval", counted)
+    monkeypatch.setattr(scan, "residue_values", counted_batch)
+    return calls
+
+
+def _sieve_work_is_one_residue_per_class(scanner, calls, generators=1):
+    """Each usable sieve prime evaluates each generator at most once per class
+    (T + K classes at it), in one batch."""
+    sieve = [(q, n) for q, n in calls if q in scan.SIEVE_PRIMES]
+    assert all(n <= scanner._sieves[q][0] + scanner._sieves[q][1] for q, n in sieve)
+    assert all(sum(1 for r, _ in sieve if r == q) <= generators for q, _ in sieve)
+    return [c for c in calls if c[0] not in scan.SIEVE_PRIMES]
+
+
 def test_an_index_past_the_horizon_costs_one_residue_per_generator(monkeypatch):
     # x2 = x1^2 + 1 holds at every index of the orbit of (0, 1) under t^2+1;
-    # past the exact horizon a class that its verdict settles costs no
-    # residue, for hits and misses alike, and a class that it does not
-    # settle costs one first-prime residue per generator evaluated
+    # past the exact horizon an index whose class has no verdict yet costs one
+    # first-prime residue per generator evaluated, a zero one finds the class
+    # verdict, and from then on the class costs no residue, hits and misses alike
     names = ("x1", "x2")
     graph = Polynomial(names, {(0, 1): 1, (2, 0): -1, (0, 0): -1})
     diagonal = Polynomial(names, {(1, 0): 1, (0, 1): -1})
     maps = [RationalMap.quadratic(1), RationalMap.quadratic(1)]
     scanner = OrbitScanner(maps, [0, 1])
-    calls = []
-    evaluate = scan.residue_eval
-
-    def counted(table, x, q):
-        calls.append(scanner.control_primes.index(q))
-        return evaluate(table, x, q)
-
-    monkeypatch.setattr(scan, "residue_eval", counted)
+    q = scanner.control_primes[0]
+    calls = _count_residues(monkeypatch, scanner)
     assert scanner.exact_point(500) is None
     # graph and graph * diagonal are identically zero on the class, and
-    # diagonal is x1 - x1^2 - 1 there, a miss once the stream has escaped
+    # diagonal is x1 - x1^2 - 1 there, nonzero at the control prime
     assert scanner.is_hit([graph], 500)
     assert scanner.is_hit([graph, graph * diagonal], 501)
     assert not scanner.is_hit([diagonal], 502)
-    assert calls == []
+    assert calls == [(q, 1)] * 3
+    # a call on one index builds no sieve data
+    assert scanner._sieves == {}
+    calls.clear()
     assert scanner.scan([graph], 1000) == list(range(1001))
-    # below the horizon each index costs its residue; past it the class is settled
+    # no sieve prime settles a class of hits; below the horizon each index
+    # costs its residue, and past it the class verdict found above settles it
     horizon = next(n for n in range(1001) if scanner.exact_point(n) is None)
-    assert scanner._structural_base == 0 and calls == [0] * horizon
+    assert scanner._structural_base == 0
+    assert _sieve_work_is_one_residue_per_class(scanner, calls) == [(q, 1)] * horizon
     calls.clear()
     # 3 starts a stream of its own, so x1 - x3 has no class verdict and costs
-    # its residue, while graph, zero on the class, costs none
+    # its residue at every index, while graph costs one to find its verdict
     names = ("x1", "x2", "x3")
     graph = Polynomial(names, {(0, 1, 0): 1, (2, 0, 0): -1, (0, 0, 0): -1})
     apart = Polynomial(names, {(1, 0, 0): 1, (0, 0, 1): -1})
@@ -94,7 +124,9 @@ def test_an_index_past_the_horizon_costs_one_residue_per_generator(monkeypatch):
     assert independent.exact_point(500) is None
     assert not independent.is_hit([apart], 500)
     assert not independent.is_hit([graph, apart], 501)
-    assert calls == [0, 0]
+    assert calls == [(q, 1)] * 3
+    assert not independent.is_hit([graph, apart], 502)
+    assert calls == [(q, 1)] * 4
 
 
 def test_control_primes_are_searched_once_per_process(monkeypatch):
@@ -138,21 +170,15 @@ def test_rational_orbits_scan_past_the_exact_horizon():
 def test_a_rational_zero_class_past_the_horizon_costs_no_residue(monkeypatch):
     # x1 * x2 - x1^2 - 1 is invariant under (t^2+1)/t from (1, 2): the orbit
     # could meet infinity, so the class is not settled without reading the
-    # residues, but where they are finite its zero verdict stands in
+    # residues, but where they are finite its zero verdict stands in once the
+    # first index past the horizon has found it
     names = ("x1", "x2")
     invariant = Polynomial(names, {(2, 0): 1, (0, 0): 1, (1, 1): -1})
     scanner = OrbitScanner([JOUKOWSKI, JOUKOWSKI], [1, 2])
-    calls = []
-    evaluate = scan.residue_eval
-
-    def counted(table, x, q):
-        calls.append(x)
-        return evaluate(table, x, q)
-
-    monkeypatch.setattr(scan, "residue_eval", counted)
+    calls = _count_residues(monkeypatch, scanner)
     assert scanner.scan([invariant], 1000) == list(range(1001))
     assert scanner._cut(invariant, 0) == (scanner._horizon, True)
-    assert len(calls) == scanner._horizon < 1000
+    assert len(_sieve_work_is_one_residue_per_class(scanner, calls)) == scanner._horizon + 1 < 1000
 
 
 @st.composite
@@ -225,23 +251,19 @@ def test_a_structurally_zero_class_costs_no_residue(monkeypatch):
     x1 = Polynomial.variable("x1", ("x1", "x2"))
     scanner = OrbitScanner(maps, [0, 0])
     horizon = next(n for n in range(100) if scanner.exact_point(n) is None)
-    calls = []
-    evaluate = scan.residue_eval
-
-    def counted(table, x, q):
-        calls.append(x)
-        return evaluate(table, x, q)
-
-    monkeypatch.setattr(scan, "residue_eval", counted)
+    calls = _count_residues(monkeypatch, scanner)
     assert scanner.scan([x1], 1000) == list(range(0, 1001, 2))
-    # the odd class's substitution is the nonzero constant -1, which settles
-    # every odd index as a miss from the structural base with no residue; the
-    # even class costs one residue per index below the horizon and none from
-    # there on, where its verdict, identically zero, stands in
-    assert scanner._structural_base == 0
-    assert scanner._structural_verdict(x1, 999) == "nonzero" and scanner._cut(x1, 999) == (0, False)
+    # x1 is 1 mod 2 on the odd class, so the sieve settles every odd index with
+    # one residue and no class verdict; the even class costs one control-prime
+    # residue per index below the horizon and one more past it, which finds
+    # its verdict, identically zero, that then stands in for the rest
+    assert scanner._structural_base == 0 and (id(x1), 1) not in scanner._verdicts
+    assert _sieve_work_is_one_residue_per_class(scanner, calls) == [(scanner.control_primes[0], 1)] * (
+        (horizon + 1) // 2 + 1
+    )
     assert scanner._cut(x1, 1000) == (horizon, True)
-    assert len(calls) == (horizon + 1) // 2
+    # the odd class's substitution is the nonzero constant -1, a miss cut from the base
+    assert scanner._structural_verdict(x1, 999) == "nonzero" and scanner._cut(x1, 999) == (0, False)
     assert scanner.scan([x1], 1000) == list(range(0, 1001, 2))
 
 
@@ -588,3 +610,84 @@ def test_the_soundness_check_reevaluates_no_scanned_index(monkeypatch):
         _soundness_check(description, OrbitScanner(maps, [0, 1]), gens, EngineOptions())
         assert evaluated
         evaluated.clear()
+
+
+@pytest.mark.parametrize("k", [12, 13])
+def test_a_no_hit_scan_of_an_aliased_pair_builds_no_substitution(monkeypatch, k):
+    # (3, f^k(3)) under f = t^2+1: x2 reads x1's stream at delta k, so x1 - x2
+    # on a class is x1 - f^k(x1), of degree 2^k; no residue of it is zero, so
+    # no class verdict is needed and none is built
+    f = RationalMap.quadratic(1)
+    gen = Polynomial(("x1", "x2"), {(1, 0): 1, (0, 1): -1})
+    scanner = OrbitScanner([f, f], [3, iterate(f, 3, k).as_fraction()])
+    assert (scanner.models[1].stream, scanner.models[1].delta) == (0, k)
+
+    def no_substitution(gen, n_class):
+        raise AssertionError("substituted generator built")
+
+    monkeypatch.setattr(scanner, "_substitute", no_substitution)
+    start = time.perf_counter()
+    assert scanner.scan([gen], 1000) == []
+    assert time.perf_counter() - start < 10
+
+
+def test_the_sieve_settles_a_multi_map_line_before_any_control_prime(monkeypatch):
+    # x1 - 5*x2 - 2 from (2, 1) under t^2+3 and t^2+1: mod 2 both orbits
+    # alternate 0, 1 with no tail, out of step, so the line is 1 mod 2 on both
+    # classes and no index reads a control-prime residue
+    maps = [RationalMap.quadratic(3), RationalMap.quadratic(1)]
+    gen = Polynomial(("x1", "x2"), {(1, 0): 1, (0, 1): -5, (0, 0): -2})
+    scanner = OrbitScanner(maps, [2, 1])
+    calls = _count_residues(monkeypatch, scanner)
+    assert scanner.scan([gen], 1000) == []
+    tail, period, _ = scanner._sieves[2]
+    assert (tail, period) == (0, 2) and calls == [(2, 2)]
+    assert brute_force_scan(maps, [2, 1], [gen], 1000) == []
+
+
+@st.composite
+def sieve_instances(draw):
+    """Three coordinates and up to two generators that leave some small prime
+    unusable or only partly usable.
+
+    x1 is preperiodic; x2 wanders under t^2+c from a start whose denominator
+    may be 2 or 3 (that prime is then unusable); x3 wanders under (t^2+1)/t
+    from 1, 2 or 3, whose residue orbit reaches infinity at 2 (and at 3 from
+    3).  A generator may carry a coefficient with denominator 2, so that it
+    does not count at 2.  The generators vanish on a class of x1, at one
+    index of x2 or x3, or nowhere.
+    """
+    c1, x1 = draw(st.sampled_from([(-1, 0), (-1, 1), (-2, -2), (0, -1), (-2, 2)]))
+    c = draw(st.integers(1, 3))
+    big = draw(st.sampled_from([0, 2**200, 2**250]))
+    s = Fraction(big + draw(st.integers(-9, 9)), draw(st.sampled_from([1, 2, 3])))
+    f = RationalMap.quadratic(c)
+    x3 = draw(st.integers(1, 3))
+    maps, starts = [RationalMap.quadratic(c1), f, JOUKOWSKI], [x1, s, x3]
+    names = ("x1", "x2", "x3")
+    xs = [Polynomial.variable(v, names) for v in names]
+    half = Fraction(1, draw(st.sampled_from([1, 2])))
+    coeff = st.integers(-3, 3)
+    on_x2 = xs[1] - iterate(f, s, draw(st.integers(0, 3))).as_fraction()
+    on_x3 = xs[2] - iterate(JOUKOWSKI, x3, draw(st.integers(0, 3))).as_fraction()
+    cycle = xs[0] - draw(st.sampled_from([0, -1, 1, 2, -2]))
+    noise = xs[0] * draw(coeff) + xs[1] * (half * draw(coeff)) + xs[2] * draw(coeff) + draw(coeff)
+    templates = [on_x2 * half, on_x3, cycle, cycle * half, noise, cycle * on_x3, on_x2 * cycle]
+    gens = [templates[draw(st.integers(0, len(templates) - 1))] for _ in range(draw(st.integers(1, 2)))]
+    return maps, starts, gens
+
+
+@settings(max_examples=25, deadline=None)
+@given(sieve_instances())
+def test_the_sieve_agrees_with_plain_iteration(instance):
+    maps, starts, gens = instance
+    limit = 12
+    scanner = OrbitScanner(maps, starts)
+    expected = fraction_orbit_hits([_as_pair(phi) for phi in maps], starts, [g.terms for g in gens], limit)
+    assert scanner.scan(gens, limit) == expected
+    assert [n for n in range(limit + 1) if scanner.is_hit(gens, n)] == expected
+    fresh = OrbitScanner(maps, starts)
+    assert [n for n in range(limit + 1) if fresh.is_hit(gens, n)] == expected
+    # a prime dividing a start's denominator is unusable
+    for q in (2, 3):
+        assert (scanner._reductions_at(q) is None) == (Fraction(starts[1]).denominator % q == 0)
