@@ -1,12 +1,9 @@
 """Finite-precision p-adic analytic machinery.
 
-Four pieces:
+Three pieces:
 
 * truncated power series with a tail-valuation bound, and Strassmann-style
   unit-disk zero counting;
-* the quasiperiodicity-disk test for an explicitly given disk, done in exact
-  rational arithmetic (the disk-normalized expansion has rational
-  coefficients, so every inequality on |.|_p is decided exactly);
 * Mahler (binomial-basis) interpolation of an orbit along an arithmetic
   progression of iteration indices, sampled by the map reduced mod p**M;
 * vanishing certificates for a polynomial composed with such interpolants.
@@ -26,7 +23,6 @@ from fractions import Fraction
 from .errors import (
     InsufficientPrecision,
     NotQuasiperiodic,
-    PoleInDisk,
     VerificationFailed,
     ZeroSeries,
 )
@@ -38,8 +34,6 @@ from .reduction import INF_RESIDUE, ReducedMap, reduce_map, reduce_point, residu
 __all__ = [
     "TruncatedPadicSeries",
     "strassmann_count",
-    "Disk",
-    "is_quasiperiodicity_disk",
     "residue_disk_quasiperiodic",
     "MahlerSeries",
     "orbit_interpolate",
@@ -137,77 +131,7 @@ def strassmann_count(series: TruncatedPadicSeries) -> int:
 
 
 # ---------------------------------------------------------------------------
-# quasiperiodicity disks
-
-
-@dataclass(frozen=True)
-class Disk:
-    """Open disk D(center, p**(-radius_valuation)) inside Q_p."""
-
-    center: Fraction
-    radius_valuation: int = 0
-
-
-def _series_inverse(coeffs: list[Fraction], order: int) -> list[Fraction]:
-    """1 / sum(coeffs[i] s^i) modulo s^(order+1); coeffs[0] != 0."""
-    inv = [Fraction(1) / coeffs[0]]
-    for n in range(1, order + 1):
-        acc = Fraction(0)
-        for i in range(1, min(n, len(coeffs) - 1) + 1):
-            acc += coeffs[i] * inv[n - i]
-        inv.append(-acc / coeffs[0])
-    return inv
-
-
-def is_quasiperiodicity_disk(
-    phi: RationalMap,
-    disk: Disk,
-    p: int,
-    order: int = 24,
-) -> bool:
-    """Test whether phi maps the disk bijectively onto itself with unit slope.
-
-    The disk-normalized conjugate of phi is expanded to the given order in
-    exact rational arithmetic; the constant term must be small, the linear
-    term a unit, and all further coefficients integral.  The tail is covered
-    by a Gauss-norm bound on the rational-function expansion, so a True
-    answer is a certificate while False may also mean "not certifiable at
-    this normalization".
-    """
-    a = Fraction(disk.center)
-    rho = disk.radius_valuation
-    lam = Fraction(p) ** rho
-    t = Polynomial.variable("s")
-    shift = t * lam + a  # gamma(s) = a + lambda s maps the unit disk onto the given disk
-    num = phi.affine_numerator("s").substitute({"s": shift})
-    den = phi.affine_denominator("s").substitute({"s": shift})
-    # psi(s) = (phi(a + lambda s) - a) / lambda as P(s)/Q(s)
-    P = (num - den * a) * (Fraction(1) / lam)
-    Q = den
-    q_coeffs = Q.univariate_coeffs()
-    if not q_coeffs or q_coeffs[0] == 0:
-        raise PoleInDisk("pole at the disk center")
-    v_q0 = valuation(q_coeffs[0], p)
-    if any(valuation(c, p) < v_q0 for c in q_coeffs[1:] if c != 0):
-        raise PoleInDisk("denominator vanishes inside the disk")
-    p_coeffs = P.univariate_coeffs()
-    if not p_coeffs:
-        return False  # psi identically zero: not a bijection
-    tail_bound = min(valuation(c, p) for c in p_coeffs if c != 0) - v_q0
-    inv = _series_inverse(q_coeffs, order)
-    c = []
-    for n in range(order + 1):
-        acc = Fraction(0)
-        for i in range(min(n, len(p_coeffs) - 1) + 1):
-            acc += p_coeffs[i] * inv[n - i]
-        c.append(acc)
-    if valuation(c[0], p) < 1:
-        return False
-    if len(c) < 2 or valuation(c[1], p) != 0:
-        return False
-    if any(valuation(ci, p) < 0 for ci in c[2:] if ci != 0):
-        return False
-    return tail_bound >= 0
+# quasiperiodic residue disks
 
 
 def residue_disk_quasiperiodic(
@@ -272,9 +196,6 @@ class MahlerSeries:
     @property
     def coefficients(self) -> tuple[PadicNumber, ...]:
         return tuple(PadicNumber.from_integer(r, self.prime, self.precision) for r in self.residues)
-
-    def coefficient_valuations(self) -> list:
-        return [c.valuation for c in self.coefficients]
 
     def evaluate_residue(self, n: int) -> int:
         """Value at integer n, modulo p**precision."""
@@ -373,7 +294,7 @@ def _p_normalized_integer_coeffs(F: Polynomial, p: int) -> Polynomial:
     return F * (Fraction(p) ** (-shift)) if shift else F
 
 
-def certify_vanishing(F: Polynomial, thetas: list[MahlerSeries], order=None, precision=None):
+def certify_vanishing(F: Polynomial, thetas: list[MahlerSeries]):
     """Check whether F composed with the coordinate interpolants vanishes.
 
     Returns NonzeroWitness(n) for the smallest sample index where the
@@ -389,10 +310,6 @@ def certify_vanishing(F: Polynomial, thetas: list[MahlerSeries], order=None, pre
         raise ValueError("mixed primes")
     if len({(t.step, t.offset) for t in thetas}) != 1:
         raise ValueError("coordinate series are not aligned")
-    if order is not None:
-        J = min(J, order)
-    if precision is not None:
-        M = min(M, precision)
     if len(F.variables) != len(thetas):
         raise ValueError("variable count does not match the coordinate series")
     Fp = _p_normalized_integer_coeffs(F, p)

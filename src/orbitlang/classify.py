@@ -41,6 +41,8 @@ __all__ = [
     "rational_periodic_points",
 ]
 
+PERIOD_BOUND = 3
+
 
 def _as_univariate(f) -> Polynomial:
     if isinstance(f, RationalMap):
@@ -80,9 +82,6 @@ class NormalFormRecord:
     shift: Fraction  # B
     normal: Polynomial
     type_pair: tuple[int, int]
-
-    def conjugator(self) -> tuple[Fraction, Fraction]:
-        return (self.scale, self.shift)
 
 
 def normal_form(f) -> NormalFormRecord:
@@ -286,14 +285,14 @@ def decompose(f) -> Decomposition | Indecomposable:
 # periodic plane curves of the diagonal action
 
 
-def rational_periodic_points(f, period_bound: int = 3) -> dict[Fraction, int]:
+def rational_periodic_points(f) -> dict[Fraction, int]:
     """Rational periodic points with exact minimal periods, found as rational
-    roots of the iterate-minus-identity polynomials up to the bound."""
+    roots of the iterate-minus-identity polynomials up to PERIOD_BOUND."""
     poly = _as_univariate(f)
     t = Polynomial.variable("t")
     out: dict[Fraction, int] = {}
     iterate = t
-    for n in range(1, period_bound + 1):
+    for n in range(1, PERIOD_BOUND + 1):
         iterate = poly.substitute({"t": iterate})
         for root in (iterate - t).rational_roots():
             if root not in out:
@@ -308,7 +307,7 @@ class CurveCandidate:
     curve: PlaneCurve
 
 
-def periodic_curve_candidates(f, r_max: int, period_bound: int = 3) -> list[CurveCandidate]:
+def periodic_curve_candidates(f, r_max: int) -> list[CurveCandidate]:
     """All candidate periodic plane curves for the diagonal action of f.
 
     Requires f nonlinear, in normal form, indecomposable and conjugate to
@@ -331,7 +330,7 @@ def periodic_curve_candidates(f, r_max: int, period_bound: int = 3) -> list[Curv
     twists = [Fraction(1)]
     if b and b % 2 == 0 and a % 2 == 1:
         twists.append(Fraction(-1))
-    periodic = rational_periodic_points(poly, period_bound)
+    periodic = rational_periodic_points(poly)
     x = Polynomial.variable("x", ("x", "y"))
     y = Polynomial.variable("y", ("x", "y"))
     candidates: list[CurveCandidate] = []

@@ -169,6 +169,17 @@ def _at_least(flag: str, value: int, least: int):
         raise InvalidOption(f"{flag} must be at least {least}, got {value}")
 
 
+def _prime(flag: str, value: int) -> int:
+    if not is_prime(value):
+        raise InvalidOption(f"{flag} must be prime, got {value}")
+    return value
+
+
+def _place(value: int):
+    """A --place value: 0 is the archimedean place, anything else a prime."""
+    return "archimedean" if value == 0 else _prime("--place", value)
+
+
 def _default_precision() -> int:
     """--precision when the flag is absent: ORBITLANG_PRECISION, else the library default."""
     env = os.environ.get(ENV_PRECISION)
@@ -192,6 +203,7 @@ def _cmd_orbit(args):
     if len(points) != 1:
         raise ExpressionSyntaxError("orbit takes a single coordinate", 0)
     _at_least("--steps", args.steps, 0)
+    place = None if args.place is None else _place(args.place)
     # values up to the exact cap are printed in full (log10(2) < 1/3)
     digits = EXACT_BITS_CAP // 3 + 1
     if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < digits:
@@ -206,17 +218,14 @@ def _cmd_orbit(args):
         values.append({"n": n, "value": pt})
         if n < args.steps:
             pt = phi.apply(pt)
-    if args.place is not None:
-        record = classify_cycle(phi, points[0], args.place if args.place != 0 else "archimedean")
-        result["cycle"] = record
+    if place is not None:
+        result["cycle"] = classify_cycle(phi, points[0], place)
     return result, code
 
 
 def _cmd_reduce(args):
     phi = _parse_map(args.map)
-    p = args.prime
-    if not is_prime(p):
-        raise ExpressionSyntaxError("--prime must be prime", 0)
+    p = _prime("--prime", args.prime)
     try:
         rm = reduce_map(phi, p)
     except BadReduction:
@@ -234,6 +243,7 @@ def _cmd_reduce(args):
 
 def _cmd_classify(args):
     phi = _parse_map(args.map)
+    place = _place(args.place)
     result = {"exceptional": exceptional_structure(phi)}
     if phi.is_polynomial and phi.degree >= 2:
         try:
@@ -249,7 +259,6 @@ def _cmd_classify(args):
             result["normal_form"] = {"error": str(exc)}
     if args.point is not None:
         x = parse_point(args.point)[0]
-        place = args.place if args.place else "archimedean"
         result["cycle"] = classify_cycle(phi, x, place)
     return result, EXIT_OK
 
@@ -307,7 +316,7 @@ def _cmd_ms_curves(args):
 
 
 def _cmd_strassmann(args):
-    p = args.prime
+    p = _prime("--prime", args.prime)
     _at_least("--precision", args.precision, 1)
     coeffs = [Fraction(parse_expression(c.strip()).value) for c in args.coeffs.split(",")]
     tail = math.inf if args.tail is None else args.tail

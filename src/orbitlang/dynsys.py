@@ -118,10 +118,6 @@ class MoebiusMap:
         ints = [v // g for v in ints]
         self.a, self.b, self.c, self.d = ints
 
-    @classmethod
-    def identity(cls) -> "MoebiusMap":
-        return cls(1, 0, 0, 1)
-
     def inverse(self) -> "MoebiusMap":
         return MoebiusMap(self.d, -self.b, -self.c, self.a)
 
@@ -472,15 +468,10 @@ def _padic_escape(coeffs: list[Fraction], z: Fraction) -> bool:
 
 
 HEIGHT_CUTOFF_BITS = 200
+PREFIX_BOUND = 4096
 
 
-def orbit_status(
-    phi: RationalMap,
-    x,
-    *,
-    prefix_bound: int = 4096,
-    height_cutoff_bits: int = HEIGHT_CUTOFF_BITS,
-) -> OrbitStatus:
+def orbit_status(phi: RationalMap, x) -> OrbitStatus:
     """Decide preperiodicity of x by exact orbit storage with escape cutoffs.
 
     For polynomial maps the escape verdicts are proofs (archimedean growth
@@ -492,7 +483,7 @@ def orbit_status(
     radius = escape_radius(coeffs) if coeffs and phi.degree >= 2 else None
     seen: dict[PPoint, int] = {}
     prefix: list[PPoint] = []
-    for step in range(prefix_bound):
+    for step in range(PREFIX_BOUND):
         if pt in seen:
             tail = seen[pt]
             cycle = step - tail
@@ -506,7 +497,7 @@ def orbit_status(
                 return OrbitStatus("wanders", None, None, tuple(prefix), True, "archimedean-escape")
             if z.denominator > 1 and _padic_escape(coeffs, z):
                 return OrbitStatus("wanders", None, None, tuple(prefix), True, "p-adic-escape")
-        if pt.height_bits() > height_cutoff_bits:
+        if pt.height_bits() > HEIGHT_CUTOFF_BITS:
             return OrbitStatus("wanders", None, None, tuple(prefix), False, "height-cutoff")
         pt = phi.apply(pt)
     return OrbitStatus("wanders", None, None, tuple(prefix), False, "prefix-bound")
@@ -564,7 +555,7 @@ def cycle_multiplier(phi: RationalMap, cycle: tuple[PPoint, ...]) -> Fraction:
     return lam
 
 
-def classify_cycle(phi: RationalMap, x, place: Place = "archimedean", **orbit_kwargs):
+def classify_cycle(phi: RationalMap, x, place: Place = "archimedean"):
     """Detect periodicity of x and classify its cycle at the given place.
 
     Returns a CycleRecord, or a NotPeriodic certificate (strict preperiodicity
@@ -572,7 +563,7 @@ def classify_cycle(phi: RationalMap, x, place: Place = "archimedean", **orbit_kw
     """
     if isinstance(place, int) and not is_prime(place):
         raise ValueError("place must be 'archimedean' or a prime")
-    status = orbit_status(phi, x, **orbit_kwargs)
+    status = orbit_status(phi, x)
     if status.kind == "periodic":
         cycle = status.cycle_points()
         lam = cycle_multiplier(phi, cycle)
@@ -593,10 +584,6 @@ class TwoExceptional:
     points: tuple[PPoint, ...] | None  # None when the pair is a conjugate irrational pair
     pair_factor: Polynomial | None
     swapped: bool  # True: the two points trade places (negative power conjugacy)
-
-    @property
-    def power_sign(self) -> int:
-        return -1 if self.swapped else 1
 
 
 @dataclass(frozen=True)

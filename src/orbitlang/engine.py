@@ -63,7 +63,7 @@ __all__ = [
 ]
 
 DEFAULT_SCAN_LIMIT = 1000
-DEFAULT_CHECK_LIMIT = 64
+CHECK_LIMIT = 64
 DEFAULT_PRIME_BOUND = 1000
 RESIDUE_SEARCH_DEPTH = 10
 
@@ -146,7 +146,6 @@ class EngineOptions:
     scan_limit: int = DEFAULT_SCAN_LIMIT
     order: int = DEFAULT_ORDER
     precision: int = DEFAULT_PRECISION
-    check_limit: int = DEFAULT_CHECK_LIMIT
 
     def __post_init__(self):
         for name, least in (("scan_limit", 0), ("order", 1), ("precision", 1)):
@@ -222,11 +221,10 @@ def _pipeline(maps, alpha, variety, options: EngineOptions, witnesses: dict, cho
     """
     scanner = OrbitScanner(maps, alpha)
     if orbit_record:
-        record = scanner.record()
         witnesses["orbit-record"] = {
-            "preperiodic": list(record.preperiodic),
-            "tails": list(record.tails),
-            "cycles": list(record.cycles),
+            "preperiodic": [m.kind == "preperiodic" for m in scanner.models],
+            "tails": [m.tail for m in scanner.models],
+            "cycles": [m.cycle for m in scanner.models],
         }
     generators = list(variety.generators)
     if scanner.all_preperiodic:
@@ -325,9 +323,7 @@ def _certified_classes(
     k = scanner.preperiodic_cycle_lcm
     T = scanner.max_tail
     for i in stream_coords:
-        phi_v = reduce_map(maps[i], prime)
-        r = reduce_point(PPoint.of(alpha[i]), prime)
-        orb = residue_orbit(phi_v, r)
+        orb = scanner.residue_orbit_at(i, prime)
         residue_data[i] = orb
         k = k * orb.cycle_length // math.gcd(k, orb.cycle_length)
         T = max(T, orb.tail)
@@ -418,13 +414,13 @@ def _certified_classes(
         certification = Certified(prime, options.order, options.precision)
     progressions, exceptional = _simplify_progressions(progressions, exceptional)
     description = IntersectionDescription(progressions, exceptional, certification, witnesses)
-    _soundness_check(description, scanner, generators, options)
+    _soundness_check(description, scanner, generators)
     return description
 
 
-def _soundness_check(description: IntersectionDescription, scanner, generators, options: EngineOptions):
-    """Re-verify every reported index up to the check limit by exact evaluation."""
-    for n in description.described_indices(options.check_limit):
+def _soundness_check(description: IntersectionDescription, scanner, generators):
+    """Re-verify every reported index up to CHECK_LIMIT by exact evaluation."""
+    for n in description.described_indices(CHECK_LIMIT):
         if not scanner.is_hit(generators, n):
             raise VerificationFailed(f"reported index {n} fails exact membership")
 

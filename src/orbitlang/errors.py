@@ -53,10 +53,6 @@ class ZeroSeries(OrbitlangError):
     code = "zero-series"
 
 
-class PoleInDisk(OrbitlangError):
-    code = "pole-in-disk"
-
-
 class NotQuasiperiodic(OrbitlangError):
     code = "not-quasiperiodic"
 

@@ -51,6 +51,9 @@ __all__ = [
 ]
 
 DEFAULT_LEVEL_CAP = 6
+SQUAREFREE_ATTEMPTS = 8
+SQUAREFREE_SEED = 20240613
+PERIODIC_ROOT_STEPS = 64
 
 _BIV = ("x", "y")
 
@@ -197,7 +200,7 @@ def _gf_gcd_degree(a: list[int], b: list[int], q: int) -> int:
     return len(a) - 1
 
 
-def bivariate_squarefree(poly: Polynomial, attempts: int = 8, seed: int = 20240613) -> bool:
+def bivariate_squarefree(poly: Polynomial) -> bool:
     """Exact squarefreeness of a plane polynomial over Q.
 
     poly = c(y) * prim with c its x-content; no factor of c divides the
@@ -214,9 +217,9 @@ def bivariate_squarefree(poly: Polynomial, attempts: int = 8, seed: int = 202406
     content = _content_in_x(poly)
     if content.degree("y") and not _univariate_squarefree(content, "y"):
         return False
-    rng = random.Random(seed)
+    rng = random.Random(SQUAREFREE_SEED)
     deg = poly.degree("x")
-    for _ in range(attempts):
+    for _ in range(SQUAREFREE_ATTEMPTS):
         y0 = rng.randint(2, 997)
         q = next_prime(rng.randint(1 << 29, 1 << 30))
         coeffs = _specialized_mod_q(poly, y0, q)
@@ -255,7 +258,7 @@ def _content_in_x(poly: Polynomial) -> Polynomial:
 # ramification
 
 
-def _factor_has_periodic_root(phi: RationalMap, factor: Polynomial, bound: int = 64) -> bool:
+def _factor_has_periodic_root(phi: RationalMap, factor: Polynomial) -> bool:
     """Exact periodicity decision for the conjugate roots of an irreducible factor.
 
     Polynomial maps with good reduction at a prime dividing the factor's
@@ -278,7 +281,7 @@ def _factor_has_periodic_root(phi: RationalMap, factor: Polynomial, bound: int =
     t = Polynomial.variable(var)
     h = t
     seen = {h}
-    for _ in range(bound):
+    for _ in range(PERIODIC_ROOT_STEPS):
         _, h = f.substitute({var: h}).divmod(factor)
         if (h - t).gcd(factor).total_degree() > 0:
             return True

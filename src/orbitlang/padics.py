@@ -207,12 +207,6 @@ class PadicNumber:
             raise ValueError("negative valuation has no integral residue")
         return self.unit * self.prime**self._val % self.prime**self.precision
 
-    def abs_p(self) -> Fraction:
-        """|x|_p = p**(-v); 0 when the value vanishes at precision."""
-        if self._val is None:
-            return Fraction(0)
-        return Fraction(1, self.prime**self._val) if self._val >= 0 else Fraction(self.prime ** (-self._val))
-
     # -- arithmetic ---------------------------------------------------------------
 
     def _coerce(self, other):

@@ -16,7 +16,7 @@ All values are immutable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd, lcm, prod
+from math import gcd as _int_gcd, lcm
 from operator import attrgetter, mul
 from typing import Iterable
 
@@ -26,7 +26,7 @@ from sympy.polys.domains import RationalField
 from .errors import InexactDivision, RingMismatch
 from .padics import residue
 
-__all__ = ["Polynomial", "horner_forms", "poly_eval", "residue_eval", "residue_values"]
+__all__ = ["Polynomial", "horner_forms", "poly_eval", "residue_eval"]
 
 
 _RATIONALS = RationalField()
@@ -131,9 +131,6 @@ class Polynomial:
             return None
         i = self.variables.index(var)
         return max(e[i] for e in self.terms)
-
-    def coefficient(self, exps) -> object:
-        return self.terms.get(tuple(exps), Fraction(0))
 
     def univariate_coeffs(self) -> list:
         """Low-to-high dense coefficient list; requires exactly one variable."""
@@ -504,16 +501,6 @@ def residue_eval(residues: dict, coords, m: int) -> int:
                 c = c * (x if e == 1 else pow(x, e, m)) % m
         acc += c
     return acc % m
-
-
-def residue_values(residues: dict, points: list, m: int) -> list[int]:
-    """:func:`residue_eval` at each residue point of `points`, in one pass
-    over the terms for the whole batch."""
-    acc = [0] * len(points)
-    for exps, c in residues.items():
-        for k, x in enumerate(points):
-            acc[k] += prod((pow(v, e, m) for v, e in zip(x, exps) if e), start=c)
-    return [a % m for a in acc]
 
 
 def format_polynomial(poly: Polynomial) -> str:

@@ -36,10 +36,10 @@ from fractions import Fraction
 from .errors import BadReduction, PrecisionExhausted
 from .dynsys import PPoint, RationalMap, escape_radius, orbit_status
 from .padics import is_prime, next_prime
-from .polynomials import Polynomial, residue_eval, residue_values
-from .reduction import INF_RESIDUE, ReducedMap, RPoint, reduce_map, reduce_point, residue_orbit
+from .polynomials import Polynomial, residue_eval
+from .reduction import INF_RESIDUE, ReducedMap, ResidueOrbit, RPoint, reduce_map, reduce_point, residue_orbit
 
-__all__ = ["OrbitScanner", "OrbitRecord"]
+__all__ = ["OrbitScanner"]
 
 EXACT_BITS_CAP = 65536
 PREFIX_LIMIT = 48
@@ -163,17 +163,6 @@ class _CoordModel:
     delta: int | None = None
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
-    """Summary of the orbit cache and preperiodicity verdicts per coordinate."""
-
-    maps: tuple[RationalMap, ...]
-    start: tuple[PPoint, ...]
-    preperiodic: tuple[bool, ...]
-    tails: tuple[int | None, ...]
-    cycles: tuple[int | None, ...]
-
-
 class OrbitScanner:
     """Exact hit-testing of Phi^n(alpha) against polynomial generators in x1..xg."""
 
@@ -206,6 +195,7 @@ class OrbitScanner:
         self._structural_base = max([self.max_tail] + [len(m.prefix) for m in self.models if m.kind == "stream"])
         self._heads: dict = {}
         self._sieves: dict = {}
+        self._residue_orbits: dict = {}
         self._residue_cache: dict = {}
         self._structural_cache: dict = {}
         # (id(gen), class) -> (gen, class verdict); (id(gen), n) -> (gen, exact membership)
@@ -271,15 +261,6 @@ class OrbitScanner:
         )
 
     # -- values ---------------------------------------------------------------------
-
-    def record(self) -> OrbitRecord:
-        return OrbitRecord(
-            tuple(self.maps),
-            tuple(self.alpha),
-            tuple(m.kind == "preperiodic" for m in self.models),
-            tuple(m.tail for m in self.models),
-            tuple(m.cycle for m in self.models),
-        )
 
     def coordinate_value(self, model: _CoordModel, n: int) -> PPoint | None:
         """Coordinate `model` of Phi^n(alpha) exactly, or None past the exact horizon."""
@@ -394,10 +375,7 @@ class OrbitScanner:
             classes = [n if n < tail else tail + (n - tail) % period for n in (piece[0] for piece in pieces)]
             points = {c: [p[c if c < t else t + (c - t) % (len(p) - t)] for p, t in paths] for c in set(classes)}
             finite = {c: x for c, x in points.items() if INF_RESIDUE not in x}
-            zero = finite
-            for table in tables:
-                zero = {c: x for (c, x), v in zip(zero.items(), residue_values(table, list(zero.values()), q)) if not v}
-            settled = finite.keys() - zero.keys()
+            settled = {c for c, x in finite.items() if any(residue_eval(table, x, q) for table in tables)}
             idle = 0 if settled else idle + 1
             runs = [piece for piece, c in zip(pieces, classes) if c not in settled]
             count = sum(map(len, runs))
@@ -412,8 +390,8 @@ class OrbitScanner:
             reduced, sieve = self._reductions_at(q), None
             if reduced is not None:
                 paths = []
-                for phi, x in zip(self.maps, self.alpha):
-                    orbit = residue_orbit(reduced[phi], reduce_point(x, q))
+                for i, phi in enumerate(self.maps):
+                    orbit = self.residue_orbit_at(i, q)
                     path = [orbit.start]
                     while len(path) < orbit.tail:
                         path.append(reduced[phi].apply(path[-1]))
@@ -421,6 +399,17 @@ class OrbitScanner:
                 sieve = (max(t for _, t in paths), math.lcm(*(len(p) - t for p, t in paths)), paths)
             self._sieves[q] = sieve
         return self._sieves[q]
+
+    def residue_orbit_at(self, i: int, q: int) -> ResidueOrbit:
+        """Coordinate i's residue orbit at q, found once per scanner, so the
+        sieve and the engine's classes share it.  q must be a prime of good
+        reduction for the coordinate's map at which its start is q-integral."""
+        if (i, q) not in self._residue_orbits:
+            reduced = _reduction(self.maps[i], q)
+            if reduced is None:
+                raise BadReduction(f"bad reduction at {q}")
+            self._residue_orbits[i, q] = residue_orbit(reduced, reduce_point(self.alpha[i], q))
+        return self._residue_orbits[i, q]
 
     def _cut(self, gen: Polynomial, n: int) -> tuple[float, bool]:
         """The index from which gen's verdict settles every later index of the

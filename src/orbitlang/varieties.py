@@ -29,12 +29,8 @@ class PlaneCurve:
         return prim
 
     def assert_irreducible(self):
-        _, factors = self.poly.factor_list()
-        if len(factors) != 1 or factors[0][1] != 1:
+        if not self.poly.is_irreducible():
             raise ReducibleInput("curve polynomial is not irreducible over Q")
-
-    def contains(self, x, y) -> bool:
-        return self.poly.evaluate({"x": x, "y": y}) == 0
 
     def __eq__(self, other):
         if not isinstance(other, PlaneCurve):
@@ -72,7 +68,3 @@ class AffineVariety:
                 gen = gen.with_variables(names)
             gens.append(gen)
         return cls(tuple(gens), g)
-
-    def contains(self, point) -> bool:
-        values = {f"x{i + 1}": v for i, v in enumerate(point)}
-        return all(gen.evaluate(values) == 0 for gen in self.generators)

@@ -5,20 +5,18 @@ from fractions import Fraction
 import pytest
 
 from orbitlang.analytic import (
-    Disk,
     IdenticallyZeroAtPrecision,
     MahlerSeries,
     NonzeroWitness,
     TruncatedPadicSeries,
     certify_vanishing,
-    is_quasiperiodicity_disk,
     orbit_interpolate,
     residue_disk_quasiperiodic,
     strassmann_count,
 )
 from orbitlang.dynsys import RationalMap, iterate
 from orbitlang import analytic
-from orbitlang.errors import InsufficientPrecision, NotQuasiperiodic, PoleInDisk, VerificationFailed, ZeroSeries
+from orbitlang.errors import InsufficientPrecision, NotQuasiperiodic, VerificationFailed, ZeroSeries
 from orbitlang.padics import residue
 from orbitlang.polynomials import Polynomial
 from orbitlang.reduction import reduce_map
@@ -86,39 +84,6 @@ def test_strassmann_product_additivity():
     assert strassmann_count(a * b) == 2
     assert strassmann_count(a * c) == 3
     assert strassmann_count(b * c) == 1
-
-
-def test_quasiperiodicity_disk_examples():
-    p = 3
-    t_plus_p = RationalMap.polynomial([p, 1])
-    assert is_quasiperiodicity_disk(t_plus_p, Disk(Fraction(0), 0), p)
-
-    t_sq = RationalMap.quadratic(0)
-    assert not is_quasiperiodicity_disk(t_sq, Disk(Fraction(0), 0), p)
-
-    scaling = RationalMap.polynomial([0, 1 + p])
-    assert is_quasiperiodicity_disk(scaling, Disk(Fraction(0), 0), p)
-
-
-def test_quasiperiodicity_pole_detection():
-    p = 5
-    inv = RationalMap.from_affine(Polynomial.univariate([1]), Polynomial.univariate([0, 1]))
-    with pytest.raises(PoleInDisk):
-        is_quasiperiodicity_disk(inv, Disk(Fraction(0), 0), p)
-    shifted_pole = RationalMap.from_affine(Polynomial.univariate([1]), Polynomial.univariate([-p, 1]))
-    with pytest.raises(PoleInDisk):
-        is_quasiperiodicity_disk(shifted_pole, Disk(Fraction(0), 0), p)
-    # pole on the boundary |t| = 1 is outside the open disk: no pole error
-    boundary = RationalMap.from_affine(Polynomial.univariate([0, 1]), Polynomial.univariate([1, 1]))
-    is_quasiperiodicity_disk(boundary, Disk(Fraction(0), 0), p)
-
-
-def test_quasiperiodicity_on_smaller_disk():
-    # t -> t + 1 is not quasiperiodic on D(0,1) (c0 is a unit) but
-    # t -> t + p^2 is quasiperiodic on D(0, p^-1).
-    p = 3
-    assert not is_quasiperiodicity_disk(RationalMap.polynomial([1, 1]), Disk(Fraction(0), 0), p)
-    assert is_quasiperiodicity_disk(RationalMap.polynomial([p**2, 1]), Disk(Fraction(0), 1), p)
 
 
 def test_residue_disk_certificate():
@@ -207,8 +172,7 @@ def test_mahler_coefficient_valuations_grow_with_step_valuation():
     p = 3
     phi = RationalMap.polynomial([0, 1 + p])
     theta = orbit_interpolate(phi, 1, p, 0, prime=p, order=10, precision=30)
-    vals = theta.coefficient_valuations()
-    for j, v in enumerate(vals):
+    for j, v in enumerate(c.valuation for c in theta.coefficients):
         assert v >= 2 * j or v == math.inf
 
 

@@ -343,3 +343,35 @@ def test_bad_env_precision_exits_two(value):
     assert proc.returncode == EXIT_USAGE
     assert "Traceback" not in proc.stderr
     assert jsonline(proc.stdout)["result"]["code"] == "invalid-option"
+
+
+def test_strassmann_prime_one_is_rejected_not_looped_on():
+    # p = 1 used to loop forever stripping factors of 1 from the coefficients
+    proc = run_cli_process(["--json", "strassmann", "--prime", "1", "--coeffs", "1,2"], timeout=30)
+    assert proc.returncode == EXIT_USAGE
+    assert jsonline(proc.stdout)["result"]["code"] == "invalid-option"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["strassmann", "--prime", "0", "--coeffs", "1,2"],
+        ["strassmann", "--prime", "4", "--coeffs", "1,2"],
+        ["strassmann", "--prime", "9", "--coeffs", "1,2"],
+        ["strassmann", "--prime", "-3", "--coeffs", "1,2"],
+        ["reduce", "--map", "t^2+1", "--prime", "9"],
+        ["orbit", "--map", "t^2-1", "--point", "0", "--place", "4"],
+        ["classify", "--map", "t^2-1", "--point", "0", "--place", "4"],
+    ],
+)
+def test_non_prime_prime_or_place_exit_two(monkeypatch, argv):
+    code, out = invoke(["--json", *argv], monkeypatch=monkeypatch)
+    assert code == EXIT_USAGE
+    assert jsonline(out)["result"]["code"] == "invalid-option"
+
+
+@pytest.mark.parametrize("command", ["orbit", "classify"])
+def test_place_zero_is_archimedean(monkeypatch, command):
+    code, out = invoke(["--json", command, "--map", "t^2-1", "--point", "0", "--place", "0"], monkeypatch=monkeypatch)
+    assert code == EXIT_OK
+    assert jsonline(out)["result"]["cycle"]["place"] == "archimedean"

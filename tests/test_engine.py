@@ -46,7 +46,7 @@ def invariant_graph(c, r=1, g=2):
     return Polynomial(names, terms)
 
 
-OPTS = EngineOptions(scan_limit=200, check_limit=48)
+OPTS = EngineOptions(scan_limit=200)
 
 
 def test_brute_force_scan_examples():
@@ -266,3 +266,29 @@ def test_a_divisor_chain_multiplies_by_no_constant_one(monkeypatch):
     assert run(["--json", "divisors", "--map", "t^3+t", "--level", "4"], stream=stream) == 0
     assert len(json.loads(stream.getvalue())["result"]["levels"]) == 5
     assert products == []
+
+
+def test_residue_orbits_at_a_sieve_prime_are_computed_once(monkeypatch):
+    # x2 = x1^2 + 1 holds on the whole orbit of (0, 1) under t^2+1, so the sieve
+    # settles nothing at 2 and 3 and the engine certifies at 3: the sieve and
+    # the classes read one residue orbit per coordinate there
+    from collections import Counter
+
+    from orbitlang import engine, reduction, scan
+
+    calls = Counter()
+    original = reduction.residue_orbit
+
+    def counted(phi_v, x):
+        calls[phi_v.prime, x] += 1
+        return original(phi_v, x)
+
+    for module in (engine, scan):
+        monkeypatch.setattr(module, "residue_orbit", counted)
+    desc = decide(RationalMap.quadratic(1), [0, 1], [invariant_graph(1)], OPTS)
+    assert desc.certification.prime == 3
+    assert desc.witnesses["residue-orbits"] == {
+        "0": {"tail": 2, "cycle_length": 1},
+        "1": {"tail": 1, "cycle_length": 1},
+    }
+    assert {key: n for key, n in calls.items() if key[0] == 3} == {(3, 0): 1, (3, 1): 1}

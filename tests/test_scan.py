@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from orbitlang.dynsys import PPoint, RationalMap, iterate, orbit_status
 from orbitlang.engine import (
-    EngineOptions,
     IntersectionDescription,
     Progression,
     ScanOnly,
@@ -57,32 +56,25 @@ def test_classes_keyed_modulo_the_cycle_lcm():
 
 
 def _count_residues(monkeypatch, scanner):
-    """Record the scan module's residues: (q, 1) per control-prime residue of
-    one index, (q, number of classes) per batch of sieve-class residues."""
+    """Record the scan module's residues as (q, 1) each: q is a control prime
+    for the residue of one index, a sieve prime for that of one sieve class."""
     calls = []
-    evaluate, batch = scan.residue_eval, scan.residue_values
+    evaluate = scan.residue_eval
 
     def counted(table, x, q):
-        assert q in scanner.control_primes
+        assert q in scanner.control_primes or q in scan.SIEVE_PRIMES
         calls.append((q, 1))
         return evaluate(table, x, q)
 
-    def counted_batch(table, points, q):
-        assert q in scan.SIEVE_PRIMES
-        calls.append((q, len(points)))
-        return batch(table, points, q)
-
     monkeypatch.setattr(scan, "residue_eval", counted)
-    monkeypatch.setattr(scan, "residue_values", counted_batch)
     return calls
 
 
 def _sieve_work_is_one_residue_per_class(scanner, calls, generators=1):
     """Each usable sieve prime evaluates each generator at most once per class
-    (T + K classes at it), in one batch."""
-    sieve = [(q, n) for q, n in calls if q in scan.SIEVE_PRIMES]
-    assert all(n <= scanner._sieves[q][0] + scanner._sieves[q][1] for q, n in sieve)
-    assert all(sum(1 for r, _ in sieve if r == q) <= generators for q, _ in sieve)
+    (T + K classes at it); returns the control-prime residues."""
+    for q in {q for q, _ in calls if q in scan.SIEVE_PRIMES}:
+        assert sum(1 for r, _ in calls if r == q) <= generators * (scanner._sieves[q][0] + scanner._sieves[q][1])
     return [c for c in calls if c[0] not in scan.SIEVE_PRIMES]
 
 
@@ -283,7 +275,7 @@ def test_a_wrong_zero_verdict_does_not_stand_in_for_exact_evaluation(monkeypatch
     assert not any(scanner.is_hit([gen], n) for n in range(horizon))
     claimed = IntersectionDescription((Progression(1, 0, 0),), (), ScanOnly(horizon))
     with pytest.raises(VerificationFailed, match="reported index 0"):
-        _soundness_check(claimed, scanner, [gen], EngineOptions())
+        _soundness_check(claimed, scanner, [gen])
 
 
 def test_an_exact_coordinate_at_infinity_in_a_zero_class_is_no_hit():
@@ -399,13 +391,14 @@ def test_a_coordinate_at_infinity_is_never_a_hit(monkeypatch):
     evaluate = scan.residue_eval
 
     def counted(table, x, q):
-        calls.append(x)
+        if q in scanner.control_primes:
+            calls.append(x)
         return evaluate(table, x, q)
 
     monkeypatch.setattr(scan, "residue_eval", counted)
     assert scanner.scan([x1 + 1], 1000) == []
     # x1 + 1 is the nonzero constant 1 on the even class and x1 is at infinity
-    # on the odd one, so both classes are settled misses and no index costs a residue
+    # on the odd one, so both classes are settled misses and no index costs a control-prime residue
     assert calls == []
     assert scanner._cut(x1 + 1, 0) == scanner._cut(x1 + 1, 1) == (0, False)
     monkeypatch.undo()
@@ -604,10 +597,10 @@ def test_the_soundness_check_reevaluates_no_scanned_index(monkeypatch):
         scanner.scan(gens, 100)
         assert evaluated
         evaluated.clear()
-        _soundness_check(description, scanner, gens, EngineOptions())
+        _soundness_check(description, scanner, gens)
         assert evaluated == []
         # a fresh scanner evaluates them
-        _soundness_check(description, OrbitScanner(maps, [0, 1]), gens, EngineOptions())
+        _soundness_check(description, OrbitScanner(maps, [0, 1]), gens)
         assert evaluated
         evaluated.clear()
 
@@ -641,7 +634,7 @@ def test_the_sieve_settles_a_multi_map_line_before_any_control_prime(monkeypatch
     calls = _count_residues(monkeypatch, scanner)
     assert scanner.scan([gen], 1000) == []
     tail, period, _ = scanner._sieves[2]
-    assert (tail, period) == (0, 2) and calls == [(2, 2)]
+    assert (tail, period) == (0, 2) and calls == [(2, 1)] * 2
     assert brute_force_scan(maps, [2, 1], [gen], 1000) == []
 
 

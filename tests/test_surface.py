@@ -1,0 +1,79 @@
+"""Every function, class and method defined in the package has a reader.
+
+A definition passes when its name is referenced, as a Name or as an
+Attribute, somewhere in src/ or bench/; tests do not count.  Dunders are
+exempt (the interpreter calls them), and so is the short list below, each
+entry with the reason it stays.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "orbitlang"
+
+# qualified name -> why it stays without a caller in src/ or bench/
+KEPT = {
+    "RationalMap.compose": "reference implementation for the tests of iterate_forms",
+    "RationalMap.iterate_polynomial": "reference implementation for the tests of iterates",
+    "Polynomial.divexact": "reference implementation for the tests of divmod",
+    "IntersectionDescription.is_definitive": "a method on the object decide returns",
+    "Progression.contains": "a method on the objects decide returns",
+    "replay_certificate": "the prime-certificate verification API",
+    "JonesDensity.hit_fraction": "acceptance criterion 9 prints it",
+    "critical_points": "the integrality side of the paper",
+    "multiplicity_at": "the integrality side of the paper",
+    "s_integrality_scan": "the integrality side of the paper",
+    "PlaceSet": "the integrality side of the paper",
+    "layer": "bench/spans.py traces intersection.layer by name",
+}
+
+
+def _sources():
+    return sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
+
+
+def _references() -> set[str]:
+    names = set()
+    for path in _sources():
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def _definitions():
+    """(file, qualified name, name) of every function, class and method."""
+    out = []
+
+    def visit(node, prefix, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qualified = f"{prefix}{child.name}"
+                out.append((path.name, qualified, child.name))
+                visit(child, f"{qualified}.", path)
+            else:
+                visit(child, prefix, path)
+
+    for path in sorted(PACKAGE.rglob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), "", path)
+    return out
+
+
+def test_every_definition_is_referenced_in_src_or_bench():
+    references = _references()
+    unread = [
+        f"{file}: {qualified}"
+        for file, qualified, name in _definitions()
+        if not (name.startswith("__") and name.endswith("__"))
+        and qualified not in KEPT
+        and name not in references
+    ]
+    assert unread == []
+
+
+def test_every_kept_name_is_still_defined():
+    defined = {qualified for _, qualified, _ in _definitions()}
+    assert sorted(KEPT.keys() - defined) == []
