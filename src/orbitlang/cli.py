@@ -276,6 +276,7 @@ def _require_maps(args, points):
 def _cmd_find_prime(args):
     points = parse_point(args.points)
     maps = _require_maps(args, points)
+    _at_least("--pmax", args.pmax, 2)
     cert = find_good_prime(maps, points, args.pmax, args.mode)
     code = EXIT_INCONCLUSIVE if isinstance(cert, NotFound) else EXIT_OK
     return cert, code

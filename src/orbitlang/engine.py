@@ -148,7 +148,7 @@ class EngineOptions:
     precision: int = DEFAULT_PRECISION
 
     def __post_init__(self):
-        for name, least in (("scan_limit", 0), ("order", 1), ("precision", 1)):
+        for name, least in (("prime_bound", 2), ("scan_limit", 0), ("order", 1), ("precision", 1)):
             if getattr(self, name) < least:
                 raise InvalidOption(f"{name} must be at least {least}, got {getattr(self, name)}")
 

@@ -2,10 +2,11 @@
 
 Each search returns the smallest qualifying prime below the bound together
 with a checklist and the finite mod-p computations (residue orbits, cycle
-multipliers, Legendre symbols) that back every checkmark, so a verifier can
-replay the certificate from its witnesses alone.  Searches scan primes in
-increasing order; a parallel split over disjoint ranges must merge by
-minimum to preserve the same answer.
+multipliers, Legendre symbols) that back every checkmark.  Each certificate
+kind has one per-prime builder: its search takes the smallest prime the
+builder accepts, and `replay_certificate` rebuilds the certificate at its
+prime and compares.  Searches scan primes in increasing order; a parallel
+split over disjoint ranges must merge by minimum to preserve the same answer.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 from .errors import BadReduction, HypothesisViolated, PeriodicCriticalPoint, PreperiodicInput
 from .dynsys import PPoint, RationalMap, orbit_status
-from .padics import primes_upto, residue, valuation
+from .padics import is_prime, primes_upto, residue, valuation
 from .reduction import INF_RESIDUE, ReducedMap, reduce_map, reduce_point, residue_orbit
 
 __all__ = [
@@ -113,6 +114,46 @@ def _residue_orbit_witness(orbit) -> dict:
     }
 
 
+def _first_prime(build, p_max: int):
+    """The certificate at the smallest prime up to p_max that `build` accepts, else NotFound."""
+    for p in primes_upto(p_max):
+        cert = build(p)
+        if cert is not None:
+            return cert
+    return NotFound(p_max)
+
+
+def _quadratic_certificate(f: RationalMap, c: Fraction, pts: list[PPoint], p: int) -> PrimeCertificate | None:
+    """The certificate for t^2 + c at p, or None when p fails a condition."""
+    if p == 2 or any(pt.is_infinity or pt.b % p == 0 for pt in pts):
+        return None
+    try:
+        fv = reduce_map(f, p)
+    except BadReduction:
+        return None
+    crit_orbit = residue_orbit(fv, 0)
+    if crit_orbit.tail == 0:
+        return None
+    cycles = functional_graph_cycles(fv)
+    checklist = {
+        "good-reduction": True,
+        "points-p-integral": True,
+        "two-is-unit": True,
+        "critical-reduction-non-periodic": True,
+        "unit-derivative-on-periodic-residues": True,
+    }
+    # 0 is off every cycle, so each derivative 2z is a unit
+    derivatives = {str(z): 2 * z % p for cycle in cycles for z in cycle if z is not INF_RESIDUE}
+    witnesses = {
+        "c": str(c),
+        "points": [str(pt) for pt in pts],
+        "critical_residue_orbit": _residue_orbit_witness(crit_orbit),
+        "cycles": [list(cy) for cy in cycles],
+        "periodic_residue_derivatives": derivatives,
+    }
+    return PrimeCertificate(p, "quadratic-good-prime", checklist, witnesses)
+
+
 def find_good_prime_quadratic(f: RationalMap, points, p_max: int):
     """Smallest odd prime making the residue dynamics of t^2 + c certifiably tame.
 
@@ -126,51 +167,42 @@ def find_good_prime_quadratic(f: RationalMap, points, p_max: int):
     if status.kind == "periodic":
         raise PeriodicCriticalPoint("critical point 0 is periodic (c in {0, -1})")
     pts = [PPoint.of(x) for x in points]
-    for p in primes_upto(p_max):
-        if p == 2:
-            continue
-        try:
-            fv = reduce_map(f, p)
-        except BadReduction:
-            continue
-        if any(pt.is_infinity or pt.b % p == 0 for pt in pts):
-            continue
-        crit_orbit = residue_orbit(fv, 0)
-        if crit_orbit.tail == 0:
-            continue
-        cycles = functional_graph_cycles(fv)
-        derivative_values = {}
-        ok = True
-        for cycle in cycles:
-            for z in cycle:
-                if z is INF_RESIDUE:
-                    continue
-                derivative_values[z] = 2 * z % p
-                if derivative_values[z] == 0:
-                    ok = False
-        if not ok:
-            continue
-        checklist = {
-            "good-reduction": True,
-            "points-p-integral": True,
-            "two-is-unit": True,
-            "critical-reduction-non-periodic": True,
-            "unit-derivative-on-periodic-residues": True,
-        }
-        witnesses = {
-            "c": str(c),
-            "points": [str(pt) for pt in pts],
-            "critical_residue_orbit": _residue_orbit_witness(crit_orbit),
-            "cycles": [list(cy) for cy in cycles],
-            "periodic_residue_derivatives": {str(z): v for z, v in derivative_values.items()},
-        }
-        return PrimeCertificate(p, "quadratic-good-prime", checklist, witnesses)
-    return NotFound(p_max)
+    return _first_prime(lambda p: _quadratic_certificate(f, c, pts, p), p_max)
 
 
 def _legendre(a: int, p: int) -> int:
     s = pow(a % p, (p - 1) // 2, p)
     return -1 if s == p - 1 else s
+
+
+def _unit_valuations(pts: list[PPoint], p: int) -> dict | None:
+    """v(x) and v(x^2 - 1) at p for each point, or None unless p is odd, 2 is
+    a non-residue mod p and every one of them is 0."""
+    if p == 2 or _legendre(2, p) != -1 or any(pt.is_infinity for pt in pts):
+        return None
+    values = {}
+    for x in (pt.as_fraction() for pt in pts):
+        vx, vfx = valuation(x, p), valuation(x * x - 1, p)
+        if vx != 0 or vfx != 0:
+            return None
+        values[str(x)] = {"v(x)": str(vx), "v(f(x))": str(vfx)}
+    return values
+
+
+def _qr_certificate(pts: list[PPoint], p: int) -> PrimeCertificate | None:
+    """The QR-filter certificate for t^2 - 1 at p, or None when p fails it."""
+    values = _unit_valuations(pts, p)
+    if values is None:
+        return None
+    checklist = {
+        "points-and-images-are-units": True,
+        "two-is-non-residue": True,
+    }
+    witnesses = {
+        "unit_valuations": values,
+        "legendre": {"base": 2, "prime": p, "symbol": -1, "power": pow(2, (p - 1) // 2, p)},
+    }
+    return PrimeCertificate(p, "qr-minus-one", checklist, witnesses)
 
 
 def qr_filter_for_minus_one(f: RationalMap, points, p_max: int):
@@ -182,38 +214,13 @@ def qr_filter_for_minus_one(f: RationalMap, points, p_max: int):
     """
     if _quadratic_shift(f) != -1:
         raise HypothesisViolated("filter applies to t^2 - 1 only")
-    pts = [Fraction(PPoint.of(x).a, PPoint.of(x).b) if not PPoint.of(x).is_infinity else None for x in points]
-    if any(pt is None for pt in pts):
+    pts = [PPoint.of(x) for x in points]
+    if any(pt.is_infinity for pt in pts):
         raise PreperiodicInput("infinity is a fixed point")
-    for x in pts:
+    for x in (pt.as_fraction() for pt in pts):
         if orbit_status(f, x).is_preperiodic:
             raise PreperiodicInput(f"{x} is preperiodic")
-    for p in primes_upto(p_max):
-        if p == 2:
-            continue
-        values = {}
-        ok = True
-        for x in pts:
-            fx = x * x - 1
-            vx, vfx = valuation(x, p), valuation(fx, p)
-            values[str(x)] = {"v(x)": str(vx), "v(f(x))": str(vfx)}
-            if vx != 0 or vfx != 0:
-                ok = False
-        if not ok:
-            continue
-        symbol = _legendre(2, p)
-        if symbol != -1:
-            continue
-        checklist = {
-            "points-and-images-are-units": True,
-            "two-is-non-residue": True,
-        }
-        witnesses = {
-            "unit_valuations": values,
-            "legendre": {"base": 2, "prime": p, "symbol": symbol, "power": pow(2, (p - 1) // 2, p)},
-        }
-        return PrimeCertificate(p, "qr-minus-one", checklist, witnesses)
-    return NotFound(p_max)
+    return _first_prime(lambda p: _qr_certificate(pts, p), p_max)
 
 
 def _zero_meets_quadratic_orbit(c_mod: int, start: int, p: int) -> bool:
@@ -229,21 +236,27 @@ def _zero_meets_quadratic_orbit(c_mod: int, start: int, p: int) -> bool:
     return False
 
 
-def _multi_quadratic_prime(shifts: list[Fraction], pts: list[PPoint], p: int) -> bool:
-    """The per-prime conditions of the multi-map search for maps t^2 + c_j."""
-    if p == 2 or any(pt.is_infinity or pt.b % p == 0 for pt in pts):
-        return False
-    if any(c == -1 for c in shifts) and _legendre(2, p) != -1:
-        return False
-    for c, pt in zip(shifts, pts):
-        if c.denominator % p == 0:
-            return False  # bad reduction of t^2 + c
-        x = pt.as_fraction()
-        if c == -1 and (valuation(x, p) != 0 or valuation(x * x - 1, p) != 0):
-            return False
-        if _zero_meets_quadratic_orbit(residue(c, p), residue(x, p), p):
-            return False
-    return True
+def _multi_certificate(maps, shifts: list[Fraction], pts: list[PPoint], p: int) -> PrimeCertificate | None:
+    """The certificate for the maps t^2 + c_j at p, or None when p fails a condition."""
+    # p = 2, a point that is not p-integral, or bad reduction of some t^2 + c_j
+    if p == 2 or any(pt.is_infinity or pt.b % p == 0 or c.denominator % p == 0 for c, pt in zip(shifts, pts)):
+        return None
+    qr_filter = -1 in shifts
+    if qr_filter and _unit_valuations([pt for c, pt in zip(shifts, pts) if c == -1], p) is None:
+        return None
+    if any(_zero_meets_quadratic_orbit(residue(c, p), residue(pt.as_fraction(), p), p) for c, pt in zip(shifts, pts)):
+        return None
+    orbits = {
+        str(j): _residue_orbit_witness(residue_orbit(reduce_map(f, p), reduce_point(x, p)))
+        for j, (f, x) in enumerate(zip(maps, pts))
+    }
+    checklist = {
+        "good-reduction": True,
+        "points-p-integral": True,
+        "zero-off-forward-residue-orbits": True,
+        "qr-filter": qr_filter,
+    }
+    return PrimeCertificate(p, "multi-quadratic", checklist, {"residue_orbits": orbits})
 
 
 def find_good_prime_multi(maps: list[RationalMap], points, p_max: int):
@@ -262,21 +275,7 @@ def find_good_prime_multi(maps: list[RationalMap], points, p_max: int):
             raise PreperiodicInput("infinity is preperiodic")
         if orbit_status(f, x.as_fraction()).is_preperiodic:
             raise PreperiodicInput(f"{x} is preperiodic")
-    for p in primes_upto(p_max):
-        if not _multi_quadratic_prime(shifts, pts, p):
-            continue
-        orbits = {
-            str(j): _residue_orbit_witness(residue_orbit(reduce_map(f, p), reduce_point(x, p)))
-            for j, (f, x) in enumerate(zip(maps, pts))
-        }
-        checklist = {
-            "good-reduction": True,
-            "points-p-integral": True,
-            "zero-off-forward-residue-orbits": True,
-            "qr-filter": any(c == -1 for c in shifts),
-        }
-        return PrimeCertificate(p, "multi-quadratic", checklist, {"residue_orbits": orbits})
-    return NotFound(p_max)
+    return _first_prime(lambda p: _multi_certificate(maps, shifts, pts, p), p_max)
 
 
 def common_residue_search(phi: RationalMap, alpha, beta, p_max: int, n_max: int) -> list[tuple[int, int]]:
@@ -345,50 +344,24 @@ def jones_density_estimate(maps: list[RationalMap], points, p_max: int) -> Jones
 
 
 def replay_certificate(cert: PrimeCertificate, maps, points) -> bool:
-    """Re-run the finite mod-p checks of a certificate from scratch."""
+    """Rebuild the certificate at its prime from the maps and points, by the
+    search's own per-prime builder, and compare."""
     if isinstance(maps, RationalMap):
         maps = [maps]
+    pts = [PPoint.of(x) for x in points]
+    try:
+        shifts = [_quadratic_shift(f) for f in maps]
+    except HypothesisViolated:
+        return False
     p = cert.prime
+    if not is_prime(p):
+        return False
     if cert.kind == "quadratic-good-prime":
-        try:
-            fv = reduce_map(maps[0], p)
-        except BadReduction:
-            return False
-        crit = residue_orbit(fv, 0)
-        if crit.tail == 0:
-            return False
-        if _residue_orbit_witness(crit) != cert.witnesses["critical_residue_orbit"]:
-            return False
-        cycles = functional_graph_cycles(fv)
-
-        def canon(cycle_list):
-            return sorted(
-                tuple(sorted(-1 if z is None else z for z in cy)) for cy in cycle_list
-            )
-
-        if canon(cycles) != canon(cert.witnesses["cycles"]):
-            return False
-        for cy in cycles:
-            for z in cy:
-                if z is not INF_RESIDUE and 2 * z % p == 0:
-                    return False
-        return all(PPoint.of(x).b % p != 0 for x in points)
-    if cert.kind == "qr-minus-one":
-        try:
-            if _quadratic_shift(maps[0]) != -1:
-                return False
-        except HypothesisViolated:
-            return False
-        if _legendre(2, p) != -1:
-            return False
-        if pow(2, (p - 1) // 2, p) != cert.witnesses["legendre"]["power"]:
-            return False
-        for x in points:
-            q = Fraction(x)
-            if valuation(q, p) != 0 or valuation(q * q - 1, p) != 0:
-                return False
-        return True
-    if cert.kind == "multi-quadratic":
-        pts = [PPoint.of(x) for x in points]
-        return len(maps) == len(pts) and _multi_quadratic_prime([_quadratic_shift(f) for f in maps], pts, p)
-    raise ValueError(f"unknown certificate kind {cert.kind}")
+        rebuilt = _quadratic_certificate(maps[0], shifts[0], pts, p)
+    elif cert.kind == "qr-minus-one":
+        rebuilt = shifts[0] == -1 and _qr_certificate(pts, p)
+    elif cert.kind == "multi-quadratic":
+        rebuilt = len(maps) == len(pts) and _multi_certificate(maps, shifts, pts, p)
+    else:
+        raise ValueError(f"unknown certificate kind {cert.kind}")
+    return rebuilt == cert

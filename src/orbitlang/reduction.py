@@ -4,8 +4,7 @@ Good reduction is tested through the resultant of the normalized integral
 model: the reduced map keeps full degree exactly when the resultant of the
 coefficient forms is a p-adic unit.  `reduce_map` gives the one model of
 a map acting on residues, mod p or mod p**M.  Residue orbits are computed
-exactly over the finite set P^1(F_p), with Brent's cycle finder as the
-memory-light fallback for large p.
+exactly over the finite set P^1(F_p).
 """
 
 from __future__ import annotations
@@ -32,9 +31,6 @@ __all__ = [
 # A point of P^1(F_p) is an int residue in [0, p) or the infinity marker None.
 RPoint = int | None
 INF_RESIDUE: RPoint = None
-
-# above this prime a residue orbit is walked by Brent's finder in O(1) memory
-BRENT_THRESHOLD = 10**6
 
 
 def binary_form_resultant(coeffs_f, coeffs_g) -> int:
@@ -209,46 +205,16 @@ class ResidueOrbit:
 
 def residue_orbit(phi_v: ReducedMap, x: RPoint) -> ResidueOrbit:
     """Exact tail and cycle data of x under the reduced map."""
-    if phi_v.prime <= BRENT_THRESHOLD:
-        seen: dict[RPoint, int] = {}
-        pt = x
-        path = []
-        while pt not in seen:
-            seen[pt] = len(path)
-            path.append(pt)
-            pt = phi_v.apply(pt)
-        tail = seen[pt]
-        cycle = tuple(path[tail:])
-        return ResidueOrbit(x, tail, len(cycle), cycle)
-    return _residue_orbit_brent(phi_v, x)
-
-
-def _residue_orbit_brent(phi_v: ReducedMap, x: RPoint) -> ResidueOrbit:
-    """Brent's cycle finder: O(tail + cycle) time, O(1) extra memory."""
-    power = length = 1
-    tortoise = x
-    hare = phi_v.apply(x)
-    while tortoise != hare:
-        if power == length:
-            tortoise = hare
-            power *= 2
-            length = 0
-        hare = phi_v.apply(hare)
-        length += 1
-    tortoise = hare = x
-    for _ in range(length):
-        hare = phi_v.apply(hare)
-    tail = 0
-    while tortoise != hare:
-        tortoise = phi_v.apply(tortoise)
-        hare = phi_v.apply(hare)
-        tail += 1
-    cycle = [tortoise]
-    pt = phi_v.apply(tortoise)
-    while pt != tortoise:
-        cycle.append(pt)
+    seen: dict[RPoint, int] = {}
+    pt = x
+    path = []
+    while pt not in seen:
+        seen[pt] = len(path)
+        path.append(pt)
         pt = phi_v.apply(pt)
-    return ResidueOrbit(x, tail, length, tuple(cycle))
+    tail = seen[pt]
+    cycle = tuple(path[tail:])
+    return ResidueOrbit(x, tail, len(cycle), cycle)
 
 
 def residue_cycle_multiplier(phi_v: ReducedMap, cycle: tuple[RPoint, ...]) -> int | None:

@@ -197,7 +197,6 @@ class OrbitScanner:
         self._sieves: dict = {}
         self._residue_orbits: dict = {}
         self._residue_cache: dict = {}
-        self._structural_cache: dict = {}
         # (id(gen), class) -> (gen, class verdict); (id(gen), n) -> (gen, exact membership)
         self._verdicts: dict = {}
         self._exact: dict = {}
@@ -506,14 +505,6 @@ class OrbitScanner:
         stream(n + shift_j).  The polynomial is None when a preperiodic
         coordinate sits at infinity on the class.
         """
-        key = (id(gen), n_class % self.preperiodic_cycle_lcm)
-        if key not in self._structural_cache:
-            # the entry holds gen, so its id stays unique while cached
-            sub, shifts = self._substitute(gen, n_class)
-            self._structural_cache[key] = (gen, (sub, shifts))
-        return self._structural_cache[key][1]
-
-    def _substitute(self, gen: Polynomial, n_class: int) -> tuple[Polynomial | None, list[int]]:
         stream_ids = self._stream_ids
         base_shift = {s: min(m.delta for m in self.models if m.stream == s) for s in stream_ids}
         u_names = tuple(f"u{j + 1}" for j in range(len(stream_ids)))
@@ -559,10 +550,7 @@ class OrbitScanner:
     def class_is_structurally_zero(self, generators, n_class: int) -> bool:
         """Proof that every generator vanishes on the whole class (all n >= base)
         wherever every coordinate is finite."""
-        return all(
-            sub is not None and sub.is_zero
-            for sub, _ in (self.substituted_generator(gen, n_class) for gen in generators)
-        )
+        return all(self._class_verdict(gen, n_class)[0] == "zero" for gen in generators)
 
 
 def _iterate_fraction(phi: RationalMap, k: int, var: str, variables) -> tuple[Polynomial, Polynomial]:

@@ -211,10 +211,18 @@ def test_find_prime_multi_mode_uses_one_map_for_every_point(monkeypatch):
     assert sorted(result["witnesses"]["residue_orbits"]) == ["0", "1"]
 
 
-@pytest.mark.parametrize("option", [["--nmax", "-5"], ["--order", "0"], ["--precision", "0"]])
+@pytest.mark.parametrize("option", [["--nmax", "-5"], ["--order", "0"], ["--precision", "0"], ["--pmax", "-5"]])
 def test_decide_out_of_range_option_exit_two(monkeypatch, option):
     # f^4(0) = 26 under t^2+1: these used to print an empty Certified answer
     argv = ["--json", "decide", "--map", "t^2+1", "--point", "0", "--variety", "x1-26", *option]
+    code, out = invoke(argv, monkeypatch=monkeypatch)
+    assert code == EXIT_USAGE
+    assert jsonline(out)["result"]["code"] == "invalid-option"
+
+
+@pytest.mark.parametrize("pmax", ["-5", "1"])
+def test_find_prime_pmax_below_two_exit_two(monkeypatch, pmax):
+    argv = ["--json", "find-prime", "--map", "t^2+1", "--points", "0", "--pmax", pmax]
     code, out = invoke(argv, monkeypatch=monkeypatch)
     assert code == EXIT_USAGE
     assert jsonline(out)["result"]["code"] == "invalid-option"

@@ -1,9 +1,12 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from orbitlang.dynsys import RationalMap
 from orbitlang.errors import PeriodicCriticalPoint, PreperiodicInput
+from orbitlang.parsing import parse_expression, parse_point
 from orbitlang.primesearch import (
     JonesDensity,
     NotFound,
@@ -152,3 +155,45 @@ def test_multi_replay_requires_p_integral_points():
     points = [3, Fraction(1, 5)]
     assert find_good_prime_multi(maps, points, 5) == NotFound(5)
     assert not replay_certificate(_multi_certificate(5), maps, points)
+
+
+def _tampered(cert, checklist=None, **witnesses):
+    return PrimeCertificate(cert.prime, cert.kind, {**cert.checklist, **(checklist or {})}, {**cert.witnesses, **witnesses})
+
+
+def test_replay_rejects_tampered_witnesses_and_checklists():
+    f = RationalMap.quadratic(1)
+    quadratic = find_good_prime_quadratic(f, [0], 100)
+    derivatives = quadratic.witnesses["periodic_residue_derivatives"]
+    qr = qr_filter_for_minus_one(RationalMap.quadratic(-1), [Fraction(1, 2)], 100)
+    multi_maps = [RationalMap.quadratic(1), RationalMap.quadratic(2)]
+    multi = find_good_prime_multi(multi_maps, [0, 0], 100)
+    cases = [
+        (_tampered(quadratic, points=["1"]), f, [0]),
+        (_tampered(quadratic, periodic_residue_derivatives={**derivatives, next(iter(derivatives)): 0}), f, [0]),
+        (_tampered(qr, unit_valuations={}), RationalMap.quadratic(-1), [Fraction(1, 2)]),
+        (_tampered(multi, residue_orbits={}), multi_maps, [0, 0]),
+        (_tampered(quadratic, checklist={"two-is-unit": False}), f, [0]),
+        (PrimeCertificate(9, quadratic.kind, quadratic.checklist, quadratic.witnesses), f, [0]),
+    ]
+    for cert, maps, points in cases:
+        assert not replay_certificate(cert, maps, points)
+
+
+def _golden_certificates():
+    for case in json.loads((Path(__file__).parent / "golden_find_prime.json").read_text()):
+        result = case["report"]["result"]
+        if result.get("type") != "PrimeCertificate":
+            continue
+        inputs = case["report"]["inputs"]
+        points = parse_point(inputs["points"])
+        maps = [parse_expression(m).value for m in (inputs.get("maps") or inputs["map"]).split(";")]
+        if len(maps) == 1 and result["kind"] == "multi-quadratic":
+            maps = maps * len(points)
+        cert = PrimeCertificate(result["prime"], result["kind"], result["checklist"], result["witnesses"])
+        yield pytest.param(cert, maps, points, id=case["name"])
+
+
+@pytest.mark.parametrize("cert, maps, points", list(_golden_certificates()))
+def test_every_golden_certificate_replays(cert, maps, points):
+    assert replay_certificate(cert, maps, points)

@@ -11,7 +11,6 @@ from orbitlang.padics import residue
 from orbitlang.polynomials import Polynomial
 from orbitlang.reduction import (
     INF_RESIDUE,
-    _residue_orbit_brent,
     binary_form_resultant,
     good_reduction,
     reduce_map,
@@ -88,13 +87,26 @@ def test_residue_orbit_examples():
     assert (fixed.tail, fixed.cycle_length) == (0, 1)
 
 
-def test_residue_orbit_brent_agrees():
-    rm = reduce_map(RationalMap.quadratic(1), 101)
-    for x in (0, 5, 55, INF_RESIDUE):
-        fast = residue_orbit(rm, x)
-        light = _residue_orbit_brent(rm, x)
-        assert (fast.tail, fast.cycle_length) == (light.tail, light.cycle_length)
-        assert set(fast.cycle) == set(light.cycle)
+LARGE_PRIME_MAPS = {
+    "t^2+1": RationalMap.quadratic(1),
+    "(t^2+1)/t": RationalMap.from_affine(Polynomial.univariate([1, 0, 1]), Polynomial.univariate([0, 1])),
+}
+
+
+@pytest.mark.parametrize("name", LARGE_PRIME_MAPS)
+def test_residue_orbit_above_a_million(name):
+    phi = LARGE_PRIME_MAPS[name]
+    rm = reduce_map(phi, 1_000_003)
+    for x in (0, 5, INF_RESIDUE):
+        orb = residue_orbit(rm, x)
+        assert len(set(orb.cycle)) == len(orb.cycle) == orb.cycle_length
+        assert rm.apply(orb.cycle[-1]) == orb.cycle[0]
+        on_cycle = set(orb.cycle)
+        pt = x
+        for _ in range(orb.tail):
+            assert pt not in on_cycle
+            pt = rm.apply(pt)
+        assert pt == orb.cycle[0]
 
 
 def test_pigeonhole_bound():

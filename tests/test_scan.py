@@ -267,7 +267,7 @@ def test_a_wrong_zero_verdict_does_not_stand_in_for_exact_evaluation(monkeypatch
     q = scanner.control_primes[0]
     gen = Polynomial(names, {(0, 1): 1, (2, 0): -1, (0, 0): q - 1})
     horizon = next(n for n in range(100) if scanner.exact_point(n) is None)
-    monkeypatch.setattr(scanner, "_substitute", lambda g, n_class: (Polynomial.constant(0, ("u1",)), [0]))
+    monkeypatch.setattr(scanner, "substituted_generator", lambda g, n_class: (Polynomial.constant(0, ("u1",)), [0]))
     assert scanner.class_is_structurally_zero([gen], 0)
     # below the horizon the forced verdict is not consulted, so the soundness
     # check still catches a description built on it
@@ -618,7 +618,7 @@ def test_a_no_hit_scan_of_an_aliased_pair_builds_no_substitution(monkeypatch, k)
     def no_substitution(gen, n_class):
         raise AssertionError("substituted generator built")
 
-    monkeypatch.setattr(scanner, "_substitute", no_substitution)
+    monkeypatch.setattr(scanner, "substituted_generator", no_substitution)
     start = time.perf_counter()
     assert scanner.scan([gen], 1000) == []
     assert time.perf_counter() - start < 10
