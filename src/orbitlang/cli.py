@@ -285,7 +285,7 @@ def _cmd_find_prime(args):
 def _cmd_divisors(args):
     phi = _parse_map(args.map)
     _at_least("--level", args.level, 0)
-    pullback = diagonal_pullback(phi, args.level, cap=max(args.level, 6))
+    pullback = diagonal_pullback(phi, args.level)
     levels = [
         {
             "level": n,

@@ -9,8 +9,9 @@ map.  Each level is the one before times a fresh layer: the Bezoutian of phi,
     (F(X1, Y1) G(X2, Y2) - F(X2, Y2) G(X1, Y1)) / (X1 Y2 - X2 Y1),
 
 evaluated at (p_{k-1}, q_{k-1}) in x and in y (the divided difference
-(f(x) - f(y)) / (x - y) for a polynomial map).  No long division is done:
-every level is checked by the exact product chain[k-1] * layer_k == chain[k].
+(f(x) - f(y)) / (x - y) for a polynomial map).  No long division is done,
+and no product is expanded: every level is checked by the exact identity
+test is_product(chain[k-1], layer_k, chain[k]).
 
 Squarefreeness of a layer is certified by specializing one variable and one
 prime: if the specialized image keeps the x-degree and is squarefree over
@@ -37,7 +38,7 @@ from .dynsys import (
     ramification_portrait,
 )
 from .padics import is_prime, next_prime, prime_factors
-from .polynomials import Polynomial, horner_forms, poly_eval
+from .polynomials import Polynomial, horner_forms, is_product, poly_eval
 from .reduction import good_reduction
 
 __all__ = [
@@ -126,6 +127,8 @@ def diagonal_pullback(phi: RationalMap, n: int, cap: int = DEFAULT_LEVEL_CAP) ->
     (p_k, q_k) is phi's Horner step at (p_{k-1}, q_{k-1}) times the scalar s_k
     that makes q_k = 1 for a polynomial map and normalizes the forms as
     RationalMap does otherwise, so layer k is s_k^2 times the Bezoutian.
+    Level k is checked to equal level k-1 times layer k by
+    :func:`is_product`, an exact proof that never expands the product.
     """
     if phi.degree < 1:
         raise ValueError("degree must be at least 1")
@@ -146,7 +149,7 @@ def diagonal_pullback(phi: RationalMap, n: int, cap: int = DEFAULT_LEVEL_CAP) ->
             fresh, p, q = fresh * (scale * scale), p * scale, q * scale
         layers.append(fresh)
         chain.append(_cross(p, q))
-        if chain[k - 1] * layers[k] != chain[k]:
+        if not is_product(chain[k - 1], layers[k], chain[k]):
             raise InexactDivision(f"chain verification failed at level {k}")
     return DiagonalPullback(phi, n, chain[n], tuple(chain), tuple(layers))
 

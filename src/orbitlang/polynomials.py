@@ -6,7 +6,10 @@ on the maps, as is :func:`horner_forms`, the one composition step.  The
 product is one packed integer kernel: each exponent vector becomes one int
 key (mixed radix, carry-free under addition), each operand integer
 numerators over its common denominator, and each output term one Fraction
-(packed exponent vectors: Monagan and Pearce, CASC 2007).  The
+(packed exponent vectors: Monagan and Pearce, CASC 2007).  A product that
+is only compared is never expanded: :func:`is_product` evaluates the rows
+of each operand at a power of 2 in the last variable (Kronecker
+substitution), so each row is one int, and compares row products.  The
 heavy algebra (gcd, resultants, division, factorization) is delegated to
 sympy; :meth:`Polynomial.divmod` is the one polynomial division.  Reduction
 modulo m goes through :meth:`Polynomial.residues` and :func:`residue_eval`.
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm
-from operator import attrgetter, mul
+from operator import add, attrgetter, mul
 from typing import Iterable
 
 import sympy
@@ -26,7 +29,7 @@ from sympy.polys.domains import RationalField
 from .errors import InexactDivision, RingMismatch
 from .padics import residue
 
-__all__ = ["Polynomial", "horner_forms", "poly_eval", "residue_eval"]
+__all__ = ["Polynomial", "horner_forms", "is_product", "poly_eval", "residue_eval"]
 
 
 _RATIONALS = RationalField()
@@ -48,11 +51,28 @@ def _from_sympy_number(value) -> Fraction:
     return Fraction(int(sympy.numer(value)), int(sympy.denom(value)))
 
 
-def _packed(terms: dict, weights: list) -> tuple[int, list]:
-    """(den, [(key, numerator)]) with terms = {exps: numerator / den} and
-    each exponent vector packed into the key sum(e * w for e, w in zip(exps, weights))."""
+def _integral(terms: dict) -> tuple[int, list]:
+    """(den, [(exps, numerator)]) with terms = {exps: numerator / den}, den
+    the least common denominator."""
     den = lcm(*map(_denominator, terms.values()))
-    return den, [(sum(map(mul, e, weights)), c.numerator * (den // c.denominator)) for e, c in terms.items()]
+    return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
+
+
+def _packed(terms: dict, weights: list) -> tuple[int, list]:
+    """:func:`_integral` with each exponent vector packed into the key
+    sum(e * w for e, w in zip(exps, weights))."""
+    den, numerators = _integral(terms)
+    return den, [(sum(map(mul, e, weights)), n) for e, n in numerators]
+
+
+def _rows(numerators: list, width: int) -> dict:
+    """{exponents but the last: row} from [(exps, numerator)], each row the
+    sum of its terms at last variable = 2**width, as one int."""
+    rows: dict = {}
+    for e, n in numerators:
+        key = e[:-1]
+        rows[key] = rows.get(key, 0) + (n << (width * e[-1]) if e else n)
+    return rows
 
 
 def _unpacked(keys, weights: list):
@@ -481,6 +501,46 @@ def horner_forms(forms, p: Polynomial, q: Polynomial) -> list[Polynomial]:
                 acc = p if acc == one else acc * p
         out.append(acc)
     return out
+
+
+def is_product(a: Polynomial, b: Polynomial, c: Polynomial) -> bool:
+    """Whether a * b == c, decided exactly without expanding a * b.
+
+    Write a, b and c as integer numerators A, B, C over their least common
+    denominators da, db, dc; then a * b == c iff G = A B dc - C da db is 0.
+    Group each operand's terms into rows by every exponent but the last
+    variable y's, and evaluate each row at y = 2^w (Kronecker substitution
+    in y): a row becomes one int, and row r of G at 2^w is the sum of
+    A_i B_j dc over i + j = r, minus C_r da db.  No coefficient of G
+    exceeds H = |A|_1 |B|_inf dc + |C|_inf da db in absolute value, and
+    w is taken with 2^w > H.  A nonzero integer polynomial g(y) whose
+    coefficients are all below 2^w in absolute value does not vanish at
+    2^w: with g_m its lowest nonzero coefficient, g(2^w) = 2^(w m) (g_m +
+    2^w k) for some integer k, and 0 < |g_m| < 2^w.  So a row of G is 0
+    iff its value at 2^w is, and the test is a proof.  The rows are dense
+    in y, w bits per power up to the row's degree, so the test suits
+    operands of moderate y-degree, such as the levels of a pullback.
+    """
+    a._compat(b)
+    a._compat(c)
+    if not a.terms or not b.terms:
+        return not c.terms
+    (da, na), (db, nb), (dc, nc) = _integral(a.terms), _integral(b.terms), _integral(c.terms)
+    bound = sum(abs(n) for _, n in na) * max(abs(n) for _, n in nb) * dc
+    bound += max((abs(n) for _, n in nc), default=0) * da * db
+    width = bound.bit_length()
+    rows_b = _rows(nb, width).items()
+    acc: dict = {}
+    get = acc.get
+    for ka, ra in _rows(na, width).items():
+        ra *= dc
+        for kb, rb in rows_b:
+            k = tuple(map(add, ka, kb))
+            acc[k] = get(k, 0) + ra * rb
+    scale = da * db
+    for k, rc in _rows(nc, width).items():
+        acc[k] = get(k, 0) - rc * scale
+    return not any(acc.values())
 
 
 def poly_eval(coeffs, x: Fraction) -> Fraction:

@@ -345,7 +345,8 @@ def jones_density_estimate(maps: list[RationalMap], points, p_max: int) -> Jones
 
 def replay_certificate(cert: PrimeCertificate, maps, points) -> bool:
     """Rebuild the certificate at its prime from the maps and points, by the
-    search's own per-prime builder, and compare."""
+    search's own per-prime builder, and compare.  A multi-map certificate
+    takes one map per point, or a single map used for every point."""
     if isinstance(maps, RationalMap):
         maps = [maps]
     pts = [PPoint.of(x) for x in points]
@@ -361,6 +362,8 @@ def replay_certificate(cert: PrimeCertificate, maps, points) -> bool:
     elif cert.kind == "qr-minus-one":
         rebuilt = shifts[0] == -1 and _qr_certificate(pts, p)
     elif cert.kind == "multi-quadratic":
+        if len(maps) == 1:  # one map for every point, as find_good_prime takes it
+            maps, shifts = maps * len(pts), shifts * len(pts)
         rebuilt = len(maps) == len(pts) and _multi_certificate(maps, shifts, pts, p)
     else:
         raise ValueError(f"unknown certificate kind {cert.kind}")

@@ -263,11 +263,19 @@ def test_curve_pair_conjugate_critical_points_within_budget():
 
 
 def test_divisors_level_six_within_budget():
-    # the level-6 chain check of t^3+t multiplies 244 x 15,371 term pairs
+    # the level-6 chain check of t^3+t compares 244- and 15,371-term operands row by row
     proc = run_cli_process(["--json", "divisors", "--map", "t^3+t", "--level", "6"], timeout=20)
     assert proc.returncode == EXIT_OK
     levels = jsonline(proc.stdout)["result"]["levels"]
     assert [(lv["level"], lv["degree_x"], lv["squarefree"]) for lv in levels] == [(n, 3**n, True) for n in range(7)]
+
+
+@pytest.mark.parametrize("level", ["7", "8"])
+def test_divisors_level_above_the_cap_is_a_usage_error(level):
+    # level 8 of t^3+t ran past 30 s before the command honoured the cap
+    proc = run_cli_process(["--json", "divisors", "--map", "t^3+t", "--level", level], timeout=5)
+    assert proc.returncode == EXIT_USAGE
+    assert jsonline(proc.stdout)["result"]["code"] == "degree-cap-exceeded"
 
 
 def test_failed_self_check_is_an_error_under_optimize():

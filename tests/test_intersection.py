@@ -187,6 +187,36 @@ def test_tampered_layer_fails_the_chain_check(monkeypatch, phi):
         diagonal_pullback(phi, 2)
 
 
+def _bumped_on_call(honest, call):
+    """`honest`, except that its result on the given call (0-based) has the
+    coefficient of its top power of y moved by 1 (a term in a row of many)."""
+    calls = []
+
+    def tampered(*args):
+        poly = honest(*args)
+        calls.append(None)
+        if len(calls) - 1 != call:
+            return poly
+        top = max(poly.terms, key=lambda e: (sum(e), e[::-1]))
+        return poly + plane({top: 1})
+
+    return tampered
+
+
+def test_tampered_high_degree_layer_coefficient_fails_the_chain_check(monkeypatch):
+    # the fifth Bezoutian is the level-5 layer; its y^162 coefficient moves
+    monkeypatch.setattr(intersection, "_bezoutian_at", _bumped_on_call(intersection._bezoutian_at, 4))
+    with pytest.raises(InexactDivision, match="level 5"):
+        diagonal_pullback(RationalMap.polynomial([0, 1, 0, 1]), 5)
+
+
+def test_tampered_chain_coefficient_fails_the_chain_check(monkeypatch):
+    # the sixth cross difference is chain[5]; its y^243 coefficient moves
+    monkeypatch.setattr(intersection, "_cross", _bumped_on_call(intersection._cross, 5))
+    with pytest.raises(InexactDivision, match="level 5"):
+        diagonal_pullback(RationalMap.polynomial([0, 1, 0, 1]), 5)
+
+
 def test_divisors_builds_one_pullback(monkeypatch):
     calls = []
 

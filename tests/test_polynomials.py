@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import schoolbook_product
 from orbitlang.errors import InexactDivision, RingMismatch
 from orbitlang.padics import residue
-from orbitlang.polynomials import Polynomial, format_polynomial, residue_eval
+from orbitlang.polynomials import Polynomial, format_polynomial, is_product, residue_eval
 
 
 def biv(x_exp_y_exp_coeff):
@@ -124,6 +124,51 @@ def test_power_matches_repeated_schoolbook_products(pair, e):
 def test_product_with_internal_cancellation(a, b, product):
     assert_clean_product(a * b, schoolbook_product(a.terms, b.terms))
     assert a * b == product
+
+
+@st.composite
+def product_triples(draw):
+    """(a, b, c) over 1-3 variables with exponents below 5, each of a and b
+    zero, one term or up to 6 terms; c is a * b, a * b with one coefficient
+    moved by +-1, or a third polynomial."""
+    variables = ("x", "y", "z")[: draw(st.integers(1, 3))]
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 4)] * len(variables)), RATIONALS, max_size=6)
+    a, b = Polynomial(variables, draw(terms)), Polynomial(variables, draw(terms))
+    kind = draw(st.sampled_from(["product", "moved", "other"]))
+    if kind == "other":
+        return a, b, Polynomial(variables, draw(terms))
+    c = a * b
+    if kind == "moved":
+        monomials = st.tuples(*[st.integers(0, 8)] * len(variables))
+        if c.terms:
+            monomials = st.one_of(monomials, st.sampled_from(sorted(c.terms)))
+        c = c + Polynomial(variables, {draw(monomials): draw(st.sampled_from([1, -1]))})
+    return a, b, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_triples())
+def test_is_product_agrees_with_the_expanded_product(triple):
+    a, b, c = triple
+    assert is_product(a, b, c) == (a * b == c)
+
+
+@pytest.mark.parametrize(
+    "a, b", [(X_PLUS_Y, X_MINUS_Y), (biv({(1, 0): Fraction(1, 2), (0, 1): 1}), biv({(1, 0): 2, (0, 1): -3}))]
+)
+def test_is_product_takes_its_width_from_c_too(a, b):
+    # 2^s y - y^2 vanishes at y = 2^s: a width from a and b alone, or one bit
+    # short of c's 2^s, would accept these
+    ab = a * b
+    for s in range(1, 601):
+        assert not is_product(a, b, ab + biv({(0, 1): 2**s, (0, 2): -1}))
+
+
+def test_is_product_expands_no_product(monkeypatch):
+    a, b = X_MINUS_Y, X_PLUS_Y
+    monkeypatch.setattr(Polynomial, "__mul__", None)
+    assert is_product(a, b, X2_MINUS_Y2)
+    assert not is_product(a, b, X2_MINUS_Y2 + 1)
 
 
 @pytest.mark.parametrize("m", [(1 << 61) - 1, 5**8])

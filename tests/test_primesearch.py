@@ -12,6 +12,7 @@ from orbitlang.primesearch import (
     NotFound,
     PrimeCertificate,
     common_residue_search,
+    find_good_prime,
     find_good_prime_multi,
     find_good_prime_quadratic,
     functional_graph_cycles,
@@ -180,6 +181,16 @@ def test_replay_rejects_tampered_witnesses_and_checklists():
         assert not replay_certificate(cert, maps, points)
 
 
+def test_single_map_multi_certificate_replays_with_one_map_or_one_per_point():
+    # find-prime --map t^2+1 --points 0,1 --mode multi
+    f = RationalMap.quadratic(1)
+    cert = find_good_prime([f], [0, 1], 100, mode="multi")
+    assert cert.kind == "multi-quadratic" and cert.prime == 3
+    assert replay_certificate(cert, [f], [0, 1])
+    assert replay_certificate(cert, [f, f], [0, 1])
+    assert not replay_certificate(cert, [f, f, f], [0, 1])
+
+
 def _golden_certificates():
     for case in json.loads((Path(__file__).parent / "golden_find_prime.json").read_text()):
         result = case["report"]["result"]
@@ -188,8 +199,6 @@ def _golden_certificates():
         inputs = case["report"]["inputs"]
         points = parse_point(inputs["points"])
         maps = [parse_expression(m).value for m in (inputs.get("maps") or inputs["map"]).split(";")]
-        if len(maps) == 1 and result["kind"] == "multi-quadratic":
-            maps = maps * len(points)
         cert = PrimeCertificate(result["prime"], result["kind"], result["checklist"], result["witnesses"])
         yield pytest.param(cert, maps, points, id=case["name"])
 
