@@ -194,8 +194,7 @@ def _gf_gcd_degree(a: list[int], b: list[int], q: int) -> int:
         while len(a) >= len(b):
             coef = a[-1] * inv % q
             shift = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[i + shift] = (a[i + shift] - coef * c) % q
+            a[shift:] = [(x - coef * y) % q for x, y in zip(a[shift:], b)]
             trim(a)
             if not a:
                 break
@@ -243,11 +242,14 @@ def _univariate_squarefree(poly: Polynomial, var: str) -> bool:
 
 def _content_in_x(poly: Polynomial) -> Polynomial:
     """gcd over Q[y], up to a unit, of the coefficients of poly viewed in
-    (Q[y])[x].  Lowest y-degree first, so a constant coefficient (as in every
-    layer of a monic polynomial map) settles it without a gcd."""
+    (Q[y])[x].  A nonzero constant coefficient (as in every layer of a monic
+    polynomial map) settles it without a gcd; otherwise lowest y-degree
+    first."""
     by_x: dict[int, dict] = {}
-    for (ex, ey), c in poly.terms.items():
-        by_x.setdefault(ex, {})[(ey,)] = c
+    for (ex, ey), n in poly.num.items():
+        by_x.setdefault(ex, {})[(ey,)] = n
+    if any(len(row) == 1 and (0,) in row for row in by_x.values()):
+        return Polynomial.constant(1, ("y",))
     coeffs = sorted((Polynomial(("y",), t) for t in by_x.values()), key=lambda c: c.degree("y"))
     g = coeffs[0]
     for c in coeffs[1:]:

@@ -58,7 +58,7 @@ def _tokenize(src: str) -> list[_Token]:
 
 
 def _is_one(p: Polynomial) -> bool:
-    return len(p.terms) == 1 and p.terms.get((0,) * len(p.variables)) == 1
+    return p == Polynomial.constant(1, p.variables)
 
 
 def _times(a: Polynomial, b: Polynomial) -> Polynomial:

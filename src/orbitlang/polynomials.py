@@ -1,11 +1,14 @@
 """Exact sparse polynomial arithmetic over Q.
 
-Representation is a sparse map from exponent vectors to Fraction
-coefficients.  Add/mul/substitute/derive/evaluate are implemented directly
-on the maps, as is :func:`horner_forms`, the one composition step.  The
-product is one packed integer kernel: each exponent vector becomes one int
-key (mixed radix, carry-free under addition), each operand integer
-numerators over its common denominator, and each output term one Fraction
+A polynomial is stored as integer numerators over one common denominator:
+`num` maps exponent vectors to nonzero ints and `den` is a positive int with
+gcd(den, *num.values()) == 1 (the zero polynomial has den == 1), so equal
+polynomials have equal representations.  `terms` is the derived
+{exponents: Fraction} view, each coefficient in its own lowest terms.
+Add/mul/residues/substitute/derive/evaluate are implemented directly on the
+maps, as is :func:`horner_forms`, the one composition step.  The product is
+one packed integer kernel: each exponent vector becomes one int key (mixed
+radix, carry-free under addition) and the numerators multiply as ints
 (packed exponent vectors: Monagan and Pearce, CASC 2007).  A product that
 is only compared is never expanded: :func:`is_product` evaluates the rows
 of each operand at a power of 2 in the last variable (Kronecker
@@ -20,14 +23,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm
-from operator import add, attrgetter, mul
+from operator import attrgetter, mul
 from typing import Iterable
 
 import sympy
 from sympy.polys.domains import RationalField
 
 from .errors import InexactDivision, RingMismatch
-from .padics import residue
 
 __all__ = ["Polynomial", "horner_forms", "is_product", "poly_eval", "residue_eval"]
 
@@ -51,27 +53,15 @@ def _from_sympy_number(value) -> Fraction:
     return Fraction(int(sympy.numer(value)), int(sympy.denom(value)))
 
 
-def _integral(terms: dict) -> tuple[int, list]:
-    """(den, [(exps, numerator)]) with terms = {exps: numerator / den}, den
-    the least common denominator."""
-    den = lcm(*map(_denominator, terms.values()))
-    return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
-
-
-def _packed(terms: dict, weights: list) -> tuple[int, list]:
-    """:func:`_integral` with each exponent vector packed into the key
-    sum(e * w for e, w in zip(exps, weights))."""
-    den, numerators = _integral(terms)
-    return den, [(sum(map(mul, e, weights)), n) for e, n in numerators]
-
-
-def _rows(numerators: list, width: int) -> dict:
-    """{exponents but the last: row} from [(exps, numerator)], each row the
-    sum of its terms at last variable = 2**width, as one int."""
+def _rows(num: dict, weights: list, width: int) -> dict:
+    """{packed exponents but the last: row} from {exps: numerator}, each
+    key sum(e * w for e, w in zip(exps, weights)) and each row the sum of
+    its terms at last variable = 2**width, as one int."""
     rows: dict = {}
-    for e, n in numerators:
-        key = e[:-1]
-        rows[key] = rows.get(key, 0) + (n << (width * e[-1]) if e else n)
+    get = rows.get
+    for e, n in num.items():
+        key = sum(map(mul, e, weights))
+        rows[key] = get(key, 0) + (n << (width * e[-1]) if e else n)
     return rows
 
 
@@ -88,9 +78,11 @@ def _unpacked(keys, weights: list):
 
 
 class Polynomial:
-    """Sparse exact polynomial in an ordered list of named variables."""
+    """Sparse exact polynomial in an ordered list of named variables:
+    {exponents: numerator} over one positive common denominator, in lowest
+    terms."""
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "num", "den")
 
     def __init__(self, variables: Iterable[str], terms: dict):
         self.variables = tuple(variables)
@@ -103,30 +95,47 @@ class Polynomial:
             c = _as_fraction(c)
             if c != 0:
                 clean[exps] = c
-        self.terms = clean
+        # each Fraction is in lowest terms, so the lcm leaves no common factor
+        self.den = den = lcm(*map(_denominator, clean.values()))
+        self.num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
 
     # -- constructors ----------------------------------------------------------
 
     @classmethod
-    def _of(cls, variables: tuple, terms: dict) -> "Polynomial":
-        """Wrap terms that are already clean: exponent tuples of the right
-        width mapped to nonzero Fractions."""
+    def _of(cls, variables: tuple, num: dict, den: int) -> "Polynomial":
+        """Wrap a representation that is already canonical: exponent tuples
+        of the right width mapped to nonzero ints over a positive den in
+        lowest terms."""
         poly = object.__new__(cls)
         poly.variables = variables
-        poly.terms = terms
+        poly.num = num
+        poly.den = den
         return poly
+
+    @classmethod
+    def _lowest(cls, variables: tuple, num: dict, den: int) -> "Polynomial":
+        """:meth:`_of` for nonzero numerators over a positive den that may
+        share a factor with all of them."""
+        if den != 1:
+            g = _int_gcd(den, *num.values())
+            if g != 1:
+                num = {e: n // g for e, n in num.items()}
+                den //= g
+        return cls._of(variables, num, den)
 
     @classmethod
     def constant(cls, value, variables: Iterable[str] = ()) -> "Polynomial":
         variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): value})
+        value = _as_fraction(value)
+        num = {(0,) * len(variables): value.numerator} if value else {}
+        return cls._of(variables, num, value.denominator)
 
     @classmethod
     def variable(cls, name: str, variables: Iterable[str] | None = None) -> "Polynomial":
         variables = (name,) if variables is None else tuple(variables)
         idx = variables.index(name)
         exps = tuple(1 if i == idx else 0 for i in range(len(variables)))
-        return cls(variables, {exps: 1})
+        return cls._of(variables, {exps: 1}, 1)
 
     @classmethod
     def univariate(cls, coeffs: Iterable, var: str = "t") -> "Polynomial":
@@ -136,21 +145,27 @@ class Polynomial:
     # -- structure ----------------------------------------------------------------
 
     @property
+    def terms(self) -> dict:
+        """A fresh {exponents: Fraction} map of the nonzero coefficients."""
+        den = self.den
+        return {e: Fraction(n, den) for e, n in self.num.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def total_degree(self):
         """Total degree; None for the zero polynomial (degree sentinel)."""
-        if not self.terms:
+        if not self.num:
             return None
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.num))
 
     def degree(self, var: str):
         """Degree in one variable; None for the zero polynomial."""
-        if not self.terms:
+        if not self.num:
             return None
         i = self.variables.index(var)
-        return max(e[i] for e in self.terms)
+        return max(e[i] for e in self.num)
 
     def univariate_coeffs(self) -> list:
         """Low-to-high dense coefficient list; requires exactly one variable."""
@@ -165,10 +180,10 @@ class Polynomial:
         return out
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return not any(map(any, self.num))
 
     def constant_value(self):
-        return self.terms.get((0,) * len(self.variables), Fraction(0))
+        return Fraction(self.num.get((0,) * len(self.variables), 0), self.den)
 
     def with_variables(self, variables: Iterable[str]) -> "Polynomial":
         """Reinterpret over a different variable tuple.
@@ -181,18 +196,18 @@ class Polynomial:
         for i, v in enumerate(self.variables):
             if v in variables:
                 pos.append(variables.index(v))
-            elif any(e[i] for e in self.terms):
+            elif any(e[i] for e in self.num):
                 raise ValueError(f"variable {v} occurs but is missing from target set")
             else:
                 pos.append(None)
-        terms = {}
-        for exps, c in self.terms.items():
+        num = {}
+        for exps, n in self.num.items():
             new = [0] * len(variables)
             for p, e in zip(pos, exps):
                 if p is not None:
                     new[p] = e
-            terms[tuple(new)] = c
-        return Polynomial(variables, terms)
+            num[tuple(new)] = n
+        return Polynomial._of(variables, num, self.den)
 
     # -- arithmetic ------------------------------------------------------------------
 
@@ -206,18 +221,22 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(other, self.variables)
         self._compat(other)
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            if exps in terms:
-                terms[exps] = terms[exps] + c
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        num = dict(self.num) if sa == 1 else {e: n * sa for e, n in self.num.items()}
+        get = num.get
+        for e, n in other.num.items():
+            v = get(e, 0) + (n if sb == 1 else n * sb)
+            if v:
+                num[e] = v
             else:
-                terms[exps] = c
-        return Polynomial(self.variables, terms)
+                del num[e]
+        return Polynomial._lowest(self.variables, num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.variables, {e: -c for e, c in self.terms.items()})
+        return Polynomial._of(self.variables, {e: -n for e, n in self.num.items()}, self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -231,27 +250,26 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(other, self.variables)
         self._compat(other)
-        if len(self.terms) < len(other.terms):
-            small, large = self.terms, other.terms
+        if len(self.num) < len(other.num):
+            small, large = self.num, other.num
         else:
-            small, large = other.terms, self.terms
+            small, large = other.num, self.num
         # the digit of variable v in a key runs to deg_small(v) + deg_large(v),
         # so keys of the two operands add without carry
         weights, w = [], 1
         for es, el in zip(zip(*small), zip(*large)):
             weights.append(w)
             w *= max(es) + max(el) + 1
-        den_s, packed_s = _packed(small, weights)
-        den_l, packed_l = _packed(large, weights)
+        packed_l = [(sum(map(mul, e, weights)), n) for e, n in large.items()]
         acc: dict = {}
         get = acc.get
-        for ks, cs in packed_s:
+        for es, cs in small.items():
+            ks = sum(map(mul, es, weights))
             for kl, cl in packed_l:
                 k = ks + kl
                 acc[k] = get(k, 0) + cs * cl
-        den = den_s * den_l
-        terms = {e: Fraction(v, den) for e, v in zip(_unpacked(acc, weights), acc.values()) if v}
-        return Polynomial._of(self.variables, terms)
+        num = {e: v for e, v in zip(_unpacked(acc, weights), acc.values()) if v}
+        return Polynomial._lowest(self.variables, num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -273,33 +291,25 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
+        return self.variables == other.variables and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        return hash((self.variables, self.den, frozenset(self.num.items())))
 
     # -- calculus / evaluation ----------------------------------------------------------
 
     def derivative(self, var: str) -> "Polynomial":
         i = self.variables.index(var)
-        terms = {}
-        for exps, c in self.terms.items():
-            if exps[i] == 0:
-                continue
-            new = list(exps)
-            new[i] -= 1
-            key = tuple(new)
-            add = c * exps[i]
-            terms[key] = terms[key] + add if key in terms else add
-        return Polynomial(self.variables, terms)
+        # lowering exponent i is one-to-one on the terms where it is positive
+        num = {e[:i] + (e[i] - 1,) + e[i + 1 :]: n * e[i] for e, n in self.num.items() if e[i]}
+        return Polynomial._lowest(self.variables, num, self.den)
 
     def evaluate(self, values: dict):
         """Full evaluation; `values` must cover every variable."""
-        acc = Fraction(0)
+        acc = 0
         powers = [{0: Fraction(1)} for _ in self.variables]
         vals = [_as_fraction(values[v]) for v in self.variables]
-        for exps, c in self.terms.items():
-            term = c
+        for exps, term in self.num.items():
             for i, e in enumerate(exps):
                 if e:
                     cache = powers[i]
@@ -307,7 +317,7 @@ class Polynomial:
                         cache[e] = vals[i] ** e
                     term = term * cache[e]
             acc = acc + term
-        return acc
+        return Fraction(acc) / self.den
 
     def residues(self, m: int) -> dict:
         """Coefficients reduced mod m, {exponents: int}; see :func:`residue_eval`.
@@ -315,7 +325,11 @@ class Polynomial:
         Raises ZeroDivisionError when a coefficient denominator is not
         invertible mod m.
         """
-        return {e: residue(c, m) for e, c in self.terms.items()}
+        try:
+            inv = pow(self.den, -1, m)
+        except ValueError:
+            raise ZeroDivisionError(f"denominator {self.den} is not invertible mod {m}") from None
+        return {e: n * inv % m for e, n in self.num.items()}
 
     def substitute(self, assignments: dict) -> "Polynomial":
         """Substitute Polynomials/constants for a subset of the variables.
@@ -344,12 +358,12 @@ class Polynomial:
                     if key not in pow_cache:
                         pow_cache[key] = subs[i] ** e
                     factor = factor * pow_cache[key]
-            mono = Polynomial(self.variables, {tuple(rest): c})
+            mono = Polynomial._of(self.variables, {tuple(rest): c.numerator}, c.denominator)
             acc = acc + mono * factor
         return acc
 
     def rename_variables(self, mapping: dict) -> "Polynomial":
-        return Polynomial(tuple(mapping.get(v, v) for v in self.variables), self.terms)
+        return Polynomial._of(tuple(mapping.get(v, v) for v in self.variables), self.num, self.den)
 
     def placed(self, variables: Iterable[str], name: str) -> "Polynomial":
         """This univariate polynomial written in `name`, over the variable tuple `variables`."""
@@ -359,12 +373,13 @@ class Polynomial:
         names = set(names)
         for n in names:
             i = self.variables.index(n)
-            if any(e[i] for e in self.terms):
+            if any(e[i] for e in self.num):
                 raise ValueError(f"variable {n} still occurs")
         keep = [i for i, v in enumerate(self.variables) if v not in names]
-        return Polynomial(
+        return Polynomial._of(
             tuple(self.variables[i] for i in keep),
-            {tuple(e[i] for i in keep): c for e, c in self.terms.items()},
+            {tuple(e[i] for i in keep): n for e, n in self.num.items()},
+            self.den,
         )
 
     # -- content and normalization ---------------------------------------------------------
@@ -375,34 +390,26 @@ class Polynomial:
         Sign convention: the leading coefficient (lexicographically largest
         exponent vector) of the primitive part is positive.
         """
-        if not self.terms:
+        if not self.num:
             return Fraction(0), self
-        den_lcm = 1
-        for c in self.terms.values():
-            den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
-        num_gcd = 0
-        for c in self.terms.values():
-            num_gcd = _int_gcd(num_gcd, c.numerator * (den_lcm // c.denominator))
-        content = Fraction(num_gcd, den_lcm)
-        lead = max(self.terms)
-        if self.terms[lead] < 0:
-            content = -content
-        prim = Polynomial(self.variables, {e: c / content for e, c in self.terms.items()})
-        return content, prim
+        g = _int_gcd(*self.num.values())
+        if self.num[max(self.num)] < 0:
+            g = -g
+        return Fraction(g, self.den), Polynomial._of(self.variables, {e: n // g for e, n in self.num.items()}, 1)
 
     def monic(self) -> "Polynomial":
         """Divide a univariate polynomial by its leading coefficient."""
         if len(self.variables) != 1 or self.is_zero:
             raise ValueError("monic() needs a nonzero univariate polynomial")
-        lead = self.terms[max(self.terms)]
-        return Polynomial(self.variables, {e: c / lead for e, c in self.terms.items()})
+        lead = self.num[max(self.num)]
+        return Polynomial(self.variables, {e: Fraction(n, lead) for e, n in self.num.items()})
 
     # -- sympy bridge ----------------------------------------------------------------------
 
     def to_sympy(self):
         syms = [_symbol(v) for v in self.variables] or [_symbol("_c")]
-        terms = self.terms or {(0,) * len(syms): 0}
-        d = {e if self.variables else (0,): sympy.Rational(c.numerator, c.denominator) for e, c in terms.items()}
+        num = self.num or {(0,) * len(syms): 0}
+        d = {e if self.variables else (0,): sympy.Rational(n, self.den) for e, n in num.items()}
         return sympy.Poly.from_dict(d, *syms, domain=_RATIONALS)
 
     @classmethod
@@ -440,8 +447,8 @@ class Polynomial:
         result = Polynomial.from_sympy(g, self.variables)
         if result.is_zero:
             return result
-        lead = result.terms[max(result.terms)]
-        return Polynomial(self.variables, {e: c / lead for e, c in result.terms.items()})
+        lead = result.num[max(result.num)]
+        return Polynomial(self.variables, {e: Fraction(n, lead) for e, n in result.num.items()})
 
     def resultant(self, other: "Polynomial", var: str) -> "Polynomial":
         """Resultant eliminating `var`; result lives in the remaining variables."""
@@ -507,39 +514,52 @@ def is_product(a: Polynomial, b: Polynomial, c: Polynomial) -> bool:
     """Whether a * b == c, decided exactly without expanding a * b.
 
     Write a, b and c as integer numerators A, B, C over their least common
-    denominators da, db, dc; then a * b == c iff G = A B dc - C da db is 0.
-    Group each operand's terms into rows by every exponent but the last
-    variable y's, and evaluate each row at y = 2^w (Kronecker substitution
-    in y): a row becomes one int, and row r of G at 2^w is the sum of
-    A_i B_j dc over i + j = r, minus C_r da db.  No coefficient of G
-    exceeds H = |A|_1 |B|_inf dc + |C|_inf da db in absolute value, and
-    w is taken with 2^w > H.  A nonzero integer polynomial g(y) whose
-    coefficients are all below 2^w in absolute value does not vanish at
-    2^w: with g_m its lowest nonzero coefficient, g(2^w) = 2^(w m) (g_m +
-    2^w k) for some integer k, and 0 < |g_m| < 2^w.  So a row of G is 0
-    iff its value at 2^w is, and the test is a proof.  The rows are dense
-    in y, w bits per power up to the row's degree, so the test suits
-    operands of moderate y-degree, such as the levels of a pullback.
+    denominators da, db, dc (their stored num and den); then a * b == c iff
+    G = A B dc - C da db is 0.  Group each operand's terms into rows by
+    every exponent but the last variable y's, and evaluate each row at
+    y = 2^w (Kronecker substitution in y): a row becomes one int, and row r
+    of G at 2^w is the sum of A_i B_j dc over i + j = r, minus C_r da db.
+    A row's key packs its exponents in mixed radix, the digit of variable v
+    running to deg_a(v) + deg_b(v), so keys of a and b add without carry
+    and no two rows of G share a key; a c with a larger exponent in such a
+    variable is not a * b.  No coefficient of G exceeds
+    H = |A|_1 |B|_inf dc + |C|_inf da db in absolute value, and w is taken
+    with 2^w > H.  A nonzero integer polynomial g(y) whose coefficients are
+    all below 2^w in absolute value does not vanish at 2^w: with g_m its
+    lowest nonzero coefficient, g(2^w) = 2^(w m) (g_m + 2^w k) for some
+    integer k, and 0 < |g_m| < 2^w.  So a row of G is 0 iff its value at
+    2^w is, and the test is a proof.  The rows are dense in y, w bits per
+    power up to the row's degree, so the test suits operands of moderate
+    y-degree, such as the levels of a pullback.
     """
     a._compat(b)
     a._compat(c)
-    if not a.terms or not b.terms:
-        return not c.terms
-    (da, na), (db, nb), (dc, nc) = _integral(a.terms), _integral(b.terms), _integral(c.terms)
-    bound = sum(abs(n) for _, n in na) * max(abs(n) for _, n in nb) * dc
-    bound += max((abs(n) for _, n in nc), default=0) * da * db
+    na, nb, nc = a.num, b.num, c.num
+    if not na or not nb:
+        return not nc
+    tops = [max(ea) + max(eb) for ea, eb in zip(zip(*na), zip(*nb))][:-1]
+    if any(max(ec) > top for ec, top in zip(zip(*nc), tops)):
+        return False
+    weights, w = [], 1
+    for top in tops:
+        weights.append(w)
+        w *= top + 1
+    da, db, dc = a.den, b.den, c.den
+    bound = sum(map(abs, na.values())) * max(map(abs, nb.values())) * dc
+    bound += max(map(abs, nc.values()), default=0) * da * db
     width = bound.bit_length()
-    rows_b = _rows(nb, width).items()
+    rows_b = _rows(nb, weights, width).items()
     acc: dict = {}
     get = acc.get
-    for ka, ra in _rows(na, width).items():
-        ra *= dc
+    for ka, ra in _rows(na, weights, width).items():
+        if dc != 1:
+            ra *= dc
         for kb, rb in rows_b:
-            k = tuple(map(add, ka, kb))
+            k = ka + kb
             acc[k] = get(k, 0) + ra * rb
     scale = da * db
-    for k, rc in _rows(nc, width).items():
-        acc[k] = get(k, 0) - rc * scale
+    for k, rc in _rows(nc, weights, width).items():
+        acc[k] = get(k, 0) - (rc if scale == 1 else rc * scale)
     return not any(acc.values())
 
 
@@ -568,8 +588,9 @@ def format_polynomial(poly: Polynomial) -> str:
     if poly.is_zero:
         return "0"
     parts = []
-    for exps in sorted(poly.terms, reverse=True):
-        c = poly.terms[exps]
+    terms = poly.terms
+    for exps in sorted(terms, reverse=True):
+        c = terms[exps]
         mono = "*".join(
             f"{v}^{e}" if e > 1 else v for v, e in zip(poly.variables, exps) if e
         )

@@ -16,7 +16,7 @@ from orbitlang.intersection import (
     ramification_bound,
     s_integrality_scan,
 )
-from orbitlang.polynomials import Polynomial
+from orbitlang.polynomials import Polynomial, is_product
 
 
 def plane(terms):
@@ -215,6 +215,34 @@ def test_tampered_chain_coefficient_fails_the_chain_check(monkeypatch):
     monkeypatch.setattr(intersection, "_cross", _bumped_on_call(intersection._cross, 5))
     with pytest.raises(InexactDivision, match="level 5"):
         diagonal_pullback(RationalMap.polynomial([0, 1, 0, 1]), 5)
+
+
+def test_level_five_check_rejects_a_chain_coefficient_off_by_one():
+    pb = diagonal_pullback(RationalMap.polynomial([0, 7, 0, 1]), 5)  # t^3 + 7t
+    a, b, c = pb.chain[4], pb.layers[5], pb.chain[5]
+    assert is_product(a, b, c)
+    exps = sorted(c.terms)
+    for e in (exps[0], exps[len(exps) // 2], exps[-1]):
+        for step in (1, -1):
+            assert not is_product(a, b, c + plane({e: step}))
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        RationalMap.polynomial([0, Fraction(3, 2), 0, 1]),
+        RationalMap.polynomial([Fraction(1, 3), 0, 2]),
+        RationalMap.from_affine(Polynomial.univariate([-2, 0, 1]), Polynomial.univariate([0, 2])),
+    ],
+    ids=["t^3+3/2*t", "2*t^2+1/3", "(t^2-2)/(2*t)"],
+)
+def test_rational_coefficient_chains_equal_their_expanded_products(phi):
+    pb = diagonal_pullback(phi, 5)
+    for k in range(1, 6):
+        assert pb.chain[k] == pb.chain[k - 1] * pb.layers[k]
+    if phi.is_polynomial:
+        # the non-monic maps' levels carry a common denominator
+        assert pb.chain[5].den > 1
 
 
 def test_divisors_builds_one_pullback(monkeypatch):

@@ -1,14 +1,15 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import schoolbook_product
 from orbitlang.errors import InexactDivision, RingMismatch
 from orbitlang.padics import residue
+from orbitlang.parsing import parse_expression
 from orbitlang.polynomials import Polynomial, format_polynomial, is_product, residue_eval
 
 
@@ -171,6 +172,156 @@ def test_is_product_expands_no_product(monkeypatch):
     assert not is_product(a, b, X2_MINUS_Y2 + 1)
 
 
+def test_is_product_rejects_a_moved_exponent_in_any_variable():
+    # rows are keyed by the packed (x, y) exponents; moving one term of a * b
+    # by one step in x, in the middle variable y or in z must be seen
+    names = ("x", "y", "z")
+    a = Polynomial(names, {(2, 1, 0): 1, (0, 0, 1): 3, (0, 0, 0): -1})
+    b = Polynomial(names, {(0, 2, 0): 1, (1, 0, 0): -2, (0, 0, 2): Fraction(1, 2)})
+    ab = a * b
+    assert is_product(a, b, ab)
+    for e, c in ab.terms.items():
+        for v in range(3):
+            for step in (1, -1):
+                f = list(e)
+                f[v] += step
+                if f[v] < 0:
+                    continue
+                wrong = ab + Polynomial(names, {e: -c, tuple(f): c})
+                assert wrong != ab and not is_product(a, b, wrong)
+
+
+def test_is_product_rejects_an_exponent_past_the_key_digit():
+    # x's digit runs to deg_a(x) + deg_b(x) = 3, so x^4 y packs like y^2: a c
+    # that moves the 3*y^2*z of a * b to 3*x^4*y*z has a * b's packed rows
+    names = ("x", "y", "z")
+    a = Polynomial(names, {(2, 1, 0): 1, (0, 0, 1): 3, (0, 0, 0): -1})
+    b = Polynomial(names, {(0, 2, 0): 1, (1, 0, 0): -2, (0, 0, 2): 1})
+    ab = a * b
+    assert ab.terms[(0, 2, 1)] == 3
+    wrong = ab + Polynomial(names, {(0, 2, 1): -3, (4, 1, 1): 3})
+    assert not is_product(a, b, wrong)
+
+
+def test_is_product_of_constants_without_variables():
+    a, b = Polynomial.constant(Fraction(3, 2)), Polynomial.constant(-4)
+    zero = Polynomial((), {})
+    assert a.variables == ()
+    assert is_product(a, b, Polynomial.constant(-6))
+    assert not is_product(a, b, Polynomial.constant(-5))
+    assert not is_product(a, b, zero)
+    assert is_product(zero, b, zero)
+    assert not is_product(zero, b, a)
+
+
+def assert_canonical(p):
+    assert p.den > 0
+    assert all(type(e) is tuple and len(e) == len(p.variables) for e in p.num)
+    assert all(type(n) is int and n for n in p.num.values())
+    assert gcd(p.den, *p.num.values()) == 1
+    if not p.num:
+        assert p.den == 1
+
+
+def reference_sum(*maps):
+    out = {}
+    for terms in maps:
+        for e, c in terms.items():
+            out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def reference_value(terms, point):
+    total = Fraction(0)
+    for exps, c in terms.items():
+        for x, e in zip(point, exps):
+            c *= Fraction(x) ** e
+        total += c
+    return total
+
+
+@st.composite
+def rational_polynomials(draw, variables=None, max_size=6):
+    """A polynomial over 0-3 variables with exponents below 5 and rational
+    coefficients, built from a drawn {exponents: coefficient} map."""
+    if variables is None:
+        variables = ("x", "y", "z")[: draw(st.integers(0, 3))]
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 4)] * len(variables)), RATIONALS, max_size=max_size)
+    return Polynomial(variables, draw(terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda k: st.tuples(*[rational_polynomials(("x", "y", "z")[:k])] * 3)))
+def test_routes_to_one_polynomial_agree(polys):
+    a, b, other = polys
+    one = Polynomial.constant(1, a.variables)
+    monomial_sum = Polynomial(a.variables, {})
+    for e, c in a.terms.items():
+        monomial_sum = monomial_sum + Polynomial(a.variables, {e: c})
+    routes = [a, monomial_sum, (a * 2) * Fraction(1, 2), b - b + a, a * one, one * a, -(-a)]
+    product = Polynomial(a.variables, schoolbook_product(a.terms, b.terms))
+    for p in routes + [product, a * b, b * a]:
+        assert_canonical(p)
+    for p in routes:
+        assert p == a and hash(p) == hash(a) and p.terms == a.terms
+    assert product == a * b and hash(product) == hash(a * b)
+    for p, q in [(a, b), (a, other), (a * b, other)]:
+        assert (p == q) == (p.terms == q.terms)
+        if p == q:
+            assert hash(p) == hash(q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 3).flatmap(lambda k: st.tuples(*[rational_polynomials(("x", "y", "z")[:k])] * 2)),
+    st.integers(0, 3),
+    st.lists(RATIONALS, min_size=3, max_size=3),
+    st.sampled_from([7, 9, 10, 2**61 - 1]),
+)
+def test_arithmetic_agrees_with_the_fraction_reference(pair, e, point, m):
+    a, b = pair
+    ta, tb = a.terms, b.terms
+    for p, expected in [
+        (a + b, reference_sum(ta, tb)),
+        (a - b, reference_sum(ta, {k: -c for k, c in tb.items()})),
+        (-a, {k: -c for k, c in ta.items()}),
+        (a * b, schoolbook_product(ta, tb)),
+        (a + Fraction(1, 3), reference_sum(ta, {(0,) * len(a.variables): Fraction(1, 3)})),
+    ]:
+        assert_canonical(p)
+        assert p.terms == expected
+    power = {(0,) * len(a.variables): Fraction(1)}
+    for _ in range(e):
+        power = schoolbook_product(power, ta)
+    assert_canonical(a**e)
+    assert (a**e).terms == power
+
+    # with_variables: reversed, with one unused variable in front
+    target = ("w",) + a.variables[::-1]
+    moved = a.with_variables(target)
+    assert_canonical(moved)
+    assert moved.terms == {(0,) + k[::-1]: c for k, c in ta.items()}
+
+    assert a.evaluate(dict(zip(a.variables, point))) == reference_value(ta, point)
+    if all(gcd(c.denominator, m) == 1 for c in ta.values()):
+        assert a.residues(m) == {k: residue(c, m) for k, c in ta.items()}
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a.residues(m)
+
+    content, prim = a.content_and_primitive()
+    assert_canonical(prim)
+    if ta:
+        den = lcm(*(c.denominator for c in ta.values()))
+        g = gcd(*(int(c * den) for c in ta.values()))
+        sign = 1 if ta[max(ta)] > 0 else -1
+        assert content == sign * Fraction(g, den)
+        assert prim.den == 1 and prim.num[max(prim.num)] > 0
+        assert prim.terms == {k: c / content for k, c in ta.items()}
+    else:
+        assert content == 0 and prim == a
+
+
 @pytest.mark.parametrize("m", [(1 << 61) - 1, 5**8])
 def test_residues_commute_with_evaluation(m):
     rng = random.Random(8)
@@ -247,3 +398,14 @@ def test_rational_roots():
 def test_format_round_trippable_shape():
     f = biv({(2, 0): 1, (1, 1): -2, (0, 0): Fraction(1, 3)})
     assert format_polynomial(f) == "x^2 - 2*x*y + 1/3"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([("x", "y"), ("x1", "x2", "x3")]).flatmap(lambda names: rational_polynomials(names, max_size=5)))
+def test_parse_format_round_trip(p):
+    # the parser reads curves and generators up to a unit, as their primitive part
+    assume(not p.is_constant())
+    parsed = parse_expression(format_polynomial(p))
+    value = parsed.value.poly if parsed.kind == "curve" else parsed.value
+    _, prim = p.content_and_primitive()
+    assert value.with_variables(p.variables) == prim
