@@ -46,6 +46,8 @@ PERIOD_BOUND = 3
 
 def _as_univariate(f) -> Polynomial:
     if isinstance(f, RationalMap):
+        if not f.is_polynomial:
+            raise HypothesisViolated("map must be polynomial")
         return Polynomial.univariate(f.affine_coefficients(), "t")
     if isinstance(f, Polynomial):
         if len(f.variables) != 1:

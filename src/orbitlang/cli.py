@@ -48,7 +48,7 @@ from .engine import (
     decide,
     decide_curve_pair,
 )
-from .errors import BadReduction, ExpressionSyntaxError, InvalidOption, OrbitlangError
+from .errors import BadReduction, ExpressionSyntaxError, HypothesisViolated, InvalidOption, OrbitlangError
 from .intersection import bivariate_squarefree, diagonal_pullback, ramification_bound
 from .padics import DEFAULT_PRECISION, is_prime
 from .parsing import format_map, parse_expression, parse_point
@@ -153,8 +153,8 @@ def _parse_map(text: str) -> RationalMap:
     return parsed.value
 
 
-def _parse_variety_generator(text: str):
-    parsed = parse_expression(text)
+def _parse_variety_generator(text: str, g: int):
+    parsed = parse_expression(text, g)
     if parsed.kind == "curve":
         return parsed.value.poly
     if parsed.kind == "variety":
@@ -299,6 +299,8 @@ def _cmd_divisors(args):
     result = {"levels": levels}
     try:
         result["ramification_bound"] = ramification_bound(phi)
+    except HypothesisViolated:  # a map the command does not take, not an open bound
+        raise
     except OrbitlangError as exc:
         result["ramification_bound"] = {"error": str(exc)}
     return result, EXIT_OK
@@ -319,7 +321,7 @@ def _cmd_ms_curves(args):
 def _cmd_strassmann(args):
     p = _prime("--prime", args.prime)
     _at_least("--precision", args.precision, 1)
-    coeffs = [Fraction(parse_expression(c.strip()).value) for c in args.coeffs.split(",")]
+    coeffs = parse_point(args.coeffs, "coefficients")
     tail = math.inf if args.tail is None else args.tail
     series = TruncatedPadicSeries.from_rationals(coeffs, p, args.precision, tail)
     count = strassmann_count(series)
@@ -335,7 +337,7 @@ def _cmd_decide(args):
     else:
         sources = [line.strip() for line in sys.stdin if line.strip()]
     for src in sources:
-        g = _parse_variety_generator(src)
+        g = _parse_variety_generator(src, len(points))
         if g is not None:
             gens.append(g)
     options = EngineOptions(

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd as _int_gcd
 from typing import Iterable, Union
 
-from .errors import SingularMu
+from .errors import HypothesisViolated, SingularMu
 from .padics import is_prime, prime_factors, valuation
 from .polynomials import Polynomial, horner_forms
 
@@ -610,7 +610,7 @@ def exceptional_structure(phi: RationalMap):
     """
     d = phi.degree
     if d < 2:
-        raise ValueError("degree must be at least 2")
+        raise HypothesisViolated("degree must be at least 2")
     candidates: list[PPoint] = []
     quad_factors: list[Polynomial] = []
     for place, e in ramification_portrait(phi):

@@ -26,7 +26,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegreeCapExceeded, InexactDivision, PeriodicCriticalPoint, PreperiodicInput, UndecidedPeriodicity
+from .errors import (
+    DegreeCapExceeded,
+    HypothesisViolated,
+    InexactDivision,
+    PeriodicCriticalPoint,
+    PreperiodicInput,
+    UndecidedPeriodicity,
+)
 from .dynsys import (
     HEIGHT_CUTOFF_BITS,
     PPoint,
@@ -320,7 +327,7 @@ def ramification_bound(phi: RationalMap) -> int:
     periodic (the uniform-multiplicity bound does not exist in that case).
     """
     if phi.degree < 2:
-        raise ValueError("degree must be at least 2")
+        raise HypothesisViolated("degree must be at least 2")
     exceptional = exceptional_points(phi)
     bound = 1
     for place, e in ramification_portrait(phi):

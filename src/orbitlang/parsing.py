@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import ExpressionSyntaxError, NonPolynomialWhereRequired
 from .dynsys import RationalMap
 from .polynomials import Polynomial, format_polynomial
-from .varieties import PlaneCurve
+from .varieties import PLANE_ALIAS, PlaneCurve
 
 __all__ = ["parse_expression", "parse_point", "format_map", "ParsedExpression"]
 
@@ -208,25 +208,34 @@ class ParsedExpression:
     canonical: str
 
 
-def _collect_variables(tokens) -> tuple[str, ...]:
+def _collect_variables(tokens, g: int | None) -> tuple[str, ...]:
     names = {tok.text for tok in tokens if tok.kind == "name"}
     unknown = names - set(_VAR_ORDER)
     if unknown:
         bad = sorted(unknown)[0]
         pos = next(tok.position for tok in tokens if tok.text == bad)
         raise ExpressionSyntaxError(f"unknown variable {bad!r}", pos)
+    if g is not None:
+        coordinates = {f"x{i}" for i in range(1, g + 1)}
+        for tok in tokens:
+            if tok.kind == "name" and tok.text != "t" and PLANE_ALIAS.get(tok.text, tok.text) not in coordinates:
+                raise ExpressionSyntaxError(f"variable {tok.text!r} is beyond the {g} coordinate(s) of the point", tok.position)
     if "t" in names and len(names) > 1:
         pos = next(tok.position for tok in tokens if tok.kind == "name")
         raise ExpressionSyntaxError("cannot mix t with plane/space variables", pos)
     return tuple(v for v in _VAR_ORDER if v in names)
 
 
-def parse_expression(src: str) -> ParsedExpression:
-    """Parse one expression into a map, plane curve, variety generator or scalar."""
+def parse_expression(src: str, g: int | None = None) -> ParsedExpression:
+    """Parse one expression into a map, plane curve, variety generator or scalar.
+
+    With g, a plane or space variable must name one of the g coordinates of
+    a point: x1..xg, or x and y as x1 and x2.
+    """
     tokens = _tokenize(src)
     if not tokens:
         raise ExpressionSyntaxError("empty expression", 0)
-    variables = _collect_variables(tokens)
+    variables = _collect_variables(tokens, g)
     parser = _Parser(tokens, variables or ("t",), len(src))
     value = parser.parse()
     if not variables:
@@ -248,13 +257,13 @@ def parse_expression(src: str) -> ParsedExpression:
     return ParsedExpression("variety", prim, format_polynomial(prim))
 
 
-def parse_point(src: str) -> list[Fraction]:
-    """Comma-separated list of rational scalars."""
+def parse_point(src: str, what: str = "point coordinates") -> list[Fraction]:
+    """Comma-separated list of rational scalars; `what` names them in errors."""
     out = []
     for offset, chunk in _split_with_offsets(src, ","):
         parsed = parse_expression(chunk)
         if parsed.kind != "scalar":
-            raise ExpressionSyntaxError("point coordinates must be rational constants", offset)
+            raise ExpressionSyntaxError(f"{what} must be rational constants", offset)
         out.append(parsed.value)
     return out
 

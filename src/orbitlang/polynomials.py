@@ -13,8 +13,10 @@ radix, carry-free under addition) and the numerators multiply as ints
 is only compared is never expanded: :func:`is_product` evaluates the rows
 of each operand at a power of 2 in the last variable (Kronecker
 substitution), so each row is one int, and compares row products.  The
-heavy algebra (gcd, resultants, division, factorization) is delegated to
-sympy; :meth:`Polynomial.divmod` is the one polynomial division.  Reduction
+heavy algebra (:meth:`Polynomial.divmod`, the one polynomial division, and
+gcd, resultant, factor_list) is delegated to sympy, which `_sympy` imports
+on the first such call: the residue-only commands (coordinatewise decide,
+orbit, reduce, find-prime, strassmann) never load it.  Reduction
 modulo m goes through :meth:`Polynomial.residues` and :func:`residue_eval`.
 All values are immutable.
 """
@@ -22,27 +24,30 @@ All values are immutable.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd as _int_gcd, lcm
 from operator import attrgetter, mul
 from typing import Iterable
-
-import sympy
-from sympy.polys.domains import RationalField
 
 from .errors import InexactDivision, RingMismatch
 
 __all__ = ["Polynomial", "horner_forms", "is_product", "poly_eval", "residue_eval"]
 
 
-_RATIONALS = RationalField()
 _denominator = attrgetter("denominator")
-_SYMBOL_CACHE: dict[str, sympy.Symbol] = {}
 
 
-def _symbol(name: str) -> sympy.Symbol:
-    if name not in _SYMBOL_CACHE:
-        _SYMBOL_CACHE[name] = sympy.Symbol(name)
-    return _SYMBOL_CACHE[name]
+@cache
+def _sympy():
+    """The sympy module, imported on the first call: only the heavy algebra uses it."""
+    import sympy
+
+    return sympy
+
+
+@cache
+def _symbol(name: str):
+    return _sympy().Symbol(name)
 
 
 def _as_fraction(c) -> Fraction:
@@ -50,6 +55,7 @@ def _as_fraction(c) -> Fraction:
 
 
 def _from_sympy_number(value) -> Fraction:
+    sympy = _sympy()
     return Fraction(int(sympy.numer(value)), int(sympy.denom(value)))
 
 
@@ -407,18 +413,20 @@ class Polynomial:
     # -- sympy bridge ----------------------------------------------------------------------
 
     def to_sympy(self):
+        sympy = _sympy()
         syms = [_symbol(v) for v in self.variables] or [_symbol("_c")]
         num = self.num or {(0,) * len(syms): 0}
         d = {e if self.variables else (0,): sympy.Rational(n, self.den) for e, n in num.items()}
-        return sympy.Poly.from_dict(d, *syms, domain=_RATIONALS)
+        return sympy.Poly.from_dict(d, *syms, domain=sympy.QQ)
 
     @classmethod
     def from_sympy(cls, poly, variables: Iterable[str]) -> "Polynomial":
+        sympy = _sympy()
         variables = tuple(variables)
         if not variables:
             value = sympy.sympify(poly if not isinstance(poly, sympy.Poly) else poly.as_expr())
             return cls((), {(): _from_sympy_number(value)})
-        expr = sympy.Poly(poly, *[_symbol(v) for v in variables], domain=_RATIONALS)
+        expr = sympy.Poly(poly, *[_symbol(v) for v in variables], domain=sympy.QQ)
         return cls(variables, {tuple(exps): _from_sympy_number(c) for exps, c in expr.terms()})
 
     # -- heavy algebra (delegated) ------------------------------------------------------------
@@ -428,7 +436,7 @@ class Polynomial:
         self._compat(other)
         if other.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        q, r = sympy.div(self.to_sympy(), other.to_sympy())
+        q, r = _sympy().div(self.to_sympy(), other.to_sympy())
         return Polynomial.from_sympy(q, self.variables), Polynomial.from_sympy(r, self.variables)
 
     def divexact(self, other: "Polynomial") -> "Polynomial":
@@ -443,7 +451,7 @@ class Polynomial:
     def gcd(self, other: "Polynomial") -> "Polynomial":
         """Polynomial gcd, normalized monic in the lexicographically leading term."""
         self._compat(other)
-        g = sympy.gcd(self.to_sympy(), other.to_sympy())
+        g = _sympy().gcd(self.to_sympy(), other.to_sympy())
         result = Polynomial.from_sympy(g, self.variables)
         if result.is_zero:
             return result
@@ -453,13 +461,14 @@ class Polynomial:
     def resultant(self, other: "Polynomial", var: str) -> "Polynomial":
         """Resultant eliminating `var`; result lives in the remaining variables."""
         self._compat(other)
+        sympy = _sympy()
         sym = _symbol(var)
         res = sympy.resultant(self.to_sympy().as_expr(), other.to_sympy().as_expr(), sym)
         rest = tuple(v for v in self.variables if v != var)
         return Polynomial.from_sympy(sympy.Poly(res, *[_symbol(v) for v in rest] or [_symbol("_c")]), rest)
 
     def factor_list(self) -> tuple[Fraction, list[tuple["Polynomial", int]]]:
-        const, factors = sympy.factor_list(self.to_sympy())
+        const, factors = _sympy().factor_list(self.to_sympy())
         return _from_sympy_number(const), [(Polynomial.from_sympy(f, self.variables), int(mult)) for f, mult in factors]
 
     def is_irreducible(self) -> bool:

@@ -10,6 +10,7 @@ from .polynomials import Polynomial
 __all__ = ["PlaneCurve", "AffineVariety"]
 
 PLANE_VARS = ("x", "y")
+PLANE_ALIAS = {"x": "x1", "y": "x2"}  # the plane variables as coordinates of a point
 
 
 @dataclass(frozen=True)
@@ -59,11 +60,10 @@ class AffineVariety:
         x -> x1 alone for g = 1).
         """
         names = tuple(f"x{i + 1}" for i in range(g))
-        alias = {"x": "x1", "y": "x2"}
         gens = []
         for gen in generators:
-            if any(v in alias for v in gen.variables):
-                gen = gen.rename_variables(alias)
+            if any(v in PLANE_ALIAS for v in gen.variables):
+                gen = gen.rename_variables(PLANE_ALIAS)
             if gen.variables != names:
                 gen = gen.with_variables(names)
             gens.append(gen)

@@ -391,3 +391,49 @@ def test_place_zero_is_archimedean(monkeypatch, command):
     code, out = invoke(["--json", command, "--map", "t^2-1", "--point", "0", "--place", "0"], monkeypatch=monkeypatch)
     assert code == EXIT_OK
     assert jsonline(out)["result"]["cycle"]["place"] == "archimedean"
+
+
+@pytest.mark.parametrize(
+    "point, variety, name, position",
+    [
+        ("0", "x2-1", "x2", 0),
+        ("0", "x1 + x2", "x2", 5),
+        ("0", "y - 1", "y", 0),
+        ("0,1", "x1 - 3*x3", "x3", 7),
+    ],
+)
+def test_generator_beyond_the_point_exit_two(monkeypatch, point, variety, name, position):
+    # a coordinate past the point's count used to die in Polynomial.with_variables, exit 1
+    argv = ["--json", "decide", "--map", "t^2+1", "--point", point, "--variety", variety]
+    code, out = invoke(argv, monkeypatch=monkeypatch)
+    assert code == EXIT_USAGE
+    result = jsonline(out)["result"]
+    assert result["code"] == "syntax-error"
+    assert repr(name) in result["message"] and f"(at position {position})" in result["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--map", "1/t", "--point", "0"],
+        ["divisors", "--map", "t", "--level", "1"],
+        ["divisors", "--map", "1/t", "--level", "2"],
+        ["ms-curves", "--map", "(t^2+1)/t"],
+    ],
+)
+def test_map_outside_the_command_hypotheses_exit_two(monkeypatch, argv):
+    # degree 1 used to raise ValueError from exceptional_structure and
+    # ramification_bound, and a rational map from affine_coefficients
+    code, out = invoke(["--json", *argv], monkeypatch=monkeypatch)
+    assert code == EXIT_USAGE
+    assert jsonline(out)["result"]["code"] == "hypothesis-violated"
+
+
+@pytest.mark.parametrize("coeffs, position", [("x", 0), ("1,2*y", 2)])
+def test_strassmann_non_constant_coefficient_exit_two(monkeypatch, coeffs, position):
+    # Fraction() of a parsed curve used to raise TypeError, exit 1
+    code, out = invoke(["--json", "strassmann", "--prime", "3", "--coeffs", coeffs], monkeypatch=monkeypatch)
+    assert code == EXIT_USAGE
+    result = jsonline(out)["result"]
+    assert result["code"] == "syntax-error"
+    assert result["message"].endswith(f"(at position {position})")

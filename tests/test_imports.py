@@ -1,0 +1,84 @@
+"""sympy is imported on first use of the heavy algebra, never at import time.
+
+The residue-only commands (coordinatewise `decide`, `orbit`, `reduce`,
+`find-prime`, `strassmann`) make no call into sympy, so a process that
+runs only them never loads it.  The first gcd, resultant, division or
+factorization imports it through `polynomials._sympy`.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "orbitlang"
+
+
+def _import_time_nodes(tree):
+    """The nodes that run when the module is imported: everything but the
+    bodies of functions and lambdas."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                stack.append(child)
+
+
+def _imports_sympy(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "sympy" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sympy"
+
+
+def test_no_module_imports_sympy_at_import_time():
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in _import_time_nodes(ast.parse(path.read_text(), str(path)))
+        if _imports_sympy(node)
+    ]
+    assert offenders == []
+
+
+RESIDUE_ONLY = [
+    ["decide", "--map", "t^2+1", "--point", "0", "--variety", "x1-26"],
+    ["decide", "--maps", "t^2+1;t^2-1", "--point", "0,2", "--variety", "x1-x2"],
+    ["orbit", "--map", "t^2+1", "--point", "1", "--place", "3"],
+    ["reduce", "--map", "t^2+1", "--prime", "5", "--point", "2"],
+    ["find-prime", "--map", "t^2+1", "--points", "0,1"],
+    ["strassmann", "--prime", "5", "--coeffs", "0,-1,1"],
+]
+
+SCRIPT = """
+import io, json, sys
+from orbitlang.cli import run
+out = []
+for argv in json.loads(sys.argv[1]):
+    stream = io.StringIO()
+    code = run(["--json", *argv], stream=stream)
+    out.append({"code": code, "sympy": "sympy" in sys.modules, "report": json.loads(stream.getvalue())})
+print(json.dumps(out))
+"""
+
+
+def test_residue_only_commands_never_load_sympy():
+    golden = json.loads((ROOT / "tests" / "golden_divisors.json").read_text())[0]
+    commands = RESIDUE_ONLY + [golden["argv"][1:]]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, json.dumps(commands)], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    for argv, step in zip(RESIDUE_ONLY, runs):
+        assert step["code"] in (0, 1) and not step["sympy"], argv
+    divisors = runs[-1]
+    assert divisors["sympy"]
+    assert divisors["code"] == golden["exit"]
+    divisors["report"].pop("timing")
+    assert json.dumps(divisors["report"], sort_keys=True) == json.dumps(golden["report"], sort_keys=True)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitlang.padics import (
     PadicNumber,
@@ -125,3 +127,83 @@ def test_prime_factors():
     p = next_prime(10**4)
     assert prime_factors(4 * p * p) == [2, p]
     assert prime_factors(next_prime(10**12)) == [next_prime(10**12)]
+
+
+def _v(q: Fraction, p: int) -> int:
+    """v_p of a nonzero rational, counted without the code under test."""
+    v, num, den = 0, q.numerator, q.denominator
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
+def _agrees(x: PadicNumber, q: Fraction, precision: int) -> bool:
+    """x is q mod p^precision, carries exactly that precision and is normalized."""
+    p = x.prime
+    if x.is_zero_at_precision:
+        value = Fraction(0)
+    else:
+        rel = x.precision - x.valuation
+        if not (0 < x.unit < p**rel and x.unit % p):
+            return False
+        value = x.unit * Fraction(p) ** x.valuation
+    return x.precision == precision and (value == q or _v(value - q, p) >= precision)
+
+
+@st.composite
+def _operands(draw):
+    """A prime, a precision M and three rationals of valuation at least -3:
+    a p-free denominator times p^k, k in -3..3."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    M = draw(st.integers(8, 24))
+
+    def rational():
+        den = draw(st.integers(1, 10**4))
+        while den % p == 0:
+            den //= p
+        return Fraction(draw(st.integers(-(10**6), 10**6)), den) * Fraction(p) ** draw(st.integers(-3, 3))
+
+    return p, M, rational(), rational(), rational()
+
+
+def _visible(q: Fraction, p: int, M: int) -> int:
+    """The valuation PadicNumber sees for q at absolute precision M."""
+    return M if q == 0 else min(_v(q, p), M)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_operands())
+def test_padic_operations_agree_with_fractions_mod_p_power(operands):
+    p, M, a, b, unit = operands
+    unit = unit or Fraction(1)
+    unit /= Fraction(p) ** _v(unit, p)
+    xa, xb, xu = (padic_of_rational(q, p, M) for q in (a, b, unit))
+    va, vb = _visible(a, p, M), _visible(b, p, M)
+    assert _agrees(xa, a, M) and _agrees(xb, b, M)
+    assert _agrees(xa + xb, a + b, M)
+    assert _agrees(xa - xb, a - b, M)
+    assert _agrees(-xa, -a, M)
+    # absolute precision of a product: min(v(a) + M, v(b) + M)
+    assert _agrees(xa * xb, a * b, M + min(va, vb))
+    assert _agrees(xa / xu, a / unit, M + min(va, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_operands())
+def test_padic_ring_laws_hold_at_the_computed_precision(operands):
+    p, M, a, b, c = operands
+    xa, xb, xc = (padic_of_rational(q, p, M) for q in (a, b, c))
+    sides = [
+        ((xa + xb) + xc, xa + (xb + xc), a + b + c),
+        ((xa * xb) * xc, xa * (xb * xc), a * b * c),
+        (xa * (xb + xc), xa * xb + xa * xc, a * (b + c)),
+        ((xa + xb) * xc, xa * xc + xb * xc, (a + b) * c),
+    ]
+    for left, right, exact in sides:
+        assert left == right
+        for side in (left, right):
+            # each side is exact at its own precision, which loses at most
+            # 3 digits per factor of negative valuation
+            assert _agrees(side, exact, side.precision) and side.precision >= M - 6
