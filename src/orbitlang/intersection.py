@@ -10,8 +10,9 @@ map.  Each level is the one before times a fresh layer: the Bezoutian of phi,
 
 evaluated at (p_{k-1}, q_{k-1}) in x and in y (the divided difference
 (f(x) - f(y)) / (x - y) for a polynomial map).  No long division is done,
-and no product is expanded: every level is checked by the exact identity
-test is_product(chain[k-1], layer_k, chain[k]).
+and no product is expanded: each layer is also kept as sum U_a(x) V_a(y),
+U_a and V_a univariate, and each level is checked to be the level before
+times its layer by exact tests on univariates (is_separated_sum).
 
 Squarefreeness of a layer is certified by specializing one variable and one
 prime: if the specialized image keeps the x-degree and is squarefree over
@@ -45,7 +46,7 @@ from .dynsys import (
     ramification_portrait,
 )
 from .padics import is_prime, next_prime, prime_factors
-from .polynomials import Polynomial, horner_forms, is_product, poly_eval
+from .polynomials import Polynomial, horner_forms, is_separated_sum, poly_eval
 from .reduction import good_reduction
 
 __all__ = [
@@ -114,18 +115,34 @@ def _cross(p: Polynomial, q: Polynomial) -> Polynomial:
     return p.placed(_BIV, "x") * q.placed(_BIV, "y") - p.placed(_BIV, "y") * q.placed(_BIV, "x")
 
 
-def _bezoutian_at(bezout: list[list[Fraction]], p: Polynomial, q: Polynomial) -> Polynomial:
-    """The Bezoutian at (X1, Y1) = (p(x), q(x)) and (X2, Y2) = (p(y), q(y))."""
+def _bezoutian_factors(bezout: list[list[Fraction]], p: Polynomial, q: Polynomial) -> list[tuple]:
+    """The pairs (U_a, V_a) with V_a != 0, U_a = p^a q^(d-1-a) and V_a = sum_b B[a][b] p^b
+    q^(d-1-b): sum U_a(x) V_a(y) is the Bezoutian at (X1, Y1) = (p(x), q(x)), (X2, Y2) = (p(y), q(y))."""
     d = len(bezout)
-    basis = horner_forms([[int(a == b) for b in range(d)] for a in range(d)], p, q)  # p^a q^(d-1-a)
+    basis = horner_forms([[int(a == b) for b in range(d)] for a in range(d)], p, q)
     rows = horner_forms(bezout, p, q)
+    return [(left, right) for left, right in zip(basis, rows) if not right.is_zero]
+
+
+def _bezoutian_at(factors: list[tuple[Polynomial, Polynomial]]) -> Polynomial:
+    """The sum of U(x) V(y) over the pairs (U, V), expanded."""
     acc = Polynomial(_BIV, {})
-    one = Polynomial.constant(1, p.variables)
-    for left, right in zip(basis, rows):
-        if not right.is_zero:
-            x_part, y_part = left.placed(_BIV, "x"), right.placed(_BIV, "y")
-            acc = acc + (y_part if left == one else x_part if right == one else x_part * y_part)
+    for left, right in factors:
+        one = Polynomial.constant(1, left.variables)
+        x_part, y_part = left.placed(_BIV, "x"), right.placed(_BIV, "y")
+        acc = acc + (y_part if left == one else x_part if right == one else x_part * y_part)
     return acc
+
+
+def _level_holds(before: Polynomial, layer: Polynomial, after: Polynomial, p, q, factors) -> bool:
+    """Whether before * layer == after, by checks (a), (b) and (c) of
+    :func:`is_separated_sum` with (p, q) before's forms and layer's pairs."""
+    crossed = [t for u, v in factors for t in ((1, [p, u], [q, v]), (-1, [q, u], [p, v]))]
+    return (
+        is_separated_sum([(1, [p], [q]), (-1, [q], [p])], before)
+        and is_separated_sum([(1, [u], [v]) for u, v in factors], layer)
+        and is_separated_sum(crossed, after)
+    )
 
 
 def diagonal_pullback(phi: RationalMap, n: int, cap: int = DEFAULT_LEVEL_CAP) -> DiagonalPullback:
@@ -135,7 +152,7 @@ def diagonal_pullback(phi: RationalMap, n: int, cap: int = DEFAULT_LEVEL_CAP) ->
     that makes q_k = 1 for a polynomial map and normalizes the forms as
     RationalMap does otherwise, so layer k is s_k^2 times the Bezoutian.
     Level k is checked to equal level k-1 times layer k by
-    :func:`is_product`, an exact proof that never expands the product.
+    :func:`_level_holds`, an exact proof that never expands the product.
     """
     if phi.degree < 1:
         raise ValueError("degree must be at least 1")
@@ -146,17 +163,19 @@ def diagonal_pullback(phi: RationalMap, n: int, cap: int = DEFAULT_LEVEL_CAP) ->
     chain = [_cross(p, q)]
     layers = [chain[0]]
     for k in range(1, n + 1):
-        fresh = _bezoutian_at(bezout, p, q)
+        forms = p, q
+        factors = _bezoutian_factors(bezout, p, q)
         p, q = phi.forms_at(p, q)
         if phi.is_polynomial:
             scale = 1 / q.constant_value()
         else:
             scale = form_scale(p.univariate_coeffs(), q.univariate_coeffs())
-        if scale != 1:  # a monic polynomial map has scale 1, and a product by it repacks the whole layer
-            fresh, p, q = fresh * (scale * scale), p * scale, q * scale
-        layers.append(fresh)
+        if scale != 1:  # a monic polynomial map has scale 1
+            p, q = p * scale, q * scale
+            factors = [(left, right * (scale * scale)) for left, right in factors]
+        layers.append(_bezoutian_at(factors))
         chain.append(_cross(p, q))
-        if not is_product(chain[k - 1], layers[k], chain[k]):
+        if not _level_holds(chain[k - 1], layers[k], chain[k], *forms, factors):
             raise InexactDivision(f"chain verification failed at level {k}")
     return DiagonalPullback(phi, n, chain[n], tuple(chain), tuple(layers))
 

@@ -10,28 +10,29 @@ maps, as is :func:`horner_forms`, the one composition step.  The product is
 one packed integer kernel: each exponent vector becomes one int key (mixed
 radix, carry-free under addition) and the numerators multiply as ints
 (packed exponent vectors: Monagan and Pearce, CASC 2007).  A product that
-is only compared is never expanded: :func:`is_product` evaluates the rows
-of each operand at a power of 2 in the last variable (Kronecker
-substitution), so each row is one int, and compares row products.  The
-heavy algebra (:meth:`Polynomial.divmod`, the one polynomial division, and
-gcd, resultant, factor_list) is delegated to sympy, which `_sympy` imports
-on the first such call: the residue-only commands (coordinatewise decide,
-orbit, reduce, find-prime, strassmann) never load it.  Reduction
-modulo m goes through :meth:`Polynomial.residues` and :func:`residue_eval`.
-All values are immutable.
+is only compared is never expanded: :func:`is_separated_sum` decides
+whether a plane polynomial is a sum of univariate products in x times
+univariate products in y, convolving the x sides as ints and evaluating
+the y sides at a power of 2 (Kronecker substitution).  The heavy algebra
+(:meth:`Polynomial.divmod`, the one polynomial division, and gcd,
+resultant, factor_list) is delegated to sympy, which `_sympy` imports on
+the first such call: the residue-only commands (coordinatewise decide,
+orbit, reduce, find-prime, strassmann) never load it.  Reduction modulo m
+goes through :meth:`Polynomial.residues` and :func:`residue_eval`.  All
+values are immutable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd as _int_gcd, lcm
+from math import gcd as _int_gcd, lcm, prod
 from operator import attrgetter, mul
 from typing import Iterable
 
 from .errors import InexactDivision, RingMismatch
 
-__all__ = ["Polynomial", "horner_forms", "is_product", "poly_eval", "residue_eval"]
+__all__ = ["Polynomial", "horner_forms", "is_separated_sum", "poly_eval", "residue_eval"]
 
 
 _denominator = attrgetter("denominator")
@@ -57,18 +58,6 @@ def _as_fraction(c) -> Fraction:
 def _from_sympy_number(value) -> Fraction:
     sympy = _sympy()
     return Fraction(int(sympy.numer(value)), int(sympy.denom(value)))
-
-
-def _rows(num: dict, weights: list, width: int) -> dict:
-    """{packed exponents but the last: row} from {exps: numerator}, each
-    key sum(e * w for e, w in zip(exps, weights)) and each row the sum of
-    its terms at last variable = 2**width, as one int."""
-    rows: dict = {}
-    get = rows.get
-    for e, n in num.items():
-        key = sum(map(mul, e, weights))
-        rows[key] = get(key, 0) + (n << (width * e[-1]) if e else n)
-    return rows
 
 
 def _unpacked(keys, weights: list):
@@ -369,7 +358,17 @@ class Polynomial:
         return acc
 
     def rename_variables(self, mapping: dict) -> "Polynomial":
-        return Polynomial._of(tuple(mapping.get(v, v) for v in self.variables), self.num, self.den)
+        """Rename variables; slots that get one name merge, their exponents
+        adding, so renaming x to x1 substitutes x1 for x."""
+        names = tuple(mapping.get(v, v) for v in self.variables)
+        variables = tuple(dict.fromkeys(names))
+        if variables == names:
+            return Polynomial._of(names, self.num, self.den)
+        num: dict = {}
+        for exps, n in self.num.items():
+            key = tuple(sum(e for v, e in zip(names, exps) if v == name) for name in variables)
+            num[key] = num.get(key, 0) + n
+        return Polynomial._lowest(variables, {e: n for e, n in num.items() if n}, self.den)
 
     def placed(self, variables: Iterable[str], name: str) -> "Polynomial":
         """This univariate polynomial written in `name`, over the variable tuple `variables`."""
@@ -519,57 +518,58 @@ def horner_forms(forms, p: Polynomial, q: Polynomial) -> list[Polynomial]:
     return out
 
 
-def is_product(a: Polynomial, b: Polynomial, c: Polynomial) -> bool:
-    """Whether a * b == c, decided exactly without expanding a * b.
+def is_separated_sum(terms, c: Polynomial) -> bool:
+    """Whether c(x, y) == sum(sign * prod(xs)(x) * prod(ys)(y) for sign, xs, ys
+    in terms), for univariate factors and signs 1 or -1, decided exactly
+    without expanding the sum.
 
-    Write a, b and c as integer numerators A, B, C over their least common
-    denominators da, db, dc (their stored num and den); then a * b == c iff
-    G = A B dc - C da db is 0.  Group each operand's terms into rows by
-    every exponent but the last variable y's, and evaluate each row at
-    y = 2^w (Kronecker substitution in y): a row becomes one int, and row r
-    of G at 2^w is the sum of A_i B_j dc over i + j = r, minus C_r da db.
-    A row's key packs its exponents in mixed radix, the digit of variable v
-    running to deg_a(v) + deg_b(v), so keys of a and b add without carry
-    and no two rows of G share a key; a c with a larger exponent in such a
-    variable is not a * b.  No coefficient of G exceeds
-    H = |A|_1 |B|_inf dc + |C|_inf da db in absolute value, and w is taken
-    with 2^w > H.  A nonzero integer polynomial g(y) whose coefficients are
-    all below 2^w in absolute value does not vanish at 2^w: with g_m its
-    lowest nonzero coefficient, g(2^w) = 2^(w m) (g_m + 2^w k) for some
-    integer k, and 0 < |g_m| < 2^w.  So a row of G is 0 iff its value at
-    2^w is, and the test is a proof.  The rows are dense in y, w bits per
-    power up to the row's degree, so the test suits operands of moderate
-    y-degree, such as the levels of a pullback.
+    Over L = lcm(c.den, each term's product D_i of denominators) the claim
+    is G = sum(m_i A_i(x) B_i(y)) - m_c C(x, y) = 0, with A_i, B_i the
+    products of term i's numerators, m_i = sign_i L / D_i and m_c = L / c.den.
+    Each A_i is convolved exactly; each B_i is only evaluated at y = 2^w, as
+    a product of ints.  G's coefficient of x^a y^b is
+    sum(m_i A_i[a] B_i[b]) - m_c C[a, b], so none exceeds
+    H = sum(|m_i A_i|_inf |B_i|_inf) + m_c |C|_inf, each |B_i|_inf taken at
+    most the 1-norms of its factors but the last times the last's largest
+    coefficient, and 2^w > H.  An integer polynomial g(y) with coefficients
+    below 2^w in absolute value and lowest nonzero one g_m has
+    g(2^w) = 2^(w m) (g_m + 2^w k), k an integer, and 0 < |g_m| < 2^w: so
+    each x-row of G is 0 iff its value at 2^w is, and the test is a proof.
+
+    A pullback level is three calls, with (p, q) the forms of the level
+    before and sum(U_a(x) V_a(y)) the layer's separated form: (a) before ==
+    p(x) q(y) - q(x) p(y), (b) layer == sum(U_a(x) V_a(y)) and (c) after ==
+    sum((p U_a)(x) (q V_a)(y) - (q U_a)(x) (p V_a)(y)).  (a) times (b) is
+    (c)'s right side, so the three prove before * layer == after.
     """
-    a._compat(b)
-    a._compat(c)
-    na, nb, nc = a.num, b.num, c.num
-    if not na or not nb:
-        return not nc
-    tops = [max(ea) + max(eb) for ea, eb in zip(zip(*na), zip(*nb))][:-1]
-    if any(max(ec) > top for ec, top in zip(zip(*nc), tops)):
-        return False
-    weights, w = [], 1
-    for top in tops:
-        weights.append(w)
-        w *= top + 1
-    da, db, dc = a.den, b.den, c.den
-    bound = sum(map(abs, na.values())) * max(map(abs, nb.values())) * dc
-    bound += max(map(abs, nc.values()), default=0) * da * db
-    width = bound.bit_length()
-    rows_b = _rows(nb, weights, width).items()
-    acc: dict = {}
-    get = acc.get
-    for ka, ra in _rows(na, weights, width).items():
-        if dc != 1:
-            ra *= dc
-        for kb, rb in rows_b:
-            k = ka + kb
-            acc[k] = get(k, 0) + ra * rb
-    scale = da * db
-    for k, rc in _rows(nc, weights, width).items():
-        acc[k] = get(k, 0) - (rc if scale == 1 else rc * scale)
-    return not any(acc.values())
+    dens = [prod(f.den for f in xs + ys) for _, xs, ys in terms]
+    common = lcm(c.den, *dens)
+    sides, height = [], 0
+    for (sign, xs, ys), den in zip(terms, dens):
+        row = {0: sign * (common // den)}
+        for f in xs:
+            acc: dict = {}
+            get = acc.get
+            for (e,), n in f.num.items():
+                for a, m in row.items():
+                    acc[a + e] = get(a + e, 0) + m * n
+            row = acc
+        bound = max(map(abs, row.values()), default=0)
+        for f in ys[:-1]:
+            bound *= sum(map(abs, f.num.values()))
+        height += bound * max(map(abs, ys[-1].num.values()), default=0) if ys else bound
+        sides.append((row, ys))
+    scale = common // c.den
+    width = (height + max(map(abs, c.num.values()), default=0) * scale).bit_length()
+    rows: dict = {}
+    get = rows.get
+    for (a, b), n in c.num.items():
+        rows[a] = get(a, 0) - (n * scale << width * b)
+    for row, ys in sides:
+        value = prod(sum(n << width * e for (e,), n in f.num.items()) for f in ys)
+        for a, m in row.items():
+            rows[a] = get(a, 0) + m * value
+    return not any(rows.values())
 
 
 def poly_eval(coeffs, x: Fraction) -> Fraction:

@@ -413,6 +413,30 @@ def test_generator_beyond_the_point_exit_two(monkeypatch, point, variety, name, 
 
 
 @pytest.mark.parametrize(
+    "point, variety, same_as, exceptional, progressions",
+    [
+        ("0", "x1-x", "x1-x1", [], [{"modulus": 1, "offset": 0, "start": 0, "type": "Progression"}]),
+        ("0,1", "x1-x+x2-5", "x2-5", [2], []),
+        ("0,1", "x*x1-4", "x1^2-4", [2], []),
+    ],
+)
+def test_plane_alias_next_to_its_coordinate_adds_exponents(
+    monkeypatch, point, variety, same_as, exceptional, progressions
+):
+    # x and x1 name one coordinate; renaming x to x1 used to leave two x1
+    # slots, the second one's exponent replacing the first's (x1-x became 1-x1)
+    results = []
+    for text in (variety, same_as):
+        argv = ["--json", "decide", "--map", "t^2+1", "--point", point, "--variety", text]
+        code, out = invoke(argv, monkeypatch=monkeypatch)
+        assert code == EXIT_OK
+        results.append(jsonline(out)["result"])
+    assert results[0] == results[1]
+    assert results[0]["certification"]["type"] == "Certified"
+    assert (results[0]["exceptional"], results[0]["progressions"]) == (exceptional, progressions)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["classify", "--map", "1/t", "--point", "0"],

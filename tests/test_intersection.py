@@ -16,7 +16,7 @@ from orbitlang.intersection import (
     ramification_bound,
     s_integrality_scan,
 )
-from orbitlang.polynomials import Polynomial, is_product
+from orbitlang.polynomials import Polynomial
 
 
 def plane(terms):
@@ -179,8 +179,8 @@ def test_rational_layers_match_long_division(num, den):
 def test_tampered_layer_fails_the_chain_check(monkeypatch, phi):
     honest = intersection._bezoutian_at
 
-    def tampered(bezout, p, q):
-        return honest(bezout, p, q) + plane({(0, 0): 1})
+    def tampered(factors):
+        return honest(factors) + plane({(0, 0): 1})
 
     monkeypatch.setattr(intersection, "_bezoutian_at", tampered)
     with pytest.raises(InexactDivision):
@@ -217,14 +217,28 @@ def test_tampered_chain_coefficient_fails_the_chain_check(monkeypatch):
         diagonal_pullback(RationalMap.polynomial([0, 1, 0, 1]), 5)
 
 
+def test_tampered_rational_chain_coefficient_fails_the_chain_check(monkeypatch):
+    # the fifth cross difference of (t^3 + 1)/t^2 is chain[4], of 1,000 terms
+    monkeypatch.setattr(intersection, "_cross", _bumped_on_call(intersection._cross, 4))
+    phi = RationalMap.from_affine(Polynomial.univariate([1, 0, 0, 1]), Polynomial.univariate([0, 0, 1]))
+    with pytest.raises(InexactDivision, match="level 4"):
+        diagonal_pullback(phi, 4)
+
+
 def test_level_five_check_rejects_a_chain_coefficient_off_by_one():
-    pb = diagonal_pullback(RationalMap.polynomial([0, 7, 0, 1]), 5)  # t^3 + 7t
-    a, b, c = pb.chain[4], pb.layers[5], pb.chain[5]
-    assert is_product(a, b, c)
-    exps = sorted(c.terms)
-    for e in (exps[0], exps[len(exps) // 2], exps[-1]):
-        for step in (1, -1):
-            assert not is_product(a, b, c + plane({e: step}))
+    phi = RationalMap.polynomial([0, 7, 0, 1])  # t^3 + 7t, monic: the forms need no scale
+    pb = diagonal_pullback(phi, 5)
+    p, q = phi.iterate_forms(4)
+    factors = intersection._bezoutian_factors(intersection._bezout_matrix(phi), p, q)
+    checked = [pb.chain[4], pb.layers[5], pb.chain[5]]
+    assert intersection._level_holds(*checked, p, q, factors)
+    for i in range(3):  # check (a), (b) and (c) in turn
+        exps = sorted(checked[i].terms)
+        for e in (exps[0], exps[len(exps) // 2], exps[-1]):
+            for step in (1, -1):
+                wrong = list(checked)
+                wrong[i] = checked[i] + plane({e: step})
+                assert not intersection._level_holds(*wrong, p, q, factors)
 
 
 @pytest.mark.parametrize(

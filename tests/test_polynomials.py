@@ -10,7 +10,7 @@ from oracles import schoolbook_product
 from orbitlang.errors import InexactDivision, RingMismatch
 from orbitlang.padics import residue
 from orbitlang.parsing import parse_expression
-from orbitlang.polynomials import Polynomial, format_polynomial, is_product, residue_eval
+from orbitlang.polynomials import Polynomial, format_polynomial, is_separated_sum, residue_eval
 
 
 def biv(x_exp_y_exp_coeff):
@@ -127,91 +127,132 @@ def test_product_with_internal_cancellation(a, b, product):
     assert a * b == product
 
 
+T_ONE = Polynomial.constant(1, ("t",))
+
+
+def uni(*coeffs):
+    return Polynomial.univariate(coeffs)
+
+
+def expanded(terms):
+    """The sum of the separated terms by Polynomial arithmetic, the reference."""
+    acc = biv({})
+    for sign, xs, ys in terms:
+        term = biv({(0, 0): sign})
+        for f in xs:
+            term = term * f.placed(("x", "y"), "x")
+        for f in ys:
+            term = term * f.placed(("x", "y"), "y")
+        acc = acc + term
+    return acc
+
+
 @st.composite
-def product_triples(draw):
-    """(a, b, c) over 1-3 variables with exponents below 5, each of a and b
-    zero, one term or up to 6 terms; c is a * b, a * b with one coefficient
-    moved by +-1, or a third polynomial."""
-    variables = ("x", "y", "z")[: draw(st.integers(1, 3))]
-    terms = st.dictionaries(st.tuples(*[st.integers(0, 4)] * len(variables)), RATIONALS, max_size=6)
-    a, b = Polynomial(variables, draw(terms)), Polynomial(variables, draw(terms))
-    kind = draw(st.sampled_from(["product", "moved", "other"]))
+def separated_sums(draw):
+    """(terms, c): up to 3 terms of sign 1 or -1 with up to 2 univariate
+    factors a side, each zero, one term or up to 5 terms of degree below 5;
+    c is their sum, the sum with one coefficient moved by +-1, or a third
+    polynomial."""
+    univariates = st.builds(Polynomial, st.just(("t",)), st.dictionaries(st.tuples(st.integers(0, 4)), RATIONALS, max_size=5))
+    factors = st.lists(univariates, max_size=2)
+    terms = draw(st.lists(st.tuples(st.sampled_from([1, -1]), factors, factors), max_size=3))
+    kind = draw(st.sampled_from(["sum", "moved", "other"]))
     if kind == "other":
-        return a, b, Polynomial(variables, draw(terms))
-    c = a * b
+        return terms, biv(draw(st.dictionaries(st.tuples(st.integers(0, 8), st.integers(0, 8)), RATIONALS, max_size=6)))
+    c = expanded(terms)
     if kind == "moved":
-        monomials = st.tuples(*[st.integers(0, 8)] * len(variables))
+        monomials = st.tuples(st.integers(0, 9), st.integers(0, 9))
         if c.terms:
             monomials = st.one_of(monomials, st.sampled_from(sorted(c.terms)))
-        c = c + Polynomial(variables, {draw(monomials): draw(st.sampled_from([1, -1]))})
-    return a, b, c
+        c = c + biv({draw(monomials): draw(st.sampled_from([1, -1]))})
+    return terms, c
 
 
-@settings(max_examples=300, deadline=None)
-@given(product_triples())
-def test_is_product_agrees_with_the_expanded_product(triple):
-    a, b, c = triple
-    assert is_product(a, b, c) == (a * b == c)
+@settings(max_examples=200, deadline=None)
+@given(separated_sums())
+def test_is_separated_sum_agrees_with_the_expanded_sum(case):
+    terms, c = case
+    assert is_separated_sum(terms, c) == (expanded(terms) == c)
 
 
 @pytest.mark.parametrize(
-    "a, b", [(X_PLUS_Y, X_MINUS_Y), (biv({(1, 0): Fraction(1, 2), (0, 1): 1}), biv({(1, 0): 2, (0, 1): -3}))]
+    "terms",
+    [[(1, [uni(1, 1)], [uni(-1, 1)])], [(1, [uni(1, Fraction(1, 2))], [uni(-3, 2)]), (-1, [uni(0, 1)], [T_ONE])]],
 )
-def test_is_product_takes_its_width_from_c_too(a, b):
-    # 2^s y - y^2 vanishes at y = 2^s: a width from a and b alone, or one bit
-    # short of c's 2^s, would accept these
-    ab = a * b
+def test_is_separated_sum_takes_its_width_from_c_too(terms):
+    # 2^s y - y^2 vanishes at y = 2^s: a width from the terms alone, or one
+    # bit short of c's 2^s, would accept these
+    total = expanded(terms)
     for s in range(1, 601):
-        assert not is_product(a, b, ab + biv({(0, 1): 2**s, (0, 2): -1}))
+        assert not is_separated_sum(terms, total + biv({(0, 1): 2**s, (0, 2): -1}))
 
 
-def test_is_product_expands_no_product(monkeypatch):
-    a, b = X_MINUS_Y, X_PLUS_Y
-    monkeypatch.setattr(Polynomial, "__mul__", None)
-    assert is_product(a, b, X2_MINUS_Y2)
-    assert not is_product(a, b, X2_MINUS_Y2 + 1)
+def test_is_separated_sum_takes_its_width_from_every_y_factor():
+    # (2^s - y) * 2^(s-1) y vanishes at y = 2^s: a width from the last y
+    # factor's coefficients alone, 2^(s-1), would accept it as zero, and
+    # one from the x side alone would accept 2^s y - y^2 at s = 1
+    for s in range(1, 301):
+        assert not is_separated_sum([(1, [T_ONE], [uni(2**s, -1), uni(0, 2 ** (s - 1))])], biv({}))
+        assert not is_separated_sum([(1, [T_ONE], [uni(0, 2**s, -1)])], biv({}))
 
 
-def test_is_product_rejects_a_moved_exponent_in_any_variable():
-    # rows are keyed by the packed (x, y) exponents; moving one term of a * b
-    # by one step in x, in the middle variable y or in z must be seen
-    names = ("x", "y", "z")
-    a = Polynomial(names, {(2, 1, 0): 1, (0, 0, 1): 3, (0, 0, 0): -1})
-    b = Polynomial(names, {(0, 2, 0): 1, (1, 0, 0): -2, (0, 0, 2): Fraction(1, 2)})
-    ab = a * b
-    assert is_product(a, b, ab)
-    for e, c in ab.terms.items():
-        for v in range(3):
+def test_is_separated_sum_expands_no_product(monkeypatch):
+    terms = [(1, [uni(0, 1), uni(0, 1)], [T_ONE]), (-1, [T_ONE], [uni(0, 1), uni(0, 1)])]
+    off_by_one = X2_MINUS_Y2 + 1
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(Polynomial, name, None)
+    assert is_separated_sum(terms, X2_MINUS_Y2)
+    assert not is_separated_sum(terms, off_by_one)
+
+
+def test_is_separated_sum_rejects_a_moved_exponent_in_either_variable():
+    # moving one term of the sum by one step in x or in y must be seen
+    terms = [
+        (1, [uni(-1, 0, 3), uni(2, 1)], [uni(0, 1, 0, 1)]),
+        (-1, [uni(0, 0, 1)], [uni(5, Fraction(1, 2)), uni(1, 0, 1)]),
+    ]
+    total = expanded(terms)
+    assert is_separated_sum(terms, total)
+    for e, c in total.terms.items():
+        for v in range(2):
             for step in (1, -1):
                 f = list(e)
                 f[v] += step
                 if f[v] < 0:
                     continue
-                wrong = ab + Polynomial(names, {e: -c, tuple(f): c})
-                assert wrong != ab and not is_product(a, b, wrong)
+                wrong = total + biv({e: -c, tuple(f): c})
+                assert wrong != total and not is_separated_sum(terms, wrong)
 
 
-def test_is_product_rejects_an_exponent_past_the_key_digit():
-    # x's digit runs to deg_a(x) + deg_b(x) = 3, so x^4 y packs like y^2: a c
-    # that moves the 3*y^2*z of a * b to 3*x^4*y*z has a * b's packed rows
-    names = ("x", "y", "z")
-    a = Polynomial(names, {(2, 1, 0): 1, (0, 0, 1): 3, (0, 0, 0): -1})
-    b = Polynomial(names, {(0, 2, 0): 1, (1, 0, 0): -2, (0, 0, 2): 1})
-    ab = a * b
-    assert ab.terms[(0, 2, 1)] == 3
-    wrong = ab + Polynomial(names, {(0, 2, 1): -3, (4, 1, 1): 3})
-    assert not is_product(a, b, wrong)
+def test_is_separated_sum_rejects_a_term_past_the_sum_degrees():
+    # the sum has x-degree 3 and y-degree 2; c moves its 3*x^2 to x^4*y^3,
+    # a row and a power of y that no term reaches
+    terms = [(1, [uni(-1, 0, 3)], [uni(1, 0, 1)]), (1, [uni(0, 1, 0, 1)], [uni(2)])]
+    total = expanded(terms)
+    assert total.terms[(2, 0)] == 3
+    assert not is_separated_sum(terms, total + biv({(2, 0): -3, (4, 3): 3}))
 
 
-def test_is_product_of_constants_without_variables():
-    a, b = Polynomial.constant(Fraction(3, 2)), Polynomial.constant(-4)
-    zero = Polynomial((), {})
-    assert a.variables == ()
-    assert is_product(a, b, Polynomial.constant(-6))
-    assert not is_product(a, b, Polynomial.constant(-5))
-    assert not is_product(a, b, zero)
-    assert is_product(zero, b, zero)
-    assert not is_product(zero, b, a)
+def test_is_separated_sum_of_constants_and_zeros():
+    a, b, zero = Polynomial.constant(Fraction(3, 2), ("t",)), Polynomial.constant(-4, ("t",)), Polynomial(("t",), {})
+    assert is_separated_sum([(1, [a], [b])], biv({(0, 0): -6}))
+    assert not is_separated_sum([(1, [a], [b])], biv({(0, 0): -5}))
+    assert not is_separated_sum([(1, [a], [b])], biv({}))
+    assert is_separated_sum([(-1, [a], [b])], biv({(0, 0): 6}))
+    assert is_separated_sum([(1, [], [])], biv({(0, 0): 1}))
+    assert is_separated_sum([(1, [zero], [b]), (1, [a], [zero])], biv({}))
+    assert not is_separated_sum([(1, [zero], [b])], biv({(0, 0): Fraction(3, 2)}))
+    assert is_separated_sum([], biv({}))
+    assert not is_separated_sum([], X_MINUS_Y)
+
+
+def test_rename_onto_a_present_variable_merges_the_slots():
+    names = ("x", "x1", "y")
+    x, x1 = Polynomial.variable("x", names), Polynomial.variable("x1", names)
+    renamed = (x * x1 - x1 * x1 + x * Fraction(1, 2) - 3).rename_variables({"x": "x1"})
+    assert renamed == Polynomial(("x1", "y"), {(1, 0): Fraction(1, 2), (0, 0): -3})
+    assert (x - x1).rename_variables({"x": "x1", "y": "x2"}) == Polynomial(("x1", "x2"), {})
+    assert (x - x1).rename_variables({"y": "x2"}).variables == ("x", "x1", "x2")
 
 
 def assert_canonical(p):
