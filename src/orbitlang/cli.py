@@ -49,7 +49,7 @@ from .engine import (
     decide_curve_pair,
 )
 from .errors import BadReduction, ExpressionSyntaxError, HypothesisViolated, InvalidOption, OrbitlangError
-from .intersection import bivariate_squarefree, diagonal_pullback, ramification_bound
+from .intersection import diagonal_pullback, pullback_squarefree, ramification_bound
 from .padics import DEFAULT_PRECISION, is_prime
 from .parsing import format_map, parse_expression, parse_point
 from .polynomials import format_polynomial
@@ -286,13 +286,14 @@ def _cmd_divisors(args):
     phi = _parse_map(args.map)
     _at_least("--level", args.level, 0)
     pullback = diagonal_pullback(phi, args.level)
+    flags = pullback_squarefree(pullback)
     levels = [
         {
             "level": n,
             "degree_x": pullback.chain[n].degree("x"),
             "degree_y": pullback.chain[n].degree("y"),
             "layer": format_polynomial(Y) if Y.total_degree() <= 8 else f"degree {Y.total_degree()}",
-            "squarefree": bivariate_squarefree(Y),
+            "squarefree": flags[n],
         }
         for n, Y in enumerate(pullback.layers)
     ]

@@ -602,18 +602,19 @@ def _is_totally_ramified_fixed(phi: RationalMap, pt: PPoint) -> bool:
     return phi.apply(pt) == pt
 
 
-def exceptional_structure(phi: RationalMap):
+def exceptional_structure(phi: RationalMap, portrait: list | None = None):
     """Classify the exceptional locus: two points, one point, or none.
 
     Candidates are the totally ramified points (e = d) read off the critical
     form; candidate sets of size one must be fixed, size two fixed or swapped.
+    A caller that already holds ``ramification_portrait(phi)`` passes it.
     """
     d = phi.degree
     if d < 2:
         raise HypothesisViolated("degree must be at least 2")
     candidates: list[PPoint] = []
     quad_factors: list[Polynomial] = []
-    for place, e in ramification_portrait(phi):
+    for place, e in ramification_portrait(phi) if portrait is None else portrait:
         if e != d:
             continue
         if isinstance(place, PPoint):
@@ -642,9 +643,10 @@ def exceptional_structure(phi: RationalMap):
     return NoExceptional()
 
 
-def exceptional_points(phi: RationalMap) -> set[PPoint]:
-    """The rational exceptional points; empty for an irrational conjugate pair."""
-    structure = exceptional_structure(phi)
+def exceptional_points(phi: RationalMap, portrait: list) -> set[PPoint]:
+    """The rational exceptional points, given ``ramification_portrait(phi)``;
+    empty for an irrational conjugate pair."""
+    structure = exceptional_structure(phi, portrait)
     if isinstance(structure, OneExceptional):
         return {structure.point}
     if isinstance(structure, TwoExceptional) and structure.points:

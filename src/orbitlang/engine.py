@@ -447,9 +447,9 @@ def decide(maps, alpha, variety, options: EngineOptions | None = None) -> Inters
     return _pipeline(maps, alpha, variety, options, witnesses, _quadratic_prime, orbit_record=True)
 
 
-def _has_superattracting_cycle_off_exceptional(phi: RationalMap) -> bool:
-    exceptional = exceptional_points(phi)
-    for place, _e in ramification_portrait(phi):
+def _has_superattracting_cycle_off_exceptional(phi: RationalMap, portrait: list) -> bool:
+    exceptional = exceptional_points(phi, portrait)
+    for place, _e in portrait:
         if isinstance(place, PPoint):
             if place not in exceptional and orbit_status(phi, place).kind == "periodic":
                 return True
@@ -468,9 +468,10 @@ def decide_curve_pair(phi: RationalMap, alpha, curve, options: EngineOptions | N
     options = options or EngineOptions()
     if phi.degree < 2:
         raise HypothesisViolated("degree must be at least 2")
-    if isinstance(exceptional_structure(phi), TwoExceptional):
+    portrait = ramification_portrait(phi)
+    if isinstance(exceptional_structure(phi, portrait), TwoExceptional):
         raise PowerMapCase("conjugate to a power map: multiplicative case out of scope")
-    if _has_superattracting_cycle_off_exceptional(phi):
+    if _has_superattracting_cycle_off_exceptional(phi, portrait):
         raise HypothesisViolated("superattracting cycle away from the exceptional locus")
     maps, alpha, variety = _normalize(phi, alpha, curve)
     witnesses: dict = {"map": repr(phi), "alpha": [str(a) for a in alpha]}

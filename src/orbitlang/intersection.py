@@ -14,20 +14,27 @@ and no product is expanded: each layer is also kept as sum U_a(x) V_a(y),
 U_a and V_a univariate, and each level is checked to be the level before
 times its layer by exact tests on univariates (is_separated_sum).
 
-Squarefreeness of a layer is certified by specializing one variable and one
-prime: if the specialized image keeps the x-degree and is squarefree over
-F_q, the layer has no repeated factor (a sound one-sided certificate, with
-the exact bivariate gcd as fallback).
+Squarefreeness of a layer is certified at one specialization y = y0 and one
+prime q: if the image keeps the x-degree and is squarefree over F_q, the
+layer has no repeated factor (a sound one-sided certificate, with the exact
+bivariate gcd as fallback).  For the layers of a pullback the image is never
+built: it is a unit times H(p(x), q(x)), with H a binary form of degree d-1
+fixed by phi^(k-1)(y0) and (p : q) the forms of phi^(k-1), so its verdict is
+read off H and the orbits of phi's critical points mod q
+(pullback_squarefree).  Any other plane polynomial runs the Euclid over F_q
+on its image (bivariate_squarefree).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    BadReduction,
     DegreeCapExceeded,
     HypothesisViolated,
     InexactDivision,
@@ -47,7 +54,7 @@ from .dynsys import (
 )
 from .padics import is_prime, next_prime, prime_factors
 from .polynomials import Polynomial, horner_forms, is_separated_sum, poly_eval
-from .reduction import good_reduction
+from .reduction import INF_RESIDUE, good_reduction, reduce_map
 
 __all__ = [
     "PlaceSet",
@@ -57,6 +64,7 @@ __all__ = [
     "multiplicity_at",
     "s_integrality_scan",
     "bivariate_squarefree",
+    "pullback_squarefree",
 ]
 
 DEFAULT_LEVEL_CAP = 6
@@ -185,12 +193,24 @@ def layer(phi: RationalMap, n: int, cap: int = DEFAULT_LEVEL_CAP) -> tuple[Polyn
 
     It builds the whole pullback; callers read `diagonal_pullback(...).layers`.
     Kept only for bench/spans.py, which traces `intersection.layer` by name."""
-    Y = diagonal_pullback(phi, n, cap).layers[n]
-    return Y, bivariate_squarefree(Y)
+    pullback = diagonal_pullback(phi, n, cap)
+    return pullback.layers[n], pullback_squarefree(pullback)[n]
 
 
 # ---------------------------------------------------------------------------
 # squarefreeness
+
+
+@functools.cache
+def _attempts() -> tuple[tuple[int, int], ...]:
+    """The specializations (y0, q) that the certificates try, in order:
+    drawn once from SQUAREFREE_SEED, on first use."""
+    rng = random.Random(SQUAREFREE_SEED)
+    out = []
+    for _ in range(SQUAREFREE_ATTEMPTS):
+        y0 = rng.randint(2, 997)
+        out.append((y0, next_prime(rng.randint(1 << 29, 1 << 30))))
+    return tuple(out)
 
 
 def _specialized_mod_q(poly: Polynomial, y0: int, q: int) -> list[int] | None:
@@ -208,35 +228,53 @@ def _specialized_mod_q(poly: Polynomial, y0: int, q: int) -> list[int] | None:
     return out
 
 
-def _gf_gcd_degree(a: list[int], b: list[int], q: int) -> int:
-    def trim(v):
-        while v and v[-1] == 0:
-            v.pop()
-        return v
+def _gf_trim(v: list[int]) -> list[int]:
+    while v and v[-1] == 0:
+        v.pop()
+    return v
 
-    a, b = trim(list(a)), trim(list(b))
+
+def _gf_gcd_degree(a: list[int], b: list[int], q: int) -> int:
+    a, b = _gf_trim(list(a)), _gf_trim(list(b))
     while b:
         inv = pow(b[-1], -1, q)
         while len(a) >= len(b):
             coef = a[-1] * inv % q
             shift = len(a) - len(b)
             a[shift:] = [(x - coef * y) % q for x, y in zip(a[shift:], b)]
-            trim(a)
+            _gf_trim(a)
             if not a:
                 break
         a, b = b, a
     return len(a) - 1
 
 
-def bivariate_squarefree(poly: Polynomial) -> bool:
-    """Exact squarefreeness of a plane polynomial over Q.
+def _gf_squarefree(coeffs: list[int], q: int) -> bool:
+    """Whether a nonzero polynomial over F_q (coefficients low to high) is
+    squarefree: gcd(f, f') = 1."""
+    return _gf_gcd_degree(coeffs, [i * c % q for i, c in enumerate(coeffs)][1:], q) == 0
+
+
+def _euclid_certifies(poly: Polynomial, y0: int, q: int) -> bool | None:
+    """Whether poly(x, y0) mod q is squarefree over F_q, or None when the
+    attempt does not apply: q divides a denominator or the top x-row
+    vanishes at y0."""
+    coeffs = _specialized_mod_q(poly, y0, q)
+    if coeffs is None or coeffs[-1] == 0:
+        return None
+    return _gf_squarefree(coeffs, q)
+
+
+def _squarefree(poly: Polynomial, certifies) -> bool:
+    """Exact squarefreeness of a plane polynomial over Q, with the fast path
+    `certifies(y0, q)` tried at each attempt.
 
     poly = c(y) * prim with c its x-content; no factor of c divides the
-    x-primitive part prim, so poly is squarefree iff c and prim are.  Fast
-    path: a specialization y = y0 reduced mod a random prime q that keeps
-    the x-degree and is squarefree over F_q proves prim squarefree (poly's
-    specialization is prim's times the unit c(y0)).  Falls back to the
-    exact bivariate gcd when no specialization certifies.
+    x-primitive part prim, so poly is squarefree iff c and prim are.  An
+    attempt whose specialization keeps the x-degree and is squarefree over
+    F_q proves prim squarefree (poly's specialization is prim's times the
+    unit c(y0)).  Falls back to the exact bivariate gcd when no attempt
+    certifies.
     """
     if poly.is_zero:
         return False
@@ -245,20 +283,17 @@ def bivariate_squarefree(poly: Polynomial) -> bool:
     content = _content_in_x(poly)
     if content.degree("y") and not _univariate_squarefree(content, "y"):
         return False
-    rng = random.Random(SQUAREFREE_SEED)
-    deg = poly.degree("x")
-    for _ in range(SQUAREFREE_ATTEMPTS):
-        y0 = rng.randint(2, 997)
-        q = next_prime(rng.randint(1 << 29, 1 << 30))
-        coeffs = _specialized_mod_q(poly, y0, q)
-        if coeffs is None or len(coeffs) - 1 != deg or coeffs[-1] == 0:
-            continue
-        deriv = [i * c % q for i, c in enumerate(coeffs)][1:]
-        if _gf_gcd_degree(coeffs, deriv, q) == 0:
-            return True
+    if any(certifies(y0, q) for y0, q in _attempts()):
+        return True
     # gcd(c prim, c prim_x) = c gcd(prim, prim_x): its x-degree is prim's
     gx = poly.gcd(poly.derivative("x"))
     return gx.degree("x") == 0
+
+
+def bivariate_squarefree(poly: Polynomial) -> bool:
+    """Exact squarefreeness of a plane polynomial over Q: each attempt
+    specializes y = y0 mod q and runs the Euclid over F_q on the image."""
+    return _squarefree(poly, lambda y0, q: _euclid_certifies(poly, y0, q))
 
 
 def _univariate_squarefree(poly: Polynomial, var: str) -> bool:
@@ -283,6 +318,166 @@ def _content_in_x(poly: Polynomial) -> Polynomial:
             break
         g = g.gcd(c)
     return g
+
+
+# ---------------------------------------------------------------------------
+# squarefreeness of a whole pullback, from the critical orbits of phi mod q
+
+
+def _gf_mulmod(a: list[int], b: list[int], w: list[int], q: int) -> list[int]:
+    """a * b mod (w, q): coefficient lists low to high, the result of length deg w."""
+    n = len(w) - 1
+    out = [0] * max(len(a) + len(b) - 1, n)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    inv = pow(w[-1], -1, q)
+    for top in range(len(out) - 1, n - 1, -1):
+        c = out[top] * inv % q
+        for j in range(n):
+            out[top - n + j] -= c * w[j]
+    return [c % q for c in out[:n]]
+
+
+def _gf_monomials(A: list[int], B: list[int], m: int, w: list[int], q: int) -> list[list[int]]:
+    """[A^a B^(m-a) mod (w, q) for a = 0..m]."""
+    one = _gf_mulmod([1], [1], w, q)
+    apow, bpow = [one], [one]
+    for _ in range(m):
+        apow.append(_gf_mulmod(apow[-1], A, w, q))
+        bpow.append(_gf_mulmod(bpow[-1], B, w, q))
+    return [_gf_mulmod(apow[a], bpow[m - a], w, q) for a in range(m + 1)]
+
+
+def _gf_combination(coeffs, vectors: list[list[int]], q: int) -> list[int]:
+    """sum coeffs[a] * vectors[a] mod q, over vectors of one length."""
+    return [sum(c * v[j] for c, v in zip(coeffs, vectors)) % q for j in range(len(vectors[0]))]
+
+
+class _CriticalOrbitTest:
+    """The squarefree certificate of :func:`pullback_squarefree` for the layers
+    of one level-n pullback of phi.  Each attempt's orbits are computed once
+    and kept only as long as the object (one call)."""
+
+    def __init__(self, phi: RationalMap, n: int):
+        d = phi.degree
+        self.phi, self.n = phi, n
+        self.bezout = [[int(v) for v in row] for row in _bezout_matrix(phi)]
+        W = phi.wronskian()  # an integer form: its den is 1
+        self.wronskian = [W.num.get((i, 2 * d - 2 - i), 0) for i in range(2 * d - 1)]
+        self.orbits: dict[tuple[int, int], tuple | None] = {}
+
+    def _orbits(self, y0: int, q: int) -> tuple | None:
+        """The orbits of y0 and of phi's critical points in P^1(F_q-bar) at one
+        attempt, or None when phi has bad reduction at q or W = 0 mod q:
+
+        - points: phi^j(y0) for j = 0..n-1, residues or INF_RESIDUE;
+        - w: W(t, 1) mod q, trimmed, whose roots are the finite critical points;
+        - finite: for i = 1..n-1, [A_i^a B_i^(d-1-a) mod (w, q)] with (A_i : B_i) = phi^i(t);
+        - infinite: phi^i(infinity) for i = 1..n-1 when infinity is critical mod q, else [].
+        """
+        phi, n = self.phi, self.n
+        try:
+            rm = reduce_map(phi, q)
+        except BadReduction:
+            return None
+        wq = [c % q for c in self.wronskian]
+        if not any(wq):
+            return None
+        points = [y0 % q]
+        for _ in range(n - 1):
+            points.append(rm.apply(points[-1]))
+        infinite = []
+        if wq[-1] == 0:  # Y divides W: infinity is critical
+            r = INF_RESIDUE
+            for _ in range(n - 1):
+                r = rm.apply(r)
+                infinite.append(r)
+        w = _gf_trim(wq)
+        finite = []
+        if len(w) > 1:
+            A, B = _gf_mulmod([0, 1], [1], w, q), _gf_mulmod([1], [1], w, q)
+            for _ in range(n - 1):
+                forms = _gf_monomials(A, B, phi.degree, w, q)
+                A, B = _gf_combination(rm.coeffs_f, forms, q), _gf_combination(rm.coeffs_g, forms, q)
+                finite.append(_gf_monomials(A, B, phi.degree - 1, w, q))
+        return points, w, finite, infinite
+
+    def certifies(self, layer: Polynomial, k: int, y0: int, q: int) -> bool | None:
+        """Whether layer k (of full x-degree (d-1) d^(k-1), k >= 1) is
+        squarefree at y = y0 over F_q, by tests (i) and (ii); None when a
+        guard skips the attempt."""
+        d = len(self.bezout)
+        deg = (d - 1) * d ** (k - 1)
+        if layer.den % q == 0 or sum(c * pow(y0, ey, q) for (ex, ey), c in layer.num.items() if ex == deg) % q == 0:
+            return None
+        if (y0, q) not in self.orbits:
+            self.orbits[y0, q] = self._orbits(y0, q)
+        if self.orbits[y0, q] is None:
+            return None
+        points, w, finite, infinite = self.orbits[y0, q]
+        r = points[k - 1]
+        P, Q = (1, 0) if r is INF_RESIDUE else (r, 1)
+        at = [P**b * Q ** (d - 1 - b) for b in range(d)]
+        c = [sum(x * y for x, y in zip(row, at)) % q for row in self.bezout]  # H_k(t, 1), low to high
+        h = _gf_trim(list(c))
+        if not h or len(h) < d - 1 or not _gf_squarefree(h, q):  # (i)
+            return False
+        for forms in finite[: k - 1]:  # (ii) at the finite critical points
+            if _gf_gcd_degree(w, _gf_combination(c, forms, q), q) > 0:
+                return False
+        for r in infinite[: k - 1]:  # (ii) at infinity
+            if (c[-1] if r is INF_RESIDUE else sum(ca * pow(r, a, q) for a, ca in enumerate(c)) % q) == 0:
+                return False
+        return True
+
+
+def pullback_squarefree(pullback: DiagonalPullback) -> list[bool]:
+    """The exact squarefreeness of every layer, as :func:`bivariate_squarefree`
+    decides it, with a fast path that never specializes a layer of k >= 1.
+
+    Layer k >= 1 is s_k^2 times the Bezoutian of phi at (p_{k-1}, q_{k-1})
+    in x and in y.  At y = y0 mod q it is therefore a unit times
+    H_k(p(x), q(x)), where H_k(X, Y) = sum B[a][b] P^b Q^(d-1-b) X^a Y^(d-1-a),
+    B is the Bezout matrix of phi mod q and (P : Q) = phi^(k-1)(y0) in
+    P^1(F_q).  An attempt (y0, q) certifies the layer when both hold:
+
+    (i) H_k is squarefree as a binary form: h = H_k(t, 1) is squarefree
+        over F_q and deg h >= d - 2 (infinity is at most a simple root);
+    (ii) H_k(phi^i(c)) != 0 for every root c of the Wronskian
+        W = F_X G_Y - F_Y G_X in P^1(F_q-bar) and every 1 <= i <= k-1.  The
+        finite roots are handled at once: (A, B) <- (F(A, B), G(A, B)) is
+        iterated from (t, 1) in F_q[t]/(W(t, 1)), and gcd(W(t, 1),
+        H_k(A_i, B_i)) = 1 is tested; infinity, when Y divides W mod q, is
+        iterated as a point.
+
+    Why this is the Euclid's verdict, gcd(spec, spec') = 1: the roots of
+    H_k(p, q) are the preimages under Phi = phi^(k-1) of the roots of H_k,
+    each with multiplicity (its multiplicity in H_k) times (Phi's
+    ramification index there).  Full x-degree (d-1) d^(k-1) puts no
+    preimage at infinity.  Phi ramifies exactly where some phi^j(x),
+    j < k-1, is a root of W (the chain rule, with W's roots the
+    ramification points of a separable reduction), and phi is onto
+    P^1(F_q-bar), so every root of H_k has preimages and every critical
+    point has ancestors.  So the specialization is squarefree iff (i) and
+    (ii) hold.
+
+    Guards: an attempt is skipped, as the Euclid skips it, when q divides
+    the layer's denominator or the layer's x^((d-1) d^(k-1)) row vanishes
+    at y0.  (Over Q that row is never 0: up to a unit it is the Bezoutian
+    at Phi(infinity) and Phi(y), which vanishes identically only if phi^k
+    is constant.)  It is also skipped where the argument fails: phi has bad
+    reduction at q (as it has wherever q divides a layer's denominator), or
+    W = 0 mod q.  Layer 0 goes to :func:`bivariate_squarefree`.  A layer
+    that no attempt certifies gets the exact gcd; the content step and the
+    gcd are the ones bivariate_squarefree runs (:func:`_squarefree`).
+    """
+    test = _CriticalOrbitTest(pullback.phi, pullback.level)
+    flags = [bivariate_squarefree(pullback.layers[0])]
+    for k, Y in enumerate(pullback.layers[1:], 1):
+        flags.append(_squarefree(Y, lambda y0, q: test.certifies(Y, k, y0, q)))
+    return flags
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +542,10 @@ def ramification_bound(phi: RationalMap) -> int:
     """
     if phi.degree < 2:
         raise HypothesisViolated("degree must be at least 2")
-    exceptional = exceptional_points(phi)
+    portrait = ramification_portrait(phi)
+    exceptional = exceptional_points(phi, portrait)
     bound = 1
-    for place, e in ramification_portrait(phi):
+    for place, e in portrait:
         if isinstance(place, PPoint):
             if place in exceptional:
                 continue

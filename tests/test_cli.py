@@ -443,6 +443,7 @@ def test_plane_alias_next_to_its_coordinate_adds_exponents(
         ["divisors", "--map", "t", "--level", "1"],
         ["divisors", "--map", "1/t", "--level", "2"],
         ["ms-curves", "--map", "(t^2+1)/t"],
+        ["divisors", "--map", "t", "--level", "3"],
     ],
 )
 def test_map_outside_the_command_hypotheses_exit_two(monkeypatch, argv):

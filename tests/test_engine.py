@@ -182,6 +182,24 @@ def test_decide_curve_pair_superattracting_rejected():
         decide_curve_pair(f, [Fraction(1, 2), 2], curve, OPTS)
 
 
+def test_decide_curve_pair_computes_one_ramification_portrait(monkeypatch):
+    import orbitlang.dynsys as dynsys
+    import orbitlang.engine as engine
+
+    calls = []
+    honest = dynsys.ramification_portrait
+
+    def counted(phi):
+        calls.append(phi)
+        return honest(phi)
+
+    monkeypatch.setattr(dynsys, "ramification_portrait", counted)
+    monkeypatch.setattr(engine, "ramification_portrait", counted)
+    curve = PlaneCurve(gen(("x", "y"), {(1, 0): 1, (0, 1): 1, (0, 0): -3}))
+    decide_curve_pair(RationalMap.quadratic(1), [0, 1], curve, OPTS)
+    assert len(calls) == 1
+
+
 def test_decide_curve_pair_power_map_rejected():
     with pytest.raises(PowerMapCase):
         decide_curve_pair(RationalMap.quadratic(0), [2, 3], PlaneCurve(gen(("x", "y"), {(1, 0): 1, (0, 1): -1})), OPTS)

@@ -1,8 +1,12 @@
 import io
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import orbitlang.cli as cli
 import orbitlang.intersection as intersection
@@ -13,10 +17,13 @@ from orbitlang.intersection import (
     bivariate_squarefree,
     diagonal_pullback,
     multiplicity_at,
+    pullback_squarefree,
     ramification_bound,
     s_integrality_scan,
 )
+from orbitlang.padics import is_prime
 from orbitlang.polynomials import Polynomial
+from orbitlang.reduction import good_reduction
 
 
 def plane(terms):
@@ -95,6 +102,22 @@ def test_ramification_bound_examples():
     with pytest.raises(PeriodicCriticalPoint):
         ramification_bound(RationalMap.quadratic(-1))
     assert ramification_bound(RationalMap.polynomial([0, 1, 0, 1])) == 4  # t^3 + t
+
+
+def test_ramification_bound_computes_one_portrait(monkeypatch):
+    import orbitlang.dynsys as dynsys
+
+    calls = []
+    honest = dynsys.ramification_portrait
+
+    def counted(phi):
+        calls.append(phi)
+        return honest(phi)
+
+    monkeypatch.setattr(dynsys, "ramification_portrait", counted)
+    monkeypatch.setattr(intersection, "ramification_portrait", counted)
+    assert ramification_bound(RationalMap.polynomial([0, 1, 0, 1])) == 4
+    assert len(calls) == 1
 
 
 def test_multiplicity_examples():
@@ -272,3 +295,103 @@ def test_divisors_builds_one_pullback(monkeypatch):
     code = cli.run(["--json", "divisors", "--map", "(t^2+1)/t", "--level", "3"], stream=io.StringIO())
     assert code == 0
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the critical-orbit certificate of pullback_squarefree
+
+SMALL_PRIMES = [p for p in range(7, 200) if is_prime(p)]
+
+
+@st.composite
+def _degree_two_or_three_maps(draw):
+    d = draw(st.sampled_from([2, 3]))
+    coeff = st.integers(-5, 5)
+    if draw(st.booleans()):
+        return RationalMap.polynomial([draw(coeff) for _ in range(d)] + [draw(st.integers(1, 3))])
+    try:
+        return RationalMap([draw(coeff) for _ in range(d + 1)], [draw(coeff) for _ in range(d + 1)])
+    except ValueError:
+        assume(False)
+
+
+def test_critical_orbit_verdict_equals_the_euclid_attempt_by_attempt():
+    verdicts = []
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(_degree_two_or_three_maps(), st.integers(1, 3), st.sampled_from(SMALL_PRIMES), st.lists(st.integers(0, 10**6), min_size=3, max_size=3))
+    def check(phi, n, q, starts):
+        assume(good_reduction(phi, q))
+        pb = diagonal_pullback(phi, n)
+        test = intersection._CriticalOrbitTest(phi, n)
+        d = phi.degree
+        for k in range(1, n + 1):
+            Y = pb.layers[k]
+            assert Y.degree("x") == (d - 1) * d ** (k - 1)  # the degree certifies() reads the top row at
+            for y0 in starts:
+                verdict = test.certifies(Y, k, y0 % q, q)
+                assert verdict == intersection._euclid_certifies(Y, y0 % q, q), (phi, k, y0 % q, q)
+                verdicts.append(verdict)
+
+    check()
+    assert verdicts.count(False) >= 5 and verdicts.count(True) >= 100
+
+
+@pytest.mark.parametrize(
+    "F, G, k, y0, q",
+    [
+        # t/(t^3 + 1) at y0 = 0: phi(0) = 0 has the double preimage infinity,
+        # so H_2 = c Y^2 and deg h = 0 < d - 2; the image is c (x^3 + 1)^2
+        ([0, 1, 0, 0], [1, 0, 0, 1], 2, 0, 7),
+        # (t^3 + t + 1)/(t^3 + 1): infinity is critical and H_3 vanishes at
+        # phi(infinity) = 1, which only the orbit of infinity shows
+        ([1, 1, 0, 1], [1, 0, 0, 1], 3, 0, 11),
+    ],
+    ids=["double-root-at-infinity", "critical-infinity"],
+)
+def test_critical_orbit_verdict_at_infinity(F, G, k, y0, q):
+    phi = RationalMap(F, G)
+    layer = diagonal_pullback(phi, k).layers[k]
+    assert intersection._euclid_certifies(layer, y0, q) is False
+    assert intersection._CriticalOrbitTest(phi, k).certifies(layer, k, y0, q) is False
+
+
+def test_bad_reduction_attempt_is_skipped(monkeypatch):
+    # (2t^2 + t)/(t + 5) reduces mod 5 to a map with the common root t = 0;
+    # at y0 = 11 the Euclid certifies level 2, while the orbit test, were
+    # it run, would say the specialization is not squarefree
+    phi = RationalMap.from_affine(Polynomial.univariate([0, 1, 2]), Polynomial.univariate([5, 1]))
+    pb = diagonal_pullback(phi, 2)
+    assert intersection._euclid_certifies(pb.layers[2], 11, 5) is True
+    assert intersection._CriticalOrbitTest(phi, 2).certifies(pb.layers[2], 2, 11, 5) is None
+    monkeypatch.setattr(intersection, "_attempts", lambda: ((11, 5),))
+    assert pullback_squarefree(pb) == [True, True, True]
+
+
+def test_uncertifiable_attempts_fall_back_to_the_exact_gcd(monkeypatch):
+    # t^3 + t: W = 9X^2Y^2 + 3Y^4 vanishes mod 3; 2t^2 + 1: bad reduction at 2
+    gcds = []
+    honest = Polynomial.gcd
+
+    def counted(self, other):
+        gcds.append(self.variables)
+        return honest(self, other)
+
+    monkeypatch.setattr(Polynomial, "gcd", counted)
+    for coeffs, q in (([0, 1, 0, 1], 3), ([1, 0, 2], 2)):
+        monkeypatch.setattr(intersection, "_attempts", lambda: ((5, q), (7, q)))
+        gcds.clear()
+        flags = pullback_squarefree(diagonal_pullback(RationalMap.polynomial(coeffs), 3))
+        assert flags == [True] * 4
+        assert gcds.count(("x", "y")) == 3  # one exact gcd per layer k >= 1
+
+
+GOLDEN_DIVISORS = json.loads((Path(__file__).parent / "golden_divisors.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN_DIVISORS, ids=[c["name"] for c in GOLDEN_DIVISORS])
+def test_pullback_flags_equal_bivariate_squarefree(case):
+    argv = case["argv"]
+    phi = cli._parse_map(argv[argv.index("--map") + 1])
+    pb = diagonal_pullback(phi, int(argv[argv.index("--level") + 1]))
+    assert pullback_squarefree(pb) == [bivariate_squarefree(Y) for Y in pb.layers]
