@@ -57,16 +57,19 @@ def _as_univariate(f) -> Polynomial:
 
 
 def _integer_kth_root(n: int, k: int) -> int | None:
+    """The integer r with r**k == n, or None; exact at any size, by Newton's
+    iteration on integers from 2^ceil(bits/k) >= n^(1/k) down to the floor root."""
     if n < 0:
         if k % 2 == 0:
             return None
         r = _integer_kth_root(-n, k)
         return None if r is None else -r
-    r = round(n ** (1.0 / k)) if n > 1 else n
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**k == n:
-            return cand
-    return None
+    if n < 2:
+        return n
+    r = 1 << -(-n.bit_length() // k)
+    while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+        r = s
+    return r if r**k == n else None
 
 
 def _fraction_kth_root(q: Fraction, k: int) -> Fraction | None:

@@ -219,22 +219,20 @@ def _pipeline(maps, alpha, variety, options: EngineOptions, witnesses: dict, cho
     (prime, None) or (None, reason); without a prime the scanned hits are
     reported as Inconclusive(reason).
     """
-    scanner = OrbitScanner(maps, alpha)
+    scanner = OrbitScanner(maps, alpha, variety.generators)
     if orbit_record:
         witnesses["orbit-record"] = {
             "preperiodic": [m.kind == "preperiodic" for m in scanner.models],
             "tails": [m.tail for m in scanner.models],
             "cycles": [m.cycle for m in scanner.models],
         }
-    generators = list(variety.generators)
-    if scanner.all_preperiodic:
-        return _assemble_from_cycles(scanner, generators, options, witnesses)
-    stream_coords = [i for i, m in enumerate(scanner.models) if m.kind != "preperiodic"]
-    prime, reason = choose_prime(maps, alpha, stream_coords, options, witnesses)
+    if not scanner.stream_coords:
+        return _assemble_from_cycles(scanner, options, witnesses)
+    prime, reason = choose_prime(maps, alpha, scanner.stream_coords, options, witnesses)
     if prime is None:
-        hits = scanner.scan(generators, options.scan_limit)
+        hits = scanner.scan(options.scan_limit)
         return IntersectionDescription((), tuple(hits), Inconclusive(reason), witnesses)
-    return _certified_classes(maps, alpha, generators, scanner, prime, options, witnesses)
+    return _certified_classes(scanner, prime, options, witnesses)
 
 
 def _quadratic_prime(maps, alpha, stream_coords, options: EngineOptions, witnesses: dict):
@@ -285,20 +283,27 @@ def _common_residue_prime(maps, alpha, stream_coords, options: EngineOptions, wi
 # shared class machinery
 
 
-def _assemble_from_cycles(scanner: OrbitScanner, generators, options: EngineOptions, witnesses: dict):
+def _extended_down(base: int, k: int, is_hit) -> int:
+    """The first index of the class of base mod k from which every index up
+    to base is a hit: anchor at base, then extend down through the contiguous
+    hits; earlier sporadic hits stay exceptional."""
+    while base - k >= 0 and is_hit(base - k):
+        base -= k
+    return base
+
+
+def _assemble_from_cycles(scanner: OrbitScanner, options: EngineOptions, witnesses: dict):
     """Complete decision when every coordinate is preperiodic (finite orbit)."""
     k = scanner.preperiodic_cycle_lcm
     T = scanner.max_tail
-    hits = scanner.scan(generators, options.scan_limit)
+    hits = scanner.scan(options.scan_limit)
     progressions = []
     covered = set()
     for ell in range(k):
         base = T + ((ell - T) % k)
-        if scanner.is_hit(generators, base):
-            start_index = base
-            while start_index - k >= 0 and scanner.is_hit(generators, start_index - k):
-                start_index -= k
-            progressions.append(Progression(k, ell % k, (start_index - ell % k) // k))
+        if scanner.is_hit(base):
+            start_index = _extended_down(base, k, scanner.is_hit)
+            progressions.append(Progression(k, ell, (start_index - ell) // k))
             covered.update(range(start_index, options.scan_limit + 1, k))
     exceptional = tuple(sorted(n for n in hits if n not in covered))
     witnesses["finite-orbit-closure"] = True
@@ -306,18 +311,10 @@ def _assemble_from_cycles(scanner: OrbitScanner, generators, options: EngineOpti
     return IntersectionDescription(progressions, exceptional, ScanOnly(options.scan_limit), witnesses)
 
 
-def _certified_classes(
-    maps,
-    alpha,
-    generators,
-    scanner: OrbitScanner,
-    prime: int,
-    options: EngineOptions,
-    witnesses: dict,
-):
+def _certified_classes(scanner: OrbitScanner, prime: int, options: EngineOptions, witnesses: dict):
     """Run the per-class certification at a chosen prime; returns a description."""
-    g = len(maps)
-    stream_coords = [i for i, m in enumerate(scanner.models) if m.kind != "preperiodic"]
+    g = len(scanner.models)
+    stream_coords = scanner.stream_coords
     pre_coords = [i for i in range(g) if i not in stream_coords]
     residue_data = {}
     k = scanner.preperiodic_cycle_lcm
@@ -331,7 +328,7 @@ def _certified_classes(
         str(i): {"tail": orb.tail, "cycle_length": orb.cycle_length} for i, orb in residue_data.items()
     }
     witnesses["class-modulus"] = k
-    hits = scanner.scan(generators, options.scan_limit)
+    hits = scanner.scan(options.scan_limit)
     hit_set = set(hits)
     by_class: dict[int, list[int]] = {}
     for n in hits:
@@ -348,8 +345,8 @@ def _certified_classes(
             thetas = {}
             for i in stream_coords:
                 thetas[i] = orbit_interpolate(
-                    maps[i],
-                    Fraction(alpha[i]),
+                    scanner.maps[i],
+                    scanner.alpha[i].as_fraction(),
                     k,
                     base,
                     prime=prime,
@@ -357,16 +354,14 @@ def _certified_classes(
                     precision=options.precision,
                 )
             all_zero = True
-            for gen in generators:
-                sub = gen.with_variables(names)
+            for gen in scanner.generators:
                 assignments = {}
                 for i in pre_coords:
                     pt = scanner.coordinate_value(scanner.models[i], base)
                     if pt.is_infinity:
                         raise NotQuasiperiodic("preperiodic coordinate at infinity")
                     assignments[names[i]] = Polynomial.constant(pt.as_fraction(), names)
-                if assignments:
-                    sub = sub.substitute(assignments)
+                sub = gen.substitute(assignments) if assignments else gen
                 sub = sub.drop_variables([names[i] for i in pre_coords])
                 verdict = "identically-zero"
                 if not sub.is_zero:
@@ -390,17 +385,13 @@ def _certified_classes(
                 exceptional.update(class_hits)
                 class_reports[ell] = {"status": "conflict"}
                 continue
-            # anchor at the certified base, then extend down through the
-            # contiguous scanned hits; earlier sporadic hits stay exceptional
-            start_index = base
-            while start_index - k >= 0 and start_index - k in hit_set:
-                start_index -= k
+            start_index = _extended_down(base, k, hit_set.__contains__)
             progressions.append(Progression(k, ell, (start_index - ell) // k))
             exceptional.update(n for n in class_hits if n < start_index)
             class_reports[ell] = {
                 "status": "progression",
                 "base": base,
-                "symbolic": scanner.class_is_structurally_zero(generators, base),
+                "symbolic": scanner.class_is_structurally_zero(base),
                 "checks": verdicts,
             }
         else:
@@ -414,14 +405,14 @@ def _certified_classes(
         certification = Certified(prime, options.order, options.precision)
     progressions, exceptional = _simplify_progressions(progressions, exceptional)
     description = IntersectionDescription(progressions, exceptional, certification, witnesses)
-    _soundness_check(description, scanner, generators)
+    _soundness_check(description, scanner)
     return description
 
 
-def _soundness_check(description: IntersectionDescription, scanner, generators):
+def _soundness_check(description: IntersectionDescription, scanner: OrbitScanner):
     """Re-verify every reported index up to CHECK_LIMIT by exact evaluation."""
     for n in description.described_indices(CHECK_LIMIT):
-        if not scanner.is_hit(generators, n):
+        if not scanner.is_hit(n):
             raise VerificationFailed(f"reported index {n} fails exact membership")
 
 
@@ -481,4 +472,4 @@ def decide_curve_pair(phi: RationalMap, alpha, curve, options: EngineOptions | N
 def brute_force_scan(maps, alpha, variety, limit: int) -> list[int]:
     """Exact hit indices n <= limit of Phi^n(alpha) against the variety."""
     maps, alpha, variety = _normalize(maps, alpha, variety)
-    return OrbitScanner(maps, alpha).scan(list(variety.generators), limit)
+    return OrbitScanner(maps, alpha, variety.generators).scan(limit)

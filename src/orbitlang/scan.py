@@ -1,7 +1,9 @@
 """Exact orbit/variety membership scanning at desk scale.
 
+A scanner is built for one orbit and one variety: the generators are bound
+when it is built, and every cache it keeps is keyed by generator index.
 Orbit heights under a map of degree d >= 2 grow like d^n, so a scan to
-n = 1000 cannot hold exact values.  Membership of the orbit point in a
+n = 1000 cannot hold exact values.  Membership of the orbit point in the
 variety is still decided exactly, by one kernel that settles a whole index
 range and computes only what it reads, in three steps.
 
@@ -164,11 +166,14 @@ class _CoordModel:
 
 
 class OrbitScanner:
-    """Exact hit-testing of Phi^n(alpha) against polynomial generators in x1..xg."""
+    """Exact hit-testing of Phi^n(alpha) against one variety: its polynomial
+    generators in x1..xg, bound at construction (an empty list is the whole
+    space).  The per-generator helpers take the generator's index j."""
 
-    def __init__(self, maps, alpha):
+    def __init__(self, maps, alpha, generators):
         self.maps = list(maps)
         self.alpha = [PPoint.of(a) for a in alpha]
+        self.generators = list(generators)
         if len(self.maps) != len(self.alpha):
             raise ValueError("one map per coordinate")
         self.control_primes, self._reductions = self._pick_control_primes()
@@ -188,7 +193,7 @@ class OrbitScanner:
         cycles = [m for m in self.models if m.kind == "preperiodic"]
         self.preperiodic_cycle_lcm = math.lcm(*(m.cycle for m in cycles))
         self.max_tail = max((m.tail for m in cycles), default=0)
-        self.all_preperiodic = len(cycles) == len(self.models)
+        self.stream_coords = [i for i, m in enumerate(self.models) if m.kind == "stream"]
         self._stream_ids = sorted({m.stream for m in self.models if m.kind == "stream"})
         # the first index from which every preperiodic coordinate is on its
         # cycle and every aliased coordinate reads its stream
@@ -196,8 +201,8 @@ class OrbitScanner:
         self._heads: dict = {}
         self._sieves: dict = {}
         self._residue_orbits: dict = {}
-        self._residue_cache: dict = {}
-        # (id(gen), class) -> (gen, class verdict); (id(gen), n) -> (gen, exact membership)
+        self._tables: dict = {}
+        # (j, class) -> generator j's class verdict; (j, n) -> its exact membership at n
         self._verdicts: dict = {}
         self._exact: dict = {}
 
@@ -281,15 +286,15 @@ class OrbitScanner:
 
     # -- membership -------------------------------------------------------------------
 
-    def is_hit(self, generators, n: int) -> bool:
-        """Exact membership of Phi^n(alpha) in the common zero locus."""
-        return bool(self._hits(list(generators), n, n))
+    def is_hit(self, n: int) -> bool:
+        """Exact membership of Phi^n(alpha) in the variety."""
+        return bool(self._hits(n, n))
 
-    def scan(self, generators, limit: int) -> list[int]:
+    def scan(self, limit: int) -> list[int]:
         """Hit indices n <= limit."""
-        return self._hits(list(generators), 0, limit)
+        return self._hits(0, limit)
 
-    def _hits(self, gens: list, lo: int, hi: int) -> list[int]:
+    def _hits(self, lo: int, hi: int) -> list[int]:
         """The membership kernel: indices lo <= n <= hi at which every generator vanishes.
 
         The sieve goes first (`_sieve`).  An open index is then settled with no
@@ -300,18 +305,18 @@ class OrbitScanner:
         one is a miss, and a hit cut stands in for a zero one where every residue
         is finite.  A zero one, or one at infinity, goes to `_vanishes`.
         """
-        if not gens:
+        if not self.generators:
             return list(range(lo, hi + 1))
         period = self.preperiodic_cycle_lcm
         structural = all(m.phi.is_polynomial for m in self.models if m.kind == "stream")
         q = self.control_primes[0]
-        tables = [(gen, self._generator_residues(gen, q)) for gen in gens]
+        tables = self._residue_tables(q)
         classes, hits = {}, []
-        for n in self._sieve(gens, lo, hi):
+        for n in self._sieve(lo, hi):
             c = n % period
             if c not in classes:
                 # the cuts from the class verdicts found so far; a generator with none has no cut
-                cuts = [self._cut(gen, n) if (id(gen), c) in self._verdicts else (math.inf, False) for gen in gens]
+                cuts = [self._cut(j, n) if (j, c) in self._verdicts else (math.inf, False) for j in range(len(tables))]
                 zero = [cut if hit else math.inf for cut, hit in cuts]
                 miss = min([math.inf] + [cut for cut, hit in cuts if not hit])
                 classes[c] = (miss, max(zero) if structural else math.inf, zero)
@@ -326,7 +331,7 @@ class OrbitScanner:
             if _OFF_CHART in x:
                 continue
             finite = INF_RESIDUE not in x
-            for (gen, table), zero_from in zip(tables, zero):
+            for j, (table, zero_from) in enumerate(zip(tables, zero)):
                 if finite and n >= zero_from:
                     continue
                 seen = finite and table is not None
@@ -334,13 +339,13 @@ class OrbitScanner:
                     break
                 # past the horizon this finds the class verdict, so the class's cuts are read again
                 classes.pop(c, None)
-                if not self._vanishes(gen, n, seen):
+                if not self._vanishes(j, n, seen):
                     break
             else:
                 hits.append(n)
         return hits
 
-    def _sieve(self, gens: list, lo: int, hi: int) -> list[int]:
+    def _sieve(self, lo: int, hi: int) -> list[int]:
         """The indices lo..hi that no sieve prime settles as misses, in order.
 
         At a prime q that passes `_reductions_at`, an index n >= T reads the
@@ -359,7 +364,7 @@ class OrbitScanner:
         for q in SIEVE_PRIMES:
             if count < 2 or idle == 2:
                 break
-            tables = [t for t in (self._generator_residues(gen, q) for gen in gens) if t is not None]
+            tables = [t for t in self._residue_tables(q) if t is not None]
             sieve = self._sieve_orbits(q) if tables else None
             if sieve is None or sieve[1] > count:
                 continue
@@ -410,12 +415,12 @@ class OrbitScanner:
             self._residue_orbits[i, q] = residue_orbit(reduced, reduce_point(self.alpha[i], q))
         return self._residue_orbits[i, q]
 
-    def _cut(self, gen: Polynomial, n: int) -> tuple[float, bool]:
-        """The index from which gen's verdict settles every later index of the
-        class of n, and whether as hits.  A zero verdict stands in for exact
-        evaluation only past the horizon, and only where every coordinate is
-        finite (a preperiodic coordinate at infinity makes the verdict nonzero)."""
-        verdict, start = self._class_verdict(gen, n)
+    def _cut(self, j: int, n: int) -> tuple[float, bool]:
+        """The index from which generator j's verdict settles every later index
+        of the class of n, and whether as hits.  A zero verdict stands in for
+        exact evaluation only past the horizon, and only where every coordinate
+        is finite (a preperiodic coordinate at infinity makes the verdict nonzero)."""
+        verdict, start = self._class_verdict(j, n)
         if verdict == "zero":
             return max(start, self._horizon), True
         return (start if verdict == "nonzero" else math.inf), False
@@ -435,31 +440,30 @@ class OrbitScanner:
             return head[m.tail + (n - m.tail) % m.cycle]
         return self.streams[m.stream].track(n + m.delta, qi)[n + m.delta]
 
-    def _vanishes(self, gen: Polynomial, n: int, seen: bool) -> bool:
-        """gen at Phi^n(alpha), where the first control prime shows a zero
-        residue (seen) or shows nothing.
+    def _vanishes(self, j: int, n: int, seen: bool) -> bool:
+        """Generator j at Phi^n(alpha), where the first control prime shows a
+        zero residue (seen) or shows nothing.
 
         Below the exact horizon exact evaluation decides, once per scanner.  Past
         it the class structure decides at the first prime that sees every
         coordinate finite; only when it settles nothing do the remaining primes run.
         """
-        key = (id(gen), n)
-        if key in self._exact:
-            return self._exact[key][1]
+        if (j, n) in self._exact:
+            return self._exact[j, n]
         point = self.exact_point(n)
         if point is not None:
+            gen = self.generators[j]
             hit = not any(p.is_infinity for p in point) and _cleared(gen, [(p.a, p.b) for p in point], 1) == 0
-            # the entry holds gen, so its id stays unique while cached
-            self._exact[key] = (gen, hit)
+            self._exact[j, n] = hit
             return hit
-        residues = (self._residue(gen, n, qi) for qi in range(1 if seen else 0, len(self.control_primes)))
+        residues = (self._residue(j, n, qi) for qi in range(1 if seen else 0, len(self.control_primes)))
         if not seen:
             value = next((r for r in residues if r is not None), None)
             if value is None:
                 raise PrecisionExhausted(f"no control prime sees every coordinate at index {n} finite")
             if value:
                 return False
-        verdict = self._structural_verdict(gen, n)
+        verdict = self._structural_verdict(j, n)
         if verdict != "unknown":
             return verdict == "zero"
         if any(residues):
@@ -468,34 +472,29 @@ class OrbitScanner:
             f"membership at index {n} is beyond the exact horizon and has no structural certificate"
         )
 
-    def _residue(self, gen: Polynomial, n: int, qi: int) -> int | None:
-        """gen at Phi^n(alpha) mod the qi-th control prime; None when some
-        coordinate's residue there is at infinity, which tells nothing."""
+    def _residue(self, j: int, n: int, qi: int) -> int | None:
+        """Generator j at Phi^n(alpha) mod the qi-th control prime; None when
+        some coordinate's residue there is at infinity, which tells nothing."""
         x = [self._coordinate_residue(i, n, qi) for i in range(len(self.models))]
         if INF_RESIDUE in x:
             return None
-        table = self._generator_residues(gen, self.control_primes[qi])
+        table = self._residue_tables(self.control_primes[qi])[j]
         if table is None:
             raise PrecisionExhausted("control prime collides with a coefficient")
         return residue_eval(table, x, self.control_primes[qi])
 
-    def _generator_residues(self, gen: Polynomial, q: int) -> dict | None:
-        """gen's coefficients mod the control or sieve prime q, reduced once
-        per scanner; None when q divides a coefficient's denominator."""
-        key = (id(gen), q)
-        if key not in self._residue_cache:
-            try:
-                table = gen.residues(q)
-            except ZeroDivisionError:
-                table = None
-            # the entry holds gen, so its id stays unique while cached
-            self._residue_cache[key] = (gen, table)
-        return self._residue_cache[key][1]
+    def _residue_tables(self, q: int) -> list[dict | None]:
+        """Each generator's coefficients mod the control or sieve prime q,
+        reduced once per scanner; None for a generator with q in a
+        coefficient's denominator."""
+        if q not in self._tables:
+            self._tables[q] = [gen.residues(q) if gen.den % q else None for gen in self.generators]
+        return self._tables[q]
 
     # -- structural analysis --------------------------------------------------------------
 
-    def substituted_generator(self, gen: Polynomial, n_class: int) -> tuple[Polynomial | None, list[int]]:
-        """Generator with preperiodic coordinates frozen and stream coordinates
+    def substituted_generator(self, j: int, n_class: int) -> tuple[Polynomial | None, list[int]]:
+        """Generator j with preperiodic coordinates frozen and stream coordinates
         written as iterates of one variable per stream, denominators cleared.
 
         Valid for indices n >= max(tails, len(prefix)) with n = n_class modulo
@@ -518,15 +517,16 @@ class OrbitScanner:
             else:
                 u_name = u_names[stream_ids.index(m.stream)]
                 coords.append(_iterate_fraction(m.phi, m.delta - base_shift[m.stream], u_name, u_names))
-        return _cleared(gen, coords, Polynomial.constant(1, u_names)), [base_shift[s] for s in stream_ids]
+        sub = _cleared(self.generators[j], coords, Polynomial.constant(1, u_names))
+        return sub, [base_shift[s] for s in stream_ids]
 
-    def _class_verdict(self, gen: Polynomial, n: int) -> tuple[str, float]:
-        """gen's verdict on the class of n, found once per scanner: "zero",
-        "nonzero" or "unknown", with the index from which it holds."""
-        key = (id(gen), n % self.preperiodic_cycle_lcm)
+    def _class_verdict(self, j: int, n: int) -> tuple[str, float]:
+        """Generator j's verdict on the class of n, found once per scanner:
+        "zero", "nonzero" or "unknown", with the index from which it holds."""
+        key = (j, n % self.preperiodic_cycle_lcm)
         if key not in self._verdicts:
             base = self._structural_base
-            sub, shifts = self.substituted_generator(gen, n)
+            sub, shifts = self.substituted_generator(j, n)
             verdict = ("unknown", math.inf)
             if sub is None or sub.is_constant():
                 # None: a preperiodic coordinate sits at infinity on this class
@@ -537,20 +537,19 @@ class OrbitScanner:
                 threshold = self.streams[self._stream_ids[j]].eventually_exceeds(bound)
                 if threshold is not None:
                     verdict = ("nonzero", max(base, threshold - shifts[j]))
-            # the entry holds gen, so its id stays unique while cached
-            self._verdicts[key] = (gen, verdict)
-        return self._verdicts[key][1]
+            self._verdicts[key] = verdict
+        return self._verdicts[key]
 
-    def _structural_verdict(self, gen: Polynomial, n: int) -> str:
-        verdict, start = self._class_verdict(gen, n)
+    def _structural_verdict(self, j: int, n: int) -> str:
+        verdict, start = self._class_verdict(j, n)
         return verdict if n >= start else "unknown"
 
     # -- convenience -------------------------------------------------------------------------
 
-    def class_is_structurally_zero(self, generators, n_class: int) -> bool:
+    def class_is_structurally_zero(self, n_class: int) -> bool:
         """Proof that every generator vanishes on the whole class (all n >= base)
         wherever every coordinate is finite."""
-        return all(self._class_verdict(gen, n_class)[0] == "zero" for gen in generators)
+        return all(self._class_verdict(j, n_class)[0] == "zero" for j in range(len(self.generators)))
 
 
 def _iterate_fraction(phi: RationalMap, k: int, var: str, variables) -> tuple[Polynomial, Polynomial]:

@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitlang.classify import (
+    _integer_kth_root,
     ChebyshevConjugate,
     Decomposition,
     Indecomposable,
@@ -208,3 +211,11 @@ def test_verify_invariant_curve_odd_twist():
 def test_verify_invariant_curve_rejects_reducible():
     with pytest.raises(ReducibleInput):
         verify_invariant_curve(PlaneCurve(plane({(2, 0): 1, (0, 2): -1})), upoly([0, 0, 1]), 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2**500 - 1), st.integers(2, 5))
+def test_integer_kth_root_is_exact_at_any_size(r, k):
+    # from r = 1 on: 0^k + 1 = 1^k is a k-th power
+    assert _integer_kth_root(r**k, k) == r
+    assert _integer_kth_root(r**k + 1, k) is None

@@ -462,3 +462,25 @@ def test_strassmann_non_constant_coefficient_exit_two(monkeypatch, coeffs, posit
     result = jsonline(out)["result"]
     assert result["code"] == "syntax-error"
     assert result["message"].endswith(f"(at position {position})")
+
+
+def test_decide_with_a_scale_past_the_float_range(monkeypatch):
+    # 10^400 t^2 + 10^-400 is conjugate to t^2 + 1 by the scale 10^-400, whose
+    # square root does not fit in a float
+    code, out = invoke(
+        ["--json", "decide", "--map", "(10^400)*t^2+1/10^400", "--point", "0", "--variety", "x1-26/10^400"],
+        monkeypatch=monkeypatch,
+    )
+    assert code == EXIT_OK
+    result = jsonline(out)["result"]
+    assert result["exceptional"] == [4] and result["progressions"] == []
+    assert result["certification"]["type"] == "Certified" and result["certification"]["prime"] == 3
+
+
+def test_classify_finds_a_large_exact_cube_root_scale(monkeypatch):
+    # the leading coefficient is (3^40 + 7)^3, a cube that a rounded float root misses
+    code, out = invoke(["--json", "classify", "--map", "(3^40+7)^3*t^4+t"], monkeypatch=monkeypatch)
+    assert code == EXIT_OK
+    normal = jsonline(out)["result"]["normal_form"]
+    assert normal["polynomial"] == "t^4 + t"
+    assert normal["conjugator"] == {"scale": f"1/{3**40 + 7}", "shift": "0"}

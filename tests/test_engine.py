@@ -3,6 +3,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitlang.cli import run
 from orbitlang.dynsys import RationalMap, iterate
@@ -17,7 +19,7 @@ from orbitlang.engine import (
     decide,
     decide_curve_pair,
 )
-from orbitlang.errors import HypothesisViolated, PowerMapCase
+from orbitlang.errors import HypothesisViolated, OrbitlangError, PowerMapCase
 from orbitlang.polynomials import Polynomial
 from orbitlang.varieties import AffineVariety, PlaneCurve
 
@@ -310,3 +312,55 @@ def test_residue_orbits_at_a_sieve_prime_are_computed_once(monkeypatch):
         "1": {"tail": 1, "cycle_length": 1},
     }
     assert {key: n for key, n in calls.items() if key[0] == 3} == {(3, 0): 1, (3, 1): 1}
+
+
+@st.composite
+def conjugated_instances(draw):
+    """t^2 + c, an integer start in g = 2, a line through an early orbit
+    point, a conic or a graph variety, and an affine conjugator mu(t) = A t + B."""
+    c = draw(st.integers(-3, 3).filter(bool))
+    f = RationalMap.quadratic(c)
+    names = ("x1", "x2")
+    small = st.integers(-4, 4)
+    a1 = draw(small)
+    kind = draw(st.sampled_from(["line", "conic", "graph"]))
+    if kind == "graph":
+        r = draw(st.integers(1, 2))
+        alpha = [a1, iterate(f, a1, r).as_fraction()]
+        variety = invariant_graph(c, r)
+    elif kind == "line":
+        alpha = [a1, draw(small)]
+        n = draw(st.integers(0, 3))
+        x, y = (iterate(f, a, n).as_fraction() for a in alpha)
+        a, b = draw(small.filter(bool)), draw(small)
+        variety = Polynomial(names, {(1, 0): a, (0, 1): b, (0, 0): -a * x - b * y})
+    else:
+        alpha = [a1, draw(small)]
+        terms = {e: draw(small) for e in [(1, 0), (0, 1), (0, 0), (2, 0), (1, 1)]}
+        terms[0, 2] = draw(small.filter(bool))
+        variety = Polynomial(names, terms)
+    A = draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-2), Fraction(1, 3), Fraction(-1, 3)]))
+    B = Fraction(draw(small))
+    return f, alpha, variety, A, B
+
+
+def _answer(maps, alpha, variety, options):
+    try:
+        desc = decide(maps, alpha, variety, options)
+    except OrbitlangError as exc:
+        return type(exc), str(exc)
+    return desc.progressions, desc.exceptional, desc.certification
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(conjugated_instances())
+def test_decide_is_invariant_under_affine_conjugation(instance):
+    # mu o f o mu^-1 from mu(alpha) meets V o mu^-1 exactly where f from alpha meets V
+    f, alpha, variety, A, B = instance
+    c = f.affine_coefficients()[0]
+    conjugate = RationalMap.polynomial([B * B / A + A * c + B, -2 * B / A, 1 / A])
+    names = variety.variables
+    inverse = {v: Polynomial.variable(v, names) * (1 / A) - B / A for v in names}
+    options = EngineOptions(scan_limit=40)
+    expected = _answer(f, alpha, variety, options)
+    assert _answer(conjugate, [A * a + B for a in alpha], variety.substitute(inverse), options) == expected

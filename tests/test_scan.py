@@ -27,19 +27,19 @@ def test_control_prime_in_a_generator_denominator_exhausts_precision():
     # the orbits of 0 under t^2+1 and t^2+2 are independent streams that pass
     # the exact horizon before n = 20, so no class verdict settles x1/q + x2 + 1
     maps = [RationalMap.quadratic(1), RationalMap.quadratic(2)]
-    scanner = OrbitScanner(maps, [0, 0])
-    q = scanner.control_primes[0]
+    q = OrbitScanner(maps, [0, 0], []).control_primes[0]
     gen = Polynomial(("x1", "x2"), {(1, 0): Fraction(1, q), (0, 1): 1, (0, 0): 1})
-    assert not scanner.is_hit([gen], 5)
+    scanner = OrbitScanner(maps, [0, 0], [gen])
+    assert not scanner.is_hit(5)
     assert scanner.exact_point(20) is None
     with pytest.raises(PrecisionExhausted, match="control prime collides with a coefficient"):
-        scanner.is_hit([gen], 20)
+        scanner.is_hit(20)
     # on one stream x1/q + 1 is univariate, and index 20 is a proven escape miss
-    scanner = OrbitScanner([RationalMap.quadratic(1)], [0])
     gen = Polynomial(("x1",), {(1,): Fraction(1, q), (0,): 1})
-    assert not scanner.is_hit([gen], 5)
-    assert scanner.exact_point(20) is None and scanner._structural_verdict(gen, 20) == "nonzero"
-    assert not scanner.is_hit([gen], 20)
+    scanner = OrbitScanner([RationalMap.quadratic(1)], [0], [gen])
+    assert not scanner.is_hit(5)
+    assert scanner.exact_point(20) is None and scanner._structural_verdict(0, 20) == "nonzero"
+    assert not scanner.is_hit(20)
 
 
 def test_classes_keyed_modulo_the_cycle_lcm():
@@ -48,11 +48,11 @@ def test_classes_keyed_modulo_the_cycle_lcm():
     maps = [RationalMap.quadratic(-1), RationalMap.quadratic(1)]
     x1 = Polynomial.variable("x1", ("x1", "x2"))
     assert brute_force_scan(maps, [0, 0], [x1], 1000) == list(range(0, 1001, 2))
-    scanner = OrbitScanner(maps, [0, 0])
+    scanner = OrbitScanner(maps, [0, 0], [x1])
     assert scanner.preperiodic_cycle_lcm == 2
     assert scanner.exact_point(1000) is None
-    assert scanner._structural_verdict(x1, 1000) == "zero"
-    assert scanner._structural_verdict(x1, 999) == "nonzero"
+    assert scanner._structural_verdict(0, 1000) == "zero"
+    assert scanner._structural_verdict(0, 999) == "nonzero"
 
 
 def _count_residues(monkeypatch, scanner):
@@ -87,20 +87,23 @@ def test_an_index_past_the_horizon_costs_one_residue_per_generator(monkeypatch):
     graph = Polynomial(names, {(0, 1): 1, (2, 0): -1, (0, 0): -1})
     diagonal = Polynomial(names, {(1, 0): 1, (0, 1): -1})
     maps = [RationalMap.quadratic(1), RationalMap.quadratic(1)]
-    scanner = OrbitScanner(maps, [0, 1])
+    scanner = OrbitScanner(maps, [0, 1], [graph])
+    both = OrbitScanner(maps, [0, 1], [graph, graph * diagonal])
     q = scanner.control_primes[0]
     calls = _count_residues(monkeypatch, scanner)
     assert scanner.exact_point(500) is None
     # graph and graph * diagonal are identically zero on the class, and
-    # diagonal is x1 - x1^2 - 1 there, nonzero at the control prime
-    assert scanner.is_hit([graph], 500)
-    assert scanner.is_hit([graph, graph * diagonal], 501)
-    assert not scanner.is_hit([diagonal], 502)
+    # diagonal is x1 - x1^2 - 1 there, nonzero at the control prime; each
+    # scanner finds its own verdicts, so index 501 costs a residue per generator
+    assert scanner.is_hit(500)
+    assert both.is_hit(501)
     assert calls == [(q, 1)] * 3
+    assert not OrbitScanner(maps, [0, 1], [diagonal]).is_hit(502)
+    assert calls == [(q, 1)] * 4
     # a call on one index builds no sieve data
-    assert scanner._sieves == {}
+    assert scanner._sieves == both._sieves == {}
     calls.clear()
-    assert scanner.scan([graph], 1000) == list(range(1001))
+    assert scanner.scan(1000) == list(range(1001))
     # no sieve prime settles a class of hits; below the horizon each index
     # costs its residue, and past it the class verdict found above settles it
     horizon = next(n for n in range(1001) if scanner.exact_point(n) is None)
@@ -112,30 +115,30 @@ def test_an_index_past_the_horizon_costs_one_residue_per_generator(monkeypatch):
     names = ("x1", "x2", "x3")
     graph = Polynomial(names, {(0, 1, 0): 1, (2, 0, 0): -1, (0, 0, 0): -1})
     apart = Polynomial(names, {(1, 0, 0): 1, (0, 0, 1): -1})
-    independent = OrbitScanner(maps + maps[:1], [0, 1, 3])
+    independent = OrbitScanner(maps + maps[:1], [0, 1, 3], [graph, apart])
     assert independent.exact_point(500) is None
-    assert not independent.is_hit([apart], 500)
-    assert not independent.is_hit([graph, apart], 501)
+    assert not OrbitScanner(maps + maps[:1], [0, 1, 3], [apart]).is_hit(500)
+    assert not independent.is_hit(501)
     assert calls == [(q, 1)] * 3
-    assert not independent.is_hit([graph, apart], 502)
+    assert not independent.is_hit(502)
     assert calls == [(q, 1)] * 4
 
 
 def test_control_primes_are_searched_once_per_process(monkeypatch):
-    OrbitScanner([RationalMap.quadratic(1)], [0])
+    OrbitScanner([RationalMap.quadratic(1)], [0], [])
     # q t^2 + 1 has bad reduction at the first candidate q, so this scanner
     # searches one candidate more
     q = scan._control_candidate(0)
     bad_at_q = RationalMap([1, 0, q], [1, 0, 0])
-    first = OrbitScanner([bad_at_q, RationalMap.quadratic(1)], [0, 0])
+    first = OrbitScanner([bad_at_q, RationalMap.quadratic(1)], [0, 0], [])
     assert q not in first.control_primes
 
     def no_search(n):
         raise AssertionError("control prime candidates searched again")
 
     monkeypatch.setattr(scan, "next_prime", no_search)
-    assert OrbitScanner([RationalMap.quadratic(2)], [Fraction(1, 3)]).control_primes == OrbitScanner(
-        [RationalMap.quadratic(1)], [0]
+    assert OrbitScanner([RationalMap.quadratic(2)], [Fraction(1, 3)], []).control_primes == OrbitScanner(
+        [RationalMap.quadratic(1)], [0], []
     ).control_primes
 
     def no_reduction(phi, p):
@@ -143,7 +146,7 @@ def test_control_primes_are_searched_once_per_process(monkeypatch):
 
     # each (map, control prime) is reduced once per process, a bad reduction included
     monkeypatch.setattr(scan, "reduce_map", no_reduction)
-    assert OrbitScanner([RationalMap.quadratic(1), bad_at_q], [0, 0]).control_primes == first.control_primes
+    assert OrbitScanner([RationalMap.quadratic(1), bad_at_q], [0, 0], []).control_primes == first.control_primes
 
 
 JOUKOWSKI = RationalMap([1, 0, 1], [0, 1, 0])  # t -> (t^2 + 1)/t
@@ -166,10 +169,10 @@ def test_a_rational_zero_class_past_the_horizon_costs_no_residue(monkeypatch):
     # first index past the horizon has found it
     names = ("x1", "x2")
     invariant = Polynomial(names, {(2, 0): 1, (0, 0): 1, (1, 1): -1})
-    scanner = OrbitScanner([JOUKOWSKI, JOUKOWSKI], [1, 2])
+    scanner = OrbitScanner([JOUKOWSKI, JOUKOWSKI], [1, 2], [invariant])
     calls = _count_residues(monkeypatch, scanner)
-    assert scanner.scan([invariant], 1000) == list(range(1001))
-    assert scanner._cut(invariant, 0) == (scanner._horizon, True)
+    assert scanner.scan(1000) == list(range(1001))
+    assert scanner._cut(0, 0) == (scanner._horizon, True)
     assert len(_sieve_work_is_one_residue_per_class(scanner, calls)) == scanner._horizon + 1 < 1000
 
 
@@ -201,9 +204,9 @@ def test_rational_graph_hits_every_index(orbit, j):
     den = it.affine_denominator("x1").with_variables(names)
     graph = Polynomial.variable("x2", names) * den - num  # x2 = phi^j(x1), denominators cleared
     diagonal = Polynomial(names, {(1, 0): 1, (0, 1): -1})
-    scanner = OrbitScanner([phi, phi], [x, iterate(phi, x, j)])
-    assert scanner.scan([graph], 200) == list(range(201))
-    assert scanner.scan([diagonal], 200) == []
+    start = [x, iterate(phi, x, j)]
+    assert OrbitScanner([phi, phi], start, [graph]).scan(200) == list(range(201))
+    assert OrbitScanner([phi, phi], start, [diagonal]).scan(200) == []
 
 
 def test_below_the_horizon_only_zero_residues_are_evaluated_exactly(monkeypatch):
@@ -213,7 +216,7 @@ def test_below_the_horizon_only_zero_residues_are_evaluated_exactly(monkeypatch)
     graph = Polynomial(names, {(0, 1): 1, (2, 0): -1, (0, 0): -1})
     diagonal = Polynomial(names, {(1, 0): 1, (0, 1): -1})
     meets_26 = Polynomial(names, {(1, 0): 1, (0, 0): -26})
-    scanner = OrbitScanner(maps, [0, 1])
+    scanner = OrbitScanner(maps, [0, 1], [])
     q = scanner.control_primes[0]
     horizon = next(n for n in range(100) if scanner.exact_point(n) is None)
     exact = []
@@ -227,7 +230,7 @@ def test_below_the_horizon_only_zero_residues_are_evaluated_exactly(monkeypatch)
     monkeypatch.setattr(scan, "_cleared", counted)
     for gen, hits in ((graph, list(range(horizon))), (diagonal, []), (meets_26, [4])):
         exact.clear()
-        assert scanner.scan([gen], horizon - 1) == hits
+        assert OrbitScanner(maps, [0, 1], [gen]).scan(horizon - 1) == hits
         zero_residues = [
             n
             for n in range(horizon)
@@ -241,41 +244,42 @@ def test_a_structurally_zero_class_costs_no_residue(monkeypatch):
     # x2 wanders under t^2+1 and sets the exact horizon
     maps = [RationalMap.quadratic(-1), RationalMap.quadratic(1)]
     x1 = Polynomial.variable("x1", ("x1", "x2"))
-    scanner = OrbitScanner(maps, [0, 0])
+    scanner = OrbitScanner(maps, [0, 0], [x1])
     horizon = next(n for n in range(100) if scanner.exact_point(n) is None)
     calls = _count_residues(monkeypatch, scanner)
-    assert scanner.scan([x1], 1000) == list(range(0, 1001, 2))
+    assert scanner.scan(1000) == list(range(0, 1001, 2))
     # x1 is 1 mod 2 on the odd class, so the sieve settles every odd index with
     # one residue and no class verdict; the even class costs one control-prime
     # residue per index below the horizon and one more past it, which finds
     # its verdict, identically zero, that then stands in for the rest
-    assert scanner._structural_base == 0 and (id(x1), 1) not in scanner._verdicts
+    assert scanner._structural_base == 0 and (0, 1) not in scanner._verdicts
     assert _sieve_work_is_one_residue_per_class(scanner, calls) == [(scanner.control_primes[0], 1)] * (
         (horizon + 1) // 2 + 1
     )
-    assert scanner._cut(x1, 1000) == (horizon, True)
+    assert scanner._cut(0, 1000) == (horizon, True)
     # the odd class's substitution is the nonzero constant -1, a miss cut from the base
-    assert scanner._structural_verdict(x1, 999) == "nonzero" and scanner._cut(x1, 999) == (0, False)
-    assert scanner.scan([x1], 1000) == list(range(0, 1001, 2))
+    assert scanner._structural_verdict(0, 999) == "nonzero" and scanner._cut(0, 999) == (0, False)
+    assert scanner.scan(1000) == list(range(0, 1001, 2))
 
 
 def test_a_wrong_zero_verdict_does_not_stand_in_for_exact_evaluation(monkeypatch):
     # x2 - x1^2 - 1 + q, q the first control prime, has a zero residue there at
     # every index of the orbit of (0, 1) under t^2+1, and is q exactly
     names = ("x1", "x2")
-    scanner = OrbitScanner([RationalMap.quadratic(1)] * 2, [0, 1])
-    q = scanner.control_primes[0]
+    maps = [RationalMap.quadratic(1)] * 2
+    q = OrbitScanner(maps, [0, 1], []).control_primes[0]
     gen = Polynomial(names, {(0, 1): 1, (2, 0): -1, (0, 0): q - 1})
+    scanner = OrbitScanner(maps, [0, 1], [gen])
     horizon = next(n for n in range(100) if scanner.exact_point(n) is None)
-    monkeypatch.setattr(scanner, "substituted_generator", lambda g, n_class: (Polynomial.constant(0, ("u1",)), [0]))
-    assert scanner.class_is_structurally_zero([gen], 0)
+    monkeypatch.setattr(scanner, "substituted_generator", lambda j, n_class: (Polynomial.constant(0, ("u1",)), [0]))
+    assert scanner.class_is_structurally_zero(0)
     # below the horizon the forced verdict is not consulted, so the soundness
     # check still catches a description built on it
-    assert scanner.scan([gen], horizon - 1) == []
-    assert not any(scanner.is_hit([gen], n) for n in range(horizon))
+    assert scanner.scan(horizon - 1) == []
+    assert not any(scanner.is_hit(n) for n in range(horizon))
     claimed = IntersectionDescription((Progression(1, 0, 0),), (), ScanOnly(horizon))
     with pytest.raises(VerificationFailed, match="reported index 0"):
-        _soundness_check(claimed, scanner, [gen])
+        _soundness_check(claimed, scanner)
 
 
 def test_an_exact_coordinate_at_infinity_in_a_zero_class_is_no_hit():
@@ -285,29 +289,29 @@ def test_an_exact_coordinate_at_infinity_in_a_zero_class_is_no_hit():
     f = RationalMap([1, 0, 2], [0, -1, 1])
     names = ("x1", "x2")
     graph = Polynomial(names, {(2, 1): 1, (1, 1): -1, (2, 0): -2, (0, 0): -1})
-    scanner = OrbitScanner([f, f], [0, PPoint(1, 0)])
+    scanner = OrbitScanner([f, f], [0, PPoint(1, 0)], [graph])
     assert scanner.models[1].delta == 1 and scanner._structural_base == 0
-    assert scanner.class_is_structurally_zero([graph], 0)
+    assert scanner.class_is_structurally_zero(0)
     assert scanner.exact_point(100) is None
-    assert scanner.scan([graph], 100) == list(range(2, 101))
-    assert [scanner.is_hit([graph], n) for n in range(3)] == [False, False, True]
+    assert scanner.scan(100) == list(range(2, 101))
+    assert [scanner.is_hit(n) for n in range(3)] == [False, False, True]
     # a coordinate of height 40,000 bits puts the horizon at 1, where x1 = oo:
     # no control prime sees that index finite, so the zero class settles nothing
     names = ("x0", "x1", "x2")
     graph = Polynomial(names, {(0, 2, 1): 1, (0, 1, 1): -1, (0, 2, 0): -2, (0, 0, 0): -1})
-    scanner = OrbitScanner([RationalMap.quadratic(1), f, f], [2**40000, 0, PPoint(1, 0)])
-    assert scanner.exact_point(1) is None and scanner.class_is_structurally_zero([graph], 1)
-    assert not scanner.is_hit([graph], 0) and scanner.is_hit([graph], 2)
+    scanner = OrbitScanner([RationalMap.quadratic(1), f, f], [2**40000, 0, PPoint(1, 0)], [graph])
+    assert scanner.exact_point(1) is None and scanner.class_is_structurally_zero(1)
+    assert not scanner.is_hit(0) and scanner.is_hit(2)
     with pytest.raises(PrecisionExhausted, match="no control prime sees every coordinate at index 1 finite"):
-        scanner.is_hit([graph], 1)
+        scanner.is_hit(1)
 
 
 def test_a_substituted_generator_multiplies_by_no_constant_one(monkeypatch):
     # x2 = f(x1) and x3 = f^2(x1) under f = t^2+1, so every denominator of
     # the substitution is the constant 1
     names = ("x1", "x2", "x3")
-    scanner = OrbitScanner([RationalMap.quadratic(1)] * 3, [0, 1, 2])
     gen = Polynomial(names, {(0, 0, 1): 1, (0, 2, 0): -1, (0, 0, 0): -1, (1, 1, 0): 3})
+    scanner = OrbitScanner([RationalMap.quadratic(1)] * 3, [0, 1, 2], [gen])
     products = []
     mul = Polynomial.__mul__
 
@@ -318,7 +322,7 @@ def test_a_substituted_generator_multiplies_by_no_constant_one(monkeypatch):
 
     monkeypatch.setattr(Polynomial, "__mul__", recorded)
     monkeypatch.setattr(Polynomial, "__rmul__", recorded)
-    sub, shifts = scanner.substituted_generator(gen, 0)
+    sub, shifts = scanner.substituted_generator(0, 0)
     monkeypatch.undo()
     one = Polynomial.constant(1, sub.variables)
     assert products
@@ -367,16 +371,16 @@ def _as_pair(phi: RationalMap):
 def test_kernel_agrees_with_plain_iteration(instance):
     maps, starts, gens = instance
     limit = 10
-    scanner = OrbitScanner(maps, starts)
+    scanner = OrbitScanner(maps, starts, gens)
     assert scanner.control_primes[0] == scan._control_candidate(0)
     assert scanner.models[2].delta != 0 and scanner.models[2].prefix
     assert scanner.exact_point(limit) is None
     expected = fraction_orbit_hits([_as_pair(phi) for phi in maps], starts, [g.terms for g in gens], limit)
-    assert scanner.scan(gens, limit) == expected
+    assert scanner.scan(limit) == expected
     # one index at a time, with the scan's class verdicts cached and without
-    assert [n for n in range(limit + 1) if scanner.is_hit(gens, n)] == expected
-    fresh = OrbitScanner(maps, starts)
-    assert [n for n in range(limit + 1) if fresh.is_hit(gens, n)] == expected
+    assert [n for n in range(limit + 1) if scanner.is_hit(n)] == expected
+    fresh = OrbitScanner(maps, starts, gens)
+    assert [n for n in range(limit + 1) if fresh.is_hit(n)] == expected
 
 
 def test_a_coordinate_at_infinity_is_never_a_hit(monkeypatch):
@@ -385,7 +389,7 @@ def test_a_coordinate_at_infinity_is_never_a_hit(monkeypatch):
     maps = [RationalMap([1, 0, 0], [0, 0, 1]), RationalMap.quadratic(1)]
     names = ("x1", "x2")
     x1 = Polynomial.variable("x1", names)
-    scanner = OrbitScanner(maps, [0, 0])
+    scanner = OrbitScanner(maps, [0, 0], [x1 + 1])
     assert scanner.preperiodic_cycle_lcm == 2 and scanner.exact_point(1000) is None
     calls = []
     evaluate = scan.residue_eval
@@ -396,14 +400,14 @@ def test_a_coordinate_at_infinity_is_never_a_hit(monkeypatch):
         return evaluate(table, x, q)
 
     monkeypatch.setattr(scan, "residue_eval", counted)
-    assert scanner.scan([x1 + 1], 1000) == []
+    assert scanner.scan(1000) == []
     # x1 + 1 is the nonzero constant 1 on the even class and x1 is at infinity
     # on the odd one, so both classes are settled misses and no index costs a control-prime residue
     assert calls == []
-    assert scanner._cut(x1 + 1, 0) == scanner._cut(x1 + 1, 1) == (0, False)
+    assert scanner._cut(0, 0) == scanner._cut(0, 1) == (0, False)
     monkeypatch.undo()
-    assert scanner.scan([x1], 1000) == list(range(0, 1001, 2))
-    assert not scanner.is_hit([x1 + 1], 999) and not scanner.is_hit([x1 * 0], 1)
+    assert OrbitScanner(maps, [0, 0], [x1]).scan(1000) == list(range(0, 1001, 2))
+    assert not scanner.is_hit(999) and not OrbitScanner(maps, [0, 0], [x1 * 0]).is_hit(1)
 
 
 def test_a_no_hit_scan_computes_no_exact_value_past_the_status_prefix(monkeypatch):
@@ -419,9 +423,9 @@ def test_a_no_hit_scan_computes_no_exact_value_past_the_status_prefix(monkeypatc
         applied.append(x)
         return apply(phi, x)
 
-    scanner = OrbitScanner(maps, [0, 0])
+    scanner = OrbitScanner(maps, [0, 0], [gen])
     monkeypatch.setattr(RationalMap, "apply", counted)
-    assert scanner.scan([gen], 1000) == []
+    assert scanner.scan(1000) == []
     assert applied == []
     assert [s.exact for s in scanner.streams] == [list(orbit_status(phi, 0).prefix) for phi in maps]
 
@@ -459,7 +463,7 @@ def test_residue_aliasing_finds_the_exact_lookup_models(c, s, j):
     # the residues of s at the first control prime q but none of its values
     f = RationalMap.quadratic(c)
     starts = [s, -iterate(f, s, j).as_fraction(), 7, -7, s + scan._control_candidate(0)]
-    scanner = OrbitScanner([f] * 5, starts)
+    scanner = OrbitScanner([f] * 5, starts, [])
     models = [(m.stream, m.delta, len(m.prefix)) for m in scanner.models]
     assert models == _lookup_models([f] * 5, starts)
     assert models[1] == (0, j, 1) and models[3] == (1, 0, 1) and models[4] == (2, 0, 0)
@@ -542,18 +546,18 @@ def cut_instances(draw):
 def test_each_cut_outcome_agrees_with_plain_iteration(instance):
     maps, starts, gens, outcome = instance
     limit = 12
-    scanner = OrbitScanner(maps, starts)
+    scanner = OrbitScanner(maps, starts, gens)
     period, base = scanner.preperiodic_cycle_lcm, scanner._structural_base
     assert scanner.exact_point(limit) is None
     assert [(m.stream, m.delta, len(m.prefix)) for m in scanner.models[1:]] == _lookup_models(maps[1:], starts[1:])
     expected = fraction_orbit_hits([_as_pair(phi) for phi in maps], starts, [g.terms for g in gens], limit)
-    assert scanner.scan(gens, limit) == expected
-    assert [n for n in range(limit + 1) if scanner.is_hit(gens, n)] == expected
-    fresh = OrbitScanner(maps, starts)
-    assert [n for n in range(limit + 1) if fresh.is_hit(gens, n)] == expected
+    assert scanner.scan(limit) == expected
+    assert [n for n in range(limit + 1) if scanner.is_hit(n)] == expected
+    fresh = OrbitScanner(maps, starts, gens)
+    assert [n for n in range(limit + 1) if fresh.is_hit(n)] == expected
     # the first generator's cuts settle indices inside the scan, as its outcome says
-    cuts = [scanner._cut(gens[0], n) for n in range(base, base + period)]
-    sub_is_constant = [scanner.substituted_generator(gens[0], n)[0].is_constant() for n in range(period)]
+    cuts = [scanner._cut(0, n) for n in range(base, base + period)]
+    sub_is_constant = [scanner.substituted_generator(0, n)[0].is_constant() for n in range(period)]
     if outcome == "zero":
         assert all(hit and cut == max(base, scanner._horizon) <= limit for cut, hit in cuts)
     elif outcome == "nonzero":
@@ -568,9 +572,9 @@ def test_an_escape_cut_reads_the_stream_at_its_shift():
     # root bound, so the escape settles x2 - 26 as a miss only from index 5
     f = RationalMap.quadratic(1)
     gen = Polynomial(("x1", "x2"), {(0, 1): 1, (0, 0): -26})
-    scanner = OrbitScanner([f, f], [1, 0])
-    assert scanner.models[1].delta == -1 and scanner._cut(gen, 0) == (5, False)
-    assert scanner.scan([gen], 100) == [4] and scanner.is_hit([gen], 4)
+    scanner = OrbitScanner([f, f], [1, 0], [gen])
+    assert scanner.models[1].delta == -1 and scanner._cut(0, 0) == (5, False)
+    assert scanner.scan(100) == [4] and scanner.is_hit(4)
 
 
 def test_the_soundness_check_reevaluates_no_scanned_index(monkeypatch):
@@ -593,14 +597,14 @@ def test_the_soundness_check_reevaluates_no_scanned_index(monkeypatch):
         ([graph], IntersectionDescription((Progression(1, 0, 0),), (), ScanOnly(100))),
         ([meets_26], IntersectionDescription((), (4,), ScanOnly(100))),
     ):
-        scanner = OrbitScanner(maps, [0, 1])
-        scanner.scan(gens, 100)
+        scanner = OrbitScanner(maps, [0, 1], gens)
+        scanner.scan(100)
         assert evaluated
         evaluated.clear()
-        _soundness_check(description, scanner, gens)
+        _soundness_check(description, scanner)
         assert evaluated == []
         # a fresh scanner evaluates them
-        _soundness_check(description, OrbitScanner(maps, [0, 1]), gens)
+        _soundness_check(description, OrbitScanner(maps, [0, 1], gens))
         assert evaluated
         evaluated.clear()
 
@@ -612,15 +616,15 @@ def test_a_no_hit_scan_of_an_aliased_pair_builds_no_substitution(monkeypatch, k)
     # no class verdict is needed and none is built
     f = RationalMap.quadratic(1)
     gen = Polynomial(("x1", "x2"), {(1, 0): 1, (0, 1): -1})
-    scanner = OrbitScanner([f, f], [3, iterate(f, 3, k).as_fraction()])
+    scanner = OrbitScanner([f, f], [3, iterate(f, 3, k).as_fraction()], [gen])
     assert (scanner.models[1].stream, scanner.models[1].delta) == (0, k)
 
-    def no_substitution(gen, n_class):
+    def no_substitution(j, n_class):
         raise AssertionError("substituted generator built")
 
     monkeypatch.setattr(scanner, "substituted_generator", no_substitution)
     start = time.perf_counter()
-    assert scanner.scan([gen], 1000) == []
+    assert scanner.scan(1000) == []
     assert time.perf_counter() - start < 10
 
 
@@ -630,9 +634,9 @@ def test_the_sieve_settles_a_multi_map_line_before_any_control_prime(monkeypatch
     # classes and no index reads a control-prime residue
     maps = [RationalMap.quadratic(3), RationalMap.quadratic(1)]
     gen = Polynomial(("x1", "x2"), {(1, 0): 1, (0, 1): -5, (0, 0): -2})
-    scanner = OrbitScanner(maps, [2, 1])
+    scanner = OrbitScanner(maps, [2, 1], [gen])
     calls = _count_residues(monkeypatch, scanner)
-    assert scanner.scan([gen], 1000) == []
+    assert scanner.scan(1000) == []
     tail, period, _ = scanner._sieves[2]
     assert (tail, period) == (0, 2) and calls == [(2, 1)] * 2
     assert brute_force_scan(maps, [2, 1], [gen], 1000) == []
@@ -675,12 +679,12 @@ def sieve_instances(draw):
 def test_the_sieve_agrees_with_plain_iteration(instance):
     maps, starts, gens = instance
     limit = 12
-    scanner = OrbitScanner(maps, starts)
+    scanner = OrbitScanner(maps, starts, gens)
     expected = fraction_orbit_hits([_as_pair(phi) for phi in maps], starts, [g.terms for g in gens], limit)
-    assert scanner.scan(gens, limit) == expected
-    assert [n for n in range(limit + 1) if scanner.is_hit(gens, n)] == expected
-    fresh = OrbitScanner(maps, starts)
-    assert [n for n in range(limit + 1) if fresh.is_hit(gens, n)] == expected
+    assert scanner.scan(limit) == expected
+    assert [n for n in range(limit + 1) if scanner.is_hit(n)] == expected
+    fresh = OrbitScanner(maps, starts, gens)
+    assert [n for n in range(limit + 1) if fresh.is_hit(n)] == expected
     # a prime dividing a start's denominator is unusable
     for q in (2, 3):
         assert (scanner._reductions_at(q) is None) == (Fraction(starts[1]).denominator % q == 0)
