@@ -200,26 +200,6 @@ class Indecomposable:
     degree: int
 
 
-def _divmod_monic(f: Polynomial, h: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Quotient and remainder by a monic univariate divisor, dense and exact."""
-    fc = f.univariate_coeffs()
-    hc = h.univariate_coeffs()
-    s = len(hc) - 1
-    q = [Fraction(0)] * max(len(fc) - s, 0)
-    rem = list(fc)
-    for i in range(len(rem) - 1, s - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        q[i - s] = c
-        for j in range(s + 1):
-            rem[i - s + j] -= c * hc[j]
-    return (
-        Polynomial.univariate(q or [0], f.variables[0]),
-        Polynomial.univariate(rem[:s] or [0], f.variables[0]),
-    )
-
-
 def _right_factor_candidate(f: Polynomial, s: int) -> Polynomial:
     """The unique monic degree-s candidate with zero constant term, solved
     from the top coefficients of f via a truncated series root."""
@@ -241,20 +221,7 @@ def _right_factor_candidate(f: Polynomial, s: int) -> Polynomial:
 
 def _power_series_coeff(w: list[Fraction], r: int, k: int) -> Fraction:
     """Coefficient of z^k in w(z)**r given w truncated at order k (w_k ignored)."""
-    order = k
-    acc = [Fraction(1)] + [Fraction(0)] * order
-    base = list(w[: order + 1])
-    base[k] = Fraction(0)
-    for _ in range(r):
-        nxt = [Fraction(0)] * (order + 1)
-        for i, a in enumerate(acc):
-            if a == 0:
-                continue
-            for j, b in enumerate(base):
-                if i + j <= order and b != 0:
-                    nxt[i + j] += a * b
-        acc = nxt
-    return acc[k]
+    return (Polynomial.univariate(w[:k], "z") ** r).terms.get((k,), Fraction(0))
 
 
 def decompose(f) -> Decomposition | Indecomposable:
@@ -276,7 +243,7 @@ def decompose(f) -> Decomposition | Indecomposable:
         digits = []
         rest = poly
         while not rest.is_zero:
-            rest, rem = _divmod_monic(rest, h)
+            rest, rem = rest.divmod(h)
             digits.append(rem)
         if all(d.is_constant() for d in digits):
             g = Polynomial.univariate([d.constant_value() for d in digits], var)

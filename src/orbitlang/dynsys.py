@@ -129,15 +129,6 @@ class MoebiusMap:
         return f"({self.a}*t + {self.b})/({self.c}*t + {self.d})"
 
 
-def _form_from_affine(num: Polynomial, den: Polynomial, degree: int) -> tuple[list, list]:
-    """Homogenize an affine pair to equal-degree coefficient lists (X^0..X^d)."""
-    ncs = num.univariate_coeffs()
-    dcs = den.univariate_coeffs()
-    F = [(ncs[i] if i < len(ncs) else Fraction(0)) for i in range(degree + 1)]
-    G = [(dcs[i] if i < len(dcs) else Fraction(0)) for i in range(degree + 1)]
-    return F, G
-
-
 def form_scale(F, G) -> Fraction:
     """The scalar s that makes (s F, s G) coprime integers with the top
     nonzero coefficient of s F (of s G when F vanishes) positive."""
@@ -204,8 +195,7 @@ class RationalMap:
         if dn is None or dd is None:
             raise ValueError("zero numerator or denominator")
         d = max(dn, dd)
-        F, G = _form_from_affine(num, den, d)
-        return cls(F, G)
+        return cls(_padded(num, d), _padded(den, d))
 
     @classmethod
     def polynomial(cls, coeffs: Iterable) -> "RationalMap":

@@ -55,6 +55,7 @@ from .dynsys import (
 from .padics import is_prime, next_prime, prime_factors
 from .polynomials import Polynomial, horner_forms, is_separated_sum, poly_eval
 from .reduction import INF_RESIDUE, good_reduction, reduce_map
+from .univariate import gf_gcd, gf_mulmod, gf_squarefree, trim
 
 __all__ = [
     "PlaceSet",
@@ -228,33 +229,6 @@ def _specialized_mod_q(poly: Polynomial, y0: int, q: int) -> list[int] | None:
     return out
 
 
-def _gf_trim(v: list[int]) -> list[int]:
-    while v and v[-1] == 0:
-        v.pop()
-    return v
-
-
-def _gf_gcd_degree(a: list[int], b: list[int], q: int) -> int:
-    a, b = _gf_trim(list(a)), _gf_trim(list(b))
-    while b:
-        inv = pow(b[-1], -1, q)
-        while len(a) >= len(b):
-            coef = a[-1] * inv % q
-            shift = len(a) - len(b)
-            a[shift:] = [(x - coef * y) % q for x, y in zip(a[shift:], b)]
-            _gf_trim(a)
-            if not a:
-                break
-        a, b = b, a
-    return len(a) - 1
-
-
-def _gf_squarefree(coeffs: list[int], q: int) -> bool:
-    """Whether a nonzero polynomial over F_q (coefficients low to high) is
-    squarefree: gcd(f, f') = 1."""
-    return _gf_gcd_degree(coeffs, [i * c % q for i, c in enumerate(coeffs)][1:], q) == 0
-
-
 def _euclid_certifies(poly: Polynomial, y0: int, q: int) -> bool | None:
     """Whether poly(x, y0) mod q is squarefree over F_q, or None when the
     attempt does not apply: q divides a denominator or the top x-row
@@ -262,7 +236,7 @@ def _euclid_certifies(poly: Polynomial, y0: int, q: int) -> bool | None:
     coeffs = _specialized_mod_q(poly, y0, q)
     if coeffs is None or coeffs[-1] == 0:
         return None
-    return _gf_squarefree(coeffs, q)
+    return gf_squarefree(coeffs, q)
 
 
 def _squarefree(poly: Polynomial, certifies) -> bool:
@@ -304,13 +278,14 @@ def _univariate_squarefree(poly: Polynomial, var: str) -> bool:
 def _content_in_x(poly: Polynomial) -> Polynomial:
     """gcd over Q[y], up to a unit, of the coefficients of poly viewed in
     (Q[y])[x].  A nonzero constant coefficient (as in every layer of a monic
-    polynomial map) settles it without a gcd; otherwise lowest y-degree
-    first."""
+    polynomial map) settles it before any row is built; else a gcd, lowest
+    y-degree first."""
+    rows_in_y = {ex for ex, ey in poly.num if ey}
+    if any(not ey and ex not in rows_in_y for ex, ey in poly.num):
+        return Polynomial.constant(1, ("y",))
     by_x: dict[int, dict] = {}
     for (ex, ey), n in poly.num.items():
         by_x.setdefault(ex, {})[(ey,)] = n
-    if any(len(row) == 1 and (0,) in row for row in by_x.values()):
-        return Polynomial.constant(1, ("y",))
     coeffs = sorted((Polynomial(("y",), t) for t in by_x.values()), key=lambda c: c.degree("y"))
     g = coeffs[0]
     for c in coeffs[1:]:
@@ -324,30 +299,14 @@ def _content_in_x(poly: Polynomial) -> Polynomial:
 # squarefreeness of a whole pullback, from the critical orbits of phi mod q
 
 
-def _gf_mulmod(a: list[int], b: list[int], w: list[int], q: int) -> list[int]:
-    """a * b mod (w, q): coefficient lists low to high, the result of length deg w."""
-    n = len(w) - 1
-    out = [0] * max(len(a) + len(b) - 1, n)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    inv = pow(w[-1], -1, q)
-    for top in range(len(out) - 1, n - 1, -1):
-        c = out[top] * inv % q
-        for j in range(n):
-            out[top - n + j] -= c * w[j]
-    return [c % q for c in out[:n]]
-
-
 def _gf_monomials(A: list[int], B: list[int], m: int, w: list[int], q: int) -> list[list[int]]:
     """[A^a B^(m-a) mod (w, q) for a = 0..m]."""
-    one = _gf_mulmod([1], [1], w, q)
+    one = gf_mulmod([1], [1], w, q)
     apow, bpow = [one], [one]
     for _ in range(m):
-        apow.append(_gf_mulmod(apow[-1], A, w, q))
-        bpow.append(_gf_mulmod(bpow[-1], B, w, q))
-    return [_gf_mulmod(apow[a], bpow[m - a], w, q) for a in range(m + 1)]
+        apow.append(gf_mulmod(apow[-1], A, w, q))
+        bpow.append(gf_mulmod(bpow[-1], B, w, q))
+    return [gf_mulmod(apow[a], bpow[m - a], w, q) for a in range(m + 1)]
 
 
 def _gf_combination(coeffs, vectors: list[list[int]], q: int) -> list[int]:
@@ -394,10 +353,10 @@ class _CriticalOrbitTest:
             for _ in range(n - 1):
                 r = rm.apply(r)
                 infinite.append(r)
-        w = _gf_trim(wq)
+        w = trim(wq)
         finite = []
         if len(w) > 1:
-            A, B = _gf_mulmod([0, 1], [1], w, q), _gf_mulmod([1], [1], w, q)
+            A, B = gf_mulmod([0, 1], [1], w, q), gf_mulmod([1], [1], w, q)
             for _ in range(n - 1):
                 forms = _gf_monomials(A, B, phi.degree, w, q)
                 A, B = _gf_combination(rm.coeffs_f, forms, q), _gf_combination(rm.coeffs_g, forms, q)
@@ -421,11 +380,11 @@ class _CriticalOrbitTest:
         P, Q = (1, 0) if r is INF_RESIDUE else (r, 1)
         at = [P**b * Q ** (d - 1 - b) for b in range(d)]
         c = [sum(x * y for x, y in zip(row, at)) % q for row in self.bezout]  # H_k(t, 1), low to high
-        h = _gf_trim(list(c))
-        if not h or len(h) < d - 1 or not _gf_squarefree(h, q):  # (i)
+        h = trim(list(c))
+        if not h or len(h) < d - 1 or not gf_squarefree(h, q):  # (i)
             return False
         for forms in finite[: k - 1]:  # (ii) at the finite critical points
-            if _gf_gcd_degree(w, _gf_combination(c, forms, q), q) > 0:
+            if len(gf_gcd(w, _gf_combination(c, forms, q), q)) > 1:
                 return False
         for r in infinite[: k - 1]:  # (ii) at infinity
             if (c[-1] if r is INF_RESIDUE else sum(ca * pow(r, a, q) for a, ca in enumerate(c)) % q) == 0:

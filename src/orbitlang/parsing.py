@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ExpressionSyntaxError, NonPolynomialWhereRequired
+from .errors import ExpressionSyntaxError, HypothesisViolated, NonPolynomialWhereRequired
 from .dynsys import RationalMap
 from .polynomials import Polynomial, format_polynomial
 from .varieties import PLANE_ALIAS, PlaneCurve
@@ -244,7 +244,10 @@ def parse_expression(src: str, g: int | None = None) -> ParsedExpression:
         scalar = Fraction(num) / Fraction(den)
         return ParsedExpression("scalar", scalar, str(scalar))
     if variables == ("t",):
-        phi = RationalMap.from_affine(value.num, value.den)
+        try:
+            phi = RationalMap.from_affine(value.num, value.den)
+        except ValueError as exc:  # a constant map, the zero map, or a factor common to both sides
+            raise HypothesisViolated(f"a map needs degree at least 1 in lowest terms: {exc}") from None
         return ParsedExpression("map", phi, format_map(phi))
     if not value.den.is_constant():
         raise NonPolynomialWhereRequired("curve and variety expressions must be polynomial")

@@ -13,13 +13,12 @@ radix, carry-free under addition) and the numerators multiply as ints
 is only compared is never expanded: :func:`is_separated_sum` decides
 whether a plane polynomial is a sum of univariate products in x times
 univariate products in y, convolving the x sides as ints and evaluating
-the y sides at a power of 2 (Kronecker substitution).  The heavy algebra
-(:meth:`Polynomial.divmod`, the one polynomial division, and gcd,
-resultant, factor_list) is delegated to sympy, which `_sympy` imports on
-the first such call: the residue-only commands (coordinatewise decide,
-orbit, reduce, find-prime, strassmann) never load it.  Reduction modulo m
-goes through :meth:`Polynomial.residues` and :func:`residue_eval`.  All
-values are immutable.
+the y sides at a power of 2 (Kronecker substitution).  Division, gcd and
+factorization in one variable run natively over Q (see
+:mod:`orbitlang.univariate`); resultants and the multivariate division, gcd
+and factor_list go to sympy, which `_sympy` imports on the first such call.
+Reduction modulo m goes through :meth:`Polynomial.residues` and
+:func:`residue_eval`.  All values are immutable.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from math import gcd as _int_gcd, lcm, prod
 from operator import attrgetter, mul
 from typing import Iterable
 
+from . import univariate
 from .errors import InexactDivision, RingMismatch
 
 __all__ = ["Polynomial", "horner_forms", "is_separated_sum", "poly_eval", "residue_eval"]
@@ -428,13 +428,34 @@ class Polynomial:
         expr = sympy.Poly(poly, *[_symbol(v) for v in variables], domain=sympy.QQ)
         return cls(variables, {tuple(exps): _from_sympy_number(c) for exps, c in expr.terms()})
 
-    # -- heavy algebra (delegated) ------------------------------------------------------------
+    # -- heavy algebra: native in one variable, sympy in more -------------------------------
+
+    def _dense(self) -> list[int]:
+        """The numerators of a univariate polynomial, low to high."""
+        out = [0] * (max(self.num)[0] + 1 if self.num else 0)
+        for (e,), n in self.num.items():
+            out[e] = n
+        return out
+
+    def _from_dense(self, coeffs: list[int], den: int) -> "Polynomial":
+        """sum(coeffs[i] t^i) / den in self's one variable, for a nonzero den."""
+        if den < 0:
+            coeffs, den = [-c for c in coeffs], -den
+        return Polynomial._lowest(self.variables, {(i,): c for i, c in enumerate(coeffs) if c}, den)
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Quotient and remainder of sympy's (lexicographic) division by `other`."""
+        """Quotient and remainder of the division by `other`: over Q in one
+        variable, sympy's lexicographic division in more."""
         self._compat(other)
         if other.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
+        if len(self.variables) == 1:
+            a, b = self._dense(), other._dense()
+            # lc(b)^e a = q b + r over Z, so self = (q other.den) / s * other + r / s
+            scale = b[-1] ** max(len(a) - len(b) + 1, 0)
+            q, r = univariate.divmod_z([n * scale for n in a], b)
+            s = scale * self.den
+            return self._from_dense([n * other.den for n in q], s), self._from_dense(r, s)
         q, r = _sympy().div(self.to_sympy(), other.to_sympy())
         return Polynomial.from_sympy(q, self.variables), Polynomial.from_sympy(r, self.variables)
 
@@ -450,11 +471,11 @@ class Polynomial:
     def gcd(self, other: "Polynomial") -> "Polynomial":
         """Polynomial gcd, normalized monic in the lexicographically leading term."""
         self._compat(other)
-        g = _sympy().gcd(self.to_sympy(), other.to_sympy())
-        result = Polynomial.from_sympy(g, self.variables)
-        if result.is_zero:
-            return result
-        lead = result.num[max(result.num)]
+        if len(self.variables) == 1:
+            g = univariate.gcd_z(self._dense(), other._dense())
+            return self._from_dense(g, g[-1] if g else 1)
+        result = Polynomial.from_sympy(_sympy().gcd(self.to_sympy(), other.to_sympy()), self.variables)
+        lead = result.num[max(result.num)] if result.num else 1
         return Polynomial(self.variables, {e: Fraction(n, lead) for e, n in result.num.items()})
 
     def resultant(self, other: "Polynomial", var: str) -> "Polynomial":
@@ -467,8 +488,15 @@ class Polynomial:
         return Polynomial.from_sympy(sympy.Poly(res, *[_symbol(v) for v in rest] or [_symbol("_c")]), rest)
 
     def factor_list(self) -> tuple[Fraction, list[tuple["Polynomial", int]]]:
-        const, factors = _sympy().factor_list(self.to_sympy())
-        return _from_sympy_number(const), [(Polynomial.from_sympy(f, self.variables), int(mult)) for f, mult in factors]
+        """(content, [(factor, multiplicity)]): each factor irreducible over Q,
+        primitive over Z with positive lead, in sympy's form and order."""
+        if len(self.variables) != 1:
+            const, factors = _sympy().factor_list(self.to_sympy())
+            return _from_sympy_number(const), [(Polynomial.from_sympy(f, self.variables), int(m)) for f, m in factors]
+        content, prim = self.content_and_primitive()
+        if prim.is_zero:
+            return content, []
+        return content, [(self._from_dense(f, 1), m) for f, m in univariate.factor(prim._dense())]
 
     def is_irreducible(self) -> bool:
         if self.is_zero or self.is_constant():
@@ -480,13 +508,9 @@ class Polynomial:
         """All rational roots of a univariate rational polynomial (no multiplicity)."""
         if len(self.variables) != 1:
             raise ValueError("univariate only")
-        roots = []
+        # the factors are distinct and primitive: each linear one c1 t + c0 gives -c0 / c1
         _, factors = self.factor_list()
-        for f, _ in factors:
-            if f.degree(f.variables[0]) == 1:
-                coeffs = f.univariate_coeffs()
-                roots.append(-coeffs[0] / coeffs[1])
-        return sorted(set(roots))
+        return sorted(Fraction(-f.num.get((0,), 0), f.num[(1,)]) for f, _ in factors if max(f.num) == (1,))
 
     def __repr__(self):
         return f"Polynomial({format_polynomial(self)!r})"

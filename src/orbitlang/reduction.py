@@ -15,6 +15,7 @@ from functools import cached_property
 from .errors import BadReduction
 from .dynsys import PPoint, RationalMap
 from .padics import is_prime
+from .univariate import derivative, mul
 
 __all__ = [
     "binary_form_resultant",
@@ -145,23 +146,10 @@ class ReducedMap:
     def derivative_terms(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(numerator, denominator) coefficient vectors of the affine derivative."""
         m = self.modulus
-        f = list(self.coeffs_f)
-        g = list(self.coeffs_g)
-
-        def mul(a, b):
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        out[i + j] = (out[i + j] + ai * bj) % m
-            return out
-
-        def deriv(cs):
-            return [i * c % m for i, c in enumerate(cs)][1:]
-
+        f, g = self.coeffs_f, self.coeffs_g
         # both products have length 2d because the form vectors keep full length
-        num = [(x - y) % m for x, y in zip(mul(deriv(f), g), mul(f, deriv(g)))]
-        return tuple(num), tuple(mul(g, g))
+        num = [(x - y) % m for x, y in zip(mul(derivative(f), g), mul(f, derivative(g)))]
+        return tuple(num), tuple(c % m for c in mul(g, g))
 
     def derivative_at(self, x: int) -> int:
         """Affine derivative value at a finite non-pole residue."""

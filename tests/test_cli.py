@@ -484,3 +484,23 @@ def test_classify_finds_a_large_exact_cube_root_scale(monkeypatch):
     normal = jsonline(out)["result"]["normal_form"]
     assert normal["polynomial"] == "t^4 + t"
     assert normal["conjugator"] == {"scale": f"1/{3**40 + 7}", "shift": "0"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbit", "--map", "t^2/t", "--point=2"],
+        ["decide", "--map", "t^2/t", "--point=1", "--variety", "x1-1"],
+        ["divisors", "--map", "(t^2+0)/t", "--level", "0"],
+        ["reduce", "--map", "(0)*t^2+(1/2)", "--prime", "7", "--point=1"],
+        ["find-prime", "--map", "(0)*t^2+(-2)", "--points=7,-2", "--mode", "multi"],
+        ["decide", "--map", "(0/1)*t^2+(0/1)", "--point=3,-2", "--variety", "y-(2)", "--mode", "coordinatewise"],
+    ],
+    ids=["common-factor-orbit", "common-factor-decide", "common-factor-divisors", "constant-reduce", "constant-find-prime", "zero-map-decide"],
+)
+def test_degenerate_map_exit_two(monkeypatch, argv):
+    # a constant map, the zero map and a map with a common factor used to
+    # raise ValueError from RationalMap, exit 1
+    code, out = invoke(["--json", *argv], monkeypatch=monkeypatch)
+    assert code == EXIT_USAGE
+    assert jsonline(out)["result"]["code"] == "hypothesis-violated"

@@ -1,9 +1,11 @@
-"""sympy is imported on first use of the heavy algebra, never at import time.
+"""sympy is imported on first use of the multivariate algebra, never at import time.
 
-The residue-only commands (coordinatewise `decide`, `orbit`, `reduce`,
-`find-prime`, `strassmann`) make no call into sympy, so a process that
-runs only them never loads it.  The first gcd, resultant, division or
-factorization imports it through `polynomials._sympy`.
+Division, gcd and factorization of univariates are native, so the
+residue-only commands (coordinatewise `decide`, `orbit`, `reduce`,
+`find-prime`, `strassmann`), `divisors` and curve-pair `decide` make no
+call into sympy, and a process that runs only them never loads it.  The
+first resultant, or the first division, gcd or factorization in two or
+more variables, imports it through `polynomials._sympy`.
 """
 
 import ast
@@ -66,19 +68,22 @@ print(json.dumps(out))
 """
 
 
+def _golden(name: str) -> list[dict]:
+    return json.loads((ROOT / "tests" / f"golden_{name}.json").read_text())
+
+
 def test_residue_only_commands_never_load_sympy():
-    golden = json.loads((ROOT / "tests" / "golden_divisors.json").read_text())[0]
-    commands = RESIDUE_ONLY + [golden["argv"][1:]]
+    goldens = _golden("divisors") + [case for case in _golden("decide") if case["name"] == "curve-pair"]
+    commands = RESIDUE_ONLY + [case["argv"][1:] for case in goldens]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, json.dumps(commands)], capture_output=True, text=True, timeout=120, env=env
     )
     assert proc.returncode == 0, proc.stderr
     runs = json.loads(proc.stdout)
-    for argv, step in zip(RESIDUE_ONLY, runs):
+    for argv, step in zip(commands, runs):
         assert step["code"] in (0, 1) and not step["sympy"], argv
-    divisors = runs[-1]
-    assert divisors["sympy"]
-    assert divisors["code"] == golden["exit"]
-    divisors["report"].pop("timing")
-    assert json.dumps(divisors["report"], sort_keys=True) == json.dumps(golden["report"], sort_keys=True)
+    for case, step in zip(goldens, runs[len(RESIDUE_ONLY) :]):
+        assert step["code"] == case["exit"], case["name"]
+        step["report"].pop("timing")
+        assert json.dumps(step["report"], sort_keys=True) == json.dumps(case["report"], sort_keys=True), case["name"]
