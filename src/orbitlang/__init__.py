@@ -5,7 +5,7 @@ Submodules:
 * padics, polynomials: p-adic scalars, exact polynomials over Q, reduction mod m
 * dynsys, reduction: self-maps of P^1 over Q and their mod-p models
 * analytic: Strassmann counting, quasiperiodicity disks, Mahler interpolation
-* intersection: diagonal pullbacks, ramification bounds, integrality scans
+* intersection: diagonal pullbacks, ramification bounds
 * primesearch: certified prime selection
 * classify: normal forms, Chebyshev/power conjugacy, decomposition, periodic curves
 * engine: the intersection decision procedure

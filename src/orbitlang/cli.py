@@ -164,6 +164,14 @@ def _parse_variety_generator(text: str, g: int):
     raise ExpressionSyntaxError("expected a polynomial in the plane/space variables", 0)
 
 
+def _single_point(args) -> Fraction:
+    """The one coordinate of --point; more than one is a syntax error."""
+    points = parse_point(args.point)
+    if len(points) != 1:
+        raise ExpressionSyntaxError(f"{args.command} takes a single coordinate", 0)
+    return points[0]
+
+
 def _at_least(flag: str, value: int, least: int):
     if value < least:
         raise InvalidOption(f"{flag} must be at least {least}, got {value}")
@@ -199,9 +207,7 @@ def _default_precision() -> int:
 
 def _cmd_orbit(args):
     phi = _parse_map(args.map)
-    points = parse_point(args.point)
-    if len(points) != 1:
-        raise ExpressionSyntaxError("orbit takes a single coordinate", 0)
+    x = _single_point(args)
     _at_least("--steps", args.steps, 0)
     place = None if args.place is None else _place(args.place)
     # values up to the exact cap are printed in full (log10(2) < 1/3)
@@ -210,7 +216,7 @@ def _cmd_orbit(args):
         sys.set_int_max_str_digits(digits)
     values = []
     result, code = {"orbit": values}, EXIT_OK
-    pt = PPoint.of(points[0])
+    pt = PPoint.of(x)
     for n in range(args.steps + 1):
         if pt.height_bits() > EXACT_BITS_CAP:
             result["stopped_at"], code = n, EXIT_INCONCLUSIVE
@@ -219,7 +225,7 @@ def _cmd_orbit(args):
         if n < args.steps:
             pt = phi.apply(pt)
     if place is not None:
-        result["cycle"] = classify_cycle(phi, points[0], place)
+        result["cycle"] = classify_cycle(phi, x, place)
     return result, code
 
 
@@ -234,8 +240,7 @@ def _cmd_reduce(args):
     if rm is not None:
         result["reduced"] = {"coeffs_f": list(rm.coeffs_f), "coeffs_g": list(rm.coeffs_g), "degree": rm.degree}
         if args.point is not None:
-            x = parse_point(args.point)[0]
-            r = reduce_point(Fraction(x), p)
+            r = reduce_point(_single_point(args), p)
             orb = residue_orbit(rm, r)
             result["point"] = {"residue": "inf" if r is None else r, "orbit": orb}
     return result, EXIT_OK if rm is not None else EXIT_INCONCLUSIVE
@@ -258,8 +263,7 @@ def _cmd_classify(args):
         except OrbitlangError as exc:
             result["normal_form"] = {"error": str(exc)}
     if args.point is not None:
-        x = parse_point(args.point)[0]
-        result["cycle"] = classify_cycle(phi, x, place)
+        result["cycle"] = classify_cycle(phi, _single_point(args), place)
     return result, EXIT_OK
 
 

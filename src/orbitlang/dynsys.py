@@ -26,7 +26,6 @@ __all__ = [
     "MoebiusMap",
     "RationalMap",
     "iterate",
-    "critical_points",
     "classify_cycle",
     "exceptional_structure",
     "conjugate",
@@ -303,11 +302,6 @@ class RationalMap:
         F, G = horner_forms((self.coeffs_f, self.coeffs_g), p, q)
         return F, G
 
-    def compose(self, other: "RationalMap") -> "RationalMap":
-        """self after other (x -> self(other(x))), one Horner step on other's affine forms."""
-        F, G = self.forms_at(other.affine_numerator(), other.affine_denominator())
-        return RationalMap(_padded(F, self.degree * other.degree), _padded(G, self.degree * other.degree))
-
     def iterate_forms(self, n: int, var: str = "t") -> tuple[Polynomial, Polynomial]:
         """The normalized affine forms (N, D) of self^n: self^n(var) = N(var) / D(var),
         scaled as RationalMap scales them; n = 0 gives (var, 1)."""
@@ -318,13 +312,6 @@ class RationalMap:
             if scale != 1:
                 num, den = num * scale, den * scale
         return num, den
-
-    def iterate_polynomial(self, n: int, var: str = "t") -> Polynomial:
-        """f^n as a univariate polynomial; requires a polynomial map."""
-        if not self.is_polynomial:
-            raise ValueError("not a polynomial map")
-        num, den = self.iterate_forms(n, var)
-        return num * (1 / den.constant_value())
 
 
 def _padded(poly: Polynomial, degree: int) -> list[Fraction]:
@@ -381,13 +368,6 @@ def ramification_portrait(phi: RationalMap) -> list[tuple[object, int]]:
         else:
             out.append((fac, mult + 1))
     return out
-
-
-def critical_points(phi: RationalMap) -> list[tuple[PPoint, int]]:
-    """Q-rational critical points with their ramification indices e > 1."""
-    if phi.degree < 2:
-        raise ValueError("degree must be at least 2")
-    return [(pl, e) for pl, e in ramification_portrait(phi) if isinstance(pl, PPoint)]
 
 
 # ---------------------------------------------------------------------------

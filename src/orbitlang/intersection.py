@@ -1,4 +1,4 @@
-"""Pullbacks of the diagonal under diagonal iterates, and integrality scans.
+"""Pullbacks of the diagonal under diagonal iterates.
 
 For a degree-d self-map phi = [F : G] of the line acting diagonally on the
 plane, the level-k divisor is cut out (in the affine chart) by the cross
@@ -39,7 +39,6 @@ from .errors import (
     HypothesisViolated,
     InexactDivision,
     PeriodicCriticalPoint,
-    PreperiodicInput,
     UndecidedPeriodicity,
 )
 from .dynsys import (
@@ -52,18 +51,15 @@ from .dynsys import (
     orbit_status,
     ramification_portrait,
 )
-from .padics import is_prime, next_prime, prime_factors
-from .polynomials import Polynomial, horner_forms, is_separated_sum, poly_eval
+from .padics import next_prime, prime_factors
+from .polynomials import Polynomial, horner_forms, is_separated_sum
 from .reduction import INF_RESIDUE, good_reduction, reduce_map
 from .univariate import gf_gcd, gf_mulmod, gf_squarefree, trim
 
 __all__ = [
-    "PlaceSet",
     "DiagonalPullback",
     "diagonal_pullback",
     "ramification_bound",
-    "multiplicity_at",
-    "s_integrality_scan",
     "bivariate_squarefree",
     "pullback_squarefree",
 ]
@@ -74,20 +70,6 @@ SQUAREFREE_SEED = 20240613
 PERIODIC_ROOT_STEPS = 64
 
 _BIV = ("x", "y")
-
-
-@dataclass(frozen=True)
-class PlaceSet:
-    """A finite set of primes together with the (always present) archimedean place."""
-
-    primes: frozenset[int]
-
-    def __init__(self, primes=()):
-        ps = frozenset(int(p) for p in primes)
-        for p in ps:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-        object.__setattr__(self, "primes", ps)
 
 
 @dataclass(frozen=True)
@@ -520,60 +502,3 @@ def ramification_bound(phi: RationalMap) -> int:
             bound *= e ** place.degree(place.variables[0])
     return bound
 
-
-# ---------------------------------------------------------------------------
-# multiplicities and integral points
-
-
-def multiplicity_at(pullback: DiagonalPullback, P, Q) -> int:
-    """Order of vanishing of the defining polynomial at the finite point (P, Q)."""
-    a, b = Fraction(P), Fraction(Q)
-    poly = pullback.poly
-    total = poly.total_degree()
-    row = [poly]
-    m = 0
-    while m <= total:
-        for deriv in row:
-            if deriv.evaluate({"x": a, "y": b}) != 0:
-                return m
-        m += 1
-        new_row = [row[0].derivative("x")]
-        for deriv in row:
-            new_row.append(deriv.derivative("y"))
-        row = new_row
-    return m
-
-
-def _is_s_unit(q: Fraction, places: PlaceSet) -> bool:
-    if q == 0:
-        return False
-    num, den = abs(q.numerator), q.denominator
-    for p in places.primes:
-        while num % p == 0:
-            num //= p
-        while den % p == 0:
-            den //= p
-    return num == 1 and den == 1
-
-
-def s_integrality_scan(phi: RationalMap, alpha, beta, places: PlaceSet, n_max: int) -> list[int]:
-    """Indices n <= n_max where the n-th iterate difference is an S-unit.
-
-    Exact rational evaluation; heights roughly square each step, so keep
-    n_max at desk scale.  Both starting points must be non-preperiodic.
-    """
-    if not phi.is_polynomial:
-        raise ValueError("integrality scan expects a polynomial map")
-    for pt in (alpha, beta):
-        status = orbit_status(phi, pt)
-        if status.is_preperiodic:
-            raise PreperiodicInput(f"{pt} is preperiodic")
-    hits = []
-    a, b = Fraction(alpha), Fraction(beta)
-    coeffs = phi.affine_coefficients()
-    for n in range(n_max + 1):
-        if _is_s_unit(a - b, places):
-            hits.append(n)
-        a = poly_eval(coeffs, a)
-        b = poly_eval(coeffs, b)
-    return hits

@@ -30,9 +30,9 @@ from operator import attrgetter, mul
 from typing import Iterable
 
 from . import univariate
-from .errors import InexactDivision, RingMismatch
+from .errors import RingMismatch
 
-__all__ = ["Polynomial", "horner_forms", "is_separated_sum", "poly_eval", "residue_eval"]
+__all__ = ["Polynomial", "horner_forms", "is_separated_sum", "residue_eval"]
 
 
 _denominator = attrgetter("denominator")
@@ -459,15 +459,6 @@ class Polynomial:
         q, r = _sympy().div(self.to_sympy(), other.to_sympy())
         return Polynomial.from_sympy(q, self.variables), Polynomial.from_sympy(r, self.variables)
 
-    def divexact(self, other: "Polynomial") -> "Polynomial":
-        self._compat(other)
-        if other.is_zero:
-            raise InexactDivision("division by the zero polynomial")
-        q, r = self.divmod(other)
-        if not r.is_zero:
-            raise InexactDivision("remainder is nonzero")
-        return q
-
     def gcd(self, other: "Polynomial") -> "Polynomial":
         """Polynomial gcd, normalized monic in the lexicographically leading term."""
         self._compat(other)
@@ -594,14 +585,6 @@ def is_separated_sum(terms, c: Polynomial) -> bool:
         for a, m in row.items():
             rows[a] = get(a, 0) + m * value
     return not any(rows.values())
-
-
-def poly_eval(coeffs, x: Fraction) -> Fraction:
-    """Horner evaluation of sum(coeffs[i] * x**i) from low-to-high coefficients."""
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def residue_eval(residues: dict, coords, m: int) -> int:

@@ -68,14 +68,14 @@ def find_good_prime(maps: list[RationalMap], points, p_max: int, mode: str = "au
 
     `auto` takes the multi-map search when the maps differ, the QR filter
     for t^2 - 1 and the quadratic search otherwise.  The single-map searches
-    read maps[0]; the multi-map search takes one map per point, or a single
-    map used for every point.
+    take one map for every point and reject maps that differ; the multi-map
+    search takes one map per point, or a single map used for every point.
     """
+    one_map = len(set(maps)) == 1
     if mode == "auto":
-        if len(set(maps)) > 1:
-            mode = "multi"
-        else:
-            mode = "qr" if _quadratic_shift(maps[0]) == -1 else "quadratic"
+        mode = ("qr" if _quadratic_shift(maps[0]) == -1 else "quadratic") if one_map else "multi"
+    if mode != "multi" and not one_map:
+        raise HypothesisViolated(f"the {mode} search takes one map for every point")
     if mode == "quadratic":
         return find_good_prime_quadratic(maps[0], points, p_max)
     if mode == "qr":
@@ -346,7 +346,8 @@ def jones_density_estimate(maps: list[RationalMap], points, p_max: int) -> Jones
 def replay_certificate(cert: PrimeCertificate, maps, points) -> bool:
     """Rebuild the certificate at its prime from the maps and points, by the
     search's own per-prime builder, and compare.  A multi-map certificate
-    takes one map per point, or a single map used for every point."""
+    takes one map per point, or a single map used for every point; a
+    single-map certificate rejects maps that differ."""
     if isinstance(maps, RationalMap):
         maps = [maps]
     pts = [PPoint.of(x) for x in points]
@@ -357,10 +358,11 @@ def replay_certificate(cert: PrimeCertificate, maps, points) -> bool:
     p = cert.prime
     if not is_prime(p):
         return False
+    one_map = len(set(maps)) == 1
     if cert.kind == "quadratic-good-prime":
-        rebuilt = _quadratic_certificate(maps[0], shifts[0], pts, p)
+        rebuilt = one_map and _quadratic_certificate(maps[0], shifts[0], pts, p)
     elif cert.kind == "qr-minus-one":
-        rebuilt = shifts[0] == -1 and _qr_certificate(pts, p)
+        rebuilt = one_map and shifts[0] == -1 and _qr_certificate(pts, p)
     elif cert.kind == "multi-quadratic":
         if len(maps) == 1:  # one map for every point, as find_good_prime takes it
             maps, shifts = maps * len(pts), shifts * len(pts)

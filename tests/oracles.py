@@ -1,11 +1,19 @@
-"""Independent test oracles.
+"""Independent test oracles and reference implementations.
 
 These deliberately avoid the library's own code paths: root counting is by
 exhaustive Hensel-style lifting of solutions mod p, composition checks are
-by brute substitution, and orbit scans are by direct iteration.
+by brute substitution, and orbit scans are by direct iteration.  The
+reference implementations `compose` and `iterate_polynomial` build
+composites by expanding one map's forms at the other's, with no Horner step
+of the library's, and `divexact` is the exact quotient that
+`Polynomial.divmod` must give.
 """
 
 from fractions import Fraction
+
+from orbitlang.dynsys import RationalMap
+from orbitlang.errors import InexactDivision
+from orbitlang.polynomials import Polynomial
 
 
 def hensel_zp_root_count(int_coeffs, p, levels=12):
@@ -94,3 +102,38 @@ def fraction_orbit_hits(maps, starts, generators, limit):
         if not any(values):
             hits.append(n)
     return hits
+
+
+def compose(phi, psi):
+    """phi after psi (x -> phi(psi(x))): phi's forms F, G at psi's affine
+    forms (P, Q), expanded as sum F_i P^i Q^(d-i) term by term."""
+    P, Q = psi.affine_numerator(), psi.affine_denominator()
+    d = phi.degree
+
+    def at(coeffs):
+        return sum((P**i * Q ** (d - i) * c for i, c in enumerate(coeffs)), Polynomial.constant(0, P.variables))
+
+    return RationalMap.from_affine(at(phi.coeffs_f), at(phi.coeffs_g))
+
+
+def iterate_polynomial(f, n, var="t"):
+    """f^n as a univariate polynomial in `var`, by n substitutions of f;
+    requires a polynomial map."""
+    coeffs = f.affine_coefficients()
+    out = Polynomial.variable(var)
+    for _ in range(n):
+        acc = Polynomial.constant(0, (var,))
+        for c in reversed(coeffs):
+            acc = acc * out + c
+        out = acc
+    return out
+
+
+def divexact(a, b):
+    """The quotient a / b, raising InexactDivision unless b divides a."""
+    if b.is_zero:
+        raise InexactDivision("division by the zero polynomial")
+    q, r = a.divmod(b)
+    if not r.is_zero:
+        raise InexactDivision("remainder is nonzero")
+    return q

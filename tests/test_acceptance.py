@@ -40,7 +40,7 @@ from orbitlang.primesearch import (
 from orbitlang.reduction import reduce_map, reduce_point, residue_orbit
 from orbitlang.varieties import AffineVariety, PlaneCurve
 
-from oracles import hensel_zp_root_count
+from oracles import hensel_zp_root_count, iterate_polynomial
 
 
 class Budget:
@@ -161,7 +161,7 @@ def test_criterion_4_prime_certificates_replay():
 def _graph_generator(f: RationalMap, r: int, g: int, source: int = 0, target: int = 1) -> Polynomial:
     """x_{target+1} = f^r(x_{source+1}) as a generator in x1..xg."""
     names = tuple(f"x{i + 1}" for i in range(g))
-    fr = f.iterate_polynomial(r)
+    fr = iterate_polynomial(f, r)
     terms = {}
     for (e,), coeff in fr.terms.items():
         key = [0] * g

@@ -211,6 +211,24 @@ def test_find_prime_multi_mode_uses_one_map_for_every_point(monkeypatch):
     assert sorted(result["witnesses"]["residue_orbits"]) == ["0", "1"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbit", "--map", "t^2+1"],
+        ["reduce", "--map", "t^2+1", "--prime", "5"],
+        ["classify", "--map", "t^2+1"],
+    ],
+    ids=["orbit", "reduce", "classify"],
+)
+def test_multi_coordinate_point_exit_two(monkeypatch, argv):
+    # reduce and classify used to answer for the first coordinate alone
+    code, out = invoke(["--json", *argv, "--point", "1,2"], monkeypatch=monkeypatch)
+    assert code == EXIT_USAGE
+    result = jsonline(out)["result"]
+    assert result["code"] == "syntax-error"
+    assert result["message"].startswith(f"{argv[0]} takes a single coordinate")
+
+
 @pytest.mark.parametrize("option", [["--nmax", "-5"], ["--order", "0"], ["--precision", "0"], ["--pmax", "-5"]])
 def test_decide_out_of_range_option_exit_two(monkeypatch, option):
     # f^4(0) = 26 under t^2+1: these used to print an empty Certified answer
@@ -444,11 +462,14 @@ def test_plane_alias_next_to_its_coordinate_adds_exponents(
         ["divisors", "--map", "1/t", "--level", "2"],
         ["ms-curves", "--map", "(t^2+1)/t"],
         ["divisors", "--map", "t", "--level", "3"],
+        ["find-prime", "--maps", "t^2+1;t^2-1", "--points", "1/2,2", "--mode", "quadratic"],
+        ["find-prime", "--maps", "t^2-1;t^2+1", "--points", "1/2,2", "--mode", "qr"],
     ],
 )
 def test_map_outside_the_command_hypotheses_exit_two(monkeypatch, argv):
     # degree 1 used to raise ValueError from exceptional_structure and
-    # ramification_bound, and a rational map from affine_coefficients
+    # ramification_bound, and a rational map from affine_coefficients; a
+    # single-map --mode used to certify the first of two different maps
     code, out = invoke(["--json", *argv], monkeypatch=monkeypatch)
     assert code == EXIT_USAGE
     assert jsonline(out)["result"]["code"] == "hypothesis-violated"

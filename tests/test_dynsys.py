@@ -18,15 +18,16 @@ from orbitlang.dynsys import (
     TwoExceptional,
     classify_cycle,
     conjugate,
-    critical_points,
     cycle_multiplier,
     exceptional_structure,
     iterate,
     orbit_status,
+    ramification_portrait,
 )
 from orbitlang.errors import SingularMu
 from orbitlang.padics import next_prime
 from orbitlang.polynomials import Polynomial
+from oracles import compose, iterate_polynomial
 
 
 T_SQ = RationalMap.quadratic(0)
@@ -61,17 +62,33 @@ def test_map_normalization_canonical():
 
 def test_critical_points_examples():
     for c in (0, 1, -1):
-        pts = dict(critical_points(RationalMap.quadratic(c)))
+        pts = dict(ramification_portrait(RationalMap.quadratic(c)))
         assert pts == {PPoint.of(0): 2, INFINITY_POINT: 2}
-    cubic = dict(critical_points(RationalMap.polynomial([0, 0, 0, 1])))
+    cubic = dict(ramification_portrait(RationalMap.polynomial([0, 0, 0, 1])))
     assert cubic == {PPoint.of(0): 3, INFINITY_POINT: 3}
     phi = RationalMap.from_affine(Polynomial.univariate([1, 0, 1]), Polynomial.univariate([0, 1]))
-    assert dict(critical_points(phi)) == {PPoint.of(1): 2, PPoint.of(-1): 2}
+    assert dict(ramification_portrait(phi)) == {PPoint.of(1): 2, PPoint.of(-1): 2}
+    # t^3 + t: the conjugate critical points +-i/sqrt(3) are one place
+    t_cubed_plus_t = dict(ramification_portrait(RationalMap.polynomial([0, 1, 0, 1])))
+    assert t_cubed_plus_t == {INFINITY_POINT: 3, Polynomial.univariate([1, 0, 3]): 2}
+
+
+def _place_degree(place) -> int:
+    return 1 if isinstance(place, PPoint) else place.degree("t")
 
 
 def test_riemann_hurwitz_on_rational_critical_maps():
-    for phi in (T_SQ, T_SQ_MINUS_1, RationalMap.polynomial([0, 0, 0, 1])):
-        total = sum(e - 1 for _, e in critical_points(phi))
+    maps = (
+        T_SQ,
+        T_SQ_MINUS_1,
+        RationalMap.polynomial([0, 0, 0, 1]),
+        RationalMap.polynomial([0, 1, 0, 1]),  # t^3 + t, critical factor 3t^2 + 1
+        RationalMap.polynomial([1, 2, 0, 0, 1]),  # t^4 + 2t + 1, critical factor 2t^3 + 1
+        RationalMap.from_affine(Polynomial.univariate([1, 0, 0, 1]), Polynomial.univariate([0, 0, 1])),  # critical t^3 - 2
+        RationalMap.from_affine(Polynomial.univariate([2, 0, 1]), Polynomial.univariate([0, 1, 1])),  # no rational one
+    )
+    for phi in maps:
+        total = sum((e - 1) * _place_degree(place) for place, e in ramification_portrait(phi))
         assert total == 2 * phi.degree - 2
 
 
@@ -170,7 +187,7 @@ def test_superattracting_iff_cycle_meets_critical_set():
     for phi, x in [(T_SQ_MINUS_1, 0), (T_SQ, 1), (RationalMap.quadratic(Fraction(-3, 4)), Fraction(-1, 2))]:
         rec = classify_cycle(phi, x, "archimedean")
         assert isinstance(rec, CycleRecord)
-        crit = {p for p, _ in critical_points(phi)}
+        crit = {p for p, _ in ramification_portrait(phi) if isinstance(p, PPoint)}
         assert (rec.multiplier == 0) == any(p in crit for p in rec.points)
 
 
@@ -193,7 +210,7 @@ def test_a_zero_denominator_is_still_a_common_factor():
 
 
 def test_iterate_polynomial_matches_pointwise():
-    f3 = T_SQ_PLUS_1.iterate_polynomial(3)
+    f3 = iterate_polynomial(T_SQ_PLUS_1, 3)
     assert f3.evaluate({"t": 0}) == 5
     assert f3.evaluate({"t": 1}) == 26
 
@@ -234,5 +251,5 @@ _POINTS = st.one_of(
 @settings(max_examples=120, deadline=None)
 @given(_maps(), _maps(), _moebius(), _POINTS)
 def test_compose_and_conjugate_match_pointwise_apply(phi, psi, mu, x):
-    assert phi.compose(psi).apply(x) == phi.apply(psi.apply(x))
+    assert compose(phi, psi).apply(x) == phi.apply(psi.apply(x))
     assert conjugate(phi, mu).apply(x) == mu.inverse().apply(phi.apply(mu.apply(x)))

@@ -11,19 +11,17 @@ from hypothesis import strategies as st
 import orbitlang.cli as cli
 import orbitlang.intersection as intersection
 from orbitlang.dynsys import RationalMap
-from orbitlang.errors import DegreeCapExceeded, InexactDivision, PeriodicCriticalPoint, PreperiodicInput
+from orbitlang.errors import DegreeCapExceeded, InexactDivision, PeriodicCriticalPoint
 from orbitlang.intersection import (
-    PlaceSet,
     bivariate_squarefree,
     diagonal_pullback,
-    multiplicity_at,
     pullback_squarefree,
     ramification_bound,
-    s_integrality_scan,
 )
 from orbitlang.padics import is_prime
 from orbitlang.polynomials import Polynomial
 from orbitlang.reduction import good_reduction
+from oracles import divexact
 
 
 def plane(terms):
@@ -85,7 +83,7 @@ def test_chain_divisibility_and_degrees():
             assert pb.chain[n].degree("x") == 2**n
             assert pb.chain[n].degree("y") == 2**n
         for n in range(1, 5):
-            pb.chain[n].divexact(pb.chain[n - 1])
+            divexact(pb.chain[n], pb.chain[n - 1])
 
 
 def test_rational_map_chain():
@@ -93,8 +91,8 @@ def test_rational_map_chain():
         Polynomial.univariate([1, 0, 1]), Polynomial.univariate([0, 1])
     )  # (t^2 + 1)/t
     pb = diagonal_pullback(phi, 2, cap=3)
-    assert pb.chain[1].divexact(pb.chain[0]) is not None
-    assert pb.chain[2].divexact(pb.chain[1]) is not None
+    assert divexact(pb.chain[1], pb.chain[0]) is not None
+    assert divexact(pb.chain[2], pb.chain[1]) is not None
 
 
 def test_ramification_bound_examples():
@@ -118,14 +116,6 @@ def test_ramification_bound_computes_one_portrait(monkeypatch):
     monkeypatch.setattr(intersection, "ramification_portrait", counted)
     assert ramification_bound(RationalMap.polynomial([0, 1, 0, 1])) == 4
     assert len(calls) == 1
-
-
-def test_multiplicity_examples():
-    X1 = diagonal_pullback(RationalMap.quadratic(0), 1)
-    assert multiplicity_at(X1, 0, 0) == 2
-    assert multiplicity_at(X1, 1, 2) == 0
-    X1c = diagonal_pullback(RationalMap.quadratic(5), 1)
-    assert multiplicity_at(X1c, 3, -3) == 1
 
 
 def test_multiplicity_bounded_by_ramification():
@@ -168,20 +158,6 @@ def test_layer_content_of_a_monic_map_needs_no_gcd(monkeypatch, coeffs):
         assert intersection._content_in_x(Y).total_degree() == 0
 
 
-def test_s_integrality_scan_examples():
-    f = RationalMap.quadratic(1)
-    only_arch = PlaceSet()
-    hits = s_integrality_scan(f, 0, 1, only_arch, 4)
-    assert hits == [0, 1]  # differences -1, -1, -3, -21, -651
-    with_three = s_integrality_scan(f, 0, 1, PlaceSet({3}), 4)
-    assert with_three == [0, 1, 2]  # -21 = -3 * 7 and -651 = -3 * 7 * 31 stay excluded
-
-
-def test_s_integrality_rejects_preperiodic():
-    with pytest.raises(PreperiodicInput):
-        s_integrality_scan(RationalMap.quadratic(-1), 0, 3, PlaceSet(), 3)
-
-
 RATIONAL_MAPS = [
     ((1, 0, 1), (0, 1)),  # (t^2 + 1)/t
     ((-2, 0, 1), (0, 2)),  # (t^2 - 2)/(2t)
@@ -195,7 +171,7 @@ def test_rational_layers_match_long_division(num, den):
     pb = diagonal_pullback(phi, 3)
     assert pb.layers[0] == pb.chain[0] == plane({(1, 0): 1, (0, 1): -1})
     for k in range(1, 4):
-        assert pb.layers[k] == pb.chain[k].divexact(pb.chain[k - 1])
+        assert pb.layers[k] == divexact(pb.chain[k], pb.chain[k - 1])
 
 
 @pytest.mark.parametrize("phi", [RationalMap.quadratic(1), RationalMap.from_affine(Polynomial.univariate([1, 0, 1]), Polynomial.univariate([0, 1]))], ids=["t^2+1", "(t^2+1)/t"])

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from orbitlang.dynsys import RationalMap
-from orbitlang.errors import PeriodicCriticalPoint, PreperiodicInput
+from orbitlang.errors import HypothesisViolated, PeriodicCriticalPoint, PreperiodicInput
 from orbitlang.parsing import parse_expression, parse_point
 from orbitlang.primesearch import (
     JonesDensity,
@@ -189,6 +189,20 @@ def test_single_map_multi_certificate_replays_with_one_map_or_one_per_point():
     assert replay_certificate(cert, [f], [0, 1])
     assert replay_certificate(cert, [f, f], [0, 1])
     assert not replay_certificate(cert, [f, f, f], [0, 1])
+
+
+@pytest.mark.parametrize("mode", ["quadratic", "qr"])
+def test_single_map_search_and_replay_reject_different_maps(mode):
+    # find-prime --maps "t^2+1;t^2-1" --points 1,2 --mode quadratic used to
+    # certify t^2+1 alone, and the replay read maps[0] only
+    f, g = RationalMap.quadratic(1), RationalMap.quadratic(-1)
+    single, other = (g, f) if mode == "qr" else (f, g)
+    points = [Fraction(1, 2), 2]
+    with pytest.raises(HypothesisViolated):
+        find_good_prime([single, other], points, 100, mode=mode)
+    cert = find_good_prime([single], points, 100, mode=mode)
+    assert replay_certificate(cert, [single, single], points)
+    assert not replay_certificate(cert, [single, other], points)
 
 
 def _golden_certificates():

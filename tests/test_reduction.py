@@ -18,6 +18,7 @@ from orbitlang.reduction import (
     residue_cycle_multiplier,
     residue_orbit,
 )
+from oracles import compose
 
 
 def test_good_reduction_examples():
@@ -124,7 +125,7 @@ def test_reduction_commutes_with_composition():
         Polynomial.univariate([1, 0, 1]), Polynomial.univariate([0, 1])
     )
     p = 7
-    comp = phi.compose(psi)
+    comp = compose(phi, psi)
     assert good_reduction(comp, p)
     r_comp = reduce_map(comp, p)
     r_phi, r_psi = reduce_map(phi, p), reduce_map(psi, p)
