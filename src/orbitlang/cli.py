@@ -271,6 +271,8 @@ def _require_maps(args, points):
     """The maps of --map/--maps: one, used for every point, or one per point."""
     if not args.maps and not args.map:
         raise ExpressionSyntaxError("--map or --maps is required", 0)
+    if args.maps and args.map:
+        raise ExpressionSyntaxError("give --map or --maps, not both", 0)
     maps = [_parse_map(m) for m in args.maps.split(";")] if args.maps else [_parse_map(args.map)]
     if len(maps) not in (1, len(points)):
         raise ExpressionSyntaxError(f"{len(maps)} maps for {len(points)} points: give one map or one per point", 0)

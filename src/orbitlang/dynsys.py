@@ -18,7 +18,7 @@ from typing import Iterable, Union
 
 from .errors import HypothesisViolated, SingularMu
 from .padics import is_prime, prime_factors, valuation
-from .polynomials import Polynomial, horner_forms
+from .polynomials import Polynomial, combination, monomials
 
 __all__ = [
     "PPoint",
@@ -299,8 +299,8 @@ class RationalMap:
     def forms_at(self, p: Polynomial, q: Polynomial) -> tuple[Polynomial, Polynomial]:
         """(F(p, q), G(p, q)): the affine forms of self o [p : q] for
         one-variable polynomials p, q, unnormalized."""
-        F, G = horner_forms((self.coeffs_f, self.coeffs_g), p, q)
-        return F, G
+        row = monomials(p, q, self.degree)
+        return combination(self.coeffs_f, row), combination(self.coeffs_g, row)
 
     def iterate_forms(self, n: int, var: str = "t") -> tuple[Polynomial, Polynomial]:
         """The normalized affine forms (N, D) of self^n: self^n(var) = N(var) / D(var),
@@ -605,7 +605,7 @@ def exceptional_structure(phi: RationalMap, portrait: list | None = None):
         return TwoExceptional((p, q), None, swapped=True)
     for fac in quad_factors:
         # roots of fac form a stable pair iff fac divides the numerator of fac(phi(t))
-        (acc,) = horner_forms([fac.univariate_coeffs()], phi.affine_numerator(), phi.affine_denominator())
+        acc = combination(fac.univariate_coeffs(), monomials(phi.affine_numerator(), phi.affine_denominator(), 2))
         if not acc.is_zero and acc.gcd(fac) == fac.monic():
             return TwoExceptional(None, fac, swapped=False)
     if fixed:

@@ -9,10 +9,15 @@ map.  Each level is the one before times a fresh layer: the Bezoutian of phi,
     (F(X1, Y1) G(X2, Y2) - F(X2, Y2) G(X1, Y1)) / (X1 Y2 - X2 Y1),
 
 evaluated at (p_{k-1}, q_{k-1}) in x and in y (the divided difference
-(f(x) - f(y)) / (x - y) for a polynomial map).  No long division is done,
-and no product is expanded: each layer is also kept as sum U_a(x) V_a(y),
-U_a and V_a univariate, and each level is checked to be the level before
-times its layer by exact tests on univariates (is_separated_sum).
+(f(x) - f(y)) / (x - y) for a polynomial map).  Each level takes the
+monomials p^i q^(e-i) of (p, q) = (p_{k-1}, q_{k-1}) once, as one row per
+degree e = d-1, d (with q = 1 only p^2, ..., p^d are products): phi's next
+forms, the layer's basis U_a and its Bezout rows V_a are scalar
+combinations of those rows.  The layer sum U_a(x) V_a(y) and the cross
+difference are each expanded in one pass over one common denominator.  No
+long division is done, and no product of the level before and the layer is
+expanded: each level is checked to be the level before times its layer by
+exact tests on univariates (is_separated_sum).
 
 Squarefreeness of a layer is certified at one specialization y = y0 and one
 prime q: if the image keeps the x-degree and is squarefree over F_q, the
@@ -52,7 +57,7 @@ from .dynsys import (
     ramification_portrait,
 )
 from .padics import next_prime, prime_factors
-from .polynomials import Polynomial, horner_forms, is_separated_sum
+from .polynomials import Polynomial, combination, is_separated_sum, monomials, raised_monomials
 from .reduction import INF_RESIDUE, good_reduction, reduce_map
 from .univariate import gf_gcd, gf_mulmod, gf_squarefree, trim
 
@@ -100,29 +105,39 @@ def _bezout_matrix(phi: RationalMap) -> list[list[Fraction]]:
 
 
 def _cross(p: Polynomial, q: Polynomial) -> Polynomial:
-    """p(x) q(y) - p(y) q(x) for univariate p, q, with no product by q = 1."""
-    if q == Polynomial.constant(1, q.variables):
-        return p.placed(_BIV, "x") - p.placed(_BIV, "y")
-    return p.placed(_BIV, "x") * q.placed(_BIV, "y") - p.placed(_BIV, "y") * q.placed(_BIV, "x")
+    """p(x) q(y) - p(y) q(x) for univariate p, q: p(x) - p(y) when q = 1."""
+    return _outer_sum([(p, q), (q, -p)])
 
 
 def _bezoutian_factors(bezout: list[list[Fraction]], p: Polynomial, q: Polynomial) -> list[tuple]:
-    """The pairs (U_a, V_a) with V_a != 0, U_a = p^a q^(d-1-a) and V_a = sum_b B[a][b] p^b
-    q^(d-1-b): sum U_a(x) V_a(y) is the Bezoutian at (X1, Y1) = (p(x), q(x)), (X2, Y2) = (p(y), q(y))."""
-    d = len(bezout)
-    basis = horner_forms([[int(a == b) for b in range(d)] for a in range(d)], p, q)
-    rows = horner_forms(bezout, p, q)
-    return [(left, right) for left, right in zip(basis, rows) if not right.is_zero]
+    """The pairs (U_a, V_a) for a = 0..d-1, U_a = p^a q^(d-1-a) and V_a = sum_b B[a][b] p^b
+    q^(d-1-b): sum U_a(x) V_a(y) is the Bezoutian at (X1, Y1) = (p(x), q(x)), (X2, Y2) = (p(y), q(y)).
+    The U_a are one row of :func:`monomials` and each V_a a combination of it."""
+    basis = monomials(p, q, len(bezout) - 1)
+    return [(left, combination(row, basis)) for left, row in zip(basis, bezout)]
 
 
 def _bezoutian_at(factors: list[tuple[Polynomial, Polynomial]]) -> Polynomial:
     """The sum of U(x) V(y) over the pairs (U, V), expanded."""
-    acc = Polynomial(_BIV, {})
-    for left, right in factors:
-        one = Polynomial.constant(1, left.variables)
-        x_part, y_part = left.placed(_BIV, "x"), right.placed(_BIV, "y")
-        acc = acc + (y_part if left == one else x_part if right == one else x_part * y_part)
-    return acc
+    return _outer_sum(factors)
+
+
+def _outer_sum(pairs: list[tuple[Polynomial, Polynomial]]) -> Polynomial:
+    """sum U(x) V(y) over pairs (U, V) of univariates, expanded in one pass
+    over one common denominator, one x-row at a time: no product of
+    polynomials is taken, and a constant U or V costs one row or column."""
+    den = math.lcm(*(left.den * right.den for left, right in pairs))
+    rows: dict = {}
+    for left, right in pairs:
+        scale = den // (left.den * right.den)
+        ys = [(j, n * scale) for (j,), n in right.num.items()]
+        for (i,), m in left.num.items():
+            row = rows.setdefault(i, {})
+            get = row.get
+            for j, n in ys:
+                row[j] = get(j, 0) + m * n
+    num = {(i, j): n for i, row in rows.items() for j, n in row.items() if n}
+    return Polynomial._lowest(_BIV, num, den)
 
 
 def _level_holds(before: Polynomial, layer: Polynomial, after: Polynomial, p, q, factors) -> bool:
@@ -139,11 +154,14 @@ def _level_holds(before: Polynomial, layer: Polynomial, after: Polynomial, p, q,
 def diagonal_pullback(phi: RationalMap, n: int, cap: int = DEFAULT_LEVEL_CAP) -> DiagonalPullback:
     """Exact defining polynomial of the level-n pullback, every level checked.
 
-    (p_k, q_k) is phi's Horner step at (p_{k-1}, q_{k-1}) times the scalar s_k
-    that makes q_k = 1 for a polynomial map and normalizes the forms as
-    RationalMap does otherwise, so layer k is s_k^2 times the Bezoutian.
-    Level k is checked to equal level k-1 times layer k by
-    :func:`_level_holds`, an exact proof that never expands the product.
+    At level k the monomials of (p, q) = (p_{k-1}, q_{k-1}) are taken once:
+    the degree-(d-1) row is the basis U_a of :func:`_bezoutian_factors`, and
+    the degree-d row, raised from it, gives (F(p, q), G(p, q)) as two scalar
+    combinations.  (p_k, q_k) is that pair times the scalar s_k that makes
+    q_k = 1 for a polynomial map and normalizes the forms as RationalMap
+    does otherwise, so layer k is s_k^2 times the Bezoutian.  Level k is
+    checked to equal level k-1 times layer k by :func:`_level_holds`, an
+    exact proof that never expands the product.
     """
     if phi.degree < 1:
         raise ValueError("degree must be at least 1")
@@ -156,7 +174,8 @@ def diagonal_pullback(phi: RationalMap, n: int, cap: int = DEFAULT_LEVEL_CAP) ->
     for k in range(1, n + 1):
         forms = p, q
         factors = _bezoutian_factors(bezout, p, q)
-        p, q = phi.forms_at(p, q)
+        row = raised_monomials([left for left, _ in factors], p, q)
+        p, q = combination(phi.coeffs_f, row), combination(phi.coeffs_g, row)
         if phi.is_polynomial:
             scale = 1 / q.constant_value()
         else:
@@ -463,16 +482,42 @@ def _factor_has_periodic_root(phi: RationalMap, factor: Polynomial) -> bool:
 def _has_conjugate_beyond(h: Polynomial, factor: Polynomial, radius: Fraction) -> bool:
     """Whether |h(theta)| > radius for some complex root theta of the factor.
 
-    The values h(theta) are the roots of Res_t(factor(t), z - h(t)); were
-    they all in the closed disk of that radius, the coefficient k places
-    below the top would be at most binom(d, k) * radius^k times the top one.
+    The values h(theta) are the roots of :func:`_characteristic_polynomial`;
+    were they all in the closed disk of that radius, the coefficient k places
+    below its top (monic) one would be at most binom(d, k) * radius^k.
     """
-    var = factor.variables[0]
-    names = (var, "z")
-    z = Polynomial.variable("z", names)
-    char = factor.with_variables(names).resultant(z - h.with_variables(names), var).univariate_coeffs()
+    char = _characteristic_polynomial(h, factor)
     d = len(char) - 1
-    return any(abs(char[d - k]) > math.comb(d, k) * radius**k * abs(char[d]) for k in range(1, d + 1))
+    return any(abs(char[d - k]) > math.comb(d, k) * radius**k for k in range(1, d + 1))
+
+
+def _characteristic_polynomial(h: Polynomial, factor: Polynomial) -> list[Fraction]:
+    """The monic characteristic polynomial of h(theta) over Q[t]/(factor), low
+    to high: the product of z - h(theta) over the roots theta of the factor.
+
+    Newton's identity k e_k = sum((-1)^(i-1) e_(k-i) s_i, i = 1..k) links the
+    elementary symmetric functions e_k of d numbers to their power sums s_i.
+    Read one way, it gives the power sums P_i (i < d) of the factor's roots
+    from its coefficients; the traces tr(h^j), j = 1..d, are then sum c_i P_i
+    with h^j mod factor = sum c_i t^i; read the other way, it turns those
+    power sums of the h(theta) into the coefficients.
+    """
+    coeffs = factor.monic().univariate_coeffs()
+    d = len(coeffs) - 1
+    roots = [(-1) ** k * coeffs[d - k] for k in range(d + 1)]  # e_k of the roots
+    P = [Fraction(d)]
+    for k in range(1, d):
+        rest = sum((-1) ** (i - 1) * roots[k - i] * P[i] for i in range(1, k))
+        P.append((-1) ** (k - 1) * (k * roots[k] - rest))
+    traces = [None]
+    power = Polynomial.constant(1, factor.variables)
+    for _ in range(d):
+        _, power = (power * h).divmod(factor)
+        traces.append(sum(c * P[i] for (i,), c in power.terms.items()))
+    values = [Fraction(1)]  # e_k of the h(theta)
+    for k in range(1, d + 1):
+        values.append(sum((-1) ** (i - 1) * values[k - i] * traces[i] for i in range(1, k + 1)) / k)
+    return [(-1) ** (d - j) * values[d - j] for j in range(d + 1)]
 
 
 def ramification_bound(phi: RationalMap) -> int:

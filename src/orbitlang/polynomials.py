@@ -6,7 +6,9 @@ gcd(den, *num.values()) == 1 (the zero polynomial has den == 1), so equal
 polynomials have equal representations.  `terms` is the derived
 {exponents: Fraction} view, each coefficient in its own lowest terms.
 Add/mul/residues/substitute/derive/evaluate are implemented directly on the
-maps, as is :func:`horner_forms`, the one composition step.  The product is
+maps.  Forms are evaluated at (p, q) in one way: :func:`monomials` makes
+the row p^i q^(d-i), each product once, and :func:`combination` sums
+scalar multiples of it over one common denominator.  The product is
 one packed integer kernel: each exponent vector becomes one int key (mixed
 radix, carry-free under addition) and the numerators multiply as ints
 (packed exponent vectors: Monagan and Pearce, CASC 2007).  A product that
@@ -32,7 +34,7 @@ from typing import Iterable
 from . import univariate
 from .errors import RingMismatch
 
-__all__ = ["Polynomial", "horner_forms", "is_separated_sum", "residue_eval"]
+__all__ = ["Polynomial", "combination", "is_separated_sum", "monomials", "raised_monomials", "residue_eval"]
 
 
 _denominator = attrgetter("denominator")
@@ -507,30 +509,41 @@ class Polynomial:
         return f"Polynomial({format_polynomial(self)!r})"
 
 
-def horner_forms(forms, p: Polynomial, q: Polynomial) -> list[Polynomial]:
-    """Each degree-d form sum(c[i] X^i Y^(d-i)) of `forms` at (X, Y) = (p, q).
+def monomials(p: Polynomial, q: Polynomial, degree: int) -> list[Polynomial]:
+    """[p^i q^(degree-i) for i = 0..degree], each product taken once; p and q
+    share one variable tuple.  With q = 1 the row is 1, p, ..., p^degree."""
+    if not degree:
+        return [Polynomial.constant(1, p.variables)]
+    row = [q, p]
+    for _ in range(degree - 1):
+        row = raised_monomials(row, p, q)
+    return row
 
-    One homogeneous Horner pass per coefficient list c (all of length d + 1),
-    sharing the powers of q; p and q share one variable tuple.  With q = 1
-    this is the composition c(p) of a polynomial with p.  No product by the
-    constant 1 is taken.
-    """
-    d = len(forms[0]) - 1
-    one = Polynomial.constant(1, q.variables)
-    unit = q == one
-    q_pows = [None, q]
-    while not unit and len(q_pows) <= d:
-        q_pows.append(q_pows[-1] * q)
-    out = []
-    for c in forms:
-        acc = Polynomial.constant(c[d], p.variables) if d == 0 else p if c[d] == 1 else p * c[d]
-        for i in range(d - 1, -1, -1):
-            if c[i]:
-                acc = acc + (c[i] if unit else q_pows[d - i] if c[i] == 1 else q_pows[d - i] * c[i])
-            if i:
-                acc = p if acc == one else acc * p
-        out.append(acc)
-    return out
+
+def raised_monomials(row: list[Polynomial], p: Polynomial, q: Polynomial) -> list[Polynomial]:
+    """The monomials of degree e + 1 in (p, q) from `row`, those of degree e:
+    q^(e+1) = q^e q and p^(i+1) q^(e-i) = (p^i q^(e-i)) p, so every entry is
+    one product and no two are equal; with q = 1 only p^(e+1) is new."""
+    if q.is_constant() and q.constant_value() == 1:
+        return row + [row[-1] * p]
+    return [row[0] * q] + [m * p for m in row]
+
+
+def combination(coeffs, polys: list[Polynomial]) -> Polynomial:
+    """sum(c * f for c, f in zip(coeffs, polys)), scalar multiples and sums
+    only, built in one pass over one common denominator.  With `polys` the
+    row :func:`monomials` of (p, q) this is the form sum(c[i] X^i Y^(d-i))
+    at (X, Y) = (p, q): the one evaluator of forms, and with q = 1 the
+    composition c(p)."""
+    pairs = [(c, f) for c, f in zip(map(_as_fraction, coeffs), polys) if c and f.num]
+    den = lcm(*(c.denominator * f.den for c, f in pairs))
+    num: dict = {}
+    get = num.get
+    for c, f in pairs:
+        m = c.numerator * (den // (c.denominator * f.den))
+        for e, n in f.num.items():
+            num[e] = get(e, 0) + m * n
+    return Polynomial._lowest(polys[0].variables, {e: n for e, n in num.items() if n}, den)
 
 
 def is_separated_sum(terms, c: Polynomial) -> bool:

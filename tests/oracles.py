@@ -3,9 +3,9 @@
 These deliberately avoid the library's own code paths: root counting is by
 exhaustive Hensel-style lifting of solutions mod p, composition checks are
 by brute substitution, and orbit scans are by direct iteration.  The
-reference implementations `compose` and `iterate_polynomial` build
-composites by expanding one map's forms at the other's, with no Horner step
-of the library's, and `divexact` is the exact quotient that
+reference implementations `expanded_forms`, `compose` and
+`iterate_polynomial` build forms and composites term by term, with none of
+the library's rows of monomials, and `divexact` is the exact quotient that
 `Polynomial.divmod` must give.
 """
 
@@ -104,16 +104,21 @@ def fraction_orbit_hits(maps, starts, generators, limit):
     return hits
 
 
-def compose(phi, psi):
-    """phi after psi (x -> phi(psi(x))): phi's forms F, G at psi's affine
-    forms (P, Q), expanded as sum F_i P^i Q^(d-i) term by term."""
-    P, Q = psi.affine_numerator(), psi.affine_denominator()
+def expanded_forms(phi, P, Q):
+    """phi's forms F, G at (P, Q), expanded as sum F_i P^i Q^(d-i) term by
+    term, with no row of monomials shared between the terms or the forms."""
     d = phi.degree
 
     def at(coeffs):
         return sum((P**i * Q ** (d - i) * c for i, c in enumerate(coeffs)), Polynomial.constant(0, P.variables))
 
-    return RationalMap.from_affine(at(phi.coeffs_f), at(phi.coeffs_g))
+    return at(phi.coeffs_f), at(phi.coeffs_g)
+
+
+def compose(phi, psi):
+    """phi after psi (x -> phi(psi(x))): phi's forms at psi's affine forms,
+    by :func:`expanded_forms`."""
+    return RationalMap.from_affine(*expanded_forms(phi, psi.affine_numerator(), psi.affine_denominator()))
 
 
 def iterate_polynomial(f, n, var="t"):

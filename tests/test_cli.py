@@ -201,6 +201,19 @@ def test_map_point_count_mismatch_exit_two(monkeypatch, argv):
     assert jsonline(out)["result"]["code"] == "syntax-error"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decide", "--map", "t^2-1", "--maps", "t^2+1", "--point", "1", "--variety", "x1"],
+        ["find-prime", "--map", "t^2-1", "--maps", "t^2+1", "--points", "1"],
+    ],
+)
+def test_map_and_maps_together_exit_two(monkeypatch, argv):
+    code, out = invoke(["--json", *argv], monkeypatch=monkeypatch)
+    assert code == EXIT_USAGE
+    assert jsonline(out)["result"]["code"] == "syntax-error"
+
+
 def test_find_prime_multi_mode_uses_one_map_for_every_point(monkeypatch):
     code, out = invoke(
         ["--json", "find-prime", "--map", "t^2+1", "--points", "0,1", "--mode", "multi"], monkeypatch=monkeypatch

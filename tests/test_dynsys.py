@@ -27,7 +27,7 @@ from orbitlang.dynsys import (
 from orbitlang.errors import SingularMu
 from orbitlang.padics import next_prime
 from orbitlang.polynomials import Polynomial
-from oracles import compose, iterate_polynomial
+from oracles import compose, expanded_forms, iterate_polynomial
 
 
 T_SQ = RationalMap.quadratic(0)
@@ -233,6 +233,36 @@ def _maps(draw):
         return RationalMap(F, G)
     except ValueError:
         assume(False)
+
+
+_FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+
+
+@st.composite
+def _rational_coefficient_maps(draw):
+    """Maps of degree 1-4 from rational, in general non-monic, coefficients:
+    polynomial (G = g0 Y^d) or not."""
+    d = draw(st.integers(1, 4))
+    F = draw(st.lists(_FRACTIONS, min_size=d + 1, max_size=d + 1))
+    if draw(st.booleans()):
+        G = [draw(_FRACTIONS.filter(bool))] + [0] * d
+    else:
+        G = draw(st.lists(_FRACTIONS, min_size=d + 1, max_size=d + 1))
+    try:
+        return RationalMap(F, G)
+    except ValueError:
+        assume(False)
+
+
+_UNIVARIATES = st.lists(_FRACTIONS, min_size=1, max_size=5).map(Polynomial.univariate).filter(lambda f: not f.is_zero)
+_NONCONSTANT = _UNIVARIATES.filter(lambda f: f.total_degree() > 0)
+
+
+# 150 derandomized examples, about 0.6 s
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_rational_coefficient_maps(), _UNIVARIATES, st.one_of(st.just(Polynomial.constant(1, ("t",))), _NONCONSTANT))
+def test_forms_at_equal_the_term_by_term_expansion(phi, p, q):
+    assert phi.forms_at(p, q) == expanded_forms(phi, p, q)
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """sympy is imported on first use of the multivariate algebra, never at import time.
 
-Division, gcd and factorization of univariates are native, so the
+Division, gcd and factorization of univariates are native, and so is the
+characteristic polynomial that tests conjugate critical points, so the
 residue-only commands (coordinatewise `decide`, `orbit`, `reduce`,
 `find-prime`, `strassmann`), `divisors` and curve-pair `decide` make no
 call into sympy, and a process that runs only them never loads it.  The
@@ -54,6 +55,9 @@ RESIDUE_ONLY = [
     ["reduce", "--map", "t^2+1", "--prime", "5", "--point", "2"],
     ["find-prime", "--map", "t^2+1", "--points", "0,1"],
     ["strassmann", "--prime", "5", "--coeffs", "0,-1,1"],
+    # conjugate critical points: the test for a conjugate beyond the escape radius
+    ["divisors", "--map", "t^3+6*t", "--level", "1"],
+    ["decide", "--mode", "curve-pair", "--map", "t^3+6*t", "--point", "1,2", "--variety", "x-y", "--nmax", "20"],
 ]
 
 SCRIPT = """

@@ -273,6 +273,50 @@ def test_divisors_builds_one_pullback(monkeypatch):
     assert len(calls) == 1
 
 
+def test_level_five_pullback_takes_each_univariate_product_once(monkeypatch):
+    # t^3 + t has q = 1 at every level: a level takes p^2 and p^3, and the
+    # layer and the cross difference are expanded with no product at all
+    products = []
+    honest = Polynomial.__mul__
+
+    def counted(self, other):
+        result = honest(self, other)
+        if isinstance(other, Polynomial) and not self.is_constant() and not other.is_constant():
+            products.append(result)
+        return result
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    diagonal_pullback(RationalMap.polynomial([0, 1, 0, 1]), 5)
+    assert len(products) == 10
+    assert len(set(products)) == 10
+
+
+def _characteristic_ratios_by_resultant(h, factor):
+    """char[k] / char[d] of Res_t(factor(t), z - h(t)), whose roots are the h(theta)."""
+    names = ("t", "z")
+    z = Polynomial.variable("z", names)
+    char = factor.with_variables(names).resultant(z - h.with_variables(names), "t").univariate_coeffs()
+    return [c / char[-1] for c in char]
+
+
+def _irreducible_factors_and_values():
+    rng = random.Random(7)
+    cases = [(Polynomial.univariate([2, 0, 1]), Polynomial.univariate(h)) for h in ([0, 1], [3, -2], [Fraction(1, 2), 5])]
+    while len(cases) < 11:
+        d = rng.choice([3, 4])
+        factor = Polynomial.univariate([rng.randint(-9, 9) for _ in range(d)] + [rng.randint(1, 4)])
+        if factor.is_irreducible():
+            h = Polynomial.univariate([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, d + 1))])
+            cases.append((factor, h))
+    return cases
+
+
+def test_characteristic_polynomial_equals_the_resultant_up_to_its_top_coefficient():
+    # t^2 + 2 is the critical factor of t^3 + 6t; then irreducible cubics and quartics
+    for factor, h in _irreducible_factors_and_values():
+        assert intersection._characteristic_polynomial(h, factor) == _characteristic_ratios_by_resultant(h, factor)
+
+
 # ---------------------------------------------------------------------------
 # the critical-orbit certificate of pullback_squarefree
 
