@@ -11,13 +11,17 @@ map.  Each level is the one before times a fresh layer: the Bezoutian of phi,
 evaluated at (p_{k-1}, q_{k-1}) in x and in y (the divided difference
 (f(x) - f(y)) / (x - y) for a polynomial map).  Each level takes the
 monomials p^i q^(e-i) of (p, q) = (p_{k-1}, q_{k-1}) once, as one row per
-degree e = d-1, d (with q = 1 only p^2, ..., p^d are products): phi's next
-forms, the layer's basis U_a and its Bezout rows V_a are scalar
-combinations of those rows.  The layer sum U_a(x) V_a(y) and the cross
-difference are each expanded in one pass over one common denominator.  No
-long division is done, and no product of the level before and the layer is
-expanded: each level is checked to be the level before times its layer by
-exact tests on univariates (is_separated_sum).
+degree e <= d (with q = 1 only p^2, ..., p^d are products): the layer's
+basis U_a is the row of degree d-1, and phi's next forms and the layer's
+Bezout rows V_a are scalar combinations of the top two rows.  The layer sum
+U_a(x) V_a(y) and the cross difference are each expanded in one pass over
+one common denominator.  No long division is done, and no product of the
+level before and the layer is expanded: each level is proven to be the
+level before times its layer from phi's Bezout identity, checked once per
+pullback, and exact tests on univariates.  Each row entry is one product
+(is_product), phi's next forms and the V_a are the combinations they
+claim to be, and the level before, the layer and the level are the
+separated sums of their univariate parts (is_separated_sum).
 
 Squarefreeness of a layer is certified at one specialization y = y0 and one
 prime q: if the image keeps the x-degree and is squarefree over F_q, the
@@ -57,7 +61,7 @@ from .dynsys import (
     ramification_portrait,
 )
 from .padics import next_prime, prime_factors
-from .polynomials import Polynomial, combination, is_separated_sum, monomials, raised_monomials
+from .polynomials import Polynomial, combination, is_product, is_separated_sum, raised_monomials
 from .reduction import INF_RESIDUE, good_reduction, reduce_map
 from .univariate import gf_gcd, gf_mulmod, gf_squarefree, trim
 
@@ -88,11 +92,11 @@ class DiagonalPullback:
     layers: tuple[Polynomial, ...]  # layers[k] = chain[k] / chain[k-1]; layers[0] = chain[0]
 
 
-def _bezout_matrix(phi: RationalMap) -> list[list[Fraction]]:
+def _bezout_matrix(phi: RationalMap) -> list[list[int]]:
     """B with F(X1, Y1) G(X2, Y2) - F(X2, Y2) G(X1, Y1) equal to
     (X1 Y2 - X2 Y1) * sum B[a][b] X1^a Y1^(d-1-a) X2^b Y2^(d-1-b)."""
     f, g, d = phi.coeffs_f, phi.coeffs_g, phi.degree
-    B = [[Fraction(0)] * d for _ in range(d)]
+    B = [[0] * d for _ in range(d)]
     for i in range(1, d + 1):
         for j in range(i):
             c = f[i] * g[j] - f[j] * g[i]
@@ -104,17 +108,64 @@ def _bezout_matrix(phi: RationalMap) -> list[list[Fraction]]:
     return B
 
 
+def _bezout_holds(phi: RationalMap, bezout: list[list[int]]) -> bool:
+    """(B): whether `bezout` satisfies the identity of :func:`_bezout_matrix`,
+    both sides expanded on integer coefficients keyed by the exponents of
+    (X1, Y1, X2, Y2)."""
+    f, g, d = phi.coeffs_f, phi.coeffs_g, phi.degree
+    side = {(i, d - i, j, d - j): f[i] * g[j] - f[j] * g[i] for i in range(d + 1) for j in range(d + 1)}
+    for a, row in enumerate(bezout):
+        for b, c in enumerate(row):
+            side[a + 1, d - 1 - a, b, d - b] -= c  # X1 Y2 times the monomial
+            side[a, d - a, b + 1, d - 1 - b] += c  # -X2 Y1 times it
+    return not any(side.values())
+
+
+@dataclass(frozen=True)
+class _Step:
+    """Level k of a pullback, built from the forms (p, q) of phi^(k-1).
+
+    rows[e] holds the monomials p^i q^(e-i) of degree e = 0..d, so rows[d-1]
+    is the layer's basis U_a; forms = (p_k, q_k) = scale * (F, G)(p, q) are
+    the forms of phi^k, and bezout_rows[a] = V_a = scale^2 sum_b B[a][b] U_b.
+    """
+
+    p: Polynomial
+    q: Polynomial
+    rows: list[list[Polynomial]]
+    scale: Fraction
+    forms: tuple[Polynomial, Polynomial]
+    bezout_rows: list[Polynomial]
+
+    @property
+    def factors(self) -> list[tuple[Polynomial, Polynomial]]:
+        """The pairs (U_a, V_a): the layer is sum U_a(x) V_a(y)."""
+        return list(zip(self.rows[-2], self.bezout_rows))
+
+
+def _step(phi: RationalMap, bezout: list[list[int]], p: Polynomial, q: Polynomial) -> _Step:
+    """Level k from the forms (p, q) of level k-1: each row of monomials is
+    raised from the one before, (F, G)(p, q) and the V_a are scalar
+    combinations of the top two rows, and the scale makes q_k = 1 for a
+    polynomial map and normalizes the forms as RationalMap does otherwise."""
+    rows = [[Polynomial.constant(1, p.variables)], [q, p]]
+    for _ in range(phi.degree - 1):
+        rows.append(raised_monomials(rows[-1], p, q))
+    P, Q = combination(phi.coeffs_f, rows[-1]), combination(phi.coeffs_g, rows[-1])
+    if phi.is_polynomial:
+        scale = 1 / Q.constant_value()
+    else:
+        scale = form_scale(P.univariate_coeffs(), Q.univariate_coeffs())
+    if scale != 1:  # a monic polynomial map has scale 1
+        P, Q = P * scale, Q * scale
+    squared = scale * scale
+    bezout_rows = [combination([squared * c for c in row], rows[-2]) for row in bezout]
+    return _Step(p, q, rows, scale, (P, Q), bezout_rows)
+
+
 def _cross(p: Polynomial, q: Polynomial) -> Polynomial:
     """p(x) q(y) - p(y) q(x) for univariate p, q: p(x) - p(y) when q = 1."""
     return _outer_sum([(p, q), (q, -p)])
-
-
-def _bezoutian_factors(bezout: list[list[Fraction]], p: Polynomial, q: Polynomial) -> list[tuple]:
-    """The pairs (U_a, V_a) for a = 0..d-1, U_a = p^a q^(d-1-a) and V_a = sum_b B[a][b] p^b
-    q^(d-1-b): sum U_a(x) V_a(y) is the Bezoutian at (X1, Y1) = (p(x), q(x)), (X2, Y2) = (p(y), q(y)).
-    The U_a are one row of :func:`monomials` and each V_a a combination of it."""
-    basis = monomials(p, q, len(bezout) - 1)
-    return [(left, combination(row, basis)) for left, row in zip(basis, bezout)]
 
 
 def _bezoutian_at(factors: list[tuple[Polynomial, Polynomial]]) -> Polynomial:
@@ -140,53 +191,112 @@ def _outer_sum(pairs: list[tuple[Polynomial, Polynomial]]) -> Polynomial:
     return Polynomial._lowest(_BIV, num, den)
 
 
-def _level_holds(before: Polynomial, layer: Polynomial, after: Polynomial, p, q, factors) -> bool:
-    """Whether before * layer == after, by checks (a), (b) and (c) of
-    :func:`is_separated_sum` with (p, q) before's forms and layer's pairs."""
-    crossed = [t for u, v in factors for t in ((1, [p, u], [q, v]), (-1, [q, u], [p, v]))]
+def _rows_hold(rows: list[list[Polynomial]], p: Polynomial, q: Polynomial) -> bool:
+    """(r): whether rows[e] is [p^i q^(e-i) for i = 0..e] for every e.
+    rows[0] must be [1] and rows[1] [q, p]; every entry of a later row is
+    one exact product (:func:`is_product`), an entry of the row before
+    times q (the first) or p (the others).  With q = 1 a row is the row
+    before plus p^e, its one product."""
+    if rows[0] != [Polynomial.constant(1, p.variables)] or rows[1] != [q, p]:
+        return False
+    unit = q.is_constant() and q.constant_value() == 1
+    for lower, upper in zip(rows[1:], rows[2:]):
+        if unit:
+            holds = upper[:-1] == lower and is_product(lower[-1], p, upper[-1])
+        else:
+            holds = (
+                len(upper) == len(lower) + 1
+                and is_product(lower[0], q, upper[0])
+                and all(is_product(m, p, u) for m, u in zip(lower, upper[1:]))
+            )
+        if not holds:
+            return False
+    return True
+
+
+def _is_combination(target: Polynomial, scale: Fraction, coeffs, polys: list[Polynomial]) -> bool:
+    """(s): whether target == scale * sum(c * f for c, f in zip(coeffs, polys))
+    for integer coeffs, coefficient by coefficient over one common
+    denominator (not through :func:`combination`, whose results it checks)."""
+    if len(coeffs) != len(polys):
+        return False
+    terms = [(c, f) for c, f in zip(coeffs, polys) if c]
+    den = math.lcm(*(f.den for _, f in terms))
+    # target.num / target.den against scale * (sum of c * f.num * (den / f.den)) / den
+    mine, theirs = scale.denominator * den, scale.numerator * target.den
+    diff = {e: -mine * n for e, n in target.num.items()}
+    get = diff.get
+    for c, f in terms:
+        m = theirs * c * (den // f.den)
+        for e, n in f.num.items():
+            diff[e] = get(e, 0) + m * n
+    return not any(diff.values())
+
+
+def _level_holds(before: Polynomial, layer: Polynomial, after: Polynomial, step: _Step, phi: RationalMap, bezout) -> bool:
+    """Whether before * layer == after, for `step` the construction of the
+    level from before's forms (p, q), given (B) for phi and `bezout`.
+
+    (r) the rows are the monomials of (p, q) (:func:`_rows_hold`); (s)
+    p_k = s sum f_i row_i, q_k = s sum g_i row_i and V_a = s^2 sum_b
+    B[a][b] U_b, with s the scale, row the degree-d row and U the
+    degree-(d-1) one (:func:`_is_combination`); and, by
+    :func:`is_separated_sum` with one factor per side, (a) before ==
+    p(x) q(y) - q(x) p(y), (b) layer == sum U_a(x) V_a(y) and after ==
+    p_k(x) q_k(y) - q_k(x) p_k(y).
+
+    Why this proves the level: substituting (p(x), q(x), p(y), q(y)) for
+    (X1, Y1, X2, Y2) in (B) is a ring homomorphism, and (r) makes the rows
+    the images of its monomials.  Multiply both sides by s^2: by (s) the
+    left side is p_k(x) q_k(y) - p_k(y) q_k(x), that is after, and by (a),
+    (b) and (s) the right side is before * layer.  So p_k and q_k are
+    s (F, G)(p, q) and after is the cross difference of phi^k's forms.
+    """
+    p, q, s = step.p, step.q, step.scale
+    basis, row = step.rows[-2], step.rows[-1]
+    P, Q = step.forms
     return (
-        is_separated_sum([(1, [p], [q]), (-1, [q], [p])], before)
-        and is_separated_sum([(1, [u], [v]) for u, v in factors], layer)
-        and is_separated_sum(crossed, after)
+        len(step.rows) == phi.degree + 1
+        and _rows_hold(step.rows, p, q)
+        and _is_combination(P, s, phi.coeffs_f, row)
+        and _is_combination(Q, s, phi.coeffs_g, row)
+        and len(step.bezout_rows) == len(bezout)
+        and all(_is_combination(v, s * s, b, basis) for v, b in zip(step.bezout_rows, bezout))
+        and is_separated_sum([(1, [p], [q]), (-1, [q], [p])], before)
+        and is_separated_sum([(1, [u], [v]) for u, v in step.factors], layer)
+        and is_separated_sum([(1, [P], [Q]), (-1, [Q], [P])], after)
     )
 
 
 def diagonal_pullback(phi: RationalMap, n: int, cap: int = DEFAULT_LEVEL_CAP) -> DiagonalPullback:
-    """Exact defining polynomial of the level-n pullback, every level checked.
+    """Exact defining polynomial of the level-n pullback, every level proven.
 
-    At level k the monomials of (p, q) = (p_{k-1}, q_{k-1}) are taken once:
-    the degree-(d-1) row is the basis U_a of :func:`_bezoutian_factors`, and
-    the degree-d row, raised from it, gives (F(p, q), G(p, q)) as two scalar
-    combinations.  (p_k, q_k) is that pair times the scalar s_k that makes
-    q_k = 1 for a polynomial map and normalizes the forms as RationalMap
-    does otherwise, so layer k is s_k^2 times the Bezoutian.  Level k is
-    checked to equal level k-1 times layer k by :func:`_level_holds`, an
-    exact proof that never expands the product.
+    Level k is built by :func:`_step` from the forms (p, q) of level k-1:
+    the monomials of (p, q) are taken once, one row per degree up to d, and
+    the degree-(d-1) row is the basis U_a of the layer.  phi's next forms
+    (p_k, q_k) are s_k (F, G)(p, q), combinations of the degree-d row, and
+    layer k is s_k^2 times the Bezoutian at (p, q), sum U_a(x) V_a(y).
+    Level k is proven to equal level k-1 times layer k by
+    :func:`_level_holds`, from phi's Bezout identity (B), checked once by
+    :func:`_bezout_holds`, and exact tests on univariates; the product is
+    never expanded.
     """
     if phi.degree < 1:
         raise ValueError("degree must be at least 1")
     if n > cap:
         raise DegreeCapExceeded(f"level {n} exceeds cap {cap}")
     bezout = _bezout_matrix(phi)
+    proven = _bezout_holds(phi, bezout)
     p, q = Polynomial.variable("t"), Polynomial.constant(1, ("t",))
     chain = [_cross(p, q)]
     layers = [chain[0]]
     for k in range(1, n + 1):
-        forms = p, q
-        factors = _bezoutian_factors(bezout, p, q)
-        row = raised_monomials([left for left, _ in factors], p, q)
-        p, q = combination(phi.coeffs_f, row), combination(phi.coeffs_g, row)
-        if phi.is_polynomial:
-            scale = 1 / q.constant_value()
-        else:
-            scale = form_scale(p.univariate_coeffs(), q.univariate_coeffs())
-        if scale != 1:  # a monic polynomial map has scale 1
-            p, q = p * scale, q * scale
-            factors = [(left, right * (scale * scale)) for left, right in factors]
-        layers.append(_bezoutian_at(factors))
-        chain.append(_cross(p, q))
-        if not _level_holds(chain[k - 1], layers[k], chain[k], *forms, factors):
+        step = _step(phi, bezout, p, q)
+        layers.append(_bezoutian_at(step.factors))
+        chain.append(_cross(*step.forms))
+        if not (proven and _level_holds(chain[k - 1], layers[k], chain[k], step, phi, bezout)):
             raise InexactDivision(f"chain verification failed at level {k}")
+        p, q = step.forms
     return DiagonalPullback(phi, n, chain[n], tuple(chain), tuple(layers))
 
 
@@ -323,7 +433,7 @@ class _CriticalOrbitTest:
     def __init__(self, phi: RationalMap, n: int):
         d = phi.degree
         self.phi, self.n = phi, n
-        self.bezout = [[int(v) for v in row] for row in _bezout_matrix(phi)]
+        self.bezout = _bezout_matrix(phi)
         W = phi.wronskian()  # an integer form: its den is 1
         self.wronskian = [W.num.get((i, 2 * d - 2 - i), 0) for i in range(2 * d - 1)]
         self.orbits: dict[tuple[int, int], tuple | None] = {}

@@ -15,8 +15,9 @@ radix, carry-free under addition) and the numerators multiply as ints
 is only compared is never expanded: :func:`is_separated_sum` decides
 whether a plane polynomial is a sum of univariate products in x times
 univariate products in y, convolving the x sides as ints and evaluating
-the y sides at a power of 2 (Kronecker substitution).  Division, gcd and
-factorization in one variable run natively over Q (see
+the y sides at a power of 2 (Kronecker substitution); :func:`is_product`
+decides a * b == c for univariates from their values at a power of 2.
+Division, gcd and factorization in one variable run natively over Q (see
 :mod:`orbitlang.univariate`); resultants and the multivariate division, gcd
 and factor_list go to sympy, which `_sympy` imports on the first such call.
 Reduction modulo m goes through :meth:`Polynomial.residues` and
@@ -34,7 +35,7 @@ from typing import Iterable
 from . import univariate
 from .errors import RingMismatch
 
-__all__ = ["Polynomial", "combination", "is_separated_sum", "monomials", "raised_monomials", "residue_eval"]
+__all__ = ["Polynomial", "combination", "is_product", "is_separated_sum", "monomials", "raised_monomials", "residue_eval"]
 
 
 _denominator = attrgetter("denominator")
@@ -564,11 +565,13 @@ def is_separated_sum(terms, c: Polynomial) -> bool:
     g(2^w) = 2^(w m) (g_m + 2^w k), k an integer, and 0 < |g_m| < 2^w: so
     each x-row of G is 0 iff its value at 2^w is, and the test is a proof.
 
-    A pullback level is three calls, with (p, q) the forms of the level
-    before and sum(U_a(x) V_a(y)) the layer's separated form: (a) before ==
-    p(x) q(y) - q(x) p(y), (b) layer == sum(U_a(x) V_a(y)) and (c) after ==
-    sum((p U_a)(x) (q V_a)(y) - (q U_a)(x) (p V_a)(y)).  (a) times (b) is
-    (c)'s right side, so the three prove before * layer == after.
+    A pullback level makes three calls, each with one factor per side: with
+    (p, q) the forms of the level before, (p', q') the level's own and
+    sum(U_a(x) V_a(y)) the layer's separated form, (a) before ==
+    p(x) q(y) - q(x) p(y), (b) layer == sum(U_a(x) V_a(y)) and after ==
+    p'(x) q'(y) - q'(x) p'(y).  The Bezout identity of the map and the
+    univariate checks of :func:`is_product` tie the three together
+    (see :func:`orbitlang.intersection._level_holds`).
     """
     dens = [prod(f.den for f in xs + ys) for _, xs, ys in terms]
     common = lcm(c.den, *dens)
@@ -598,6 +601,24 @@ def is_separated_sum(terms, c: Polynomial) -> bool:
         for a, m in row.items():
             rows[a] = get(a, 0) + m * value
     return not any(rows.values())
+
+
+def is_product(a: Polynomial, b: Polynomial, c: Polynomial) -> bool:
+    """Whether a * b == c for univariates a, b and c, decided exactly
+    without expanding a * b: each is evaluated at t = 2^w as an int.
+
+    With A, B and C the numerators the claim is g = c.den A B -
+    a.den b.den C = 0.  No coefficient of g exceeds
+    H = c.den |A|_1 |B|_inf + a.den b.den |C|_inf, and 2^w > H, so by the
+    lemma of :func:`is_separated_sum` g = 0 iff g(2^w) = 0.
+    """
+    height = c.den * sum(map(abs, a.num.values())) * max(map(abs, b.num.values()), default=0)
+    width = (height + a.den * b.den * max(map(abs, c.num.values()), default=0)).bit_length()
+
+    def value(f: Polynomial) -> int:
+        return sum(n << width * e for (e,), n in f.num.items())
+
+    return c.den * value(a) * value(b) == a.den * b.den * value(c)
 
 
 def residue_eval(residues: dict, coords, m: int) -> int:

@@ -560,21 +560,28 @@ def _iterate_fraction(phi: RationalMap, k: int, var: str, variables) -> tuple[Po
 
 
 def _cleared(gen: Polynomial, coords, one):
-    """gen at x_i = N_i / D_i times the product of D_i ** deg_{x_i}(gen).
+    """gen's numerators at x_i = N_i / D_i times the product of
+    D_i ** deg_{x_i}(gen): gen.den (> 0) times gen's value there, with the
+    denominators cleared.
 
     `coords` holds one (N_i, D_i) pair per variable of gen, as ints or as
     Polynomials, and `one` is the unit of their ring; where every D_i is
-    nonzero the result vanishes exactly when gen does.  A factor equal to
-    one is never multiplied in.
+    nonzero the result vanishes exactly when gen does.  Each power N_i^e and
+    D_i^e is taken once per call, and a factor equal to one is never
+    multiplied in.
     """
     tops = [gen.degree(v) or 0 for v in gen.variables]
+    powers: dict = {}
     total = one - one
-    for exps, c in gen.terms.items():
+    for exps, c in gen.num.items():
         term = None
-        for (num, den), e, top in zip(coords, exps, tops):
-            for base, k in ((num, e), (den, top - e)):
+        for i, ((num, den), e, top) in enumerate(zip(coords, exps, tops)):
+            for side, base, k in ((0, num, e), (1, den, top - e)):
                 if k and base != one:
-                    term = base**k if term is None else term * base**k
+                    key = (i, side, k)
+                    if key not in powers:
+                        powers[key] = base**k
+                    term = powers[key] if term is None else term * powers[key]
         total = total + (c if term is None else term if c == 1 else term * c)
     return total
 

@@ -301,6 +301,15 @@ def test_divisors_level_six_within_budget():
     assert [(lv["level"], lv["degree_x"], lv["squarefree"]) for lv in levels] == [(n, 3**n, True) for n in range(7)]
 
 
+@pytest.mark.parametrize("b", [3, 6, 9, 12])
+def test_divisors_of_a_cubic_with_a_monic_critical_factor_within_budget(b):
+    # b = 3m makes the critical factor t^2 + m monic; t^3+6*t once ran for minutes
+    proc = run_cli_process(["--json", "divisors", "--map", f"t^3+{b}*t", "--level", "5"], timeout=5)
+    assert proc.returncode == EXIT_OK
+    levels = jsonline(proc.stdout)["result"]["levels"]
+    assert [(lv["level"], lv["degree_x"], lv["degree_y"]) for lv in levels] == [(n, 3**n, 3**n) for n in range(6)]
+
+
 @pytest.mark.parametrize("level", ["7", "8"])
 def test_divisors_level_above_the_cap_is_a_usage_error(level):
     # level 8 of t^3+t ran past 30 s before the command honoured the cap

@@ -1,6 +1,7 @@
 import io
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -228,16 +229,115 @@ def test_level_five_check_rejects_a_chain_coefficient_off_by_one():
     phi = RationalMap.polynomial([0, 7, 0, 1])  # t^3 + 7t, monic: the forms need no scale
     pb = diagonal_pullback(phi, 5)
     p, q = phi.iterate_forms(4)
-    factors = intersection._bezoutian_factors(intersection._bezout_matrix(phi), p, q)
+    bezout = intersection._bezout_matrix(phi)
+    level = intersection._step(phi, bezout, p, q)
     checked = [pb.chain[4], pb.layers[5], pb.chain[5]]
-    assert intersection._level_holds(*checked, p, q, factors)
-    for i in range(3):  # check (a), (b) and (c) in turn
+    assert intersection._level_holds(*checked, level, phi, bezout)
+    for i in range(3):  # check (a), (b) and the chain check in turn
         exps = sorted(checked[i].terms)
         for e in (exps[0], exps[len(exps) // 2], exps[-1]):
             for step in (1, -1):
                 wrong = list(checked)
                 wrong[i] = checked[i] + plane({e: step})
-                assert not intersection._level_holds(*wrong, p, q, factors)
+                assert not intersection._level_holds(*wrong, level, phi, bezout)
+    # the same off-by-one on the row entry p^3 (check (r)) and on p_5 (check (s))
+    row, (p5, q5) = level.rows[-1], level.forms
+    for poly, wrong_level in (
+        (row[-1], lambda bumped: replace(level, rows=level.rows[:-1] + [row[:-1] + [bumped]])),
+        (p5, lambda bumped: replace(level, forms=(bumped, q5))),
+    ):
+        exps = sorted(poly.terms)
+        for e in (exps[0], exps[len(exps) // 2], exps[-1]):
+            for step in (1, -1):
+                bumped = poly + Polynomial(("t",), {e: step})
+                assert not intersection._level_holds(*checked, wrong_level(bumped), phi, bezout)
+
+
+CUBIC_AND_RATIONAL = pytest.mark.parametrize(
+    "phi",
+    [RationalMap.polynomial([0, 1, 0, 1]), RationalMap.from_affine(Polynomial.univariate([1, 0, 1]), Polynomial.univariate([0, 1]))],
+    ids=["t^3+t", "(t^2+1)/t"],
+)
+
+
+def _top_bumped(poly):
+    """poly with the coefficient of its top term moved by 1."""
+    return poly + Polynomial(poly.variables, {max(poly.terms): 1})
+
+
+def _result_bumped_on_call(monkeypatch, name, call, pick):
+    """Patch intersection.<name> so that on the given call (0-based) its
+    result, or the entry of its result at index `pick`, has its top
+    coefficient moved by 1."""
+    honest, calls = getattr(intersection, name), []
+
+    def tampered(*args):
+        result = honest(*args)
+        calls.append(None)
+        if len(calls) - 1 != call:
+            return result
+        if pick is None:
+            return _top_bumped(result)
+        result = list(result)
+        result[pick] = _top_bumped(result[pick])
+        return result
+
+    monkeypatch.setattr(intersection, name, tampered)
+
+
+@CUBIC_AND_RATIONAL
+def test_a_bumped_bezout_entry_fails_the_identity_check(monkeypatch, phi):
+    # the layers, rows and forms all agree with the wrong matrix: only (B) sees it
+    honest = intersection._bezout_matrix
+
+    def bumped(phi):
+        matrix = honest(phi)
+        matrix[0][-1] += 1
+        return matrix
+
+    monkeypatch.setattr(intersection, "_bezout_matrix", bumped)
+    with pytest.raises(InexactDivision, match="level 1"):
+        diagonal_pullback(phi, 2)
+
+
+@CUBIC_AND_RATIONAL
+def test_a_bumped_row_entry_fails_the_row_check(monkeypatch, phi):
+    # each level raises d - 1 rows; the last raise of level 2 makes its
+    # degree-d row, whose top entry p^d (p^2 q^0) moves: only (r) sees it
+    _result_bumped_on_call(monkeypatch, "raised_monomials", 2 * (phi.degree - 1) - 1, -1)
+    with pytest.raises(InexactDivision, match="level 2"):
+        diagonal_pullback(phi, 2)
+
+
+@CUBIC_AND_RATIONAL
+@pytest.mark.parametrize("offset", [0, 2], ids=["p_2", "V_0"])
+def test_a_bumped_combination_fails_the_combination_check(monkeypatch, phi, offset):
+    # each level combines the degree-d row into F(p, q) and G(p, q), then the
+    # basis into V_0 .. V_(d-1): level 2's F(p, q) or V_0 moves, so p_2 or the
+    # layer's V_0 disagrees with phi or B: only (s) sees it
+    _result_bumped_on_call(monkeypatch, "combination", 2 + phi.degree + offset, None)
+    with pytest.raises(InexactDivision, match="level 2"):
+        diagonal_pullback(phi, 2)
+
+
+def test_level_five_pullback_checks_one_factor_per_side_and_the_bezout_identity_once(monkeypatch):
+    sums, identities = [], []
+    honest_sum, honest_identity = intersection.is_separated_sum, intersection._bezout_holds
+
+    def counted_sum(terms, c):
+        sums.append(terms)
+        return honest_sum(terms, c)
+
+    def counted_identity(*args):
+        identities.append(args)
+        return honest_identity(*args)
+
+    monkeypatch.setattr(intersection, "is_separated_sum", counted_sum)
+    monkeypatch.setattr(intersection, "_bezout_holds", counted_identity)
+    diagonal_pullback(RationalMap.polynomial([0, 1, 0, 1]), 5)
+    assert len(sums) == 15  # (a), (b) and the chain at each level
+    assert all(len(xs) == len(ys) == 1 for terms in sums for _, xs, ys in terms)
+    assert len(identities) == 1
 
 
 @pytest.mark.parametrize(

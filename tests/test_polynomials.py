@@ -10,7 +10,7 @@ from oracles import divexact, schoolbook_product
 from orbitlang.errors import InexactDivision, RingMismatch
 from orbitlang.padics import residue
 from orbitlang.parsing import parse_expression
-from orbitlang.polynomials import Polynomial, format_polynomial, is_separated_sum, residue_eval
+from orbitlang.polynomials import Polynomial, format_polynomial, is_product, is_separated_sum, residue_eval
 
 
 def biv(x_exp_y_exp_coeff):
@@ -244,6 +244,55 @@ def test_is_separated_sum_of_constants_and_zeros():
     assert not is_separated_sum([(1, [zero], [b])], biv({(0, 0): Fraction(3, 2)}))
     assert is_separated_sum([], biv({}))
     assert not is_separated_sum([], X_MINUS_Y)
+
+
+@st.composite
+def products(draw):
+    """(a, b, c): univariates of up to 5 terms of degree below 8, with c
+    their product, the product with one coefficient moved by +-1, or a
+    third polynomial."""
+    univariates = st.builds(Polynomial, st.just(("t",)), st.dictionaries(st.tuples(st.integers(0, 7)), RATIONALS, max_size=5))
+    a, b = draw(univariates), draw(univariates)
+    kind = draw(st.sampled_from(["product", "moved", "other"]))
+    if kind == "other":
+        return a, b, draw(univariates)
+    c = Polynomial(("t",), schoolbook_product(a.terms, b.terms))
+    if kind == "moved":
+        exponents = st.tuples(st.integers(0, 15))
+        if c.terms:
+            exponents = st.one_of(exponents, st.sampled_from(sorted(c.terms)))
+        c = c + Polynomial(("t",), {draw(exponents): draw(st.sampled_from([1, -1]))})
+    return a, b, c
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(products())
+def test_is_product_agrees_with_the_expanded_product(case):
+    a, b, c = case
+    assert is_product(a, b, c) == (Polynomial(("t",), schoolbook_product(a.terms, b.terms)) == c)
+
+
+def test_is_product_takes_its_width_from_every_operand():
+    # 2^s t - t^2 vanishes at t = 2^s: a width one bit short of the 1-norm
+    # of a, or of the largest coefficient of b or of c, would accept these
+    zero = Polynomial(("t",), {})
+    for s in range(1, 301):
+        assert not is_product(uni(2**s, -1), uni(0, 1), zero)
+        assert not is_product(uni(0, 1), uni(2**s, -1), zero)
+        assert not is_product(T_ONE, uni(0, 0, -1), uni(0, -(2**s)))
+        assert not is_product(uni(Fraction(1, 2)), uni(0, 0, -2), uni(0, -(2**s), 0))
+    # (1 + t + t^2 + t^3)^2 - c = 16 t^3 - t^4 vanishes at t = 16: the largest
+    # coefficient of a in place of its 1-norm gives 13 < 16 and would accept it
+    assert not is_product(uni(1, 1, 1, 1), uni(1, 1, 1, 1), uni(1, 2, 3, -12, 4, 2, 1))
+
+
+def test_is_product_expands_no_product(monkeypatch):
+    a, b = uni(1, Fraction(2, 3), 0, -5), uni(Fraction(-1, 4), 0, 7)
+    c = a * b
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(Polynomial, name, None)
+    assert is_product(a, b, c) and is_product(b, a, c)
+    assert not is_product(a, a, c)
 
 
 def test_rename_onto_a_present_variable_merges_the_slots():
