@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 
 from .errors import (
     InsufficientPrecision,
@@ -180,13 +181,15 @@ class MahlerSeries:
         self.precision = precision
         self.step = step
         self.offset = offset
-        self.samples = tuple(int(s) % prime**precision for s in samples)
         mod = prime**precision
+        self.samples = tuple(int(s) % mod for s in samples)
+        # exact differences: an entry of row j is at most 2^j mod, and only
+        # the first entry of each row is read and reduced
         table = list(self.samples)
         residues = [table[0]]
         for _ in range(len(table) - 1):
-            table = [(b - a) % mod for a, b in zip(table, table[1:])]
-            residues.append(table[0])
+            table = list(map(sub, table[1:], table))
+            residues.append(table[0] % mod)
         self.residues = tuple(residues)
 
     @property
@@ -249,12 +252,13 @@ def orbit_interpolate(
         values.append(value)
     samples = values[ell::k]
     series = MahlerSeries(prime, precision, k, ell, samples)
-    # repeated prefix sums invert the forward-difference table: the series at n = 0, 1, ...
-    mod, table = phi_m.modulus, series.residues
+    # repeated prefix sums invert the forward-difference table: the series at
+    # n = 0, 1, ..., summed exactly and reduced where read
+    mod, table = phi_m.modulus, list(series.residues)
     for n in range(order + 1):
-        if table[0] != samples[n]:
+        if table[0] % mod != samples[n]:
             raise VerificationFailed(f"Mahler series misses its sample at n={n}")
-        table = [(a + b) % mod for a, b in zip(table, table[1:])]
+        table = list(map(add, table, table[1:]))
     return series
 
 

@@ -210,10 +210,6 @@ def _cmd_orbit(args):
     x = _single_point(args)
     _at_least("--steps", args.steps, 0)
     place = None if args.place is None else _place(args.place)
-    # values up to the exact cap are printed in full (log10(2) < 1/3)
-    digits = EXACT_BITS_CAP // 3 + 1
-    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < digits:
-        sys.set_int_max_str_digits(digits)
     values = []
     result, code = {"orbit": values}, EXIT_OK
     pt = PPoint.of(x)
@@ -455,6 +451,10 @@ _HANDLERS = {
 
 
 def run(argv=None, stream=None) -> int:
+    # inputs and values up to the exact cap are read and printed in full (log10(2) < 1/3)
+    digits = EXACT_BITS_CAP // 3 + 1
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < digits:
+        sys.set_int_max_str_digits(digits)
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

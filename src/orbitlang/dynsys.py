@@ -18,7 +18,7 @@ from typing import Iterable, Union
 
 from .errors import HypothesisViolated, SingularMu
 from .padics import is_prime, prime_factors, valuation
-from .polynomials import Polynomial, combination, monomials
+from .polynomials import Polynomial, combination, format_univariate, monomials
 
 __all__ = [
     "PPoint",
@@ -130,7 +130,8 @@ class MoebiusMap:
 
 def form_scale(F, G) -> Fraction:
     """The scalar s that makes (s F, s G) coprime integers with the top
-    nonzero coefficient of s F (of s G when F vanishes) positive."""
+    nonzero coefficient of s F (of s G when F vanishes) positive; F and G
+    hold ints or Fractions."""
     lcm = 1
     for c in (*F, *G):
         lcm = lcm * c.denominator // _int_gcd(lcm, c.denominator)
@@ -153,15 +154,17 @@ class RationalMap:
     __slots__ = ("coeffs_f", "coeffs_g", "degree", "is_polynomial")
 
     def __init__(self, coeffs_f: Iterable, coeffs_g: Iterable):
-        F = [Fraction(c) for c in coeffs_f]
-        G = [Fraction(c) for c in coeffs_g]
+        F = [c if type(c) is int else Fraction(c) for c in coeffs_f]
+        G = [c if type(c) is int else Fraction(c) for c in coeffs_g]
         if len(F) != len(G):
             raise ValueError("F and G must be forms of equal degree")
         if len(F) > 1 and F[-1] == 0 and G[-1] == 0:
             raise ValueError("degree is ambiguous: top coefficients both vanish")
         scale = form_scale(F, G)
-        fi = [int(c * scale) for c in F]
-        gi = [int(c * scale) for c in G]
+        # c * scale is an integer: divide exactly, with no Fraction per coefficient
+        n, d = scale.numerator, scale.denominator
+        fi = [c.numerator * n // (c.denominator * d) for c in F]
+        gi = [c.numerator * n // (c.denominator * d) for c in G]
         self.coeffs_f = tuple(fi)
         self.coeffs_g = tuple(gi)
         self.degree = len(fi) - 1
@@ -232,12 +235,10 @@ class RationalMap:
         return hash((self.coeffs_f, self.coeffs_g))
 
     def __repr__(self):
-        from .polynomials import format_polynomial
-
-        num = format_polynomial(self.affine_numerator())
+        num = format_univariate(self.coeffs_f)
         if self.is_polynomial and self.coeffs_g[0] == 1:
             return f"RationalMap({num})"
-        return f"RationalMap(({num})/({format_polynomial(self.affine_denominator())}))"
+        return f"RationalMap(({num})/({format_univariate(self.coeffs_g)}))"
 
     # -- evaluation --------------------------------------------------------------------
 

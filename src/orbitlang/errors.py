@@ -112,12 +112,14 @@ class VerificationFailed(OrbitlangError):
 # --- parsing / CLI -----------------------------------------------------------
 
 class ExpressionSyntaxError(OrbitlangError):
-    """Parse failure; carries the 0-based position of the offending token."""
+    """Parse failure; carries the 0-based position of the offending token
+    and the reason without it."""
 
     code = "syntax-error"
 
-    def __init__(self, message, position):
-        super().__init__(f"{message} (at position {position})")
+    def __init__(self, reason, position):
+        super().__init__(f"{reason} (at position {position})")
+        self.reason = reason
         self.position = position
 
 

@@ -8,8 +8,15 @@ Grammar (no implicit multiplication):
     base   := INT | NAME | '(' expr ')'
 
 Names are the variables t (maps), x, y (plane curves) and x1..xg (variety
-generators).  Every expression parses to an exact rational-function pair;
-contexts that require a polynomial reject nonconstant denominators.
+generators).  Every expression parses to an exact pair num/den of integer
+polynomials over its variable tuple: each is a plain int when constant,
+else a dict of exponent tuples to nonzero ints.  A constant factor scales
+the other one, so no product has a constant operand, and the pair is never
+reduced, so contexts that require a polynomial reject any nonconstant
+denominator as written.  The result is built from the integers once: a
+scalar as one Fraction, a map from integer coefficient lists, a curve or
+variety generator as its primitive part.  A literal or a printed constant
+past the interpreter's int-to-str digit limit is a syntax error.
 """
 
 from __future__ import annotations
@@ -17,188 +24,185 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import ExpressionSyntaxError, HypothesisViolated, NonPolynomialWhereRequired
 from .dynsys import RationalMap
-from .polynomials import Polynomial, format_polynomial
+from .polynomials import Polynomial, format_polynomial, format_univariate
 from .varieties import PLANE_ALIAS, PlaneCurve
 
 __all__ = ["parse_expression", "parse_point", "format_map", "ParsedExpression"]
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^()]))")
+# a token is (kind, text, position); \S catches every character no other group takes
+_TOKEN = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()])|(\S)")
+_END, _INT, _NAME, _OP, _BAD = 0, 1, 2, 3, 4
 
 _VAR_ORDER = ("t", "x", "y") + tuple(f"x{i}" for i in range(1, 17))
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    position: int
-
-
-def _tokenize(src: str) -> list[_Token]:
+def _tokenize(src: str) -> list[tuple]:
     out = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if not m:
-            stripped = src[pos:].lstrip()
-            if not stripped:
-                break
-            raise ExpressionSyntaxError(f"unexpected character {stripped[0]!r}", len(src) - len(stripped))
-        if m.group("int"):
-            out.append(_Token("int", m.group("int"), m.start("int")))
-        elif m.group("name"):
-            out.append(_Token("name", m.group("name"), m.start("name")))
-        else:
-            out.append(_Token("op", m.group("op"), m.start("op")))
-        pos = m.end()
+    for m in _TOKEN.finditer(src):
+        if m.lastindex == _BAD:
+            raise ExpressionSyntaxError(f"unexpected character {m.group()!r}", m.start())
+        out.append((m.lastindex, m.group(), m.start()))
     return out
 
 
-def _is_one(p: Polynomial) -> bool:
-    return p == Polynomial.constant(1, p.variables)
+def _integer(tok) -> int:
+    try:
+        return int(tok[1])
+    except ValueError:  # more digits than the interpreter converts
+        raise ExpressionSyntaxError("integer literal has too many digits", tok[2]) from None
 
 
-def _times(a: Polynomial, b: Polynomial) -> Polynomial:
-    """a * b, skipping the product when a factor is the constant 1."""
-    if _is_one(b):
+def _plus(a, b, zero: tuple):
+    """a + b, an int when constant."""
+    if type(a) is int:
+        if type(b) is int:
+            return a + b
+        a, b = b, a
+    if type(b) is int:
+        if not b:
+            return a
+        b = {zero: b}
+    out = dict(a)
+    get = out.get
+    for e, n in b.items():
+        v = get(e, 0) + n
+        if v:
+            out[e] = v
+        else:
+            del out[e]
+    if len(out) > 1 or (out and zero not in out):
+        return out
+    return get(zero, 0)
+
+
+def _convolve(a: dict, b: dict) -> dict:
+    """The product of two nonconstant polynomials, nonconstant itself."""
+    out: dict = {}
+    get = out.get
+    for ea, na in a.items():
+        for eb, nb in b.items():
+            e = tuple(map(add, ea, eb))
+            out[e] = get(e, 0) + na * nb
+    return {e: n for e, n in out.items() if n}
+
+
+def _product(a, b):
+    """a * b: a constant factor scales the other, so 1 returns it unchanged."""
+    if type(a) is int:
+        if type(b) is int:
+            return a * b
+        a, b = b, a
+    if type(b) is not int:
+        return _convolve(a, b)
+    if b == 1:
         return a
-    return b if _is_one(a) else a * b
+    return {e: n * b for e, n in a.items()} if b else 0
 
 
-class _RationalFunction:
-    """Exact pair num/den over a shared variable tuple.  Products by the
-    constant 1 are skipped, so the denominators of a polynomial expression
-    are never multiplied."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Polynomial, den: Polynomial):
-        if den.is_zero:
-            raise ZeroDivisionError
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def constant(cls, value, variables):
-        return cls(
-            Polynomial.constant(value, variables),
-            Polynomial.constant(1, variables),
-        )
-
-    def __add__(self, other):
-        return _RationalFunction(
-            _times(self.num, other.den) + _times(other.num, self.den), _times(self.den, other.den)
-        )
-
-    def __sub__(self, other):
-        return _RationalFunction(
-            _times(self.num, other.den) - _times(other.num, self.den), _times(self.den, other.den)
-        )
-
-    def __mul__(self, other):
-        return _RationalFunction(_times(self.num, other.num), _times(self.den, other.den))
-
-    def __truediv__(self, other):
-        if other.num.is_zero:
-            raise ZeroDivisionError
-        return _RationalFunction(_times(self.num, other.den), _times(other.num, self.den))
-
-    def __pow__(self, e: int):
-        return _RationalFunction(self.num**e, self.den if _is_one(self.den) else self.den**e)
+def _power(a, e: int):
+    result = 1
+    while e:
+        if e & 1:
+            result = _product(result, a)
+        e >>= 1
+        if e:
+            a = _product(a, a)
+    return result
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], variables: tuple[str, ...], source_len: int):
-        self.tokens = tokens
-        self.variables = variables
+    def __init__(self, tokens: list[tuple], variables: tuple[str, ...], source_len: int):
+        self.tokens = tokens + [(_END, "", source_len)]
         self.i = 0
-        self.end = source_len
+        self.zero = (0,) * len(variables)
+        self.units = {v: self.zero[:i] + (1,) + self.zero[i + 1 :] for i, v in enumerate(variables)}
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def take(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise ExpressionSyntaxError("unexpected end of expression", self.end)
+    def take(self):
+        tok = self.tokens[self.i]
+        if tok[0] == _END:
+            raise ExpressionSyntaxError("unexpected end of expression", tok[2])
         self.i += 1
         return tok
 
     def expect_op(self, op: str):
-        tok = self.take()
-        if tok.kind != "op" or tok.text != op:
-            raise ExpressionSyntaxError(f"expected {op!r}", tok.position)
+        kind, text, pos = self.take()
+        if kind != _OP or text != op:
+            raise ExpressionSyntaxError(f"expected {op!r}", pos)
 
-    def parse(self) -> _RationalFunction:
+    def parse(self) -> tuple:
         value = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise ExpressionSyntaxError(f"unexpected {tok.text!r}", tok.position)
+        tok = self.tokens[self.i]
+        if tok[0] != _END:
+            raise ExpressionSyntaxError(f"unexpected {tok[1]!r}", tok[2])
         return value
 
-    def expr(self) -> _RationalFunction:
-        tok = self.peek()
+    def expr(self) -> tuple:
+        tok = self.tokens[self.i]
         negate = False
-        if tok and tok.kind == "op" and tok.text in "+-":
-            self.take()
-            negate = tok.text == "-"
-        value = self.term()
+        if tok[0] == _OP and tok[1] in "+-":
+            self.i += 1
+            negate = tok[1] == "-"
+        num, den = self.term()
         if negate:
-            value = _RationalFunction.constant(-1, self.variables) * value
+            num = _product(num, -1)
         while True:
-            tok = self.peek()
-            if tok is None or tok.kind != "op" or tok.text not in "+-":
-                return value
-            self.take()
-            rhs = self.term()
-            value = value + rhs if tok.text == "+" else value - rhs
-
-    def term(self) -> _RationalFunction:
-        value = self.factor()
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind != "op" or tok.text not in "*/":
-                return value
-            self.take()
-            rhs = self.factor()
-            if tok.text == "*":
-                value = value * rhs
+            tok = self.tokens[self.i]
+            if tok[0] != _OP or tok[1] not in "+-":
+                return num, den
+            self.i += 1
+            rnum, rden = self.term()
+            if tok[1] == "-":
+                rnum = _product(rnum, -1)
+            if type(den) is int and den == rden:
+                num = _plus(num, rnum, self.zero)
             else:
-                try:
-                    value = value / rhs
-                except ZeroDivisionError:
-                    raise ExpressionSyntaxError("division by zero", tok.position) from None
+                num, den = _plus(_product(num, rden), _product(rnum, den), self.zero), _product(den, rden)
 
-    def factor(self) -> _RationalFunction:
-        value = self.base()
-        tok = self.peek()
-        if tok and tok.kind == "op" and tok.text == "^":
-            self.take()
+    def term(self) -> tuple:
+        num, den = self.factor()
+        while True:
+            tok = self.tokens[self.i]
+            if tok[0] != _OP or tok[1] not in "*/":
+                return num, den
+            self.i += 1
+            rnum, rden = self.factor()
+            if tok[1] == "*":
+                num, den = _product(num, rnum), _product(den, rden)
+            elif type(rnum) is int and not rnum:
+                raise ExpressionSyntaxError("division by zero", tok[2])
+            else:
+                num, den = _product(num, rden), _product(den, rnum)
+
+    def factor(self) -> tuple:
+        num, den = self.base()
+        tok = self.tokens[self.i]
+        if tok[0] == _OP and tok[1] == "^":
+            self.i += 1
             exp_tok = self.take()
-            if exp_tok.kind != "int":
-                raise ExpressionSyntaxError("exponent must be a nonnegative integer", exp_tok.position)
-            value = value ** int(exp_tok.text)
-        return value
+            if exp_tok[0] != _INT:
+                raise ExpressionSyntaxError("exponent must be a nonnegative integer", exp_tok[2])
+            e = _integer(exp_tok)
+            num, den = _power(num, e), _power(den, e)
+        return num, den
 
-    def base(self) -> _RationalFunction:
+    def base(self) -> tuple:
         tok = self.take()
-        if tok.kind == "int":
-            return _RationalFunction.constant(Fraction(int(tok.text)), self.variables)
-        if tok.kind == "name":
-            if tok.text not in self.variables:
-                raise ExpressionSyntaxError(f"unknown variable {tok.text!r}", tok.position)
-            return _RationalFunction(
-                Polynomial.variable(tok.text, self.variables),
-                Polynomial.constant(1, self.variables),
-            )
-        if tok.kind == "op" and tok.text == "(":
+        kind, text, pos = tok
+        if kind == _INT:
+            return _integer(tok), 1
+        if kind == _NAME:
+            if text not in self.units:
+                raise ExpressionSyntaxError(f"unknown variable {text!r}", pos)
+            return {self.units[text]: 1}, 1
+        if text == "(":
             value = self.expr()
             self.expect_op(")")
             return value
-        raise ExpressionSyntaxError(f"unexpected {tok.text!r}", tok.position)
+        raise ExpressionSyntaxError(f"unexpected {text!r}", pos)
 
 
 @dataclass(frozen=True)
@@ -209,21 +213,52 @@ class ParsedExpression:
 
 
 def _collect_variables(tokens, g: int | None) -> tuple[str, ...]:
-    names = {tok.text for tok in tokens if tok.kind == "name"}
-    unknown = names - set(_VAR_ORDER)
+    names = {text for kind, text, _ in tokens if kind == _NAME}
+    if not names:
+        return ()
+    unknown = names.difference(_VAR_ORDER)
     if unknown:
         bad = sorted(unknown)[0]
-        pos = next(tok.position for tok in tokens if tok.text == bad)
+        pos = next(pos for _, text, pos in tokens if text == bad)
         raise ExpressionSyntaxError(f"unknown variable {bad!r}", pos)
     if g is not None:
         coordinates = {f"x{i}" for i in range(1, g + 1)}
-        for tok in tokens:
-            if tok.kind == "name" and tok.text != "t" and PLANE_ALIAS.get(tok.text, tok.text) not in coordinates:
-                raise ExpressionSyntaxError(f"variable {tok.text!r} is beyond the {g} coordinate(s) of the point", tok.position)
+        for kind, text, pos in tokens:
+            if kind == _NAME and text != "t" and PLANE_ALIAS.get(text, text) not in coordinates:
+                raise ExpressionSyntaxError(f"variable {text!r} is beyond the {g} coordinate(s) of the point", pos)
     if "t" in names and len(names) > 1:
-        pos = next(tok.position for tok in tokens if tok.kind == "name")
+        pos = next(pos for kind, _, pos in tokens if kind == _NAME)
         raise ExpressionSyntaxError("cannot mix t with plane/space variables", pos)
     return tuple(v for v in _VAR_ORDER if v in names)
+
+
+def _printed(show, value) -> str:
+    try:
+        return show(value)
+    except ValueError:  # a constant with more digits than the interpreter converts
+        raise ExpressionSyntaxError("a constant has too many digits to print", 0) from None
+
+
+def _coefficients(poly, degree: int) -> list[int]:
+    """Low-to-high coefficients of a polynomial in t, padded to `degree`."""
+    out = [0] * (degree + 1)
+    if type(poly) is int:
+        out[0] = poly
+    else:
+        for (e,), n in poly.items():
+            out[e] = n
+    return out
+
+
+def _map(num, den) -> RationalMap:
+    why = "a map needs degree at least 1 in lowest terms"
+    if type(num) is int and not num:
+        raise HypothesisViolated(f"{why}: zero numerator or denominator")
+    degree = max(0 if type(p) is int else max(p)[0] for p in (num, den))
+    try:
+        return RationalMap(_coefficients(num, degree), _coefficients(den, degree))
+    except ValueError as exc:  # a constant map, or a factor common to both sides
+        raise HypothesisViolated(f"{why}: {exc}") from None
 
 
 def parse_expression(src: str, g: int | None = None) -> ParsedExpression:
@@ -236,35 +271,33 @@ def parse_expression(src: str, g: int | None = None) -> ParsedExpression:
     if not tokens:
         raise ExpressionSyntaxError("empty expression", 0)
     variables = _collect_variables(tokens, g)
-    parser = _Parser(tokens, variables or ("t",), len(src))
-    value = parser.parse()
+    num, den = _Parser(tokens, variables or ("t",), len(src)).parse()
     if not variables:
-        num = value.num.constant_value()
-        den = value.den.constant_value()
-        scalar = Fraction(num) / Fraction(den)
-        return ParsedExpression("scalar", scalar, str(scalar))
+        scalar = Fraction(num, den)
+        return ParsedExpression("scalar", scalar, _printed(str, scalar))
     if variables == ("t",):
-        try:
-            phi = RationalMap.from_affine(value.num, value.den)
-        except ValueError as exc:  # a constant map, the zero map, or a factor common to both sides
-            raise HypothesisViolated(f"a map needs degree at least 1 in lowest terms: {exc}") from None
-        return ParsedExpression("map", phi, format_map(phi))
-    if not value.den.is_constant():
+        phi = _map(num, den)
+        return ParsedExpression("map", phi, _printed(format_map, phi))
+    if type(den) is not int:
         raise NonPolynomialWhereRequired("curve and variety expressions must be polynomial")
-    den = value.den.constant_value()
-    poly = value.num if den == 1 else value.num * (Fraction(1) / den)
-    _, prim = poly.content_and_primitive()
+    if type(num) is int:
+        num = {(0,) * len(variables): num} if num else {}
+    _, prim = Polynomial._of(variables, num, 1).content_and_primitive()
     if set(variables) <= {"x", "y"}:
         curve_poly = prim.with_variables(("x", "y"))
-        return ParsedExpression("curve", PlaneCurve(curve_poly), format_polynomial(curve_poly))
-    return ParsedExpression("variety", prim, format_polynomial(prim))
+        return ParsedExpression("curve", PlaneCurve(curve_poly), _printed(format_polynomial, curve_poly))
+    return ParsedExpression("variety", prim, _printed(format_polynomial, prim))
 
 
 def parse_point(src: str, what: str = "point coordinates") -> list[Fraction]:
-    """Comma-separated list of rational scalars; `what` names them in errors."""
+    """Comma-separated list of rational scalars; `what` names them in errors,
+    and error positions count from the start of `src`."""
     out = []
     for offset, chunk in _split_with_offsets(src, ","):
-        parsed = parse_expression(chunk)
+        try:
+            parsed = parse_expression(chunk)
+        except ExpressionSyntaxError as exc:
+            raise ExpressionSyntaxError(exc.reason, exc.position + offset) from None
         if parsed.kind != "scalar":
             raise ExpressionSyntaxError(f"{what} must be rational constants", offset)
         out.append(parsed.value)
@@ -279,9 +312,6 @@ def _split_with_offsets(src: str, sep: str):
 
 
 def format_map(phi: RationalMap) -> str:
-    num = phi.affine_numerator()
-    den = phi.affine_denominator()
     if phi.is_polynomial:
-        lead = den.constant_value()
-        return format_polynomial(num if lead == 1 else num * Fraction(1, lead))
-    return f"({format_polynomial(num)})/({format_polynomial(den)})"
+        return format_univariate(phi.coeffs_f, phi.coeffs_g[0])
+    return f"({format_univariate(phi.coeffs_f)})/({format_univariate(phi.coeffs_g)})"

@@ -4,7 +4,8 @@ A polynomial is stored as integer numerators over one common denominator:
 `num` maps exponent vectors to nonzero ints and `den` is a positive int with
 gcd(den, *num.values()) == 1 (the zero polynomial has den == 1), so equal
 polynomials have equal representations.  `terms` is the derived
-{exponents: Fraction} view, each coefficient in its own lowest terms.
+{exponents: Fraction} view, each coefficient in its own lowest terms; the
+printers `format_polynomial` and `format_univariate` read the integers.
 Add/mul/residues/substitute/derive/evaluate are implemented directly on the
 maps.  Forms are evaluated at (p, q) in one way: :func:`monomials` makes
 the row p^i q^(d-i), each product once, and :func:`combination` sums
@@ -35,7 +36,10 @@ from typing import Iterable
 from . import univariate
 from .errors import RingMismatch
 
-__all__ = ["Polynomial", "combination", "is_product", "is_separated_sum", "monomials", "raised_monomials", "residue_eval"]
+__all__ = [
+    "Polynomial", "combination", "format_polynomial", "format_univariate", "is_product", "is_separated_sum",
+    "monomials", "raised_monomials", "residue_eval",
+]
 
 
 _denominator = attrgetter("denominator")
@@ -635,20 +639,32 @@ def residue_eval(residues: dict, coords, m: int) -> int:
 
 def format_polynomial(poly: Polynomial) -> str:
     """Canonical text form: terms ordered by descending exponent vector."""
-    if poly.is_zero:
+    return _format_terms(poly.variables, sorted(poly.num.items(), reverse=True), poly.den)
+
+
+def format_univariate(coeffs, den: int = 1) -> str:
+    """:func:`format_polynomial` of sum(coeffs[i] t^i) / den for integer
+    low-to-high coefficients and a nonzero integer den."""
+    if den < 0:
+        coeffs, den = [-c for c in coeffs], -den
+    return _format_terms(("t",), [((i,), coeffs[i]) for i in range(len(coeffs) - 1, -1, -1) if coeffs[i]], den)
+
+
+def _format_terms(variables: tuple, terms: list, den: int) -> str:
+    """The text of sum(n / den * monomial) over the (exponents, n) pairs of
+    `terms`, nonzero ints in print order, each coefficient in lowest terms."""
+    if not terms:
         return "0"
     parts = []
-    terms = poly.terms
-    for exps in sorted(terms, reverse=True):
-        c = terms[exps]
-        mono = "*".join(
-            f"{v}^{e}" if e > 1 else v for v, e in zip(poly.variables, exps) if e
-        )
+    for exps, n in terms:
+        g = _int_gcd(n, den)
+        c = f"{n // den}" if g == den else f"{n // g}/{den // g}"
+        mono = "*".join(f"{v}^{e}" if e > 1 else v for v, e in zip(variables, exps) if e)
         if not mono:
-            piece = str(c)
-        elif c == 1:
+            piece = c
+        elif c == "1":
             piece = mono
-        elif c == -1:
+        elif c == "-1":
             piece = f"-{mono}"
         else:
             piece = f"{c}*{mono}"
@@ -657,4 +673,3 @@ def format_polynomial(poly: Polynomial) -> str:
     for piece in parts[1:]:
         text += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
     return text
-

@@ -547,3 +547,36 @@ def test_degenerate_map_exit_two(monkeypatch, argv):
     code, out = invoke(["--json", *argv], monkeypatch=monkeypatch)
     assert code == EXIT_USAGE
     assert jsonline(out)["result"]["code"] == "hypothesis-violated"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decide", "--map", "t^2+1", "--point", "2^20000", "--variety", "x1-1"],
+        ["decide", "--map", "t^2+1", "--point", "0", "--variety", "x1-2^20000"],
+        ["orbit", "--map", "t^2+1", "--point", "2^20000", "--steps", "1"],
+        ["divisors", "--map", "t^2+2^20000", "--level", "1"],
+        ["decide", "--map", "t^2+1", "--point", "0", "--variety", "x1-" + "1" * 4400],
+    ],
+    ids=["decide-point", "decide-variety", "orbit-point", "divisors-map", "decide-long-literal"],
+)
+def test_constants_past_4300_digits_are_answered(default_digit_limit, monkeypatch, argv):
+    # str() of the canonical form, or int() of the literal, used to raise
+    # ValueError past the interpreter's default limit of 4300 digits, exit 1
+    code, out = invoke(["--json", *argv], monkeypatch=monkeypatch)
+    assert code in (EXIT_OK, EXIT_INCONCLUSIVE)
+    assert "error" not in jsonline(out)["result"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decide", "--map", "t^2+1", "--point", "2^100000", "--variety", "x1-1"],
+        ["decide", "--map", "t^2+1", "--point", "0", "--variety", "x1-" + "1" * 30000],
+    ],
+    ids=["printed-constant", "literal"],
+)
+def test_constants_past_the_exact_cap_exit_two(default_digit_limit, monkeypatch, argv):
+    code, out = invoke(["--json", *argv], monkeypatch=monkeypatch)
+    assert code == EXIT_USAGE
+    assert jsonline(out)["result"]["code"] == "syntax-error"

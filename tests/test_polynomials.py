@@ -6,11 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import divexact, schoolbook_product
+from oracles import divexact, reference_format_polynomial, schoolbook_product
 from orbitlang.errors import InexactDivision, RingMismatch
 from orbitlang.padics import residue
 from orbitlang.parsing import parse_expression
-from orbitlang.polynomials import Polynomial, format_polynomial, is_product, is_separated_sum, residue_eval
+from orbitlang.polynomials import Polynomial, format_polynomial, format_univariate, is_product, is_separated_sum, residue_eval
 
 
 def biv(x_exp_y_exp_coeff):
@@ -338,6 +338,15 @@ def rational_polynomials(draw, variables=None, max_size=6):
         variables = ("x", "y", "z")[: draw(st.integers(0, 3))]
     terms = st.dictionaries(st.tuples(*[st.integers(0, 4)] * len(variables)), RATIONALS, max_size=max_size)
     return Polynomial(variables, draw(terms))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rational_polynomials(), st.lists(st.integers(-20, 20), min_size=1, max_size=5), st.integers(-12, 12).filter(bool))
+def test_printers_agree_with_the_fraction_view(poly, coeffs, den):
+    # the printers read num/den; the reference prints each Fraction of `terms`
+    assert format_polynomial(poly) == reference_format_polynomial(poly)
+    univariate = Polynomial(("t",), {(i,): Fraction(c, den) for i, c in enumerate(coeffs)})
+    assert format_univariate(coeffs, den) == reference_format_polynomial(univariate)
 
 
 @settings(max_examples=200, deadline=None)
