@@ -294,7 +294,7 @@ def _p_normalized_integer_coeffs(F: Polynomial, p: int) -> Polynomial:
     with at least one unit; scaling does not change the vanishing locus."""
     if F.is_zero:
         return F
-    shift = min(valuation(c, p) for c in F.terms.values())
+    shift = min(valuation(n, p) for n in F.num.values()) - valuation(F.den, p)
     return F * (Fraction(p) ** (-shift)) if shift else F
 
 

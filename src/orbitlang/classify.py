@@ -221,7 +221,8 @@ def _right_factor_candidate(f: Polynomial, s: int) -> Polynomial:
 
 def _power_series_coeff(w: list[Fraction], r: int, k: int) -> Fraction:
     """Coefficient of z^k in w(z)**r given w truncated at order k (w_k ignored)."""
-    return (Polynomial.univariate(w[:k], "z") ** r).terms.get((k,), Fraction(0))
+    power = Polynomial.univariate(w[:k], "z") ** r
+    return Fraction(power.num.get((k,), 0), power.den)
 
 
 def decompose(f) -> Decomposition | Indecomposable:
@@ -375,8 +376,7 @@ def _image_curve(curve: PlaneCurve, f: Polynomial) -> PlaneCurve:
     image = keep[0].with_variables(("u", "v"))
     for fac in keep[1:]:
         image = image * fac.with_variables(("u", "v"))
-    terms = {(eu, ev): c for (eu, ev), c in image.terms.items()}
-    return PlaneCurve(Polynomial(("x", "y"), terms))
+    return PlaneCurve(image.rename_variables({"u": "x", "v": "y"}))
 
 
 def verify_invariant_curve(curve: PlaneCurve, f, k_max: int):

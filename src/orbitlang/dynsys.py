@@ -353,12 +353,12 @@ def ramification_portrait(phi: RationalMap) -> list[tuple[object, int]]:
     if phi.degree < 2:
         return []
     W = phi.wronskian()
-    y_mult = min(e[1] for e in W.terms)  # exponent of Y dividing the form
+    y_mult = min(e[1] for e in W.num)  # exponent of Y dividing the form
     out: list[tuple[object, int]] = []
     if y_mult > 0:
         out.append((INFINITY_POINT, y_mult + 1))
     # W is a form, so each term has a distinct X-exponent: W(t, 1) collides nothing
-    affine = Polynomial(("t",), {(ex,): c for (ex, _ey), c in W.terms.items()})
+    affine = Polynomial._of(("t",), {(ex,): n for (ex, _ey), n in W.num.items()}, W.den)
     if affine.is_constant():
         return out
     _, factors = affine.factor_list()

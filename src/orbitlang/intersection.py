@@ -20,8 +20,8 @@ level before and the layer is expanded: each level is proven to be the
 level before times its layer from phi's Bezout identity, checked once per
 pullback, and exact tests on univariates.  Each row entry is one product
 (is_product), phi's next forms and the V_a are the combinations they
-claim to be, and the level before, the layer and the level are the
-separated sums of their univariate parts (is_separated_sum).
+claim to be, and x - y, each layer and each level are the separated sums
+of their univariate parts (is_separated_sum), each checked once.
 
 Squarefreeness of a layer is certified at one specialization y = y0 and one
 prime q: if the image keeps the x-degree and is squarefree over F_q, the
@@ -233,17 +233,18 @@ def _is_combination(target: Polynomial, scale: Fraction, coeffs, polys: list[Pol
     return not any(diff.values())
 
 
-def _level_holds(before: Polynomial, layer: Polynomial, after: Polynomial, step: _Step, phi: RationalMap, bezout) -> bool:
+def _level_holds(layer: Polynomial, after: Polynomial, step: _Step, phi: RationalMap, bezout) -> bool:
     """Whether before * layer == after, for `step` the construction of the
-    level from before's forms (p, q), given (B) for phi and `bezout`.
+    level from before's forms (p, q), given (B) for phi and `bezout` and
+    (a) before == p(x) q(y) - q(x) p(y), which the level before proved (or
+    :func:`diagonal_pullback`, for level 0).
 
     (r) the rows are the monomials of (p, q) (:func:`_rows_hold`); (s)
     p_k = s sum f_i row_i, q_k = s sum g_i row_i and V_a = s^2 sum_b
     B[a][b] U_b, with s the scale, row the degree-d row and U the
     degree-(d-1) one (:func:`_is_combination`); and, by
-    :func:`is_separated_sum` with one factor per side, (a) before ==
-    p(x) q(y) - q(x) p(y), (b) layer == sum U_a(x) V_a(y) and after ==
-    p_k(x) q_k(y) - q_k(x) p_k(y).
+    :func:`is_separated_sum`, (b) layer == sum U_a(x) V_a(y) and after ==
+    p_k(x) q_k(y) - q_k(x) p_k(y), which is (a) for the next level.
 
     Why this proves the level: substituting (p(x), q(x), p(y), q(y)) for
     (X1, Y1, X2, Y2) in (B) is a ring homomorphism, and (r) makes the rows
@@ -262,9 +263,8 @@ def _level_holds(before: Polynomial, layer: Polynomial, after: Polynomial, step:
         and _is_combination(Q, s, phi.coeffs_g, row)
         and len(step.bezout_rows) == len(bezout)
         and all(_is_combination(v, s * s, b, basis) for v, b in zip(step.bezout_rows, bezout))
-        and is_separated_sum([(1, [p], [q]), (-1, [q], [p])], before)
-        and is_separated_sum([(1, [u], [v]) for u, v in step.factors], layer)
-        and is_separated_sum([(1, [P], [Q]), (-1, [Q], [P])], after)
+        and is_separated_sum([(1, u, v) for u, v in step.factors], layer)
+        and is_separated_sum([(1, P, Q), (-1, Q, P)], after)
     )
 
 
@@ -279,22 +279,23 @@ def diagonal_pullback(phi: RationalMap, n: int, cap: int = DEFAULT_LEVEL_CAP) ->
     Level k is proven to equal level k-1 times layer k by
     :func:`_level_holds`, from phi's Bezout identity (B), checked once by
     :func:`_bezout_holds`, and exact tests on univariates; the product is
-    never expanded.
+    never expanded.  Level 0, x - y, is proven here; each later level is
+    proven a cross difference once, as level k and as level k+1's before.
     """
     if phi.degree < 1:
         raise ValueError("degree must be at least 1")
     if n > cap:
         raise DegreeCapExceeded(f"level {n} exceeds cap {cap}")
     bezout = _bezout_matrix(phi)
-    proven = _bezout_holds(phi, bezout)
     p, q = Polynomial.variable("t"), Polynomial.constant(1, ("t",))
     chain = [_cross(p, q)]
     layers = [chain[0]]
+    proven = _bezout_holds(phi, bezout) and is_separated_sum([(1, p, q), (-1, q, p)], chain[0])
     for k in range(1, n + 1):
         step = _step(phi, bezout, p, q)
         layers.append(_bezoutian_at(step.factors))
         chain.append(_cross(*step.forms))
-        if not (proven and _level_holds(chain[k - 1], layers[k], chain[k], step, phi, bezout)):
+        if not (proven and _level_holds(layers[k], chain[k], step, phi, bezout)):
             raise InexactDivision(f"chain verification failed at level {k}")
         p, q = step.forms
     return DiagonalPullback(phi, n, chain[n], tuple(chain), tuple(layers))
@@ -567,8 +568,7 @@ def _factor_has_periodic_root(phi: RationalMap, factor: Polynomial) -> bool:
     if not phi.is_polynomial:
         raise UndecidedPeriodicity("irrational critical points of a non-polynomial map")
     _, prim = factor.content_and_primitive()
-    lead = prim.terms[max(prim.terms)]
-    if any(good_reduction(phi, ell) for ell in prime_factors(int(lead))):
+    if any(good_reduction(phi, ell) for ell in prime_factors(prim.num[max(prim.num)])):
         return False
     var = factor.variables[0]
     coeffs = phi.affine_coefficients()
@@ -583,7 +583,7 @@ def _factor_has_periodic_root(phi: RationalMap, factor: Polynomial) -> bool:
             return True
         if h in seen or _has_conjugate_beyond(h, factor, radius):
             return False
-        if max(max(abs(c.numerator), c.denominator).bit_length() for c in h.terms.values()) > HEIGHT_CUTOFF_BITS:
+        if max((max(abs(n), h.den) // math.gcd(n, h.den)).bit_length() for n in h.num.values()) > HEIGHT_CUTOFF_BITS:
             break
         seen.add(h)
     raise UndecidedPeriodicity("periodicity of conjugate critical points unresolved")
@@ -623,7 +623,7 @@ def _characteristic_polynomial(h: Polynomial, factor: Polynomial) -> list[Fracti
     power = Polynomial.constant(1, factor.variables)
     for _ in range(d):
         _, power = (power * h).divmod(factor)
-        traces.append(sum(c * P[i] for (i,), c in power.terms.items()))
+        traces.append(sum((n * P[i] for (i,), n in power.num.items()), Fraction(0)) / power.den)
     values = [Fraction(1)]  # e_k of the h(theta)
     for k in range(1, d + 1):
         values.append(sum((-1) ** (i - 1) * values[k - i] * traces[i] for i in range(1, k + 1)) / k)

@@ -16,11 +16,14 @@ reduced, so contexts that require a polynomial reject any nonconstant
 denominator as written.  The result is built from the integers once: a
 scalar as one Fraction, a map from integer coefficient lists, a curve or
 variety generator as its primitive part.  A literal or a printed constant
-past the interpreter's int-to-str digit limit is a syntax error.
+past the interpreter's int-to-str digit limit is a syntax error, and so is
+a power whose coefficients may pass EXACT_BITS_CAP bits: no coefficient of
+a^e exceeds |a|_1^e, which is checked before the power is expanded.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +32,7 @@ from operator import add
 from .errors import ExpressionSyntaxError, HypothesisViolated, NonPolynomialWhereRequired
 from .dynsys import RationalMap
 from .polynomials import Polynomial, format_polynomial, format_univariate
+from .scan import EXACT_BITS_CAP
 from .varieties import PLANE_ALIAS, PlaneCurve
 
 __all__ = ["parse_expression", "parse_point", "format_map", "ParsedExpression"]
@@ -101,6 +105,13 @@ def _product(a, b):
     if b == 1:
         return a
     return {e: n * b for e, n in a.items()} if b else 0
+
+
+def _too_wide(a, e: int) -> bool:
+    """Whether e log2 |a|_1, a bound on the bits of a^e's widest coefficient,
+    passes EXACT_BITS_CAP."""
+    norm = abs(a) if type(a) is int else sum(map(abs, a.values()))
+    return norm > 1 and (e > EXACT_BITS_CAP or e * math.log2(norm) > EXACT_BITS_CAP)
 
 
 def _power(a, e: int):
@@ -186,6 +197,8 @@ class _Parser:
             if exp_tok[0] != _INT:
                 raise ExpressionSyntaxError("exponent must be a nonnegative integer", exp_tok[2])
             e = _integer(exp_tok)
+            if _too_wide(num, e) or _too_wide(den, e):
+                raise ExpressionSyntaxError(f"the power may have coefficients past {EXACT_BITS_CAP} bits", tok[2])
             num, den = _power(num, e), _power(den, e)
         return num, den
 

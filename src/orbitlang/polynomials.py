@@ -4,8 +4,10 @@ A polynomial is stored as integer numerators over one common denominator:
 `num` maps exponent vectors to nonzero ints and `den` is a positive int with
 gcd(den, *num.values()) == 1 (the zero polynomial has den == 1), so equal
 polynomials have equal representations.  `terms` is the derived
-{exponents: Fraction} view, each coefficient in its own lowest terms; the
-printers `format_polynomial` and `format_univariate` read the integers.
+{exponents: Fraction} view, each coefficient in its own lowest terms; no
+other module of the package reads it (bench/spans.py counts terms with
+it), and the printers `format_polynomial` and `format_univariate` read
+the integers.
 Add/mul/residues/substitute/derive/evaluate are implemented directly on the
 maps.  Forms are evaluated at (p, q) in one way: :func:`monomials` makes
 the row p^i q^(d-i), each product once, and :func:`combination` sums
@@ -14,9 +16,8 @@ one packed integer kernel: each exponent vector becomes one int key (mixed
 radix, carry-free under addition) and the numerators multiply as ints
 (packed exponent vectors: Monagan and Pearce, CASC 2007).  A product that
 is only compared is never expanded: :func:`is_separated_sum` decides
-whether a plane polynomial is a sum of univariate products in x times
-univariate products in y, convolving the x sides as ints and evaluating
-the y sides at a power of 2 (Kronecker substitution); :func:`is_product`
+whether a plane polynomial is a sum of products a(x) b(y) of univariates,
+evaluating each b at a power of 2 (Kronecker substitution); :func:`is_product`
 decides a * b == c for univariates from their values at a power of 2.
 Division, gcd and factorization in one variable run natively over Q (see
 :mod:`orbitlang.univariate`); resultants and the multivariate division, gcd
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd as _int_gcd, lcm, prod
+from math import gcd as _int_gcd, lcm
 from operator import attrgetter, mul
 from typing import Iterable
 
@@ -552,58 +553,43 @@ def combination(coeffs, polys: list[Polynomial]) -> Polynomial:
 
 
 def is_separated_sum(terms, c: Polynomial) -> bool:
-    """Whether c(x, y) == sum(sign * prod(xs)(x) * prod(ys)(y) for sign, xs, ys
-    in terms), for univariate factors and signs 1 or -1, decided exactly
-    without expanding the sum.
+    """Whether c(x, y) == sum(sign * a(x) * b(y) for sign, a, b in terms), for
+    univariates a and b and signs 1 or -1, decided exactly without expanding
+    the sum.
 
-    Over L = lcm(c.den, each term's product D_i of denominators) the claim
-    is G = sum(m_i A_i(x) B_i(y)) - m_c C(x, y) = 0, with A_i, B_i the
-    products of term i's numerators, m_i = sign_i L / D_i and m_c = L / c.den.
-    Each A_i is convolved exactly; each B_i is only evaluated at y = 2^w, as
-    a product of ints.  G's coefficient of x^a y^b is
-    sum(m_i A_i[a] B_i[b]) - m_c C[a, b], so none exceeds
-    H = sum(|m_i A_i|_inf |B_i|_inf) + m_c |C|_inf, each |B_i|_inf taken at
-    most the 1-norms of its factors but the last times the last's largest
-    coefficient, and 2^w > H.  An integer polynomial g(y) with coefficients
-    below 2^w in absolute value and lowest nonzero one g_m has
-    g(2^w) = 2^(w m) (g_m + 2^w k), k an integer, and 0 < |g_m| < 2^w: so
-    each x-row of G is 0 iff its value at 2^w is, and the test is a proof.
+    Over L = lcm(c.den, each a.den b.den) the claim is
+    G = sum(m_i A_i(x) B_i(y)) - m_c C(x, y) = 0, with A_i, B_i the
+    numerators of term i, m_i = sign_i L / (a_i.den b_i.den) and
+    m_c = L / c.den.  Each B_i is only evaluated at y = 2^w, as an int.  G's
+    coefficient of x^a y^b is sum(m_i A_i[a] B_i[b]) - m_c C[a, b], so none
+    exceeds H = sum(|m_i| |A_i|_inf |B_i|_inf) + m_c |C|_inf, and 2^w > H.
+    An integer polynomial g(y) with coefficients below 2^w in absolute value
+    and lowest nonzero one g_m has g(2^w) = 2^(w m) (g_m + 2^w k), k an
+    integer, and 0 < |g_m| < 2^w: so each x-row of G is 0 iff its value at
+    2^w is, and the test is a proof.
 
-    A pullback level makes three calls, each with one factor per side: with
-    (p, q) the forms of the level before, (p', q') the level's own and
-    sum(U_a(x) V_a(y)) the layer's separated form, (a) before ==
-    p(x) q(y) - q(x) p(y), (b) layer == sum(U_a(x) V_a(y)) and after ==
+    A pullback proves x - y and then, at each level, two sums: with
+    (p', q') the level's forms and sum(U_a(x) V_a(y)) the layer's separated
+    form, layer == sum(U_a(x) V_a(y)) and after ==
     p'(x) q'(y) - q'(x) p'(y).  The Bezout identity of the map and the
-    univariate checks of :func:`is_product` tie the three together
-    (see :func:`orbitlang.intersection._level_holds`).
+    univariate checks of :func:`is_product` tie them together (see
+    :func:`orbitlang.intersection._level_holds`).
     """
-    dens = [prod(f.den for f in xs + ys) for _, xs, ys in terms]
+    dens = [a.den * b.den for _, a, b in terms]
     common = lcm(c.den, *dens)
-    sides, height = [], 0
-    for (sign, xs, ys), den in zip(terms, dens):
-        row = {0: sign * (common // den)}
-        for f in xs:
-            acc: dict = {}
-            get = acc.get
-            for (e,), n in f.num.items():
-                for a, m in row.items():
-                    acc[a + e] = get(a + e, 0) + m * n
-            row = acc
-        bound = max(map(abs, row.values()), default=0)
-        for f in ys[:-1]:
-            bound *= sum(map(abs, f.num.values()))
-        height += bound * max(map(abs, ys[-1].num.values()), default=0) if ys else bound
-        sides.append((row, ys))
     scale = common // c.den
-    width = (height + max(map(abs, c.num.values()), default=0) * scale).bit_length()
+    height = max(map(abs, c.num.values()), default=0) * scale
+    for (_, a, b), den in zip(terms, dens):
+        height += common // den * max(map(abs, a.num.values()), default=0) * max(map(abs, b.num.values()), default=0)
+    width = height.bit_length()
     rows: dict = {}
     get = rows.get
-    for (a, b), n in c.num.items():
-        rows[a] = get(a, 0) - (n * scale << width * b)
-    for row, ys in sides:
-        value = prod(sum(n << width * e for (e,), n in f.num.items()) for f in ys)
-        for a, m in row.items():
-            rows[a] = get(a, 0) + m * value
+    for (i, j), n in c.num.items():
+        rows[i] = get(i, 0) - (n * scale << width * j)
+    for (sign, a, b), den in zip(terms, dens):
+        value = sign * (common // den) * sum(n << width * e for (e,), n in b.num.items())
+        for (i,), m in a.num.items():
+            rows[i] = get(i, 0) + m * value
     return not any(rows.values())
 
 

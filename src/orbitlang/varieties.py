@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ReducibleInput
+from .errors import HypothesisViolated, ReducibleInput
 from .polynomials import Polynomial
 
 __all__ = ["PlaneCurve", "AffineVariety"]
@@ -23,7 +23,7 @@ class PlaneCurve:
         if self.poly.variables != PLANE_VARS:
             object.__setattr__(self, "poly", self.poly.with_variables(PLANE_VARS))
         if self.poly.is_zero or self.poly.is_constant():
-            raise ValueError("a plane curve needs a nonconstant polynomial")
+            raise HypothesisViolated("a plane curve needs a nonconstant polynomial")
 
     def normalized(self) -> Polynomial:
         _, prim = self.poly.content_and_primitive()

@@ -12,6 +12,7 @@ functions of `Polynomial`s, printed through the `Fraction` view of their
 coefficients.
 """
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,6 +21,7 @@ from orbitlang.dynsys import RationalMap
 from orbitlang.errors import ExpressionSyntaxError, HypothesisViolated, InexactDivision, NonPolynomialWhereRequired
 from orbitlang.parsing import ParsedExpression
 from orbitlang.polynomials import Polynomial
+from orbitlang.scan import EXACT_BITS_CAP
 from orbitlang.varieties import PLANE_ALIAS, PlaneCurve
 
 
@@ -241,6 +243,13 @@ class _RationalFunction:
         return _RationalFunction(self.num**e, self.den if _is_one(self.den) else self.den**e)
 
 
+def _too_wide(poly: Polynomial, e: int) -> bool:
+    """The grammar's bound on a power: e log2 |poly|_1 past EXACT_BITS_CAP
+    (num and den have integer coefficients, as in the integer parser)."""
+    norm = int(sum(map(abs, poly.terms.values())))
+    return norm > 1 and (e > EXACT_BITS_CAP or e * math.log2(norm) > EXACT_BITS_CAP)
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], variables: tuple[str, ...], source_len: int):
         self.tokens = tokens
@@ -311,7 +320,10 @@ class _Parser:
             exp_tok = self.take()
             if exp_tok.kind != "int":
                 raise ExpressionSyntaxError("exponent must be a nonnegative integer", exp_tok.position)
-            value = value ** int(exp_tok.text)
+            e = int(exp_tok.text)
+            if _too_wide(value.num, e) or _too_wide(value.den, e):
+                raise ExpressionSyntaxError(f"the power may have coefficients past {EXACT_BITS_CAP} bits", tok.position)
+            value = value**e
         return value
 
     def base(self) -> _RationalFunction:

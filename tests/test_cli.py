@@ -301,6 +301,21 @@ def test_divisors_level_six_within_budget():
     assert [(lv["level"], lv["degree_x"], lv["squarefree"]) for lv in levels] == [(n, 3**n, True) for n in range(7)]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decide", "--map", "(t+1)^100000", "--point", "0", "--variety", "x1-1"],
+        ["decide", "--map", "t^2+1", "--point", "0", "--variety", "x1-2^100000000"],
+    ],
+    ids=["map", "variety"],
+)
+def test_a_power_past_the_exact_cap_exits_two_within_budget(argv):
+    # the power was expanded before any size check: the map ran for hours
+    proc = run_cli_process(["--json", *argv], timeout=5)
+    assert proc.returncode == EXIT_USAGE
+    assert jsonline(proc.stdout)["result"]["code"] == "syntax-error"
+
+
 @pytest.mark.parametrize("b", [3, 6, 9, 12])
 def test_divisors_of_a_cubic_with_a_monic_critical_factor_within_budget(b):
     # b = 3m makes the critical factor t^2 + m monic; t^3+6*t once ran for minutes
@@ -545,6 +560,15 @@ def test_degenerate_map_exit_two(monkeypatch, argv):
     # a constant map, the zero map and a map with a common factor used to
     # raise ValueError from RationalMap, exit 1
     code, out = invoke(["--json", *argv], monkeypatch=monkeypatch)
+    assert code == EXIT_USAGE
+    assert jsonline(out)["result"]["code"] == "hypothesis-violated"
+
+
+@pytest.mark.parametrize("variety", ["x-x+1", "y-y"])
+def test_constant_plane_curve_exits_two(monkeypatch, variety):
+    # PlaneCurve used to raise a bare ValueError for a constant curve, exit 1
+    argv = ["--json", "decide", "--map", "t^2+1", "--point", "0,1", "--variety", variety]
+    code, out = invoke(argv, monkeypatch=monkeypatch)
     assert code == EXIT_USAGE
     assert jsonline(out)["result"]["code"] == "hypothesis-violated"
 

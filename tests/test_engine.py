@@ -251,6 +251,28 @@ def test_soundness_of_reported_indices():
         assert y == x * x + Fraction(3, 2)
 
 
+def x1_minus(*values):
+    """prod(x1 - v) in one coordinate."""
+    out = gen(("x1",), {(0,): 1})
+    for v in values:
+        out = out * gen(("x1",), {(1,): 1, (0,): -v})
+    return out
+
+
+@pytest.mark.xfail(strict=True, reason="Defects 1 and 1b: Certified though no proof covers the hits past the scan")
+@pytest.mark.parametrize(
+    "start, values, scan_limit",
+    [(0, (26,), 3), (0, (2, 677), 3), (-3, (101,), 1)],
+    ids=["x1-26", "x1-2-times-x1-677", "x1-101-from-minus-3"],
+)
+def test_a_certified_description_is_complete_past_the_scan(start, values, scan_limit):
+    # t^2+1 from 0 meets 26 at index 4 and 677 at index 5, and from -3 meets
+    # 101 at index 2: each hit lies past the scan
+    f, variety = RationalMap.quadratic(1), [x1_minus(*values)]
+    desc = decide(f, [start], variety, EngineOptions(scan_limit=scan_limit))
+    assert not isinstance(desc.certification, Certified) or desc.described_indices(12) == brute_force_scan(f, [start], variety, 12)
+
+
 def _record_products_by_one(monkeypatch) -> list:
     """Every Polynomial product with a factor equal to the constant 1, from now on."""
     products = []

@@ -217,6 +217,13 @@ def test_tampered_chain_coefficient_fails_the_chain_check(monkeypatch):
         diagonal_pullback(RationalMap.polynomial([0, 1, 0, 1]), 5)
 
 
+def test_tampered_level_zero_fails_the_chain_check(monkeypatch):
+    # chain[0] = x - y is proven once, before level 1 takes it as its level before
+    monkeypatch.setattr(intersection, "_cross", _bumped_on_call(intersection._cross, 0))
+    with pytest.raises(InexactDivision, match="level 1"):
+        diagonal_pullback(RationalMap.polynomial([0, 1, 0, 1]), 2)
+
+
 def test_tampered_rational_chain_coefficient_fails_the_chain_check(monkeypatch):
     # the fifth cross difference of (t^3 + 1)/t^2 is chain[4], of 1,000 terms
     monkeypatch.setattr(intersection, "_cross", _bumped_on_call(intersection._cross, 4))
@@ -228,18 +235,20 @@ def test_tampered_rational_chain_coefficient_fails_the_chain_check(monkeypatch):
 def test_level_five_check_rejects_a_chain_coefficient_off_by_one():
     phi = RationalMap.polynomial([0, 7, 0, 1])  # t^3 + 7t, monic: the forms need no scale
     pb = diagonal_pullback(phi, 5)
-    p, q = phi.iterate_forms(4)
     bezout = intersection._bezout_matrix(phi)
-    level = intersection._step(phi, bezout, p, q)
-    checked = [pb.chain[4], pb.layers[5], pb.chain[5]]
+    level_four, level = (intersection._step(phi, bezout, *phi.iterate_forms(k)) for k in (3, 4))
+    assert intersection._level_holds(pb.layers[4], pb.chain[4], level_four, phi, bezout)
+    checked = [pb.layers[5], pb.chain[5]]
     assert intersection._level_holds(*checked, level, phi, bezout)
-    for i in range(3):  # check (a), (b) and the chain check in turn
-        exps = sorted(checked[i].terms)
+    # level 5's level before, chain[4], is rejected by the chain check that
+    # proves it at level 4; then the layer (b) and chain[5] at level 5
+    for shown, i, at in (([pb.layers[4], pb.chain[4]], 1, level_four), (checked, 0, level), (checked, 1, level)):
+        exps = sorted(shown[i].terms)
         for e in (exps[0], exps[len(exps) // 2], exps[-1]):
             for step in (1, -1):
-                wrong = list(checked)
-                wrong[i] = checked[i] + plane({e: step})
-                assert not intersection._level_holds(*wrong, level, phi, bezout)
+                wrong = list(shown)
+                wrong[i] = shown[i] + plane({e: step})
+                assert not intersection._level_holds(*wrong, at, phi, bezout)
     # the same off-by-one on the row entry p^3 (check (r)) and on p_5 (check (s))
     row, (p5, q5) = level.rows[-1], level.forms
     for poly, wrong_level in (
@@ -335,8 +344,8 @@ def test_level_five_pullback_checks_one_factor_per_side_and_the_bezout_identity_
     monkeypatch.setattr(intersection, "is_separated_sum", counted_sum)
     monkeypatch.setattr(intersection, "_bezout_holds", counted_identity)
     diagonal_pullback(RationalMap.polynomial([0, 1, 0, 1]), 5)
-    assert len(sums) == 15  # (a), (b) and the chain at each level
-    assert all(len(xs) == len(ys) == 1 for terms in sums for _, xs, ys in terms)
+    assert len(sums) == 11  # x - y once, then the layer (b) and the chain at each level
+    assert all(len(a.variables) == len(b.variables) == 1 for terms in sums for _, a, b in terms)
     assert len(identities) == 1
 
 

@@ -152,6 +152,15 @@ def test_constants_past_the_digit_limit_are_syntax_errors(default_digit_limit, s
     assert err.value.position == position
 
 
+@pytest.mark.parametrize("src, position", [("(t+1)^65537", 5), ("x1 - 2^100000000", 6), ("(1/3)^41400", 5)])
+def test_a_power_past_the_exact_cap_is_a_syntax_error_at_its_caret(src, position):
+    # |a|_1^e bounds the coefficients of a^e: 2^65537, 2^100000000 and 3^41400 pass 2^65536
+    with pytest.raises(ExpressionSyntaxError, match="past 65536 bits") as err:
+        parse_expression(src)
+    assert err.value.position == position
+    assert _outcome(parse_expression, src, None) == _outcome(reference_parse_expression, src, None)
+
+
 # expressions drawn from the grammar, spelled out from one list of choices:
 # the literals 0..3 and 12 and the context's names, powers, products and
 # quotients, sums with a leading sign, and parentheses nested two deep; only

@@ -137,25 +137,18 @@ def uni(*coeffs):
 def expanded(terms):
     """The sum of the separated terms by Polynomial arithmetic, the reference."""
     acc = biv({})
-    for sign, xs, ys in terms:
-        term = biv({(0, 0): sign})
-        for f in xs:
-            term = term * f.placed(("x", "y"), "x")
-        for f in ys:
-            term = term * f.placed(("x", "y"), "y")
-        acc = acc + term
+    for sign, a, b in terms:
+        acc = acc + biv({(0, 0): sign}) * a.placed(("x", "y"), "x") * b.placed(("x", "y"), "y")
     return acc
 
 
 @st.composite
 def separated_sums(draw):
-    """(terms, c): up to 3 terms of sign 1 or -1 with up to 2 univariate
-    factors a side, each zero, one term or up to 5 terms of degree below 5;
-    c is their sum, the sum with one coefficient moved by +-1, or a third
-    polynomial."""
+    """(terms, c): up to 3 terms of sign 1 or -1 with one univariate a side,
+    each zero, one term or up to 5 terms of degree below 5; c is their sum,
+    the sum with one coefficient moved by +-1, or a third polynomial."""
     univariates = st.builds(Polynomial, st.just(("t",)), st.dictionaries(st.tuples(st.integers(0, 4)), RATIONALS, max_size=5))
-    factors = st.lists(univariates, max_size=2)
-    terms = draw(st.lists(st.tuples(st.sampled_from([1, -1]), factors, factors), max_size=3))
+    terms = draw(st.lists(st.tuples(st.sampled_from([1, -1]), univariates, univariates), max_size=3))
     kind = draw(st.sampled_from(["sum", "moved", "other"]))
     if kind == "other":
         return terms, biv(draw(st.dictionaries(st.tuples(st.integers(0, 8), st.integers(0, 8)), RATIONALS, max_size=6)))
@@ -177,7 +170,7 @@ def test_is_separated_sum_agrees_with_the_expanded_sum(case):
 
 @pytest.mark.parametrize(
     "terms",
-    [[(1, [uni(1, 1)], [uni(-1, 1)])], [(1, [uni(1, Fraction(1, 2))], [uni(-3, 2)]), (-1, [uni(0, 1)], [T_ONE])]],
+    [[(1, uni(1, 1), uni(-1, 1))], [(1, uni(1, Fraction(1, 2)), uni(-3, 2)), (-1, uni(0, 1), T_ONE)]],
 )
 def test_is_separated_sum_takes_its_width_from_c_too(terms):
     # 2^s y - y^2 vanishes at y = 2^s: a width from the terms alone, or one
@@ -187,17 +180,15 @@ def test_is_separated_sum_takes_its_width_from_c_too(terms):
         assert not is_separated_sum(terms, total + biv({(0, 1): 2**s, (0, 2): -1}))
 
 
-def test_is_separated_sum_takes_its_width_from_every_y_factor():
-    # (2^s - y) * 2^(s-1) y vanishes at y = 2^s: a width from the last y
-    # factor's coefficients alone, 2^(s-1), would accept it as zero, and
-    # one from the x side alone would accept 2^s y - y^2 at s = 1
+def test_is_separated_sum_takes_its_width_from_the_y_factor():
+    # 2^s y - y^2 vanishes at y = 2^s: a width from the x side alone would
+    # accept it as zero at s = 1
     for s in range(1, 301):
-        assert not is_separated_sum([(1, [T_ONE], [uni(2**s, -1), uni(0, 2 ** (s - 1))])], biv({}))
-        assert not is_separated_sum([(1, [T_ONE], [uni(0, 2**s, -1)])], biv({}))
+        assert not is_separated_sum([(1, T_ONE, uni(0, 2**s, -1))], biv({}))
 
 
 def test_is_separated_sum_expands_no_product(monkeypatch):
-    terms = [(1, [uni(0, 1), uni(0, 1)], [T_ONE]), (-1, [T_ONE], [uni(0, 1), uni(0, 1)])]
+    terms = [(1, uni(0, 0, 1), T_ONE), (-1, T_ONE, uni(0, 0, 1))]
     off_by_one = X2_MINUS_Y2 + 1
     for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
         monkeypatch.setattr(Polynomial, name, None)
@@ -208,8 +199,8 @@ def test_is_separated_sum_expands_no_product(monkeypatch):
 def test_is_separated_sum_rejects_a_moved_exponent_in_either_variable():
     # moving one term of the sum by one step in x or in y must be seen
     terms = [
-        (1, [uni(-1, 0, 3), uni(2, 1)], [uni(0, 1, 0, 1)]),
-        (-1, [uni(0, 0, 1)], [uni(5, Fraction(1, 2)), uni(1, 0, 1)]),
+        (1, uni(-2, -1, 6, 3), uni(0, 1, 0, 1)),  # (3x^2 - 1)(x + 2) y (y^2 + 1)
+        (-1, uni(0, 0, 1), uni(5, Fraction(1, 2), 5, Fraction(1, 2))),  # x^2 (y/2 + 5)(y^2 + 1)
     ]
     total = expanded(terms)
     assert is_separated_sum(terms, total)
@@ -227,7 +218,7 @@ def test_is_separated_sum_rejects_a_moved_exponent_in_either_variable():
 def test_is_separated_sum_rejects_a_term_past_the_sum_degrees():
     # the sum has x-degree 3 and y-degree 2; c moves its 3*x^2 to x^4*y^3,
     # a row and a power of y that no term reaches
-    terms = [(1, [uni(-1, 0, 3)], [uni(1, 0, 1)]), (1, [uni(0, 1, 0, 1)], [uni(2)])]
+    terms = [(1, uni(-1, 0, 3), uni(1, 0, 1)), (1, uni(0, 1, 0, 1), uni(2))]
     total = expanded(terms)
     assert total.terms[(2, 0)] == 3
     assert not is_separated_sum(terms, total + biv({(2, 0): -3, (4, 3): 3}))
@@ -235,13 +226,12 @@ def test_is_separated_sum_rejects_a_term_past_the_sum_degrees():
 
 def test_is_separated_sum_of_constants_and_zeros():
     a, b, zero = Polynomial.constant(Fraction(3, 2), ("t",)), Polynomial.constant(-4, ("t",)), Polynomial(("t",), {})
-    assert is_separated_sum([(1, [a], [b])], biv({(0, 0): -6}))
-    assert not is_separated_sum([(1, [a], [b])], biv({(0, 0): -5}))
-    assert not is_separated_sum([(1, [a], [b])], biv({}))
-    assert is_separated_sum([(-1, [a], [b])], biv({(0, 0): 6}))
-    assert is_separated_sum([(1, [], [])], biv({(0, 0): 1}))
-    assert is_separated_sum([(1, [zero], [b]), (1, [a], [zero])], biv({}))
-    assert not is_separated_sum([(1, [zero], [b])], biv({(0, 0): Fraction(3, 2)}))
+    assert is_separated_sum([(1, a, b)], biv({(0, 0): -6}))
+    assert not is_separated_sum([(1, a, b)], biv({(0, 0): -5}))
+    assert not is_separated_sum([(1, a, b)], biv({}))
+    assert is_separated_sum([(-1, a, b)], biv({(0, 0): 6}))
+    assert is_separated_sum([(1, zero, b), (1, a, zero)], biv({}))
+    assert not is_separated_sum([(1, zero, b)], biv({(0, 0): Fraction(3, 2)}))
     assert is_separated_sum([], biv({}))
     assert not is_separated_sum([], X_MINUS_Y)
 

@@ -4,7 +4,8 @@ A definition passes when its name is referenced, as a Name or as an
 Attribute, somewhere in src/ or bench/; tests do not count.  Dunders are
 exempt (the interpreter calls them), and so is the short list below, each
 entry with the reason it stays.  Every name a module's `__all__` exports is
-defined.
+defined.  Only `polynomials` reads a polynomial's `terms`, the Fraction
+view: every other module computes on `num` and `den`.
 """
 
 import ast
@@ -93,3 +94,14 @@ def test_no_call_of_the_builtin_id():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "id"
     ]
     assert calls == []
+
+
+def test_only_polynomials_reads_the_fraction_view():
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "polynomials.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "terms"
+    ]
+    assert readers == []
