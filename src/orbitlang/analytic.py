@@ -237,7 +237,7 @@ def orbit_interpolate(
     pt = PPoint.of(x)
     if pt.is_infinity or pt.b % prime == 0:
         raise NotQuasiperiodic("start is not p-integral")
-    phi_v = phi_m.at_precision(1)
+    phi_v = reduce_map(phi, prime)
     base_residue = reduce_point(pt, prime)
     for _ in range(ell):
         base_residue = phi_v.apply(base_residue)

@@ -52,7 +52,7 @@ from .errors import BadReduction, ExpressionSyntaxError, HypothesisViolated, Inv
 from .intersection import diagonal_pullback, pullback_squarefree, ramification_bound
 from .padics import DEFAULT_PRECISION, is_prime
 from .parsing import format_map, parse_expression, parse_point
-from .polynomials import format_polynomial
+from .polynomials import Polynomial, format_polynomial
 from .primesearch import NotFound, find_good_prime
 from .reduction import reduce_map, reduce_point, residue_orbit
 from .scan import EXACT_BITS_CAP
@@ -66,32 +66,42 @@ ENV_PRECISION = "ORBITLANG_PRECISION"
 
 
 def _jsonable(obj):
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        return "inf" if math.isinf(obj) else obj
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, PPoint):
-        return "inf" if obj.is_infinity else str(obj.as_fraction())
-    if isinstance(obj, RationalMap):
-        return format_map(obj)
-    if isinstance(obj, PlaneCurve):
-        return format_polynomial(obj.poly)
-    if is_dataclass(obj) and not isinstance(obj, type):
-        data = {"type": type(obj).__name__}
-        for f in dataclasses.fields(obj):
-            data[f.name] = _jsonable(getattr(obj, f.name))
-        return data
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return [_jsonable(v) for v in obj]
-    from .polynomials import Polynomial
+    """obj as JSON data, by the rule `_rule` picks once for its exact type."""
+    kind = type(obj)
+    rule = _RULES.get(kind)
+    if rule is None:
+        rule = _RULES[kind] = _rule(kind)
+    return rule(obj)
 
-    if isinstance(obj, Polynomial):
-        return format_polynomial(obj)
-    return repr(obj)
+
+def _rule(kind: type):
+    """How `_jsonable` converts an instance of `kind`: the first case it is
+    a subclass of, and for a dataclass its field names, read once."""
+    if kind is type(None) or issubclass(kind, (bool, int, str)):
+        return lambda obj: obj
+    if issubclass(kind, float):
+        return lambda x: "inf" if math.isinf(x) else x
+    if issubclass(kind, Fraction):
+        return str
+    if issubclass(kind, PPoint):
+        return lambda pt: "inf" if pt.is_infinity else str(pt.as_fraction())
+    if issubclass(kind, RationalMap):
+        return format_map
+    if issubclass(kind, PlaneCurve):
+        return lambda curve: format_polynomial(curve.poly)
+    if is_dataclass(kind) and not issubclass(kind, type):
+        names = tuple(f.name for f in dataclasses.fields(kind))
+        return lambda obj: {"type": kind.__name__, **{name: _jsonable(getattr(obj, name)) for name in names}}
+    if issubclass(kind, dict):
+        return lambda obj: {str(k): _jsonable(v) for k, v in obj.items()}
+    if issubclass(kind, (list, tuple, set, frozenset)):
+        return lambda obj: [_jsonable(v) for v in obj]
+    if issubclass(kind, Polynomial):
+        return format_polynomial
+    return repr
+
+
+_RULES: dict = {}
 
 
 def _report(command: str, inputs: dict, parameters: dict, result, started: float) -> dict:

@@ -43,7 +43,7 @@ from .dynsys import (
     ramification_portrait,
 )
 from .intersection import _factor_has_periodic_root
-from .padics import DEFAULT_PRECISION, primes_upto
+from .padics import DEFAULT_PRECISION, primes_in_order
 from .polynomials import Polynomial, format_polynomial
 from .primesearch import NotFound, common_residue_search, find_good_prime
 from .reduction import reduce_map, reduce_point, residue_cycle_multiplier, residue_orbit
@@ -249,14 +249,15 @@ def _common_residue_prime(maps, alpha, stream_coords, options: EngineOptions, wi
     residue cycle met by a wandering coordinate has a unit multiplier.
 
     Candidates come from the common-residue search when both coordinates
-    wander, from all odd primes below the bound otherwise.
+    wander, from the odd primes below the bound otherwise, sieved only as
+    far as they are tried.
     """
     phi = maps[0]
     if len(stream_coords) == 2:
         pairs = common_residue_search(phi, alpha[0], alpha[1], options.prime_bound, RESIDUE_SEARCH_DEPTH)
         candidates = sorted({p for p, _n in pairs})
     else:
-        candidates = [p for p in primes_upto(options.prime_bound) if p > 2]
+        candidates = (p for p in primes_in_order(options.prime_bound) if p > 2)
     tried = []
     for p in candidates:
         try:
@@ -320,7 +321,7 @@ def _certified_classes(scanner: OrbitScanner, prime: int, options: EngineOptions
     k = scanner.preperiodic_cycle_lcm
     T = scanner.max_tail
     for i in stream_coords:
-        orb = scanner.residue_orbit_at(i, prime)
+        orb = residue_orbit(reduce_map(scanner.maps[i], prime), reduce_point(scanner.alpha[i], prime))
         residue_data[i] = orb
         k = k * orb.cycle_length // math.gcd(k, orb.cycle_length)
         T = max(T, orb.tail)

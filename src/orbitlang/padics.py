@@ -19,6 +19,7 @@ __all__ = [
     "padic_of_rational",
     "is_prime",
     "primes_upto",
+    "primes_in_order",
     "next_prime",
     "prime_factors",
     "INFINITY",
@@ -71,6 +72,34 @@ def primes_upto(bound: int) -> tuple[int, ...]:
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
     return tuple(i for i, flag in enumerate(sieve) if flag)
+
+
+PRIME_SEGMENT = 1 << 15
+
+
+def primes_in_order(bound: int):
+    """The primes <= bound in increasing order, sieved one segment of
+    PRIME_SEGMENT integers at a time: a caller that stops at an early prime
+    pays for the segments up to it, not for a sieve up to bound."""
+    first = primes_upto(min(bound, PRIME_SEGMENT))
+    yield from first
+    root = math.isqrt(bound)
+    # the primes up to sqrt(bound), all found before the segment that needs them
+    base = [p for p in first if p <= root]
+    lo = PRIME_SEGMENT + 1
+    while lo <= bound:
+        hi = min(bound, lo + PRIME_SEGMENT - 1)
+        sieve = bytearray([1]) * (hi - lo + 1)
+        for p in base:
+            if p * p > hi:
+                break
+            start = max(p * p, -(-lo // p) * p) - lo
+            sieve[start::p] = bytes(len(range(start, len(sieve), p)))
+        for i in (i for i, flag in enumerate(sieve) if flag):
+            if lo + i <= root:
+                base.append(lo + i)
+            yield lo + i
+        lo = hi + 1
 
 
 def next_prime(n: int) -> int:

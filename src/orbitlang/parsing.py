@@ -11,14 +11,15 @@ Names are the variables t (maps), x, y (plane curves) and x1..xg (variety
 generators).  Every expression parses to an exact pair num/den of integer
 polynomials over its variable tuple: each is a plain int when constant,
 else a dict of exponent tuples to nonzero ints.  A constant factor scales
-the other one, so no product has a constant operand, and the pair is never
-reduced, so contexts that require a polynomial reject any nonconstant
-denominator as written.  The result is built from the integers once: a
-scalar as one Fraction, a map from integer coefficient lists, a curve or
-variety generator as its primitive part.  A literal or a printed constant
-past the interpreter's int-to-str digit limit is a syntax error, and so is
-a power whose coefficients may pass EXACT_BITS_CAP bits: no coefficient of
-a^e exceeds |a|_1^e, which is checked before the power is expanded.
+the other one, so no product has a constant operand.  The pair is reduced
+only by a constant, the gcd of its coefficients, before a power, so
+contexts that require a polynomial reject any nonconstant denominator as
+written.  The result is built from the integers once: a scalar as one
+Fraction, a map from integer coefficient lists, a curve or variety
+generator as its primitive part.  A literal or a printed constant past the
+interpreter's int-to-str digit limit is a syntax error, and so is a power
+that may pass EXACT_BITS_CAP bits (no coefficient of a^e exceeds |a|_1^e)
+or TERM_CAP terms, both checked before the power is expanded.
 """
 
 from __future__ import annotations
@@ -42,6 +43,11 @@ _TOKEN = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()])|(\S)")
 _END, _INT, _NAME, _OP, _BAD = 0, 1, 2, 3, 4
 
 _VAR_ORDER = ("t", "x", "y") + tuple(f"x{i}" for i in range(1, 17))
+
+# the most terms a power may have: its last squaring multiplies about (n/2)^2
+# coefficient pairs of up to EXACT_BITS_CAP bits for an n-term result, so at
+# 512 terms the widest power the bit cap lets through parses in a few seconds
+TERM_CAP = 1 << 9
 
 
 def _tokenize(src: str) -> list[tuple]:
@@ -112,6 +118,24 @@ def _too_wide(a, e: int) -> bool:
     passes EXACT_BITS_CAP."""
     norm = abs(a) if type(a) is int else sum(map(abs, a.values()))
     return norm > 1 and (e > EXACT_BITS_CAP or e * math.log2(norm) > EXACT_BITS_CAP)
+
+
+def _too_many_terms(a, e: int) -> bool:
+    """Whether a^e may have more than TERM_CAP terms: an n-term a has at most
+    min(C(e+n-1, n-1), prod_v (e deg_v(a) + 1)) terms in its power."""
+    if type(a) is int or len(a) < 2:
+        return False
+    by_degree = math.prod(e * max(column) + 1 for column in zip(*a))
+    return min(math.comb(e + len(a) - 1, len(a) - 1), by_degree) > TERM_CAP
+
+
+def _lowest(num, den):
+    """num/den divided by the gcd of all their coefficients, so the rules on
+    a power read the same base however its sums were built."""
+    g = math.gcd(*(p if type(p) is int else math.gcd(*p.values()) for p in (num, den)))
+    if g == 1:
+        return num, den
+    return tuple(p // g if type(p) is int else {e: n // g for e, n in p.items()} for p in (num, den))
 
 
 def _power(a, e: int):
@@ -197,8 +221,11 @@ class _Parser:
             if exp_tok[0] != _INT:
                 raise ExpressionSyntaxError("exponent must be a nonnegative integer", exp_tok[2])
             e = _integer(exp_tok)
+            num, den = _lowest(num, den)
             if _too_wide(num, e) or _too_wide(den, e):
                 raise ExpressionSyntaxError(f"the power may have coefficients past {EXACT_BITS_CAP} bits", tok[2])
+            if _too_many_terms(num, e) or _too_many_terms(den, e):
+                raise ExpressionSyntaxError(f"the power may have more than {TERM_CAP} terms", tok[2])
             num, den = _power(num, e), _power(den, e)
         return num, den
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import BadReduction, HypothesisViolated, PeriodicCriticalPoint, PreperiodicInput
 from .dynsys import PPoint, RationalMap, orbit_status
-from .padics import is_prime, primes_upto, residue, valuation
+from .padics import is_prime, primes_in_order, primes_upto, residue, valuation
 from .reduction import INF_RESIDUE, ReducedMap, reduce_map, reduce_point, residue_orbit
 
 __all__ = [
@@ -115,8 +115,9 @@ def _residue_orbit_witness(orbit) -> dict:
 
 
 def _first_prime(build, p_max: int):
-    """The certificate at the smallest prime up to p_max that `build` accepts, else NotFound."""
-    for p in primes_upto(p_max):
+    """The certificate at the smallest prime up to p_max that `build` accepts,
+    else NotFound; the candidates are sieved only as far as they are tried."""
+    for p in primes_in_order(p_max):
         cert = build(p)
         if cert is not None:
             return cert

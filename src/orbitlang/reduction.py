@@ -5,12 +5,15 @@ model: the reduced map keeps full degree exactly when the resultant of the
 coefficient forms is a p-adic unit.  `reduce_map` gives the one model of
 a map acting on residues, mod p or mod p**M.  Residue orbits are computed
 exactly over the finite set P^1(F_p).
+
+Each map's resultant, each reduction and each residue orbit is found once
+per process, for the inputs in recent use, so every stage shares one copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import BadReduction
 from .dynsys import PPoint, RationalMap
@@ -32,6 +35,9 @@ __all__ = [
 # A point of P^1(F_p) is an int residue in [0, p) or the infinity marker None.
 RPoint = int | None
 INF_RESIDUE: RPoint = None
+
+# bounded: a long run over many random maps would otherwise keep every entry
+CACHE_SIZE = 1024
 
 
 def binary_form_resultant(coeffs_f, coeffs_g) -> int:
@@ -78,8 +84,13 @@ def good_reduction(phi: RationalMap, p: int) -> bool:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    res = binary_form_resultant(phi.coeffs_f, phi.coeffs_g)
-    return res % p != 0
+    return _resultant(phi) % p != 0
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _resultant(phi: RationalMap) -> int:
+    """The resultant of phi's coefficient forms, found once per process."""
+    return binary_form_resultant(phi.coeffs_f, phi.coeffs_g)
 
 
 def reduce_point(x, p: int) -> RPoint:
@@ -111,12 +122,6 @@ class ReducedMap:
     degree: int
     # affine coefficients high to low, for a polynomial map; None otherwise
     horner: tuple[int, ...] | None
-
-    def at_precision(self, precision: int) -> "ReducedMap":
-        """The same map mod prime**precision, for precision <= self.precision."""
-        if not 1 <= precision <= self.precision:
-            raise ValueError(f"precision {precision} is outside 1..{self.precision}")
-        return _model(self.prime, precision, self.coeffs_f, self.coeffs_g)
 
     def apply(self, x: RPoint) -> RPoint:
         m = self.modulus
@@ -174,8 +179,11 @@ def _model(p: int, precision: int, coeffs_f, coeffs_g) -> ReducedMap:
     return ReducedMap(p, precision, m, f, g, len(f) - 1, horner)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def reduce_map(phi: RationalMap, p: int, precision: int = 1) -> ReducedMap:
-    """Reduction of the normalized integral model mod p**precision; raises on bad reduction."""
+    """Reduction of the normalized integral model mod p**precision, found
+    once per process; raises on bad reduction (every time: nothing is cached
+    for it, but the resultant that decides it is)."""
     if not good_reduction(phi, p):
         raise BadReduction(f"bad reduction at {p}")
     return _model(p, precision, phi.coeffs_f, phi.coeffs_g)
@@ -191,8 +199,10 @@ class ResidueOrbit:
     cycle: tuple[RPoint, ...]
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def residue_orbit(phi_v: ReducedMap, x: RPoint) -> ResidueOrbit:
-    """Exact tail and cycle data of x under the reduced map."""
+    """Exact tail and cycle data of x under the reduced map, found once per
+    process for each (reduced map, start)."""
     seen: dict[RPoint, int] = {}
     pt = x
     path = []

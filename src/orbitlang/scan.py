@@ -39,7 +39,7 @@ from .errors import BadReduction, PrecisionExhausted
 from .dynsys import PPoint, RationalMap, escape_radius, orbit_status
 from .padics import is_prime, next_prime
 from .polynomials import Polynomial, residue_eval
-from .reduction import INF_RESIDUE, ReducedMap, ResidueOrbit, RPoint, reduce_map, reduce_point, residue_orbit
+from .reduction import INF_RESIDUE, ReducedMap, RPoint, reduce_map, reduce_point, residue_orbit
 
 __all__ = ["OrbitScanner"]
 
@@ -55,17 +55,6 @@ _OFF_CHART = -1
 def _control_candidate(i: int) -> int:
     """The i-th candidate control prime above 2^61, found once per process."""
     return next_prime(_control_candidate(i - 1) + 2 if i else (1 << 61) + 7)
-
-
-# bounded: a long run over many random maps would otherwise keep every reduction
-@functools.lru_cache(maxsize=1024)
-def _reduction(phi: RationalMap, q: int) -> ReducedMap | None:
-    """phi's reduction at the control or sieve prime q, or None where it is
-    bad, found once per process for the maps in recent use."""
-    try:
-        return reduce_map(phi, q)
-    except BadReduction:
-        return None
 
 
 def _log2_lower(num: int, den: int) -> int:
@@ -200,7 +189,6 @@ class OrbitScanner:
         self._structural_base = max([self.max_tail] + [len(m.prefix) for m in self.models if m.kind == "stream"])
         self._heads: dict = {}
         self._sieves: dict = {}
-        self._residue_orbits: dict = {}
         self._tables: dict = {}
         # (j, class) -> generator j's class verdict; (j, n) -> its exact membership at n
         self._verdicts: dict = {}
@@ -214,8 +202,10 @@ class OrbitScanner:
         control and sieve primes."""
         if any(x.b % q == 0 for x in self.alpha if x.b):
             return None
-        reduced = {phi: _reduction(phi, q) for phi in dict.fromkeys(self.maps)}
-        return None if None in reduced.values() else reduced
+        try:
+            return {phi: reduce_map(phi, q) for phi in dict.fromkeys(self.maps)}
+        except BadReduction:
+            return None
 
     def _pick_control_primes(self):
         """The first primes above 2^61 that pass `_reductions_at`, with each
@@ -394,8 +384,8 @@ class OrbitScanner:
             reduced, sieve = self._reductions_at(q), None
             if reduced is not None:
                 paths = []
-                for i, phi in enumerate(self.maps):
-                    orbit = self.residue_orbit_at(i, q)
+                for phi, x in zip(self.maps, self.alpha):
+                    orbit = residue_orbit(reduced[phi], reduce_point(x, q))
                     path = [orbit.start]
                     while len(path) < orbit.tail:
                         path.append(reduced[phi].apply(path[-1]))
@@ -403,17 +393,6 @@ class OrbitScanner:
                 sieve = (max(t for _, t in paths), math.lcm(*(len(p) - t for p, t in paths)), paths)
             self._sieves[q] = sieve
         return self._sieves[q]
-
-    def residue_orbit_at(self, i: int, q: int) -> ResidueOrbit:
-        """Coordinate i's residue orbit at q, found once per scanner, so the
-        sieve and the engine's classes share it.  q must be a prime of good
-        reduction for the coordinate's map at which its start is q-integral."""
-        if (i, q) not in self._residue_orbits:
-            reduced = _reduction(self.maps[i], q)
-            if reduced is None:
-                raise BadReduction(f"bad reduction at {q}")
-            self._residue_orbits[i, q] = residue_orbit(reduced, reduce_point(self.alpha[i], q))
-        return self._residue_orbits[i, q]
 
     def _cut(self, j: int, n: int) -> tuple[float, bool]:
         """The index from which generator j's verdict settles every later index

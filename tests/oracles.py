@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from orbitlang.dynsys import RationalMap
 from orbitlang.errors import ExpressionSyntaxError, HypothesisViolated, InexactDivision, NonPolynomialWhereRequired
-from orbitlang.parsing import ParsedExpression
+from orbitlang.parsing import TERM_CAP, ParsedExpression
 from orbitlang.polynomials import Polynomial
 from orbitlang.scan import EXACT_BITS_CAP
 from orbitlang.varieties import PLANE_ALIAS, PlaneCurve
@@ -250,6 +250,22 @@ def _too_wide(poly: Polynomial, e: int) -> bool:
     return norm > 1 and (e > EXACT_BITS_CAP or e * math.log2(norm) > EXACT_BITS_CAP)
 
 
+def _too_many_terms(poly: Polynomial, e: int) -> bool:
+    """The grammar's bound on the terms of a power: min(C(e+n-1, n-1),
+    prod_v (e deg_v + 1)) past TERM_CAP for an n-term poly."""
+    terms = poly.terms
+    if len(terms) < 2:
+        return False
+    by_degree = math.prod(e * max(column) + 1 for column in zip(*terms))
+    return min(math.comb(e + len(terms) - 1, len(terms) - 1), by_degree) > TERM_CAP
+
+
+def _lowest(value: "_RationalFunction") -> "_RationalFunction":
+    """num/den divided by the gcd of all their (integer) coefficients."""
+    g = math.gcd(*(int(c) for p in (value.num, value.den) for c in p.terms.values()))
+    return value if g == 1 else _RationalFunction(value.num * Fraction(1, g), value.den * Fraction(1, g))
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], variables: tuple[str, ...], source_len: int):
         self.tokens = tokens
@@ -321,8 +337,11 @@ class _Parser:
             if exp_tok.kind != "int":
                 raise ExpressionSyntaxError("exponent must be a nonnegative integer", exp_tok.position)
             e = int(exp_tok.text)
+            value = _lowest(value)
             if _too_wide(value.num, e) or _too_wide(value.den, e):
                 raise ExpressionSyntaxError(f"the power may have coefficients past {EXACT_BITS_CAP} bits", tok.position)
+            if _too_many_terms(value.num, e) or _too_many_terms(value.den, e):
+                raise ExpressionSyntaxError(f"the power may have more than {TERM_CAP} terms", tok.position)
             value = value**e
         return value
 
@@ -378,13 +397,13 @@ def reference_parse_expression(src: str, g: int | None = None) -> ParsedExpressi
         num = value.num.constant_value()
         den = value.den.constant_value()
         scalar = Fraction(num) / Fraction(den)
-        return ParsedExpression("scalar", scalar, str(scalar))
+        return ParsedExpression("scalar", scalar, _printed(str, scalar))
     if variables == ("t",):
         try:
             phi = RationalMap.from_affine(value.num, value.den)
         except ValueError as exc:  # a constant map, the zero map, or a factor common to both sides
             raise HypothesisViolated(f"a map needs degree at least 1 in lowest terms: {exc}") from None
-        return ParsedExpression("map", phi, reference_format_map(phi))
+        return ParsedExpression("map", phi, _printed(reference_format_map, phi))
     if not value.den.is_constant():
         raise NonPolynomialWhereRequired("curve and variety expressions must be polynomial")
     den = value.den.constant_value()
@@ -392,8 +411,16 @@ def reference_parse_expression(src: str, g: int | None = None) -> ParsedExpressi
     _, prim = poly.content_and_primitive()
     if set(variables) <= {"x", "y"}:
         curve_poly = prim.with_variables(("x", "y"))
-        return ParsedExpression("curve", PlaneCurve(curve_poly), reference_format_polynomial(curve_poly))
-    return ParsedExpression("variety", prim, reference_format_polynomial(prim))
+        return ParsedExpression("curve", PlaneCurve(curve_poly), _printed(reference_format_polynomial, curve_poly))
+    return ParsedExpression("variety", prim, _printed(reference_format_polynomial, prim))
+
+
+def _printed(show, value) -> str:
+    """show(value); a constant past the int-to-str digit limit is a syntax error."""
+    try:
+        return show(value)
+    except ValueError:
+        raise ExpressionSyntaxError("a constant has too many digits to print", 0) from None
 
 
 def reference_format_map(phi: RationalMap) -> str:

@@ -306,14 +306,45 @@ def test_divisors_level_six_within_budget():
     [
         ["decide", "--map", "(t+1)^100000", "--point", "0", "--variety", "x1-1"],
         ["decide", "--map", "t^2+1", "--point", "0", "--variety", "x1-2^100000000"],
+        # exactly 65,536 bits, but 65,537 terms: the squarings ran past 20 s
+        ["decide", "--map", "(t+1)^65536", "--point", "0", "--variety", "x1-1"],
     ],
-    ids=["map", "variety"],
+    ids=["map", "variety", "map-terms"],
 )
 def test_a_power_past_the_exact_cap_exits_two_within_budget(argv):
     # the power was expanded before any size check: the map ran for hours
     proc = run_cli_process(["--json", *argv], timeout=5)
     assert proc.returncode == EXIT_USAGE
     assert jsonline(proc.stdout)["result"]["code"] == "syntax-error"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["find-prime", "--map", "t^2+1", "--points", "0"],
+        ["decide", "--map", "t^2+1", "--point", "0", "--variety", "x1-26"],
+        # one wandering coordinate: curve-pair candidates are every odd prime
+        ["decide", "--map", "t^3+t", "--point", "0,1", "--variety", "y-x^2-1", "--witnesses"],
+    ],
+    ids=["find-prime", "decide", "curve-pair"],
+)
+def test_a_large_pmax_costs_only_the_primes_tried(argv):
+    # a sieve up to 10^8 took 5-7 s before the first candidate was tried
+    stream = io.StringIO()
+    code = run(["--json", *argv], stream=stream)
+    proc = run_cli_process(["--json", *argv, "--pmax", "100000000"], timeout=5)
+    assert (proc.returncode, jsonline(proc.stdout)["result"]) == (code, json.loads(stream.getvalue())["result"])
+    assert code == EXIT_OK
+
+
+def test_a_constant_base_is_sized_in_lowest_terms():
+    # 6/9, 1/3 + 1/3 and -4/-6 are 2/3, and (2/3)^40000 passes the bit bound where 9^40000 would not
+    values = set()
+    for base in ("6/9", "2/3", "1/3+1/3", "(-4)/(-6)"):
+        stream = io.StringIO()
+        assert run(["--json", "orbit", "--map", "t^2", "--point", f"({base})^40000", "--steps", "0"], stream=stream) == EXIT_OK
+        values.add(json.loads(stream.getvalue())["result"]["orbit"][0]["value"])
+    assert values == {f"{2**40000}/{3**40000}"}
 
 
 @pytest.mark.parametrize("b", [3, 6, 9, 12])

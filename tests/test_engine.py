@@ -311,30 +311,68 @@ def test_a_divisor_chain_multiplies_by_no_constant_one(monkeypatch):
     assert products == []
 
 
-def test_residue_orbits_at_a_sieve_prime_are_computed_once(monkeypatch):
+def _clear_reduction_caches():
+    from orbitlang import reduction
+
+    for cached in (reduction._resultant, reduction.reduce_map, reduction.residue_orbit):
+        cached.cache_clear()
+
+
+def test_residue_orbits_at_a_sieve_prime_are_computed_once():
     # x2 = x1^2 + 1 holds on the whole orbit of (0, 1) under t^2+1, so the sieve
     # settles nothing at 2 and 3 and the engine certifies at 3: the sieve and
     # the classes read one residue orbit per coordinate there
-    from collections import Counter
+    from orbitlang.reduction import reduce_map, residue_orbit
 
-    from orbitlang import engine, reduction, scan
-
-    calls = Counter()
-    original = reduction.residue_orbit
-
-    def counted(phi_v, x):
-        calls[phi_v.prime, x] += 1
-        return original(phi_v, x)
-
-    for module in (engine, scan):
-        monkeypatch.setattr(module, "residue_orbit", counted)
+    _clear_reduction_caches()
     desc = decide(RationalMap.quadratic(1), [0, 1], [invariant_graph(1)], OPTS)
     assert desc.certification.prime == 3
     assert desc.witnesses["residue-orbits"] == {
         "0": {"tail": 2, "cycle_length": 1},
         "1": {"tail": 1, "cycle_length": 1},
     }
-    assert {key: n for key, n in calls.items() if key[0] == 3} == {(3, 0): 1, (3, 1): 1}
+    computed = residue_orbit.cache_info()
+    # each computation left its own entry, so no orbit was computed twice
+    assert computed.misses == computed.currsize
+    # and both coordinates' orbits at 3 are among them: reading them computes nothing
+    at_3 = reduce_map(RationalMap.quadratic(1), 3)
+    assert residue_orbit(at_3, 0).tail == 2 and residue_orbit(at_3, 1).tail == 1
+    assert residue_orbit.cache_info().misses == computed.misses
+
+
+@pytest.mark.parametrize(
+    "maps, alpha, variety",
+    [
+        # the quadratic search's critical orbit of 0 is coordinate 1's orbit at its prime
+        (RationalMap.quadratic(1), [0, 1], [invariant_graph(1)]),
+        # the multi-map search's residue orbits are the classes' orbits
+        ([RationalMap.quadratic(1), RationalMap.quadratic(2)], [0, 0], [Polynomial(("x1", "x2"), {(1, 0): 1, (0, 1): -1})]),
+    ],
+)
+def test_one_decide_computes_each_residue_orbit_and_resultant_once(monkeypatch, maps, alpha, variety):
+    from collections import Counter
+
+    from orbitlang import reduction
+
+    _clear_reduction_caches()
+    resultants = Counter()
+    original = reduction.binary_form_resultant
+
+    def counted(f, g):
+        resultants[f, g] += 1
+        return original(f, g)
+
+    built = []
+    orbit_type = reduction.ResidueOrbit
+    monkeypatch.setattr(reduction, "binary_form_resultant", counted)
+    monkeypatch.setattr(reduction, "ResidueOrbit", lambda *fields: built.append(fields) or orbit_type(*fields))
+    assert isinstance(decide(maps, alpha, variety, OPTS).certification, Certified)
+    assert resultants and set(resultants.values()) == {1}
+    orbits = reduction.residue_orbit.cache_info()
+    # every orbit built went through the cache as a new (reduced map, start),
+    # and some were read by more than one stage
+    assert len(built) == orbits.misses == orbits.currsize
+    assert orbits.hits
 
 
 @st.composite

@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitlang import padics
 from orbitlang.padics import (
     PadicNumber,
     is_prime,
     next_prime,
+    PRIME_SEGMENT,
     padic_of_rational,
     prime_factors,
+    primes_in_order,
     primes_upto,
     valuation,
 )
@@ -33,6 +36,25 @@ def test_primes_helpers():
     assert next_prime(13) == 17
     assert is_prime(2**61 - 1)
     assert not is_prime(2**61)
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 1000, PRIME_SEGMENT, PRIME_SEGMENT + 1, 3 * PRIME_SEGMENT + 5, 10**6])
+def test_primes_in_order_are_the_sieved_primes(bound):
+    # below the first segment, at its edge and across several later ones
+    assert tuple(primes_in_order(bound)) == primes_upto(bound)
+
+
+@pytest.mark.parametrize("segment", [2, 16, 100])
+def test_primes_in_order_with_short_segments(monkeypatch, segment):
+    # past segment^2 the sieving primes come from earlier segments, not the first
+    monkeypatch.setattr(padics, "PRIME_SEGMENT", segment)
+    assert tuple(primes_in_order(20000)) == primes_upto(20000)
+
+
+def test_primes_in_order_sieve_only_as_far_as_they_are_read():
+    # a bound of 10^18 would be an exabyte sieve; the first primes past 10^6 come at once
+    primes = primes_in_order(10**18)
+    assert next(p for p in primes if p > 10**6) == 1_000_003
 
 
 def test_padic_of_rational_unit_examples():

@@ -161,6 +161,24 @@ def test_a_power_past_the_exact_cap_is_a_syntax_error_at_its_caret(src, position
     assert _outcome(parse_expression, src, None) == _outcome(reference_parse_expression, src, None)
 
 
+@pytest.mark.parametrize(
+    "src, position", [("(t+1)^65536", 5), ("(x1 + x2 + x3)^31", 14), ("(1/(t+1))^512", 9), ("2*(t^2+t+1)^256", 11)]
+)
+def test_a_power_past_the_term_cap_is_a_syntax_error_at_its_caret(src, position):
+    # (t+1)^65536 passes the bit bound at exactly 65,536 bits, and squaring its
+    # 32,769-term half ran for minutes; C(33, 2) = 528 and 2 * 256 + 1 = 513 pass 512
+    with pytest.raises(ExpressionSyntaxError, match="more than 512 terms") as err:
+        parse_expression(src, 3)
+    assert err.value.position == position
+    assert _outcome(parse_expression, src, 3) == _outcome(reference_parse_expression, src, 3)
+
+
+@pytest.mark.parametrize("src", ["t^1000000", "(t+1)^511", "(x1 + x2 + x3)^30", "(x1*x2*x3 + 1)^511"])
+def test_a_power_within_the_term_cap_parses(src):
+    # a one-term base has one term in every power; C(32, 2) = 496
+    assert parse_expression(src, 3).kind in ("map", "variety")
+
+
 # expressions drawn from the grammar, spelled out from one list of choices:
 # the literals 0..3 and 12 and the context's names, powers, products and
 # quotients, sums with a leading sign, and parentheses nested two deep; only
@@ -226,6 +244,9 @@ def _outcome(parse, src, g):
 @example(("1/(t - t)", None))  # a divisor that cancels to zero
 @example(("x1 - x1 + 3", 2))  # a sum that cancels to a constant
 @example(("(1/x)^0 + x", None))  # a power that makes the denominator constant
+@example(("(6/9)^40000", None))  # powers of one constant base, sized in lowest terms
+@example(("(2/3)^40000", None))
+@example(("(1/3+1/3)^40000", None))  # 2/3 in one parser, 6/9 in the other, before the power
 def test_integer_grammar_agrees_with_the_reference_parser(case):
     # 600 examples in about 1.1 s (Python 3.11.7, shared 2-core machine)
     src, g = case

@@ -18,7 +18,7 @@ from orbitlang.engine import (
 from orbitlang.errors import PrecisionExhausted, VerificationFailed
 from orbitlang.padics import residue
 from orbitlang.polynomials import Polynomial
-from orbitlang import scan
+from orbitlang import reduction, scan
 from orbitlang.scan import OrbitScanner
 from oracles import compose, fraction_orbit_hits, iterate_polynomial
 
@@ -141,11 +141,14 @@ def test_control_primes_are_searched_once_per_process(monkeypatch):
         [RationalMap.quadratic(1)], [0], []
     ).control_primes
 
-    def no_reduction(phi, p):
+    def computed_again(*args):
         raise AssertionError("control-prime reduction computed again")
 
-    # each (map, control prime) is reduced once per process, a bad reduction included
-    monkeypatch.setattr(scan, "reduce_map", no_reduction)
+    # each (map, control prime) is reduced once per process, a bad reduction
+    # included: no model is built again, and no resultant decides good
+    # reduction again
+    monkeypatch.setattr(reduction, "_model", computed_again)
+    monkeypatch.setattr(reduction, "binary_form_resultant", computed_again)
     assert OrbitScanner([RationalMap.quadratic(1), bad_at_q], [0, 0], []).control_primes == first.control_primes
 
 
