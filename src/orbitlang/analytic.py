@@ -2,10 +2,11 @@
 
 Three pieces:
 
-* truncated power series with a tail-valuation bound, and Strassmann-style
-  unit-disk zero counting;
+* Strassmann's unit-disk zero count, read from the valuations of a power
+  series' coefficients at a precision and a bound on its tail's;
 * Mahler (binomial-basis) interpolation of an orbit along an arithmetic
-  progression of iteration indices, sampled by the map reduced mod p**M;
+  progression of iteration indices, sampled by the map reduced mod p**M and
+  held as residues mod p**M;
 * vanishing certificates for a polynomial composed with such interpolants.
 
 Verdicts produced here are precision-stamped: "identically zero at
@@ -28,7 +29,7 @@ from .errors import (
     ZeroSeries,
 )
 from .dynsys import PPoint, RationalMap
-from .padics import DEFAULT_PRECISION, PadicNumber, residue, valuation
+from .padics import DEFAULT_PRECISION, residue, valuation
 from .polynomials import Polynomial, residue_eval
 from .reduction import INF_RESIDUE, ReducedMap, reduce_map, reduce_point, residue_cycle_multiplier
 
@@ -50,85 +51,45 @@ DEFAULT_ORDER = 48
 # truncated series and Strassmann counting
 
 
+@dataclass(frozen=True)
 class TruncatedPadicSeries:
-    """Coefficients a_0..a_J as PadicNumbers plus a lower bound on tail valuations.
+    """The valuations of coefficients a_0..a_J at precision M, plus a lower
+    bound on the valuations of the tail.
 
-    ``tail_valuation`` is a single lower bound for v_p(a_j) over all j > J:
+    ``valuations[j]`` is v_p(a_j) when it is below M, else None: a_j is zero
+    at precision.  ``tail_valuation`` bounds v_p(a_j) below over all j > J:
     +inf for polynomial (exactly truncated) series, an integer for a genuine
     analytic tail, or None when no bound is known.
     """
 
-    __slots__ = ("prime", "coefficients", "tail_valuation")
-
-    def __init__(self, prime, coefficients, tail_valuation=math.inf):
-        self.prime = prime
-        self.coefficients = tuple(coefficients)
-        for c in self.coefficients:
-            if not isinstance(c, PadicNumber) or c.prime != prime:
-                raise ValueError("coefficients must be PadicNumbers over the same prime")
-        self.tail_valuation = tail_valuation
+    prime: int
+    precision: int
+    valuations: tuple[int | None, ...]
+    tail_valuation: int | float | None = math.inf
 
     @classmethod
     def from_rationals(cls, coeffs, p, precision=DEFAULT_PRECISION, tail_valuation=math.inf):
-        from .padics import padic_of_rational
-
-        return cls(p, [padic_of_rational(Fraction(c), p, precision) for c in coeffs], tail_valuation)
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __mul__(self, other: "TruncatedPadicSeries") -> "TruncatedPadicSeries":
-        if self.prime != other.prime:
-            raise ValueError("mixed primes")
-        if self.tail_valuation == math.inf and other.tail_valuation == math.inf:
-            n1, n2 = len(self.coefficients), len(other.coefficients)
-            prec = min(c.precision for c in self.coefficients + other.coefficients)
-            out = [PadicNumber.zero(self.prime, prec) for _ in range(n1 + n2 - 1)]
-            for i, a in enumerate(self.coefficients):
-                for j, b in enumerate(other.coefficients):
-                    out[i + j] = out[i + j] + a * b
-            return TruncatedPadicSeries(self.prime, out, math.inf)
-        # with unknown-order tails only a conservative product is possible
-        J = min(self.order, other.order)
-        prec = min(c.precision for c in self.coefficients + other.coefficients)
-        out = [PadicNumber.zero(self.prime, prec) for _ in range(J + 1)]
-        for i, a in enumerate(self.coefficients):
-            for j, b in enumerate(other.coefficients):
-                if i + j <= J:
-                    out[i + j] = out[i + j] + a * b
-
-        def min_val(series):
-            vals = [c.valuation for c in series.coefficients]
-            vals.append(series.tail_valuation if series.tail_valuation is not None else -math.inf)
-            return min(vals)
-
-        tail = min_val(self) + min_val(other)
-        return TruncatedPadicSeries(self.prime, out, tail)
+        vals = (valuation(c, p) for c in coeffs)
+        return cls(p, precision, tuple(v if v < precision else None for v in vals), tail_valuation)
 
 
 def strassmann_count(series: TruncatedPadicSeries) -> int:
     """Number of unit-disk zeros (with multiplicity) over C_p.
 
     This is the largest index attaining the maximal coefficient absolute
-    value.  The count requires the maximum to be certifiably attained among
-    the stored coefficients, away from the tail and from any coefficient
-    whose valuation is hidden by its precision cap.
+    value, that is the least valuation.  Every visible valuation is below
+    the precision, so a coefficient zero at precision cannot attain it; the
+    count requires the tail bound to exceed it.
     """
-    visible = [(j, c.valuation) for j, c in enumerate(series.coefficients) if not c.is_zero_at_precision]
+    visible = [v for v in series.valuations if v is not None]
     if not visible:
         raise ZeroSeries("every stored coefficient vanishes at its precision")
-    m_min = min(v for _, v in visible)
-    for j, c in enumerate(series.coefficients):
-        if c.is_zero_at_precision and c.precision <= m_min:
-            raise InsufficientPrecision(
-                f"coefficient {j} is O(p^{c.precision}) and could attain the maximum"
-            )
+    m_min = min(visible)
     if series.tail_valuation is None:
         raise InsufficientPrecision("no tail valuation bound supplied")
     if series.tail_valuation <= m_min:
         raise InsufficientPrecision("tail bound does not exceed the attained maximum")
-    return max(j for j, v in visible if v == m_min)
+    return max(j for j, v in enumerate(series.valuations) if v == m_min)
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +157,6 @@ class MahlerSeries:
     def order(self) -> int:
         return len(self.samples) - 1
 
-    @property
-    def coefficients(self) -> tuple[PadicNumber, ...]:
-        return tuple(PadicNumber.from_integer(r, self.prime, self.precision) for r in self.residues)
-
     def evaluate_residue(self, n: int) -> int:
         """Value at integer n, modulo p**precision."""
         mod = self.prime**self.precision
@@ -210,9 +167,6 @@ class MahlerSeries:
                 binom = binom * (n - j + 1) // j
             acc = (acc + r * (binom % mod)) % mod
         return acc
-
-    def evaluate(self, n: int) -> PadicNumber:
-        return PadicNumber.from_integer(self.evaluate_residue(n), self.prime, self.precision)
 
 
 def orbit_interpolate(

@@ -33,6 +33,7 @@ from .classify import (
     verify_invariant_curve,
 )
 from .dynsys import (
+    EXACT_BITS_CAP,
     PPoint,
     RationalMap,
     classify_cycle,
@@ -55,7 +56,6 @@ from .parsing import format_map, parse_expression, parse_point
 from .polynomials import Polynomial, format_polynomial
 from .primesearch import NotFound, find_good_prime
 from .reduction import reduce_map, reduce_point, residue_orbit
-from .scan import EXACT_BITS_CAP
 from .varieties import PlaneCurve
 
 EXIT_OK = 0

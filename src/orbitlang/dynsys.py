@@ -43,6 +43,10 @@ __all__ = [
 
 Place = Union[str, int]  # "archimedean" or a prime number
 
+# the most bits an exact value may have: no orbit value the scanner computes,
+# no coefficient of a parsed power and no modulus p**M of a reduction passes it
+EXACT_BITS_CAP = 65536
+
 
 class PPoint:
     """A point of P^1(Q) as a coprime integer pair [a : b], b >= 0."""

@@ -126,17 +126,25 @@ class IntersectionDescription:
 
 
 def _simplify_progressions(progressions, exceptional):
-    """Coalesce a full set of classes mod k into one modulus-1 progression."""
+    """Coalesce a full set of classes mod k into one modulus-1 progression
+    from the first index t past which every index is described, with the
+    described indices below t as exceptional."""
     progressions = list(progressions)
     exceptional = set(exceptional)
     if progressions:
         k = progressions[0].modulus
-        if len(progressions) == k and {p.offset for p in progressions} == set(range(k)):
-            threshold = max(p.start * k + p.offset for p in progressions)
-            for p in progressions:
-                first = p.start * k + p.offset
-                exceptional.update(range(first, threshold, k))
-            progressions = [Progression(1, 0, threshold)]
+        first = {p.offset: p.start * k + p.offset for p in progressions}
+        if len(progressions) == k and first.keys() == set(range(k)):
+
+            def described(n):
+                return n >= first[n % k] or n in exceptional
+
+            # every index from max first - k + 1 on lies past its class's first
+            t = max(0, max(first.values()) - k + 1)
+            while t and described(t - 1):
+                t -= 1
+            exceptional = set(filter(described, range(t)))
+            progressions = [Progression(1, 0, t)]
     return tuple(progressions), tuple(sorted(exceptional))
 
 

@@ -18,8 +18,9 @@ written.  The result is built from the integers once: a scalar as one
 Fraction, a map from integer coefficient lists, a curve or variety
 generator as its primitive part.  A literal or a printed constant past the
 interpreter's int-to-str digit limit is a syntax error, and so is a power
-that may pass EXACT_BITS_CAP bits (no coefficient of a^e exceeds |a|_1^e)
-or TERM_CAP terms, both checked before the power is expanded.
+that may pass EXACT_BITS_CAP bits (no coefficient of a^e exceeds |a|_1^e),
+TERM_CAP terms or degree EXACT_BITS_CAP in a variable, all checked before
+the power is expanded.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ from fractions import Fraction
 from operator import add
 
 from .errors import ExpressionSyntaxError, HypothesisViolated, NonPolynomialWhereRequired
-from .dynsys import RationalMap
+from .dynsys import EXACT_BITS_CAP, RationalMap
 from .polynomials import Polynomial, format_polynomial, format_univariate
-from .scan import EXACT_BITS_CAP
 from .varieties import PLANE_ALIAS, PlaneCurve
 
 __all__ = ["parse_expression", "parse_point", "format_map", "ParsedExpression"]
@@ -118,6 +118,11 @@ def _too_wide(a, e: int) -> bool:
     passes EXACT_BITS_CAP."""
     norm = abs(a) if type(a) is int else sum(map(abs, a.values()))
     return norm > 1 and (e > EXACT_BITS_CAP or e * math.log2(norm) > EXACT_BITS_CAP)
+
+
+def _too_high(a, e: int) -> bool:
+    """Whether a^e has a degree past EXACT_BITS_CAP in some variable."""
+    return type(a) is not int and e * max(map(max, zip(*a))) > EXACT_BITS_CAP
 
 
 def _too_many_terms(a, e: int) -> bool:
@@ -226,6 +231,8 @@ class _Parser:
                 raise ExpressionSyntaxError(f"the power may have coefficients past {EXACT_BITS_CAP} bits", tok[2])
             if _too_many_terms(num, e) or _too_many_terms(den, e):
                 raise ExpressionSyntaxError(f"the power may have more than {TERM_CAP} terms", tok[2])
+            if _too_high(num, e) or _too_high(den, e):
+                raise ExpressionSyntaxError(f"the power has degree past {EXACT_BITS_CAP}", tok[2])
             num, den = _power(num, e), _power(den, e)
         return num, den
 

@@ -12,11 +12,12 @@ per process, for the inputs in recent use, so every stage shares one copy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import BadReduction
-from .dynsys import PPoint, RationalMap
+from .errors import BadReduction, InvalidOption
+from .dynsys import EXACT_BITS_CAP, PPoint, RationalMap
 from .padics import is_prime
 from .univariate import derivative, mul
 
@@ -183,7 +184,10 @@ def _model(p: int, precision: int, coeffs_f, coeffs_g) -> ReducedMap:
 def reduce_map(phi: RationalMap, p: int, precision: int = 1) -> ReducedMap:
     """Reduction of the normalized integral model mod p**precision, found
     once per process; raises on bad reduction (every time: nothing is cached
-    for it, but the resultant that decides it is)."""
+    for it, but the resultant that decides it is), and on a modulus p**precision
+    past EXACT_BITS_CAP bits, before building it."""
+    if precision * math.log2(p) > EXACT_BITS_CAP:
+        raise InvalidOption(f"--precision {precision} at prime {p} makes a modulus past {EXACT_BITS_CAP} bits")
     if not good_reduction(phi, p):
         raise BadReduction(f"bad reduction at {p}")
     return _model(p, precision, phi.coeffs_f, phi.coeffs_g)

@@ -36,14 +36,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadReduction, PrecisionExhausted
-from .dynsys import PPoint, RationalMap, escape_radius, orbit_status
+from .dynsys import EXACT_BITS_CAP, PPoint, RationalMap, escape_radius, orbit_status
 from .padics import is_prime, next_prime
 from .polynomials import Polynomial, residue_eval
 from .reduction import INF_RESIDUE, ReducedMap, RPoint, reduce_map, reduce_point, residue_orbit
 
 __all__ = ["OrbitScanner"]
 
-EXACT_BITS_CAP = 65536
 PREFIX_LIMIT = 48
 CONTROL_PRIME_COUNT = 5
 SIEVE_PRIMES = tuple(q for q in range(2, 64) if is_prime(q))

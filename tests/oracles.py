@@ -21,7 +21,7 @@ from orbitlang.dynsys import RationalMap
 from orbitlang.errors import ExpressionSyntaxError, HypothesisViolated, InexactDivision, NonPolynomialWhereRequired
 from orbitlang.parsing import TERM_CAP, ParsedExpression
 from orbitlang.polynomials import Polynomial
-from orbitlang.scan import EXACT_BITS_CAP
+from orbitlang.dynsys import EXACT_BITS_CAP
 from orbitlang.varieties import PLANE_ALIAS, PlaneCurve
 
 
@@ -260,6 +260,11 @@ def _too_many_terms(poly: Polynomial, e: int) -> bool:
     return min(math.comb(e + len(terms) - 1, len(terms) - 1), by_degree) > TERM_CAP
 
 
+def _too_high(poly: Polynomial, e: int) -> bool:
+    """The grammar's bound on the degree of a power: e deg_v past EXACT_BITS_CAP for some v."""
+    return any(e * max(column) > EXACT_BITS_CAP for column in zip(*poly.terms))
+
+
 def _lowest(value: "_RationalFunction") -> "_RationalFunction":
     """num/den divided by the gcd of all their (integer) coefficients."""
     g = math.gcd(*(int(c) for p in (value.num, value.den) for c in p.terms.values()))
@@ -342,6 +347,8 @@ class _Parser:
                 raise ExpressionSyntaxError(f"the power may have coefficients past {EXACT_BITS_CAP} bits", tok.position)
             if _too_many_terms(value.num, e) or _too_many_terms(value.den, e):
                 raise ExpressionSyntaxError(f"the power may have more than {TERM_CAP} terms", tok.position)
+            if _too_high(value.num, e) or _too_high(value.den, e):
+                raise ExpressionSyntaxError(f"the power has degree past {EXACT_BITS_CAP}", tok.position)
             value = value**e
         return value
 

@@ -91,6 +91,49 @@ def test_strassmann_command(monkeypatch):
     assert jsonline(out)["result"]["zeros_in_unit_disk"] == 2
 
 
+@pytest.mark.parametrize(
+    "prime, coeffs, flags, code, result",
+    [
+        ("5", "0,-1,1", [], EXIT_OK, 2),
+        ("5", "1/5,1", [], EXIT_OK, 0),  # the maximum at a negative valuation
+        ("3", "1/9,1/3,1", [], EXIT_OK, 0),
+        ("5", "1/25,5", ["--precision", "1"], EXIT_OK, 0),
+        ("5", "5,25", ["--precision", "1"], EXIT_USAGE, "zero-series"),  # both zero at precision
+        ("5", "5,25", ["--precision", "2"], EXIT_OK, 0),
+        ("5", "25", ["--precision", "2"], EXIT_USAGE, "zero-series"),
+        ("5", "0,0", [], EXIT_USAGE, "zero-series"),
+        ("3", "0", [], EXIT_USAGE, "zero-series"),
+        ("5", "1,5", ["--tail=-1"], EXIT_USAGE, "insufficient-precision"),  # tail below the maximum
+        ("5", "1,5", ["--tail", "0"], EXIT_USAGE, "insufficient-precision"),  # tail at the maximum
+        ("5", "5,5", ["--tail", "1"], EXIT_USAGE, "insufficient-precision"),
+        ("5", "1,5", ["--tail", "1"], EXIT_OK, 0),  # tail above the maximum
+        ("5", "5,1", ["--tail", "1"], EXIT_OK, 1),
+        ("5", "5,5", ["--tail", "2"], EXIT_OK, 1),
+        ("3", "9,3,1/3", ["--tail", "0"], EXIT_OK, 2),
+        ("2", "2,1", [], EXIT_OK, 1),
+        ("2", "1/2,1", [], EXIT_OK, 0),
+        ("2", "2,4,1", ["--precision", "1"], EXIT_OK, 2),
+        ("2", "1,1,1", ["--tail", "1"], EXIT_OK, 2),
+        ("3", "-3,0,1", [], EXIT_OK, 2),  # two disk zeros, none in Z_3
+        ("7", "7,7,49", [], EXIT_OK, 1),
+        ("11", "0,0,0,1", [], EXIT_OK, 3),
+    ],
+)
+def test_strassmann_results(monkeypatch, prime, coeffs, flags, code, result):
+    argv = ["--json", "strassmann", "--prime", prime, f"--coeffs={coeffs}", *flags]
+    got_code, out = invoke(argv, monkeypatch=monkeypatch)
+    report = jsonline(out)["result"]
+    assert (got_code, report.get("zeros_in_unit_disk", report.get("code"))) == (code, result)
+
+
+def test_strassmann_at_a_huge_precision_within_budget():
+    # each coefficient used to be built as a unit mod p^M: at M = 10^8 that ran past 30 s
+    argv = ["--json", "strassmann", "--prime", "5", "--coeffs", "1,2", "--precision", "100000000"]
+    proc = run_cli_process(argv, timeout=5)
+    assert proc.returncode == EXIT_OK
+    assert jsonline(proc.stdout)["result"]["zeros_in_unit_disk"] == 1
+
+
 def test_orbit_and_reduce_text_mode(monkeypatch):
     code, out = invoke(["orbit", "--map", "t^2+1", "--point", "0", "--steps", "4"], monkeypatch=monkeypatch)
     assert code == EXIT_OK
@@ -308,8 +351,10 @@ def test_divisors_level_six_within_budget():
         ["decide", "--map", "t^2+1", "--point", "0", "--variety", "x1-2^100000000"],
         # exactly 65,536 bits, but 65,537 terms: the squarings ran past 20 s
         ["decide", "--map", "(t+1)^65536", "--point", "0", "--variety", "x1-1"],
+        # one term, but a degree of 10^9: its coefficient list would take about 8 GB
+        ["decide", "--map", "t^1000000000", "--point", "0", "--variety", "x1-1"],
     ],
-    ids=["map", "variety", "map-terms"],
+    ids=["map", "variety", "map-terms", "map-degree"],
 )
 def test_a_power_past_the_exact_cap_exits_two_within_budget(argv):
     # the power was expanded before any size check: the map ran for hours
@@ -362,6 +407,28 @@ def test_divisors_level_above_the_cap_is_a_usage_error(level):
     proc = run_cli_process(["--json", "divisors", "--map", "t^3+t", "--level", level], timeout=5)
     assert proc.returncode == EXIT_USAGE
     assert jsonline(proc.stdout)["result"]["code"] == "degree-cap-exceeded"
+
+
+def test_a_mahler_modulus_past_the_exact_cap_exits_two_within_budget():
+    # 5^1000000 has 2.3 million bits: the Mahler samples mod it ran past 30 s
+    argv = ["--json", "decide", "--map", "t^2-1", "--point", "1/2,-3/4", "--variety", "y-(x^2-1)"]
+    proc = run_cli_process([*argv, "--nmax", "20", "--precision", "1000000"], timeout=5)
+    assert proc.returncode == EXIT_USAGE
+    result = jsonline(proc.stdout)["result"]
+    assert result["code"] == "invalid-option"
+    assert "--precision" in result["message"] and "65536" in result["message"]
+
+
+def test_an_answer_without_a_mahler_series_ignores_the_precision(monkeypatch):
+    # this answer builds no Mahler series, so the precision does not enter it
+    argv = ["--json", "decide", "--map", "t^2+1", "--point", "0,1", "--variety", "x-y"]
+    reports = []
+    for precision in ("64", "1000000"):
+        code, out = invoke([*argv, "--precision", precision], monkeypatch=monkeypatch)
+        assert code == EXIT_OK
+        result = jsonline(out)["result"]
+        reports.append((result["progressions"], result["exceptional"], result["certification"]["type"]))
+    assert reports[0] == reports[1]
 
 
 def test_failed_self_check_is_an_error_under_optimize():

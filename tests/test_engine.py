@@ -15,6 +15,7 @@ from orbitlang.engine import (
     IntersectionDescription,
     Progression,
     ScanOnly,
+    _simplify_progressions,
     brute_force_scan,
     decide,
     decide_curve_pair,
@@ -237,6 +238,40 @@ def test_progression_helpers():
     prog = Progression(3, 1, 2)  # {3n + 1 : n >= 2} = {7, 10, 13, ...}
     assert prog.indices_upto(14) == [7, 10, 13]
     assert prog.contains(10) and not prog.contains(4)
+
+
+def test_a_full_set_of_classes_is_described_from_the_first_index_past_which_all_are():
+    # the classes mod 2 start at 0 and 1, so every index is a hit: the
+    # description used to read Progression(1, 0, 1) with 0 as an exception
+    argv = ["--json", "decide", "--map", "t^2-3", "--point=-3,33", "--variety", "x2-((x1^2-3)^2-3)", "--nmax", "40"]
+    stream = io.StringIO()
+    assert run(argv, stream=stream) == 0
+    result = json.loads(stream.getvalue())["result"]
+    assert result["certification"]["type"] == "Certified"
+    assert result["progressions"] == [{"type": "Progression", "modulus": 1, "offset": 0, "start": 0}]
+    assert result["exceptional"] == []
+
+
+@pytest.mark.parametrize(
+    "firsts, exceptional, start, kept",
+    [
+        ((0, 1), (), 0, ()),
+        ((4, 1), (), 3, (1,)),  # 2 is not described
+        ((4, 1), (2,), 1, ()),  # 0 is not described
+        ((6, 3), (), 5, (3,)),
+        ((2, 7, 3), (0, 4), 2, (0,)),  # down through 4, 3 and 2; 1 is not described
+        ((9, 4, 2), (5,), 7, (2, 4, 5)),
+        ((9, 4, 2), (3, 6), 2, ()),
+    ],
+)
+def test_a_full_set_of_classes_coalesces_to_its_canonical_form(firsts, exceptional, start, kept):
+    k = len(firsts)
+    progressions = [Progression(k, first % k, first // k) for first in firsts]
+    described = {n for p in progressions for n in p.indices_upto(60)} | set(exceptional)
+    merged, left = _simplify_progressions(progressions, exceptional)
+    assert (merged, left) == ((Progression(1, 0, start),), kept)
+    assert {n for p in merged for n in p.indices_upto(60)} | set(left) == described
+    assert start == 0 or start - 1 not in described
 
 
 def test_soundness_of_reported_indices():

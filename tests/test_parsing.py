@@ -173,10 +173,22 @@ def test_a_power_past_the_term_cap_is_a_syntax_error_at_its_caret(src, position)
     assert _outcome(parse_expression, src, 3) == _outcome(reference_parse_expression, src, 3)
 
 
-@pytest.mark.parametrize("src", ["t^1000000", "(t+1)^511", "(x1 + x2 + x3)^30", "(x1*x2*x3 + 1)^511"])
+@pytest.mark.parametrize("src", ["t^65536", "(t+1)^511", "(x1 + x2 + x3)^30", "(x1*x2*x3 + 1)^511"])
 def test_a_power_within_the_term_cap_parses(src):
     # a one-term base has one term in every power; C(32, 2) = 496
     assert parse_expression(src, 3).kind in ("map", "variety")
+
+
+@pytest.mark.parametrize(
+    "src, position", [("t^65537", 1), ("t^1000000000", 1), ("(1/t)^65537", 5), ("x1 + (x2*x3^2)^32769", 14)]
+)
+def test_a_power_past_the_degree_cap_is_a_syntax_error_at_its_caret(src, position):
+    # a one-term base passes the bit and term bounds: t^1000000 built a
+    # million-entry coefficient list, and t^1000000000 would take about 8 GB
+    with pytest.raises(ExpressionSyntaxError, match="degree past 65536") as err:
+        parse_expression(src, 3)
+    assert err.value.position == position
+    assert _outcome(parse_expression, src, 3) == _outcome(reference_parse_expression, src, 3)
 
 
 # expressions drawn from the grammar, spelled out from one list of choices:
@@ -247,6 +259,10 @@ def _outcome(parse, src, g):
 @example(("(6/9)^40000", None))  # powers of one constant base, sized in lowest terms
 @example(("(2/3)^40000", None))
 @example(("(1/3+1/3)^40000", None))  # 2/3 in one parser, 6/9 in the other, before the power
+@example(("t^65536", None))  # the largest degree a power may have
+@example(("t^65537", None))
+@example(("(1/t)^65537", None))  # a denominator's degree
+@example(("(x1^2*x2)^32768 - (x3^2)^32769", 3))
 def test_integer_grammar_agrees_with_the_reference_parser(case):
     # 600 examples in about 1.1 s (Python 3.11.7, shared 2-core machine)
     src, g = case

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitlang.dynsys import INFINITY_POINT, RationalMap, iterate
-from orbitlang.errors import BadReduction
+from orbitlang.dynsys import EXACT_BITS_CAP, INFINITY_POINT, RationalMap, iterate
+from orbitlang.errors import BadReduction, InvalidOption
 from orbitlang.padics import residue
 from orbitlang.polynomials import Polynomial
 from orbitlang.reduction import (
@@ -73,6 +73,16 @@ def test_reduce_map_and_bad_reduction():
     assert rm.degree == 2
     with pytest.raises(BadReduction):
         reduce_map(RationalMap.polynomial([1, 0, 3]), 3)
+
+
+def test_reduce_map_bounds_its_modulus_by_the_exact_cap():
+    # 5^28224 has 65,535 bits and 5^28225 has 65,537: the cap is 65,536
+    assert (5**28224).bit_length() <= EXACT_BITS_CAP < (5**28225).bit_length()
+    f = RationalMap.quadratic(-1)
+    assert reduce_map(f, 5, 28224).modulus == 5**28224
+    with pytest.raises(InvalidOption, match="--precision 28225 at prime 5") as err:
+        reduce_map(f, 5, 28225)
+    assert str(EXACT_BITS_CAP) in str(err.value)
 
 
 def test_residue_orbit_examples():

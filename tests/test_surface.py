@@ -3,7 +3,8 @@
 A definition passes when its name is referenced, as a Name or as an
 Attribute, somewhere in src/ or bench/; tests do not count.  Dunders are
 exempt (the interpreter calls them), and so is the short list below, each
-entry with the reason it stays.  Every name a module's `__all__` exports is
+entry with the reason it stays.  A class that defines an arithmetic operator
+is named, with its reason, in a second list.  Every name a module's `__all__` exports is
 defined.  Only `polynomials` reads a polynomial's `terms`, the Fraction
 view: every other module computes on `num` and `den`.
 """
@@ -22,7 +23,20 @@ KEPT = {
     "replay_certificate": "the prime-certificate verification API",
     "JonesDensity.hit_fraction": "acceptance criterion 9 prints it",
     "layer": "bench/spans.py traces intersection.layer by name",
+    "MahlerSeries.evaluate_residue": "acceptance criterion 6 reads it",
 }
+
+# class -> why it defines arithmetic operators; the reader check above exempts
+# dunders, so an operator outlives its last caller unless a class is named here
+ARITHMETIC = {
+    "Polynomial": "the exact ring every variety, pullback and scan substitution computes in",
+}
+
+_OPERATORS = {
+    f"__{prefix}{name}__"
+    for name in "add sub mul matmul truediv floordiv mod divmod pow lshift rshift and xor or".split()
+    for prefix in ("", "r", "i")
+} | {"__neg__", "__pos__", "__abs__", "__invert__"}
 
 
 def _sources():
@@ -73,6 +87,27 @@ def test_every_definition_is_referenced_in_src_or_bench():
 def test_every_kept_name_is_still_defined():
     defined = {qualified for _, qualified, _ in _definitions()}
     assert sorted(KEPT.keys() - defined) == []
+
+
+def _class_attributes(node: ast.ClassDef) -> set[str]:
+    """The names a class body binds: its methods and its assigned names."""
+    names = set()
+    for child in node.body:
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(child.name)
+        elif isinstance(child, ast.Assign):
+            names.update(target.id for target in child.targets if isinstance(target, ast.Name))
+    return names
+
+
+def test_every_class_with_arithmetic_operators_is_named_with_its_reason():
+    defining = {
+        node.name
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ClassDef) and _class_attributes(node) & _OPERATORS
+    }
+    assert sorted(defining) == sorted(ARITHMETIC)
 
 
 def test_every_exported_name_is_defined():
