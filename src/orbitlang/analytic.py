@@ -24,6 +24,7 @@ from operator import add, sub
 
 from .errors import (
     InsufficientPrecision,
+    InvalidOption,
     NotQuasiperiodic,
     VerificationFailed,
     ZeroSeries,
@@ -45,6 +46,9 @@ __all__ = [
 ]
 
 DEFAULT_ORDER = 48
+# the bits a Mahler series' difference table may hold: (order+1)^2 entries of
+# up to M*log2(p) + order bits each
+DIFFERENCE_TABLE_BITS_CAP = 1 << 32
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +188,17 @@ def orbit_interpolate(
     Preconditions checked here: good reduction, p-integral start, and the
     residue disk of phi^ell(x) being a quasiperiodicity disk for phi^k
     (k-periodic residue, unit multiplier: the residue-disk certificate).
+    An order whose difference table passes DIFFERENCE_TABLE_BITS_CAP is
+    refused before the walk.
     """
     if k < 1:
         raise ValueError("step k must be >= 1")
     phi_m = reduce_map(phi, prime, precision)
+    if (order + 1) ** 2 * (math.ceil(precision * math.log2(prime)) + order) > DIFFERENCE_TABLE_BITS_CAP:
+        raise InvalidOption(
+            f"--order {order} at prime {prime} and precision {precision} makes a difference table"
+            f" past {DIFFERENCE_TABLE_BITS_CAP} bits"
+        )
     pt = PPoint.of(x)
     if pt.is_infinity or pt.b % prime == 0:
         raise NotQuasiperiodic("start is not p-integral")

@@ -25,13 +25,6 @@ from fractions import Fraction
 
 from . import __version__
 from .analytic import TruncatedPadicSeries, strassmann_count
-from .classify import (
-    decompose,
-    normal_form,
-    periodic_curve_candidates,
-    power_or_chebyshev_class,
-    verify_invariant_curve,
-)
 from .dynsys import (
     EXACT_BITS_CAP,
     PPoint,
@@ -50,7 +43,6 @@ from .engine import (
     decide_curve_pair,
 )
 from .errors import BadReduction, ExpressionSyntaxError, HypothesisViolated, InvalidOption, OrbitlangError
-from .intersection import diagonal_pullback, pullback_squarefree, ramification_bound
 from .padics import DEFAULT_PRECISION, is_prime
 from .parsing import format_map, parse_expression, parse_point
 from .polynomials import Polynomial, format_polynomial
@@ -253,6 +245,8 @@ def _cmd_reduce(args):
 
 
 def _cmd_classify(args):
+    from .classify import decompose, normal_form, power_or_chebyshev_class
+
     phi = _parse_map(args.map)
     place = _place(args.place)
     result = {"exceptional": exceptional_structure(phi)}
@@ -295,6 +289,8 @@ def _cmd_find_prime(args):
 
 
 def _cmd_divisors(args):
+    from .intersection import diagonal_pullback, pullback_squarefree, ramification_bound
+
     phi = _parse_map(args.map)
     _at_least("--level", args.level, 0)
     pullback = diagonal_pullback(phi, args.level)
@@ -320,6 +316,8 @@ def _cmd_divisors(args):
 
 
 def _cmd_ms_curves(args):
+    from .classify import periodic_curve_candidates, verify_invariant_curve
+
     phi = _parse_map(args.map)
     _at_least("--rmax", args.rmax, 0)
     _at_least("--kmax", args.kmax, 0)

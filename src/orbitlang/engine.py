@@ -4,8 +4,11 @@ One pipeline serves the coordinatewise quadratic action and a pair of
 coordinates under one map: normalize the inputs, set up the exact orbit
 scanner, close finite orbits from their cycles, search for a prime making
 every relevant residue cycle indifferent, take the lcm k of the residue
-cycle lengths, and for each arithmetic class modulo k combine an exact scan
-with Mahler interpolation plus vanishing certificates.  The two front ends
+cycle lengths, and settle each arithmetic class modulo k that the exact
+scan hits.  Structure comes first: a class on which the scanner proves
+every generator identically zero (polynomial streams, from its structural
+base on) is a progression with no further work.  Only the other classes
+get Mahler interpolation plus vanishing certificates.  The two front ends
 differ only in their hypothesis checks and their prime strategy.  An
 identically-vanishing class is reported as a full progression; a class with
 a nonzero witness contributes its (finitely many) scanned hits to the
@@ -32,7 +35,6 @@ from .errors import (
     PowerMapCase,
     VerificationFailed,
 )
-from .classify import normal_form
 from .dynsys import (
     PPoint,
     RationalMap,
@@ -42,7 +44,6 @@ from .dynsys import (
     orbit_status,
     ramification_portrait,
 )
-from .intersection import _factor_has_periodic_root
 from .padics import DEFAULT_PRECISION, primes_in_order
 from .polynomials import Polynomial, format_polynomial
 from .primesearch import NotFound, common_residue_search, find_good_prime
@@ -195,6 +196,8 @@ def _quadratic_normal_form(phi: RationalMap) -> tuple[RationalMap, Fraction, Fra
     coeffs = phi.affine_coefficients()
     if coeffs[2] == 1 and coeffs[1] == 0:
         return phi, Fraction(1), Fraction(0)
+    from .classify import normal_form
+
     record = normal_form(Polynomial.univariate(coeffs, "t"))  # degree 2: the scale is always rational
     model = RationalMap.polynomial(record.normal.univariate_coeffs())
     return model, record.scale, record.shift
@@ -320,15 +323,55 @@ def _assemble_from_cycles(scanner: OrbitScanner, options: EngineOptions, witness
     return IntersectionDescription(progressions, exceptional, ScanOnly(options.scan_limit), witnesses)
 
 
-def _certified_classes(scanner: OrbitScanner, prime: int, options: EngineOptions, witnesses: dict):
-    """Run the per-class certification at a chosen prime; returns a description."""
+def _mahler_checks(scanner: OrbitScanner, prime: int, k: int, base: int, options: EngineOptions) -> list[dict]:
+    """Each generator's vanishing certificate on the class of base mod k, from
+    the Mahler series at prime of every stream coordinate, with the
+    preperiodic coordinates frozen at their values there."""
     g = len(scanner.models)
     stream_coords = scanner.stream_coords
     pre_coords = [i for i in range(g) if i not in stream_coords]
+    names = tuple(f"x{i + 1}" for i in range(g))
+    thetas = [
+        orbit_interpolate(
+            scanner.maps[i],
+            scanner.alpha[i].as_fraction(),
+            k,
+            base,
+            prime=prime,
+            order=options.order,
+            precision=options.precision,
+        )
+        for i in stream_coords
+    ]
+    checks = []
+    for gen in scanner.generators:
+        assignments = {}
+        for i in pre_coords:
+            pt = scanner.coordinate_value(scanner.models[i], base)
+            if pt.is_infinity:
+                raise NotQuasiperiodic("preperiodic coordinate at infinity")
+            assignments[names[i]] = Polynomial.constant(pt.as_fraction(), names)
+        sub = gen.substitute(assignments) if assignments else gen
+        sub = sub.drop_variables([names[i] for i in pre_coords])
+        verdict = "identically-zero"
+        if not sub.is_zero:
+            cert = certify_vanishing(sub, thetas)
+            if not isinstance(cert, IdenticallyZeroAtPrecision):
+                verdict = f"nonzero-witness at n={cert.n}"
+        checks.append({"generator": format_polynomial(gen), "verdict": verdict})
+    return checks
+
+
+def _certified_classes(scanner: OrbitScanner, prime: int, options: EngineOptions, witnesses: dict):
+    """Run the per-class certification at a chosen prime; returns a description.
+
+    A class that `structurally_zero_from` proves from its base on needs no
+    Mahler series; every other class with scanned hits gets `_mahler_checks`.
+    """
     residue_data = {}
     k = scanner.preperiodic_cycle_lcm
     T = scanner.max_tail
-    for i in stream_coords:
+    for i in scanner.stream_coords:
         orb = residue_orbit(reduce_map(scanner.maps[i], prime), reduce_point(scanner.alpha[i], prime))
         residue_data[i] = orb
         k = k * orb.cycle_length // math.gcd(k, orb.cycle_length)
@@ -346,66 +389,40 @@ def _certified_classes(scanner: OrbitScanner, prime: int, options: EngineOptions
     exceptional = set()
     degraded = []
     class_reports = {}
-    names = tuple(f"x{i + 1}" for i in range(g))
     for ell, class_hits in sorted(by_class.items()):
         base = T + ((ell - T) % k)
-        verdicts = []
-        try:
-            thetas = {}
-            for i in stream_coords:
-                thetas[i] = orbit_interpolate(
-                    scanner.maps[i],
-                    scanner.alpha[i].as_fraction(),
-                    k,
-                    base,
-                    prime=prime,
-                    order=options.order,
-                    precision=options.precision,
-                )
-            all_zero = True
-            for gen in scanner.generators:
-                assignments = {}
-                for i in pre_coords:
-                    pt = scanner.coordinate_value(scanner.models[i], base)
-                    if pt.is_infinity:
-                        raise NotQuasiperiodic("preperiodic coordinate at infinity")
-                    assignments[names[i]] = Polynomial.constant(pt.as_fraction(), names)
-                sub = gen.substitute(assignments) if assignments else gen
-                sub = sub.drop_variables([names[i] for i in pre_coords])
-                verdict = "identically-zero"
-                if not sub.is_zero:
-                    cert = certify_vanishing(sub, [thetas[i] for i in stream_coords])
-                    if not isinstance(cert, IdenticallyZeroAtPrecision):
-                        verdict = f"nonzero-witness at n={cert.n}"
-                        all_zero = False
-                verdicts.append({"generator": format_polynomial(gen), "verdict": verdict})
-        except NotQuasiperiodic as exc:
-            degraded.append(f"class {ell}: {exc}")
-            exceptional.update(class_hits)
-            class_reports[ell] = {"status": "inconclusive", "reason": str(exc)}
-            continue
-        if all_zero:
-            # certificate claims the whole class from base on; reconcile with the scan
-            conflict = any(
-                n not in hit_set for n in range(base, options.scan_limit + 1, k)
-            )
-            if conflict:
-                degraded.append(f"class {ell}: certificate contradicts the exact scan")
-                exceptional.update(class_hits)
-                class_reports[ell] = {"status": "conflict"}
-                continue
-            start_index = _extended_down(base, k, hit_set.__contains__)
-            progressions.append(Progression(k, ell, (start_index - ell) // k))
-            exceptional.update(n for n in class_hits if n < start_index)
-            class_reports[ell] = {
-                "status": "progression",
-                "base": base,
-                "symbolic": scanner.class_is_structurally_zero(base),
-                "checks": verdicts,
-            }
+        if base >= scanner.structurally_zero_from(base):
+            # structure proves the class, so no Mahler series is built for it
+            proof = {"proof": "structural"}
         else:
+            try:
+                checks = _mahler_checks(scanner, prime, k, base, options)
+            except NotQuasiperiodic as exc:
+                degraded.append(f"class {ell}: {exc}")
+                exceptional.update(class_hits)
+                class_reports[ell] = {"status": "inconclusive", "reason": str(exc)}
+                continue
+            proof = {"checks": checks}
+            if any(check["verdict"] != "identically-zero" for check in checks):
+                exceptional.update(class_hits)
+                class_reports[ell] = {"status": "exceptional-only", **proof}
+                continue
+        # the proof claims the whole class from base on; reconcile with the scan
+        conflict = any(n not in hit_set for n in range(base, options.scan_limit + 1, k))
+        if conflict:
+            degraded.append(f"class {ell}: certificate contradicts the exact scan")
             exceptional.update(class_hits)
-            class_reports[ell] = {"status": "exceptional-only", "checks": verdicts}
+            class_reports[ell] = {"status": "conflict"}
+            continue
+        start_index = _extended_down(base, k, hit_set.__contains__)
+        progressions.append(Progression(k, ell, (start_index - ell) // k))
+        exceptional.update(n for n in class_hits if n < start_index)
+        class_reports[ell] = {
+            "status": "progression",
+            "base": base,
+            "symbolic": scanner.class_is_structurally_zero(base),
+            **proof,
+        }
     witnesses["classes"] = class_reports
     certification: Certified | Inconclusive
     if degraded:
@@ -419,8 +436,9 @@ def _certified_classes(scanner: OrbitScanner, prime: int, options: EngineOptions
 
 
 def _soundness_check(description: IntersectionDescription, scanner: OrbitScanner):
-    """Re-verify every reported index up to CHECK_LIMIT by exact evaluation,
-    in one scan up to the last of them."""
+    """Re-verify every reported index up to CHECK_LIMIT with the scanner's
+    membership kernel, in one scan up to the last of them: exact evaluation
+    below the exact horizon, the class verdict past it."""
     described = description.described_indices(CHECK_LIMIT)
     hits = set(scanner.scan(described[-1])) if described else set()
     for n in described:
@@ -451,6 +469,8 @@ def decide(maps, alpha, variety, options: EngineOptions | None = None) -> Inters
 
 
 def _has_superattracting_cycle_off_exceptional(phi: RationalMap, portrait: list) -> bool:
+    from .intersection import _factor_has_periodic_root
+
     exceptional = exceptional_points(phi, portrait)
     for place, _e in portrait:
         if isinstance(place, PPoint):

@@ -186,6 +186,8 @@ class OrbitScanner:
         # the first index from which every preperiodic coordinate is on its
         # cycle and every aliased coordinate reads its stream
         self._structural_base = max([self.max_tail] + [len(m.prefix) for m in self.models if m.kind == "stream"])
+        # a polynomial stream never reaches infinity, so zero verdicts can make hits
+        self._finite_streams = all(m.phi.is_polynomial for m in self.models if m.kind == "stream")
         self._heads: dict = {}
         self._sieves: dict = {}
         self._tables: dict = {}
@@ -287,17 +289,16 @@ class OrbitScanner:
         """The membership kernel: indices lo <= n <= hi at which every generator vanishes.
 
         The sieve goes first (`_sieve`).  An open index is then settled with no
-        residue from a miss cut of one generator, or from the hit cuts of all of
-        them, on its class (`_cut`), once a verdict there is found; the hit cuts
-        need every coordinate finite, which polynomial streams are.  Otherwise
-        each generator costs one residue at the first control prime; a nonzero
-        one is a miss, and a hit cut stands in for a zero one where every residue
-        is finite.  A zero one, or one at infinity, goes to `_vanishes`.
+        residue from a miss cut of one generator (`_cut`), or as a hit past the
+        horizon where `structurally_zero_from` proves its class, once the
+        verdicts there are found.  Otherwise each generator costs one residue at
+        the first control prime; a nonzero one is a miss, and a hit cut stands
+        in for a zero one where every residue is finite.  A zero one, or one at
+        infinity, goes to `_vanishes`.
         """
         if not self.generators:
             return list(range(lo, hi + 1))
         period = self.preperiodic_cycle_lcm
-        structural = all(m.phi.is_polynomial for m in self.models if m.kind == "stream")
         q = self.control_primes[0]
         tables = self._residue_tables(q)
         classes, hits = {}, []
@@ -308,7 +309,9 @@ class OrbitScanner:
                 cuts = [self._cut(j, n) if (j, c) in self._verdicts else (math.inf, False) for j in range(len(tables))]
                 zero = [cut if hit else math.inf for cut, hit in cuts]
                 miss = min([math.inf] + [cut for cut, hit in cuts if not hit])
-                classes[c] = (miss, max(zero) if structural else math.inf, zero)
+                # a zero verdict stands in for exact evaluation only past the horizon
+                hit = self.structurally_zero_from(n, found_only=True)
+                classes[c] = (miss, hit if math.isinf(hit) else max(hit, self._horizon), zero)
             miss, hit, zero = classes[c]
             if n >= miss:
                 continue
@@ -521,6 +524,21 @@ class OrbitScanner:
     def _structural_verdict(self, j: int, n: int) -> str:
         verdict, start = self._class_verdict(j, n)
         return verdict if n >= start else "unknown"
+
+    def structurally_zero_from(self, n: int, *, found_only: bool = False) -> float:
+        """The index from which structure proves every index of the class of n
+        a hit, or inf: the structural base when every stream map is a
+        polynomial (so every coordinate is finite there) and every generator's
+        class verdict is zero.  The hit cut of `_hits` and the engine's
+        structural classes both read this; with found_only a verdict not yet
+        found is not looked for, and the class has no cut."""
+        c = n % self.preperiodic_cycle_lcm
+        if not self._finite_streams:
+            return math.inf
+        for j in range(len(self.generators)):
+            if found_only and (j, c) not in self._verdicts or self._class_verdict(j, n)[0] != "zero":
+                return math.inf
+        return self._structural_base
 
     # -- convenience -------------------------------------------------------------------------
 

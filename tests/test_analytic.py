@@ -16,7 +16,7 @@ from orbitlang.analytic import (
 )
 from orbitlang.dynsys import RationalMap, iterate
 from orbitlang import analytic
-from orbitlang.errors import InsufficientPrecision, NotQuasiperiodic, VerificationFailed, ZeroSeries
+from orbitlang.errors import InsufficientPrecision, InvalidOption, NotQuasiperiodic, VerificationFailed, ZeroSeries
 from orbitlang.padics import residue, valuation
 from orbitlang.polynomials import Polynomial
 from orbitlang.reduction import reduce_map
@@ -173,6 +173,15 @@ def test_orbit_interpolate_rejects_a_series_that_misses_one_sample(monkeypatch):
 def test_orbit_interpolate_requires_unit_multiplier():
     with pytest.raises(NotQuasiperiodic):
         orbit_interpolate(RationalMap.quadratic(-1), Fraction(1, 2), 2, 0, prime=3, order=4, precision=8)
+
+
+def test_orbit_interpolate_bounds_its_difference_table():
+    # at p = 3 and M = 64 an entry has up to 102 + order bits: 1592^2 * 1693 passes 2^32
+    f = RationalMap.quadratic(1)
+    assert 1592**2 * (102 + 1591) <= analytic.DIFFERENCE_TABLE_BITS_CAP < 1593**2 * (102 + 1592)
+    assert orbit_interpolate(f, 0, 1, 2, prime=3, order=1591, precision=64).order == 1591
+    with pytest.raises(InvalidOption, match="--order 1592 at prime 3 and precision 64"):
+        orbit_interpolate(f, 0, 1, 2, prime=3, order=1592, precision=64)
 
 
 def test_mahler_coefficient_valuations_grow_with_step_valuation():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from orbitlang import cli
+from orbitlang.analytic import DIFFERENCE_TABLE_BITS_CAP
 from orbitlang.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, run
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -409,26 +410,57 @@ def test_divisors_level_above_the_cap_is_a_usage_error(level):
     assert jsonline(proc.stdout)["result"]["code"] == "degree-cap-exceeded"
 
 
+# the class of x1-26 is not structural, so it takes a Mahler series at prime 3
+MAHLER_ARGV = ["--json", "decide", "--map", "t^2+1", "--point", "0", "--variety", "x1-26", "--nmax", "10"]
+
+
 def test_a_mahler_modulus_past_the_exact_cap_exits_two_within_budget():
-    # 5^1000000 has 2.3 million bits: the Mahler samples mod it ran past 30 s
-    argv = ["--json", "decide", "--map", "t^2-1", "--point", "1/2,-3/4", "--variety", "y-(x^2-1)"]
-    proc = run_cli_process([*argv, "--nmax", "20", "--precision", "1000000"], timeout=5)
+    # 3^1000000 has 1.6 million bits: it is refused before any Mahler sample is taken
+    proc = run_cli_process([*MAHLER_ARGV, "--precision", "1000000"], timeout=5)
     assert proc.returncode == EXIT_USAGE
     result = jsonline(proc.stdout)["result"]
     assert result["code"] == "invalid-option"
     assert "--precision" in result["message"] and "65536" in result["message"]
 
 
-def test_an_answer_without_a_mahler_series_ignores_the_precision(monkeypatch):
-    # this answer builds no Mahler series, so the precision does not enter it
-    argv = ["--json", "decide", "--map", "t^2+1", "--point", "0,1", "--variety", "x-y"]
-    reports = []
-    for precision in ("64", "1000000"):
-        code, out = invoke([*argv, "--precision", precision], monkeypatch=monkeypatch)
+NO_MAHLER_ARGVS = [
+    ["--json", "decide", "--map", "t^2+1", "--point", "0,1", "--variety", "x-y"],
+    # a graph curve: structure proves its class, so no series is built for it
+    ["--json", "decide", "--map", "t^2-1", "--point", "1/2,-3/4", "--variety", "y-(x^2-1)", "--nmax", "20"],
+]
+
+
+def _answers(argv, options, monkeypatch):
+    """(progressions, exceptional, stamp type) of argv under each option pair."""
+    answers = []
+    for option in options:
+        code, out = invoke([*argv, *option], monkeypatch=monkeypatch)
         assert code == EXIT_OK
         result = jsonline(out)["result"]
-        reports.append((result["progressions"], result["exceptional"], result["certification"]["type"]))
-    assert reports[0] == reports[1]
+        answers.append((result["progressions"], result["exceptional"], result["certification"]["type"]))
+    return answers
+
+
+def test_an_answer_without_a_mahler_series_ignores_the_precision(monkeypatch):
+    # these answers build no Mahler series, so the precision does not enter them
+    for argv in NO_MAHLER_ARGVS:
+        low, high = _answers(argv, [("--precision", "64"), ("--precision", "1000000")], monkeypatch)
+        assert low == high
+
+
+def test_an_order_past_the_difference_table_cap_exits_two_within_budget():
+    # the difference table grows as the order squared, so it is bounded before the walk
+    proc = run_cli_process([*MAHLER_ARGV, "--order", "100000"], timeout=5)
+    assert proc.returncode == EXIT_USAGE
+    result = jsonline(proc.stdout)["result"]
+    assert result["code"] == "invalid-option"
+    assert "--order" in result["message"] and str(DIFFERENCE_TABLE_BITS_CAP) in result["message"]
+
+
+def test_an_answer_without_a_mahler_series_ignores_the_order(monkeypatch):
+    for argv in NO_MAHLER_ARGVS:
+        low, high = _answers(argv, [("--order", "48"), ("--order", "100000")], monkeypatch)
+        assert low == high
 
 
 def test_failed_self_check_is_an_error_under_optimize():
@@ -444,8 +476,7 @@ def test_failed_self_check_is_an_error_under_optimize():
             "analytic.MahlerSeries.__init__ = corrupted",
         ]
     )
-    argv = ["--json", "decide", "--map", "t^2-1", "--point", "1/2,-3/4", "--variety", "y-(x^2-1)", "--nmax", "20"]
-    proc = run_cli_process(argv, timeout=30, prelude=prelude, python_flags=("-O",))
+    proc = run_cli_process(MAHLER_ARGV, timeout=30, prelude=prelude, python_flags=("-O",))
     assert proc.returncode == EXIT_USAGE
     assert jsonline(proc.stdout)["result"]["code"] == "verification-failed"
 

@@ -1,6 +1,7 @@
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -460,3 +461,132 @@ def test_decide_is_invariant_under_affine_conjugation(instance):
     options = EngineOptions(scan_limit=40)
     expected = _answer(f, alpha, variety, options)
     assert _answer(conjugate, [A * a + B for a in alpha], variety.substitute(inverse), options) == expected
+
+
+# ---------------------------------------------------------------------------
+# structure before interpolation
+
+
+def _count_mahler_calls(monkeypatch) -> dict:
+    """Calls of orbit_interpolate and certify_vanishing through the engine,
+    and of scan._cleared (exact evaluations and class substitutions), from now on."""
+    import orbitlang.engine as engine
+    import orbitlang.scan as scan
+
+    counts = {"orbit_interpolate": 0, "certify_vanishing": 0, "_cleared": 0}
+    for module, name in ((engine, "orbit_interpolate"), (engine, "certify_vanishing"), (scan, "_cleared")):
+
+        def counted(*args, _honest=getattr(module, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _honest(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def _decide_report(argv) -> dict:
+    stream = io.StringIO()
+    assert run(["--json", "decide", *argv, "--witnesses"], stream=stream) in (0, 1)
+    return json.loads(stream.getvalue())["result"]
+
+
+def _described(result: dict, bound: int) -> list[int]:
+    """The indices up to bound that a decide report's result describes."""
+    out = {n for n in result["exceptional"] if n <= bound}
+    for p in result["progressions"]:
+        out.update(Progression(p["modulus"], p["offset"], p["start"]).indices_upto(bound))
+    return sorted(out)
+
+
+def test_a_decide_scan_pass_builds_one_mahler_series(monkeypatch):
+    # golden_scan.json holds the 28 operations of the seed-303 decide-scan
+    # workload; 26 of the 27 series built before served structural classes
+    cases = json.loads((Path(__file__).parent / "golden_scan.json").read_text())
+    counts = _count_mahler_calls(monkeypatch)
+    for case in cases:
+        assert run(case["argv"], stream=io.StringIO()) == case["exit"]
+    assert counts["orbit_interpolate"] == 1 and counts["certify_vanishing"] == 1
+    # no exact evaluation is skipped: 195 calls before, 183 of them exact
+    assert counts["_cleared"] >= 195
+
+
+def test_a_periodic_graph_builds_no_mahler_series_and_still_evaluates_below_the_horizon(monkeypatch):
+    import orbitlang.scan as scan
+
+    argv = ["--map", "t^2-1", "--point", "1/2,-3/4", "--variety", "y-(x^2-1)"]
+    f, alpha = RationalMap.quadratic(-1), [Fraction(1, 2), Fraction(-3, 4)]
+    horizon = next(n for n in range(100) if scan.OrbitScanner([f, f], alpha, []).exact_point(n) is None)
+    counts = _count_mahler_calls(monkeypatch)
+    evaluated = set()
+    honest = scan.OrbitScanner.exact_point
+
+    def recorded(self, n):
+        point = honest(self, n)
+        if point is not None:
+            evaluated.add(n)
+        return point
+
+    monkeypatch.setattr(scan.OrbitScanner, "exact_point", recorded)
+    result = _decide_report(argv)
+    assert result["certification"]["type"] == "Certified"
+    assert [c.get("proof") for c in result["witnesses"]["classes"].values()] == ["structural"]
+    assert counts["orbit_interpolate"] == counts["certify_vanishing"] == 0
+    assert 0 < horizon and set(range(horizon)) <= evaluated
+    assert _described(result, horizon - 1) == list(range(horizon))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # x2 = 2 reaches the stream of x1 = 5 after one step, so the structural
+        # base is 1, while both residues mod 3 are fixed: the class base is 0
+        ["--map", "t^2+1", "--point", "5,2", "--variety", "x1-x2^2-1", "--nmax", "60"],
+        # a rational stream may reach infinity, so a zero verdict proves no hit
+        ["--mode", "curve-pair", "--map", "(t^2-3*t-3)/(t+1)", "--point", "1,-5/2", "--variety", "y*(x+1)-(x^2-3*x-3)", "--nmax", "30"],
+    ],
+    ids=["base-below-structural-base", "rational-curve-pair"],
+)
+def test_a_class_structure_does_not_prove_keeps_the_mahler_path(monkeypatch, argv):
+    from orbitlang.cli import _parse_map, _parse_variety_generator
+    from orbitlang.parsing import parse_point
+
+    counts = _count_mahler_calls(monkeypatch)
+    result = _decide_report(argv)
+    classes = list(result["witnesses"]["classes"].values())
+    assert result["certification"]["type"] == "Certified" and result["progressions"]
+    assert classes and all("checks" in c and "proof" not in c and c["symbolic"] for c in classes)
+    # one series per stream coordinate and class
+    assert counts["orbit_interpolate"] == 2 * len(classes)
+    option = dict(zip(argv[::2], argv[1::2]))
+    phi, limit = _parse_map(option["--map"]), int(option["--nmax"])
+    variety = [_parse_variety_generator(option["--variety"], 2)]
+    assert _described(result, limit) == brute_force_scan([phi, phi], parse_point(option["--point"]), variety, limit)
+
+
+@st.composite
+def periodic_graph_instances(draw):
+    """A start (a, f^r(a)) against y = f^r(x): t^2 + c for decide, t^3 + b t for curve-pair."""
+    mode = draw(st.sampled_from(["decide", "curve-pair"]))
+    if mode == "decide":
+        f = RationalMap.quadratic(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])))
+    else:
+        f = RationalMap.polynomial([0, draw(st.sampled_from([-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6])), 0, 1])
+    r = draw(st.integers(1, 2))
+    a = Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from([1, 2])))
+    fr = iterate_polynomial(f, r)
+    names = ("x1", "x2") if mode == "decide" else ("x", "y")
+    terms = {(e, 0): -coeff for (e,), coeff in fr.terms.items()}
+    terms[0, 1] = terms.get((0, 1), 0) + 1
+    return mode, f, [a, iterate(f, a, r).as_fraction()], Polynomial(names, terms), draw(st.integers(0, 40))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(periodic_graph_instances())
+def test_a_periodic_graph_answer_matches_the_exact_scan(instance):
+    mode, f, alpha, variety, nmax = instance
+    options = EngineOptions(scan_limit=nmax)
+    if mode == "decide":
+        desc = decide(f, alpha, [variety], options)
+    else:
+        desc = decide_curve_pair(f, alpha, PlaneCurve(variety), options)
+    assert desc.described_indices(nmax) == brute_force_scan([f, f], alpha, [variety], nmax)

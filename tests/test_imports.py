@@ -7,6 +7,10 @@ residue-only commands (coordinatewise `decide`, `orbit`, `reduce`,
 call into sympy, and a process that runs only them never loads it.  The
 first resultant, or the first division, gcd or factorization in two or
 more variables, imports it through `polynomials._sympy`.
+
+`classify` and `intersection` are imported where they are first used, so
+a process that runs only coordinatewise `decide` on maps in t^2 + c form
+never loads them.
 """
 
 import ast
@@ -76,18 +80,39 @@ def _golden(name: str) -> list[dict]:
     return json.loads((ROOT / "tests" / f"golden_{name}.json").read_text())
 
 
+def _run_script(script: str, commands: list) -> object:
+    """The JSON that `script` prints when a fresh interpreter runs it on `commands`."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def test_residue_only_commands_never_load_sympy():
     goldens = _golden("divisors") + [case for case in _golden("decide") if case["name"] == "curve-pair"]
     commands = RESIDUE_ONLY + [case["argv"][1:] for case in goldens]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps(commands)], capture_output=True, text=True, timeout=120, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    runs = json.loads(proc.stdout)
+    runs = _run_script(SCRIPT, commands)
     for argv, step in zip(commands, runs):
         assert step["code"] in (0, 1) and not step["sympy"], argv
     for case, step in zip(goldens, runs[len(RESIDUE_ONLY) :]):
         assert step["code"] == case["exit"], case["name"]
         step["report"].pop("timing")
         assert json.dumps(step["report"], sort_keys=True) == json.dumps(case["report"], sort_keys=True), case["name"]
+
+
+DECIDE_ONLY = """
+import io, json, sys
+from orbitlang.cli import run
+codes = [run(argv, stream=io.StringIO()) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "loaded": sorted(set(sys.modules) & {"orbitlang.classify", "orbitlang.intersection"})}))
+"""
+
+
+def test_coordinatewise_decide_never_loads_classify_or_intersection():
+    # a map already in t^2 + c form needs no normal form, and no curve-pair hypothesis is checked
+    commands = [case["argv"] for case in _golden("scan")]
+    commands += [["--json", *argv] for argv in RESIDUE_ONLY if argv[0] == "decide" and "curve-pair" not in argv]
+    out = _run_script(DECIDE_ONLY, commands)
+    assert set(out["codes"]) <= {0, 1} and out["loaded"] == []
