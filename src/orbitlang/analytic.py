@@ -49,6 +49,9 @@ DEFAULT_ORDER = 48
 # the bits a Mahler series' difference table may hold: (order+1)^2 entries of
 # up to M*log2(p) + order bits each
 DIFFERENCE_TABLE_BITS_CAP = 1 << 32
+# the bits an orbit walk steps through: ell + order*k values of up to
+# M*log2(p) bits each
+WALK_BITS_CAP = 1 << 24
 
 
 # ---------------------------------------------------------------------------
@@ -188,16 +191,22 @@ def orbit_interpolate(
     Preconditions checked here: good reduction, p-integral start, and the
     residue disk of phi^ell(x) being a quasiperiodicity disk for phi^k
     (k-periodic residue, unit multiplier: the residue-disk certificate).
-    An order whose difference table passes DIFFERENCE_TABLE_BITS_CAP is
-    refused before the walk.
+    An order whose difference table passes DIFFERENCE_TABLE_BITS_CAP, or
+    whose walk passes WALK_BITS_CAP, is refused before the walk.
     """
     if k < 1:
         raise ValueError("step k must be >= 1")
     phi_m = reduce_map(phi, prime, precision)
-    if (order + 1) ** 2 * (math.ceil(precision * math.log2(prime)) + order) > DIFFERENCE_TABLE_BITS_CAP:
+    bits, steps = math.ceil(precision * math.log2(prime)), ell + order * k
+    if (order + 1) ** 2 * (bits + order) > DIFFERENCE_TABLE_BITS_CAP:
         raise InvalidOption(
             f"--order {order} at prime {prime} and precision {precision} makes a difference table"
             f" past {DIFFERENCE_TABLE_BITS_CAP} bits"
+        )
+    if steps * bits > WALK_BITS_CAP:
+        raise InvalidOption(
+            f"--order {order} at prime {prime}, --precision {precision} and class modulus {k} make an"
+            f" orbit walk of {steps} steps of {bits} bits, past {WALK_BITS_CAP} bits"
         )
     pt = PPoint.of(x)
     if pt.is_infinity or pt.b % prime == 0:
@@ -209,13 +218,14 @@ def orbit_interpolate(
     ok, reason, _ = residue_disk_quasiperiodic(phi_v, base_residue, k)
     if not ok:
         raise NotQuasiperiodic(reason)
-    values = [residue(pt.as_fraction(), phi_m.modulus)]
-    while len(values) <= ell + order * k:
-        value = phi_m.apply(values[-1])
-        if value is INF_RESIDUE:
-            raise NotQuasiperiodic("orbit leaves the p-integral domain")
-        values.append(value)
-    samples = values[ell::k]
+    value, samples = residue(pt.as_fraction(), phi_m.modulus), []
+    for i in range(steps + 1):
+        if i:
+            value = phi_m.apply(value)
+            if value is INF_RESIDUE:
+                raise NotQuasiperiodic("orbit leaves the p-integral domain")
+        if i >= ell and (i - ell) % k == 0:
+            samples.append(value)  # only the values the series reads are kept
     series = MahlerSeries(prime, precision, k, ell, samples)
     # repeated prefix sums invert the forward-difference table: the series at
     # n = 0, 1, ..., summed exactly and reduced where read

@@ -46,7 +46,7 @@ from .dynsys import (
 )
 from .padics import DEFAULT_PRECISION, primes_in_order
 from .polynomials import Polynomial, format_polynomial
-from .primesearch import NotFound, common_residue_search, find_good_prime
+from .primesearch import NotFound, find_good_prime
 from .reduction import reduce_map, reduce_point, residue_cycle_multiplier, residue_orbit
 from .scan import OrbitScanner
 from .varieties import AffineVariety, PlaneCurve
@@ -66,7 +66,6 @@ __all__ = [
 DEFAULT_SCAN_LIMIT = 1000
 CHECK_LIMIT = 64
 DEFAULT_PRIME_BOUND = 1000
-RESIDUE_SEARCH_DEPTH = 10
 
 
 @dataclass(frozen=True)
@@ -255,22 +254,14 @@ def _quadratic_prime(maps, alpha, stream_coords, options: EngineOptions, witness
     return cert.prime, None
 
 
-def _common_residue_prime(maps, alpha, stream_coords, options: EngineOptions, witnesses: dict):
-    """Prime strategy of `decide_curve_pair`: the first candidate at which every
-    residue cycle met by a wandering coordinate has a unit multiplier.
-
-    Candidates come from the common-residue search when both coordinates
-    wander, from the odd primes below the bound otherwise, sieved only as
-    far as they are tried.
-    """
+def _indifferent_prime(maps, alpha, stream_coords, options: EngineOptions, witnesses: dict):
+    """Prime strategy of `decide_curve_pair`: the first odd prime, in order and
+    sieved only as far as tried, with good reduction and p-integral starts at
+    which every residue cycle met by a wandering coordinate has a unit
+    multiplier."""
     phi = maps[0]
-    if len(stream_coords) == 2:
-        pairs = common_residue_search(phi, alpha[0], alpha[1], options.prime_bound, RESIDUE_SEARCH_DEPTH)
-        candidates = sorted({p for p, _n in pairs})
-    else:
-        candidates = (p for p in primes_in_order(options.prime_bound) if p > 2)
     tried = []
-    for p in candidates:
+    for p in (q for q in primes_in_order(options.prime_bound) if q > 2):
         try:
             phi_v = reduce_map(phi, p)
         except BadReduction:
@@ -484,9 +475,8 @@ def _has_superattracting_cycle_off_exceptional(phi: RationalMap, portrait: list)
 def decide_curve_pair(phi: RationalMap, alpha, curve, options: EngineOptions | None = None) -> IntersectionDescription:
     """Intersection of a plane curve with the orbit of (x, y) under (phi, phi).
 
-    The prime is sourced from the common-residue search and filtered by the
-    attracting-class avoidance check: every periodic residue cycle met by
-    either coordinate orbit must have a unit multiplier.
+    The prime is the first odd prime at which every residue cycle met by a
+    wandering coordinate has a unit multiplier (`_indifferent_prime`).
     """
     options = options or EngineOptions()
     if phi.degree < 2:
@@ -498,7 +488,7 @@ def decide_curve_pair(phi: RationalMap, alpha, curve, options: EngineOptions | N
         raise HypothesisViolated("superattracting cycle away from the exceptional locus")
     maps, alpha, variety = _normalize(phi, alpha, curve)
     witnesses: dict = {"map": repr(phi), "alpha": [str(a) for a in alpha]}
-    return _pipeline(maps, alpha, variety, options, witnesses, _common_residue_prime)
+    return _pipeline(maps, alpha, variety, options, witnesses, _indifferent_prime)
 
 
 def brute_force_scan(maps, alpha, variety, limit: int) -> list[int]:

@@ -26,7 +26,6 @@ __all__ = [
     "find_good_prime_quadratic",
     "qr_filter_for_minus_one",
     "find_good_prime_multi",
-    "common_residue_search",
     "jones_density_estimate",
     "JonesDensity",
     "replay_certificate",
@@ -277,28 +276,6 @@ def find_good_prime_multi(maps: list[RationalMap], points, p_max: int):
         if orbit_status(f, x.as_fraction()).is_preperiodic:
             raise PreperiodicInput(f"{x} is preperiodic")
     return _first_prime(lambda p: _multi_certificate(maps, shifts, pts, p), p_max)
-
-
-def common_residue_search(phi: RationalMap, alpha, beta, p_max: int, n_max: int) -> list[tuple[int, int]]:
-    """All (p, n) with p <= p_max, n <= n_max and the n-th iterates congruent.
-
-    Works projectively: two points share a residue iff p divides the cross
-    difference of their coprime coordinate pairs.
-    """
-    for x in (alpha, beta):
-        if orbit_status(phi, x).is_preperiodic:
-            raise PreperiodicInput(f"{x} is preperiodic")
-    hits = []
-    a, b = PPoint.of(alpha), PPoint.of(beta)
-    primes = primes_upto(p_max)
-    for n in range(n_max + 1):
-        cross = a.a * b.b - a.b * b.a
-        if cross != 0:
-            for p in primes:
-                if cross % p == 0:
-                    hits.append((p, n))
-        a, b = phi.apply(a), phi.apply(b)
-    return sorted(hits)
 
 
 @dataclass(frozen=True)

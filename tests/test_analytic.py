@@ -184,6 +184,20 @@ def test_orbit_interpolate_bounds_its_difference_table():
         orbit_interpolate(f, 0, 1, 2, prime=3, order=1592, precision=64)
 
 
+def test_orbit_interpolate_bounds_its_walk():
+    # at p = 3 and M = 1000 a step has 1,585 bits: 2 + 10*1000 steps fit the cap, 2 + 11*1000 do not
+    f = RationalMap.quadratic(1)
+    assert (2 + 10 * 1000) * 1585 <= analytic.WALK_BITS_CAP < (2 + 11 * 1000) * 1585
+    theta = orbit_interpolate(f, 0, 1000, 2, prime=3, order=10, precision=1000)
+    phi_m, value, orbit = reduce_map(f, 3, 1000), 0, []
+    for _ in range(2 + 10 * 1000):
+        orbit.append(value)
+        value = phi_m.apply(value)
+    assert theta.samples == tuple(orbit[2::1000]) + (value,)
+    with pytest.raises(InvalidOption, match="--order 11 at prime 3, --precision 1000 and class modulus 1000"):
+        orbit_interpolate(f, 0, 1000, 2, prime=3, order=11, precision=1000)
+
+
 def test_mahler_coefficient_valuations_grow_with_step_valuation():
     # step k = p on the scaling map: coefficients ((1+p)^p - 1)^j have valuation 2j
     p = 3

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from orbitlang import cli
-from orbitlang.analytic import DIFFERENCE_TABLE_BITS_CAP
+from orbitlang.analytic import DIFFERENCE_TABLE_BITS_CAP, WALK_BITS_CAP
 from orbitlang.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, run
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -337,6 +337,38 @@ def test_curve_pair_conjugate_critical_points_within_budget():
     assert jsonline(proc.stdout)["result"]["certification"]["type"] == "Certified"
 
 
+# a superattracting fixed point at 2^300 that is not exceptional
+SHIFTED_CUBIC = "(t-2^300)^3+(t-2^300)^2+2^300"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decide", "--map", "t^3-t+5/3", "--point=1/10^30,-3/2", "--variety", "x2-x", "--nmax", "0", "--pmax", "50"],
+        ["decide", "--map", "t^4+10^30", "--point=7,1", "--variety", "x+x2", "--nmax", "10", "--pmax", "2"],
+        ["decide", "--mode", "curve-pair", "--map", SHIFTED_CUBIC, "--point", "1/3,1/5", "--variety", "x-y", "--nmax", "20"],
+    ],
+    ids=["large-start", "large-constant", "shifted-cubic"],
+)
+def test_a_curve_pair_prime_is_chosen_from_residues_within_budget(argv):
+    # each once iterated both exact orbits ten steps to find primes dividing
+    # their differences: 10 s, past 25 s and 63 s
+    proc = run_cli_process(["--json", *argv], timeout=5)
+    assert proc.returncode in (EXIT_OK, EXIT_INCONCLUSIVE)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the hypothesis check reads orbit_status's unproven 'wanders' verdict, which stops at the height cutoff"
+    " before applying the map once, as proof that the superattracting fixed point 2^300 is not periodic",
+)
+def test_a_large_superattracting_fixed_point_violates_the_curve_pair_hypothesis():
+    argv = ["--json", "decide", "--mode", "curve-pair", "--map", SHIFTED_CUBIC, "--point", "1/3,1/5", "--variety", "x-y"]
+    proc = run_cli_process([*argv, "--nmax", "20"], timeout=5)
+    assert proc.returncode == EXIT_USAGE
+    assert jsonline(proc.stdout)["result"]["code"] == "hypothesis-violated"
+
+
 def test_divisors_level_six_within_budget():
     # the level-6 chain check of t^3+t compares 244- and 15,371-term operands row by row
     proc = run_cli_process(["--json", "divisors", "--map", "t^3+t", "--level", "6"], timeout=20)
@@ -371,8 +403,10 @@ def test_a_power_past_the_exact_cap_exits_two_within_budget(argv):
         ["decide", "--map", "t^2+1", "--point", "0", "--variety", "x1-26"],
         # one wandering coordinate: curve-pair candidates are every odd prime
         ["decide", "--map", "t^3+t", "--point", "0,1", "--variety", "y-x^2-1", "--witnesses"],
+        # two wandering coordinates take the same candidates
+        ["decide", "--map", "t^3+t", "--point", "1,2", "--variety", "x-y", "--witnesses"],
     ],
-    ids=["find-prime", "decide", "curve-pair"],
+    ids=["find-prime", "decide", "curve-pair", "curve-pair-two-wanderers"],
 )
 def test_a_large_pmax_costs_only_the_primes_tried(argv):
     # a sieve up to 10^8 took 5-7 s before the first candidate was tried
@@ -455,6 +489,17 @@ def test_an_order_past_the_difference_table_cap_exits_two_within_budget():
     result = jsonline(proc.stdout)["result"]
     assert result["code"] == "invalid-option"
     assert "--order" in result["message"] and str(DIFFERENCE_TABLE_BITS_CAP) in result["message"]
+
+
+def test_a_long_mahler_walk_exits_two_within_budget():
+    # prime 17 and class modulus 30: 1,924 steps mod a 65,400-bit modulus took 31 s
+    argv = ["--json", "decide", "--maps", "t^2+1;t^2+6", "--point", "0,0", "--variety", "x1-26", "--nmax", "10"]
+    proc = run_cli_process([*argv, "--order", "64", "--precision", "16000"], timeout=5)
+    assert proc.returncode == EXIT_USAGE
+    result = jsonline(proc.stdout)["result"]
+    assert result["code"] == "invalid-option"
+    for word in ("--order 64", "--precision 16000", "prime 17", str(WALK_BITS_CAP)):
+        assert word in result["message"]
 
 
 def test_an_answer_without_a_mahler_series_ignores_the_order(monkeypatch):

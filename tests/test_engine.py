@@ -4,12 +4,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitlang.cli import run
 from orbitlang.dynsys import RationalMap, iterate
 from orbitlang.engine import (
+    CHECK_LIMIT,
     Certified,
     EngineOptions,
     Inconclusive,
@@ -21,7 +22,7 @@ from orbitlang.engine import (
     decide,
     decide_curve_pair,
 )
-from orbitlang.errors import HypothesisViolated, OrbitlangError, PowerMapCase
+from orbitlang.errors import HypothesisViolated, OrbitlangError, PowerMapCase, PrecisionExhausted
 from orbitlang.polynomials import Polynomial
 from orbitlang.varieties import AffineVariety, PlaneCurve
 from oracles import iterate_polynomial
@@ -590,3 +591,48 @@ def test_a_periodic_graph_answer_matches_the_exact_scan(instance):
     else:
         desc = decide_curve_pair(f, alpha, PlaneCurve(variety), options)
     assert desc.described_indices(nmax) == brute_force_scan([f, f], alpha, [variety], nmax)
+
+
+@st.composite
+def curve_pair_instances(draw):
+    """t^3 + b t or (t^2 + c)/t, an integer start pair, a line or a conic."""
+    if draw(st.booleans()):
+        f = RationalMap.polynomial([0, draw(st.sampled_from([-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6])), 0, 1])
+    else:
+        # the hypothesis check decides the critical points +-sqrt(c) only when they are rational
+        c = draw(st.sampled_from([1, 4, 9]))
+        f = RationalMap.from_affine(Polynomial.univariate([c, 0, 1], "t"), Polynomial.univariate([0, 1], "t"))
+    alpha = [draw(st.integers(-6, 6)), draw(st.integers(-6, 6))]
+    u, v, w = (draw(st.integers(-3, 3)) for _ in range(3))
+    if draw(st.booleans()):
+        terms = {(1, 0): u or 1, (0, 1): v, (0, 0): w}  # a line u x + v y + w
+    else:
+        terms = {(0, 1): 1, (2, 0): -(u or 1), (1, 0): v, (0, 0): w}  # the conic y = u x^2 - v x - w
+    return f, alpha, Polynomial(("x", "y"), terms), draw(st.integers(0, 40))
+
+
+# (t^2+1)/t is odd, so x + y = 0 holds along the orbit of (1, -1); past the
+# exact horizon at index 17 no structural proof covers a rational stream
+ODD_MAP_ON_THE_ANTIDIAGONAL = (
+    RationalMap.from_affine(Polynomial.univariate([1, 0, 1], "t"), Polynomial.univariate([0, 1], "t")),
+    [1, -1],
+    Polynomial(("x", "y"), {(1, 0): 1, (0, 1): 1}),
+    0,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(curve_pair_instances())
+@example(ODD_MAP_ON_THE_ANTIDIAGONAL)
+def test_a_curve_pair_answer_matches_the_exact_scan_and_never_takes_prime_two(instance):
+    # the prime is the first odd prime with indifferent residue cycles, whether one or two coordinates wander
+    f, alpha, curve, nmax = instance
+    try:
+        desc = decide_curve_pair(f, alpha, PlaneCurve(curve), EngineOptions(scan_limit=nmax))
+    except PrecisionExhausted:
+        # a refusal, not an answer: the self-check cannot settle an index below its limit exactly
+        with pytest.raises(PrecisionExhausted):
+            brute_force_scan([f, f], alpha, [curve], CHECK_LIMIT)
+        return
+    assert desc.described_indices(nmax) == brute_force_scan([f, f], alpha, [curve], nmax)
+    assert not isinstance(desc.certification, Certified) or desc.certification.prime != 2

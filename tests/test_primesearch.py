@@ -11,7 +11,6 @@ from orbitlang.primesearch import (
     JonesDensity,
     NotFound,
     PrimeCertificate,
-    common_residue_search,
     find_good_prime,
     find_good_prime_multi,
     find_good_prime_quadratic,
@@ -77,24 +76,6 @@ def test_qr_filter_bound_and_preperiodic():
     assert isinstance(qr_filter_for_minus_one(f, [Fraction(1, 5)], 5), NotFound)
     with pytest.raises(PreperiodicInput):
         qr_filter_for_minus_one(f, [0], 100)
-
-
-def test_common_residue_search_examples():
-    f = RationalMap.quadratic(1)
-    pairs = common_residue_search(f, 0, 1, 10, 4)
-    assert (3, 2) in pairs  # f^2(0) - f^2(1) = 2 - 5 = -3
-    assert (7, 3) in pairs  # f^3(0) - f^3(1) = 5 - 26 = -21
-    assert (3, 3) in pairs
-    from orbitlang.reduction import reduce_point
-    from orbitlang.dynsys import iterate
-
-    for p, n in pairs:
-        assert reduce_point(iterate(f, 0, n), p) == reduce_point(iterate(f, 1, n), p)
-
-
-def test_common_residue_rejects_preperiodic():
-    with pytest.raises(PreperiodicInput):
-        common_residue_search(RationalMap.quadratic(-1), 0, 2, 10, 4)
 
 
 def test_functional_graph_cycles_cover_fixed_points():
