@@ -35,7 +35,7 @@ __all__ = [
     "OrbitStatus",
     "orbit_status",
     "escape_radius",
-    "exceptional_points",
+    "exceptional_places",
     "TwoExceptional",
     "OneExceptional",
     "NoExceptional",
@@ -618,12 +618,12 @@ def exceptional_structure(phi: RationalMap, portrait: list | None = None):
     return NoExceptional()
 
 
-def exceptional_points(phi: RationalMap, portrait: list) -> set[PPoint]:
-    """The rational exceptional points, given ``ramification_portrait(phi)``;
-    empty for an irrational conjugate pair."""
+def exceptional_places(phi: RationalMap, portrait: list) -> set:
+    """The exceptional places of ``ramification_portrait(phi)``: rational
+    points, or the quadratic factor whose roots are an exceptional pair."""
     structure = exceptional_structure(phi, portrait)
     if isinstance(structure, OneExceptional):
         return {structure.point}
-    if isinstance(structure, TwoExceptional) and structure.points:
-        return set(structure.points)
+    if isinstance(structure, TwoExceptional):
+        return set(structure.points) if structure.points else {structure.pair_factor}
     return set()

@@ -32,6 +32,7 @@ from .errors import (
     HypothesisViolated,
     InvalidOption,
     NotQuasiperiodic,
+    PeriodicCriticalPoint,
     PowerMapCase,
     VerificationFailed,
 )
@@ -39,15 +40,13 @@ from .dynsys import (
     PPoint,
     RationalMap,
     TwoExceptional,
-    exceptional_points,
     exceptional_structure,
-    orbit_status,
     ramification_portrait,
 )
 from .padics import DEFAULT_PRECISION, primes_in_order
 from .polynomials import Polynomial, format_polynomial
 from .primesearch import NotFound, find_good_prime
-from .reduction import reduce_map, reduce_point, residue_cycle_multiplier, residue_orbit
+from .reduction import aperiodic_critical_places, reduce_map, reduce_point, residue_cycle_multiplier, residue_orbit
 from .scan import OrbitScanner
 from .varieties import AffineVariety, PlaneCurve
 
@@ -459,19 +458,6 @@ def decide(maps, alpha, variety, options: EngineOptions | None = None) -> Inters
     return _pipeline(maps, alpha, variety, options, witnesses, _quadratic_prime, orbit_record=True)
 
 
-def _has_superattracting_cycle_off_exceptional(phi: RationalMap, portrait: list) -> bool:
-    from .intersection import _factor_has_periodic_root
-
-    exceptional = exceptional_points(phi, portrait)
-    for place, _e in portrait:
-        if isinstance(place, PPoint):
-            if place not in exceptional and orbit_status(phi, place).kind == "periodic":
-                return True
-        elif _factor_has_periodic_root(phi, place):
-            return True
-    return False
-
-
 def decide_curve_pair(phi: RationalMap, alpha, curve, options: EngineOptions | None = None) -> IntersectionDescription:
     """Intersection of a plane curve with the orbit of (x, y) under (phi, phi).
 
@@ -484,8 +470,10 @@ def decide_curve_pair(phi: RationalMap, alpha, curve, options: EngineOptions | N
     portrait = ramification_portrait(phi)
     if isinstance(exceptional_structure(phi, portrait), TwoExceptional):
         raise PowerMapCase("conjugate to a power map: multiplicative case out of scope")
-    if _has_superattracting_cycle_off_exceptional(phi, portrait):
-        raise HypothesisViolated("superattracting cycle away from the exceptional locus")
+    try:
+        aperiodic_critical_places(phi, portrait)
+    except PeriodicCriticalPoint as exc:
+        raise HypothesisViolated("superattracting cycle away from the exceptional locus") from exc
     maps, alpha, variety = _normalize(phi, alpha, curve)
     witnesses: dict = {"map": repr(phi), "alpha": [str(a) for a in alpha]}
     return _pipeline(maps, alpha, variety, options, witnesses, _indifferent_prime)

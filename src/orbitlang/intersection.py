@@ -41,29 +41,14 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
-from .errors import (
-    BadReduction,
-    DegreeCapExceeded,
-    HypothesisViolated,
-    InexactDivision,
-    PeriodicCriticalPoint,
-    UndecidedPeriodicity,
-)
-from .dynsys import (
-    HEIGHT_CUTOFF_BITS,
-    PPoint,
-    RationalMap,
-    escape_radius,
-    exceptional_points,
-    form_scale,
-    orbit_status,
-    ramification_portrait,
-)
-from .padics import next_prime, prime_factors
+from .errors import BadReduction, DegreeCapExceeded, HypothesisViolated, InexactDivision
+from .dynsys import PPoint, RationalMap, form_scale, ramification_portrait
+from .padics import next_prime
 from .polynomials import Polynomial, combination, is_product, is_separated_sum, raised_monomials
-from .reduction import INF_RESIDUE, good_reduction, reduce_map
-from .univariate import gf_gcd, gf_mulmod, gf_squarefree, trim
+from .reduction import INF_RESIDUE, aperiodic_critical_places, reduce_map
+from .univariate import gf_combination, gf_gcd, gf_monomials, gf_squarefree, trim
 
 __all__ = [
     "DiagonalPullback",
@@ -76,7 +61,6 @@ __all__ = [
 DEFAULT_LEVEL_CAP = 6
 SQUAREFREE_ATTEMPTS = 8
 SQUAREFREE_SEED = 20240613
-PERIODIC_ROOT_STEPS = 64
 
 _BIV = ("x", "y")
 
@@ -411,21 +395,6 @@ def _content_in_x(poly: Polynomial) -> Polynomial:
 # squarefreeness of a whole pullback, from the critical orbits of phi mod q
 
 
-def _gf_monomials(A: list[int], B: list[int], m: int, w: list[int], q: int) -> list[list[int]]:
-    """[A^a B^(m-a) mod (w, q) for a = 0..m]."""
-    one = gf_mulmod([1], [1], w, q)
-    apow, bpow = [one], [one]
-    for _ in range(m):
-        apow.append(gf_mulmod(apow[-1], A, w, q))
-        bpow.append(gf_mulmod(bpow[-1], B, w, q))
-    return [gf_mulmod(apow[a], bpow[m - a], w, q) for a in range(m + 1)]
-
-
-def _gf_combination(coeffs, vectors: list[list[int]], q: int) -> list[int]:
-    """sum coeffs[a] * vectors[a] mod q, over vectors of one length."""
-    return [sum(c * v[j] for c, v in zip(coeffs, vectors)) % q for j in range(len(vectors[0]))]
-
-
 class _CriticalOrbitTest:
     """The squarefree certificate of :func:`pullback_squarefree` for the layers
     of one level-n pullback of phi.  Each attempt's orbits are computed once
@@ -466,13 +435,8 @@ class _CriticalOrbitTest:
                 r = rm.apply(r)
                 infinite.append(r)
         w = trim(wq)
-        finite = []
-        if len(w) > 1:
-            A, B = gf_mulmod([0, 1], [1], w, q), gf_mulmod([1], [1], w, q)
-            for _ in range(n - 1):
-                forms = _gf_monomials(A, B, phi.degree, w, q)
-                A, B = _gf_combination(rm.coeffs_f, forms, q), _gf_combination(rm.coeffs_g, forms, q)
-                finite.append(_gf_monomials(A, B, phi.degree - 1, w, q))
+        orbit = islice(rm.ring_orbit(w), 1, n) if len(w) > 1 else ()
+        finite = [gf_monomials(A, B, phi.degree - 1, w, q) for A, B in orbit]
         return points, w, finite, infinite
 
     def certifies(self, layer: Polynomial, k: int, y0: int, q: int) -> bool | None:
@@ -496,7 +460,7 @@ class _CriticalOrbitTest:
         if not h or len(h) < d - 1 or not gf_squarefree(h, q):  # (i)
             return False
         for forms in finite[: k - 1]:  # (ii) at the finite critical points
-            if len(gf_gcd(w, _gf_combination(c, forms, q), q)) > 1:
+            if len(gf_gcd(w, gf_combination(c, forms, q), q)) > 1:
                 return False
         for r in infinite[: k - 1]:  # (ii) at infinity
             if (c[-1] if r is INF_RESIDUE else sum(ca * pow(r, a, q) for a, ca in enumerate(c)) % q) == 0:
@@ -555,105 +519,17 @@ def pullback_squarefree(pullback: DiagonalPullback) -> list[bool]:
 # ramification
 
 
-def _factor_has_periodic_root(phi: RationalMap, factor: Polynomial) -> bool:
-    """Exact periodicity decision for the conjugate roots of an irreducible factor.
-
-    Polynomial maps with good reduction at a prime dividing the factor's
-    leading coefficient cannot have those roots periodic (periodic points
-    stay integral at good primes).  Otherwise iterate t mod factor: a gcd
-    hit proves a periodic root; a state revisit proves there is none, and so
-    does an iterate with a conjugate beyond the escape radius.  Iterates
-    whose coefficients pass the height cutoff leave the question open.
-    """
-    if not phi.is_polynomial:
-        raise UndecidedPeriodicity("irrational critical points of a non-polynomial map")
-    _, prim = factor.content_and_primitive()
-    if any(good_reduction(phi, ell) for ell in prime_factors(prim.num[max(prim.num)])):
-        return False
-    var = factor.variables[0]
-    coeffs = phi.affine_coefficients()
-    f = Polynomial.univariate(coeffs, var)
-    radius = escape_radius(coeffs)
-    t = Polynomial.variable(var)
-    h = t
-    seen = {h}
-    for _ in range(PERIODIC_ROOT_STEPS):
-        _, h = f.substitute({var: h}).divmod(factor)
-        if (h - t).gcd(factor).total_degree() > 0:
-            return True
-        if h in seen or _has_conjugate_beyond(h, factor, radius):
-            return False
-        if max((max(abs(n), h.den) // math.gcd(n, h.den)).bit_length() for n in h.num.values()) > HEIGHT_CUTOFF_BITS:
-            break
-        seen.add(h)
-    raise UndecidedPeriodicity("periodicity of conjugate critical points unresolved")
-
-
-def _has_conjugate_beyond(h: Polynomial, factor: Polynomial, radius: Fraction) -> bool:
-    """Whether |h(theta)| > radius for some complex root theta of the factor.
-
-    The values h(theta) are the roots of :func:`_characteristic_polynomial`;
-    were they all in the closed disk of that radius, the coefficient k places
-    below its top (monic) one would be at most binom(d, k) * radius^k.
-    """
-    char = _characteristic_polynomial(h, factor)
-    d = len(char) - 1
-    return any(abs(char[d - k]) > math.comb(d, k) * radius**k for k in range(1, d + 1))
-
-
-def _characteristic_polynomial(h: Polynomial, factor: Polynomial) -> list[Fraction]:
-    """The monic characteristic polynomial of h(theta) over Q[t]/(factor), low
-    to high: the product of z - h(theta) over the roots theta of the factor.
-
-    Newton's identity k e_k = sum((-1)^(i-1) e_(k-i) s_i, i = 1..k) links the
-    elementary symmetric functions e_k of d numbers to their power sums s_i.
-    Read one way, it gives the power sums P_i (i < d) of the factor's roots
-    from its coefficients; the traces tr(h^j), j = 1..d, are then sum c_i P_i
-    with h^j mod factor = sum c_i t^i; read the other way, it turns those
-    power sums of the h(theta) into the coefficients.
-    """
-    coeffs = factor.monic().univariate_coeffs()
-    d = len(coeffs) - 1
-    roots = [(-1) ** k * coeffs[d - k] for k in range(d + 1)]  # e_k of the roots
-    P = [Fraction(d)]
-    for k in range(1, d):
-        rest = sum((-1) ** (i - 1) * roots[k - i] * P[i] for i in range(1, k))
-        P.append((-1) ** (k - 1) * (k * roots[k] - rest))
-    traces = [None]
-    power = Polynomial.constant(1, factor.variables)
-    for _ in range(d):
-        _, power = (power * h).divmod(factor)
-        traces.append(sum((n * P[i] for (i,), n in power.num.items()), Fraction(0)) / power.den)
-    values = [Fraction(1)]  # e_k of the h(theta)
-    for k in range(1, d + 1):
-        values.append(sum((-1) ** (i - 1) * values[k - i] * traces[i] for i in range(1, k + 1)) / k)
-    return [(-1) ** (d - j) * values[d - j] for j in range(d + 1)]
-
-
 def ramification_bound(phi: RationalMap) -> int:
     """Product of ramification indices over the non-exceptional critical points.
 
     Raises PeriodicCriticalPoint when some non-exceptional critical point is
-    periodic (the uniform-multiplicity bound does not exist in that case).
+    periodic (the uniform-multiplicity bound does not exist in that case), as
+    :func:`reduction.has_periodic_root` decides it: residue periods at two odd
+    primes of good reduction not dividing lead(W) disc(W), then one exact check.
     """
     if phi.degree < 2:
         raise HypothesisViolated("degree must be at least 2")
-    portrait = ramification_portrait(phi)
-    exceptional = exceptional_points(phi, portrait)
     bound = 1
-    for place, e in portrait:
-        if isinstance(place, PPoint):
-            if place in exceptional:
-                continue
-            status = orbit_status(phi, place)
-            if status.kind == "periodic":
-                raise PeriodicCriticalPoint(f"critical point {place} is periodic")
-            if not status.proven and status.kind == "wanders":
-                raise UndecidedPeriodicity(f"cannot resolve critical orbit of {place}")
-            bound *= e
-        else:
-            if _factor_has_periodic_root(phi, place):
-                raise PeriodicCriticalPoint("a conjugate critical point is periodic")
-            bound *= e ** place.degree(place.variables[0])
+    for place, e in aperiodic_critical_places(phi, ramification_portrait(phi)):
+        bound *= e if isinstance(place, PPoint) else e ** place.degree("t")
     return bound
-

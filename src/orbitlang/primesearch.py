@@ -163,8 +163,8 @@ def find_good_prime_quadratic(f: RationalMap, points, p_max: int):
     residue-cycle enumeration over F_p.
     """
     c = _quadratic_shift(f)
-    status = orbit_status(f, 0)
-    if status.kind == "periodic":
+    # 0 periodic makes c an algebraic integer, so an integer, and only c = 0, -1 keep 0 periodic
+    if c in (0, -1):
         raise PeriodicCriticalPoint("critical point 0 is periodic (c in {0, -1})")
     pts = [PPoint.of(x) for x in points]
     return _first_prime(lambda p: _quadratic_certificate(f, c, pts, p), p_max)

@@ -1,10 +1,11 @@
-"""Reduction of maps and points modulo primes, and residue-orbit analysis.
+"""Reduction of maps and points modulo primes, residue orbits, and the proof
+that a critical point is or is not periodic.
 
 Good reduction is tested through the resultant of the normalized integral
 model: the reduced map keeps full degree exactly when the resultant of the
 coefficient forms is a p-adic unit.  `reduce_map` gives the one model of
 a map acting on residues, mod p or mod p**M.  Residue orbits are computed
-exactly over the finite set P^1(F_p).
+exactly over P^1(F_p), and over P^1(F_p[t]/(w)) for a critical factor w.
 
 Each map's resultant, each reduction and each residue orbit is found once
 per process, for the inputs in recent use, so every stage shares one copy.
@@ -15,11 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import islice
 
-from .errors import BadReduction, InvalidOption
-from .dynsys import EXACT_BITS_CAP, PPoint, RationalMap
-from .padics import is_prime
-from .univariate import derivative, mul
+from .errors import BadReduction, InvalidOption, PeriodicCriticalPoint, UndecidedPeriodicity
+from .dynsys import EXACT_BITS_CAP, PPoint, RationalMap, exceptional_places, form_scale
+from .padics import is_prime, next_prime, prime_factors
+from .polynomials import Polynomial
+from .univariate import derivative, gf_combination, gf_monomials, gf_mulmod, gf_squarefree, mul
 
 __all__ = [
     "binary_form_resultant",
@@ -29,6 +32,8 @@ __all__ = [
     "ReducedMap",
     "ResidueOrbit",
     "residue_orbit",
+    "has_periodic_root",
+    "aperiodic_critical_places",
     "RPoint",
     "INF_RESIDUE",
 ]
@@ -148,6 +153,16 @@ class ReducedMap:
             return INF_RESIDUE
         return fv * pow(gv, -1, m) % m
 
+    def ring_orbit(self, w: list[int]):
+        """The orbit of t in P^1(F_p[t]/(w)) at precision 1: points (A : B) of
+        length deg w, from (t : 1) by (A, B) <- (F(A, B), G(A, B)) mod (w, p)."""
+        p = self.prime
+        A, B = gf_mulmod([0, 1], [1], w, p), gf_mulmod([1], [1], w, p)
+        while True:
+            yield A, B
+            forms = gf_monomials(A, B, self.degree, w, p)
+            A, B = gf_combination(self.coeffs_f, forms, p), gf_combination(self.coeffs_g, forms, p)
+
     @cached_property
     def derivative_terms(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(numerator, denominator) coefficient vectors of the affine derivative."""
@@ -234,3 +249,108 @@ def residue_cycle_multiplier(phi_v: ReducedMap, cycle: tuple[RPoint, ...]) -> in
         except BadReduction:
             return None
     return lam
+
+
+# ---------------------------------------------------------------------------
+# periodic critical points
+
+
+def has_periodic_root(phi: RationalMap, place) -> bool:
+    """Whether some root of a critical place of phi is periodic.
+
+    A place is a PPoint or an irreducible polynomial W in t, as
+    :func:`dynsys.ramification_portrait` gives them.  A periodic critical
+    point is superattracting, as are its Galois conjugates, all of one exact
+    period n.  At an odd prime p of good reduction not dividing
+    lead(W) disc(W), the roots of W reduce to distinct roots of W mod p,
+    each of exact period n with no tail (Morton-Silverman: the exact period
+    equals the residue period when the reduced multiplier is 0).  So:
+
+    1. a polynomial map with good reduction at a prime dividing lead(W) has
+       no periodic root of W: a periodic point is integral at such a prime;
+    2. a tail in t's orbit in P^1(F_p[t]/(W mod p)) at either of the first
+       two such primes, or two different periods, proves that none is;
+    3. otherwise one exact check of phi^m(theta) = theta in Q[t]/(W),
+       m the common period, decides.
+
+    A rational point, infinity included, is the case deg W = 1: its residue
+    orbit is :func:`residue_orbit`'s.  Raises UndecidedPeriodicity when the
+    exact iterate passes EXACT_BITS_CAP bits.
+    """
+    W = None
+    if not isinstance(place, PPoint):
+        W = [int(c) for c in place.content_and_primitive()[1].univariate_coeffs()]
+        if phi.is_polynomial and any(good_reduction(phi, ell) for ell in prime_factors(W[-1])):
+            return False
+    periods, p = [], 2
+    while len(periods) < 2:
+        p = next_prime(p)
+        if not good_reduction(phi, p) or (W and (W[-1] % p == 0 or not gf_squarefree(W, p))):
+            continue
+        rm = reduce_map(phi, p)
+        if W is None:
+            orbit = residue_orbit(rm, reduce_point(place, p))
+            period = None if orbit.tail else orbit.cycle_length
+        else:
+            period = _ring_period(rm, [c % p for c in W])
+        if period is None:
+            return False
+        periods.append(period)
+    return periods[0] == periods[1] and _returns_exactly(phi, place, periods[0])
+
+
+def _ring_period(rm: ReducedMap, w: list[int]) -> int | None:
+    """The period of t in P^1(F_p[t]/(w)), or None when its orbit has a tail.
+    w is squarefree, so the ring is a product of fields, and (A : B) equals
+    (A' : B') exactly when A B' = A' B mod (w, p).  Brent's search finds the
+    period; t is periodic exactly when it comes back after one period."""
+    p = rm.prime
+
+    def same(x, y) -> bool:
+        return gf_mulmod(x[0], y[1], w, p) == gf_mulmod(y[0], x[1], w, p)
+
+    orbit = rm.ring_orbit(w)
+    start = slow = next(orbit)
+    fast, power, period = next(orbit), 1, 1
+    while not same(slow, fast):
+        if power == period:
+            slow, power, period = fast, 2 * power, 0
+        fast, period = next(orbit), period + 1
+    return period if same(start, next(islice(rm.ring_orbit(w), period, None))) else None
+
+
+def _returns_exactly(phi: RationalMap, place, m: int) -> bool:
+    """Whether phi^m fixes the place's roots exactly: the point itself, or
+    phi^m(t) = t in Q[t]/(W), iterated as (A : B) <- (F(A, B), G(A, B))
+    mod W and scaled to coprime integers at each step.  Raises
+    UndecidedPeriodicity when an iterate passes EXACT_BITS_CAP bits."""
+    t = Polynomial.variable("t")
+    state = place if isinstance(place, PPoint) else (t, Polynomial.constant(1, ("t",)))
+    for _ in range(m):
+        if isinstance(place, PPoint):
+            state = phi.apply(state)
+            bits = state.height_bits()
+        else:
+            A, B = (h.divmod(place)[1] for h in phi.forms_at(*state))
+            scale = form_scale(A.univariate_coeffs(), B.univariate_coeffs())
+            state = (A * scale, B * scale)
+            bits = max(abs(n).bit_length() for h in state for n in h.num.values())
+        if bits > EXACT_BITS_CAP:
+            raise UndecidedPeriodicity(f"the exact check of period {m} passes {EXACT_BITS_CAP} bits")
+    if isinstance(place, PPoint):
+        return state == place
+    return (state[0] - t * state[1]).divmod(place)[1].is_zero
+
+
+def aperiodic_critical_places(phi: RationalMap, portrait: list) -> list[tuple[object, int]]:
+    """The places (place, e) of ``ramification_portrait(phi)`` off phi's
+    exceptional locus (rational points, or the factor of a conjugate pair),
+    once :func:`has_periodic_root` proves each free of periodic roots;
+    raises PeriodicCriticalPoint at the first place with one."""
+    exceptional = exceptional_places(phi, portrait)
+    places = [(place, e) for place, e in portrait if place not in exceptional]
+    for place, _e in places:
+        if has_periodic_root(phi, place):
+            name = f"critical point {place}" if isinstance(place, PPoint) else "a conjugate critical point"
+            raise PeriodicCriticalPoint(f"{name} is periodic")
+    return places

@@ -2,11 +2,11 @@
 
 A polynomial is a list of ints, low to high, with no trailing zero in a
 result.  The `gf_` functions over F_q serve the squarefree certificates of
-:mod:`orbitlang.intersection` and the factorizer.  :func:`factor` is
-Zassenhaus's algorithm: Yun's squarefree split, then distinct-degree and
-Cantor-Zassenhaus factorization mod a small odd prime p, Hensel lifting
-past twice the Mignotte bound, and recombination of the lifted factors by
-exact trial division over Z.
+:mod:`orbitlang.intersection`, the residue orbits of :mod:`orbitlang.reduction`
+and the factorizer.  :func:`factor` is Zassenhaus's algorithm: Yun's
+squarefree split, then distinct-degree and Cantor-Zassenhaus factorization
+mod a small odd prime p, Hensel lifting past twice the Mignotte bound, and
+recombination of the lifted factors by exact trial division over Z.
 """
 
 from __future__ import annotations
@@ -95,6 +95,21 @@ def gf_mulmod(a: list[int], b: list[int], w: list[int], q: int) -> list[int]:
         for j in range(n):
             out[top - n + j] -= c * w[j]
     return [c % q for c in out[:n]]
+
+
+def gf_monomials(A: list[int], B: list[int], m: int, w: list[int], q: int) -> list[list[int]]:
+    """[A^a B^(m-a) mod (w, q) for a = 0..m]."""
+    one = gf_mulmod([1], [1], w, q)
+    apow, bpow = [one], [one]
+    for _ in range(m):
+        apow.append(gf_mulmod(apow[-1], A, w, q))
+        bpow.append(gf_mulmod(bpow[-1], B, w, q))
+    return [gf_mulmod(apow[a], bpow[m - a], w, q) for a in range(m + 1)]
+
+
+def gf_combination(coeffs, vectors: list[list[int]], q: int) -> list[int]:
+    """sum coeffs[a] * vectors[a] mod q, over vectors of one length."""
+    return [sum(c * v[j] for c, v in zip(coeffs, vectors)) % q for j in range(len(vectors[0]))]
 
 
 def _gf_powmod(a: list[int], e: int, w: list[int], q: int) -> list[int]:

@@ -339,6 +339,8 @@ def test_curve_pair_conjugate_critical_points_within_budget():
 
 # a superattracting fixed point at 2^300 that is not exceptional
 SHIFTED_CUBIC = "(t-2^300)^3+(t-2^300)^2+2^300"
+# t^3 + t translated by 2^300: its critical points are not periodic
+SHIFTED_ODD_CUBIC = "(t-2^300)^3+(t-2^300)+2^300"
 
 
 @pytest.mark.parametrize(
@@ -346,7 +348,7 @@ SHIFTED_CUBIC = "(t-2^300)^3+(t-2^300)^2+2^300"
     [
         ["decide", "--map", "t^3-t+5/3", "--point=1/10^30,-3/2", "--variety", "x2-x", "--nmax", "0", "--pmax", "50"],
         ["decide", "--map", "t^4+10^30", "--point=7,1", "--variety", "x+x2", "--nmax", "10", "--pmax", "2"],
-        ["decide", "--mode", "curve-pair", "--map", SHIFTED_CUBIC, "--point", "1/3,1/5", "--variety", "x-y", "--nmax", "20"],
+        ["decide", "--mode", "curve-pair", "--map", SHIFTED_ODD_CUBIC, "--point", "1/3,1/5", "--variety", "x-y", "--nmax", "20"],
     ],
     ids=["large-start", "large-constant", "shifted-cubic"],
 )
@@ -357,16 +359,25 @@ def test_a_curve_pair_prime_is_chosen_from_residues_within_budget(argv):
     assert proc.returncode in (EXIT_OK, EXIT_INCONCLUSIVE)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the hypothesis check reads orbit_status's unproven 'wanders' verdict, which stops at the height cutoff"
-    " before applying the map once, as proof that the superattracting fixed point 2^300 is not periodic",
-)
 def test_a_large_superattracting_fixed_point_violates_the_curve_pair_hypothesis():
     argv = ["--json", "decide", "--mode", "curve-pair", "--map", SHIFTED_CUBIC, "--point", "1/3,1/5", "--variety", "x-y"]
     proc = run_cli_process([*argv, "--nmax", "20"], timeout=5)
     assert proc.returncode == EXIT_USAGE
     assert jsonline(proc.stdout)["result"]["code"] == "hypothesis-violated"
+
+
+# Newton's map for t^3 - 2: its superattracting fixed points, the cube roots of 2, are not exceptional
+NEWTON_CUBE_ROOT_OF_TWO = "(2*t^3+2)/(3*t^2)"
+
+
+def test_a_periodic_irrational_critical_point_violates_the_curve_pair_hypothesis():
+    argv = ["--json", "decide", "--mode", "curve-pair", "--map", NEWTON_CUBE_ROOT_OF_TWO, "--point", "1,2", "--variety", "x-y"]
+    code, out = invoke([*argv, "--nmax", "20"])
+    assert code == EXIT_USAGE
+    assert jsonline(out)["result"]["code"] == "hypothesis-violated"
+    code, out = invoke(["--json", "divisors", "--map", NEWTON_CUBE_ROOT_OF_TWO, "--level", "1"])
+    assert code == EXIT_OK
+    assert jsonline(out)["result"]["ramification_bound"] == {"error": "a conjugate critical point is periodic"}
 
 
 def test_divisors_level_six_within_budget():

@@ -593,15 +593,23 @@ def test_a_periodic_graph_answer_matches_the_exact_scan(instance):
     assert desc.described_indices(nmax) == brute_force_scan([f, f], alpha, [variety], nmax)
 
 
+def rational_map(num, den):
+    return RationalMap.from_affine(Polynomial.univariate(num, "t"), Polynomial.univariate(den, "t"))
+
+
+# (t^2 + c)/t, whose critical points +-sqrt(c) are rational only for c = 1, 4, 9,
+# and (2t^2 + 1)/(t^2 + t), whose critical points (1 +- sqrt(3))/2 are irrational
+CURVE_PAIR_RATIONAL_MAPS = [rational_map([c, 0, 1], [0, 1]) for c in (1, 4, 9, 2, 3, 6, -2)]
+CURVE_PAIR_RATIONAL_MAPS.append(rational_map([1, 0, 2], [0, 1, 1]))
+
+
 @st.composite
 def curve_pair_instances(draw):
-    """t^3 + b t or (t^2 + c)/t, an integer start pair, a line or a conic."""
+    """t^3 + b t or a map of CURVE_PAIR_RATIONAL_MAPS, an integer start pair, a line or a conic."""
     if draw(st.booleans()):
         f = RationalMap.polynomial([0, draw(st.sampled_from([-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6])), 0, 1])
     else:
-        # the hypothesis check decides the critical points +-sqrt(c) only when they are rational
-        c = draw(st.sampled_from([1, 4, 9]))
-        f = RationalMap.from_affine(Polynomial.univariate([c, 0, 1], "t"), Polynomial.univariate([0, 1], "t"))
+        f = draw(st.sampled_from(CURVE_PAIR_RATIONAL_MAPS))
     alpha = [draw(st.integers(-6, 6)), draw(st.integers(-6, 6))]
     u, v, w = (draw(st.integers(-3, 3)) for _ in range(3))
     if draw(st.booleans()):
@@ -621,9 +629,14 @@ ODD_MAP_ON_THE_ANTIDIAGONAL = (
 )
 
 
+# the critical points +-sqrt(2) of (t^2+2)/t are irrational, and they wander
+IRRATIONAL_CRITICAL_POINTS = (CURVE_PAIR_RATIONAL_MAPS[3], [1, 2], Polynomial(("x", "y"), {(1, 0): 1, (0, 1): -1}), 40)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(curve_pair_instances())
 @example(ODD_MAP_ON_THE_ANTIDIAGONAL)
+@example(IRRATIONAL_CRITICAL_POINTS)
 def test_a_curve_pair_answer_matches_the_exact_scan_and_never_takes_prime_two(instance):
     # the prime is the first odd prime with indifferent residue cycles, whether one or two coordinates wander
     f, alpha, curve, nmax = instance

@@ -2,17 +2,29 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orbitlang.dynsys import EXACT_BITS_CAP, INFINITY_POINT, RationalMap, iterate
-from orbitlang.errors import BadReduction, InvalidOption
+import orbitlang.cli as cli
+from orbitlang.dynsys import (
+    EXACT_BITS_CAP,
+    INFINITY_POINT,
+    MoebiusMap,
+    PPoint,
+    RationalMap,
+    conjugate,
+    iterate,
+    ramification_portrait,
+)
+from orbitlang.errors import BadReduction, InvalidOption, PeriodicCriticalPoint
 from orbitlang.padics import residue
 from orbitlang.polynomials import Polynomial
 from orbitlang.reduction import (
     INF_RESIDUE,
+    aperiodic_critical_places,
     binary_form_resultant,
     good_reduction,
+    has_periodic_root,
     reduce_map,
     reduce_point,
     residue_cycle_multiplier,
@@ -211,3 +223,91 @@ def test_reduced_map_at_precision_one_acts_on_p1(case):
     model = reduce_map(phi, p)
     for x in list(range(p)) + [INF_RESIDUE]:
         assert model.apply(x) == _forms_on_p1(phi, p, x)
+
+
+# ---------------------------------------------------------------------------
+# periodic critical points
+
+
+_map = cli._parse_map
+
+
+def _factor_place(phi):
+    """The one critical place of phi that is an irreducible factor."""
+    (place,) = [place for place, _e in ramification_portrait(phi) if not isinstance(place, PPoint)]
+    return place
+
+
+@pytest.mark.parametrize(
+    "text, periodic",
+    [
+        ("(t^2+2)/t", False),  # +-sqrt(2) wander
+        ("(2*t^3+2)/(3*t^2)", True),  # Newton's map for t^3 - 2: the cube roots of 2 are fixed
+        ("t^3/4-3*t/2", True),  # sqrt(2) and -sqrt(2) swap
+        ("(t^2-2)/(2*t)", True),  # +-sqrt(-2) are fixed, and they are the exceptional pair
+        ("(2*t^2+1)/(t^2+t)", False),
+        ("t^3+6*t", False),
+        ("(t^3+1)/(t^2)", False),
+    ],
+)
+def test_has_periodic_root_decides_an_irrational_critical_factor(text, periodic):
+    assert has_periodic_root(_map(text), _factor_place(_map(text))) is periodic
+
+
+@pytest.mark.parametrize(
+    "text, point, periodic",
+    [
+        ("t^2-1", 0, True),
+        ("t^2+1", 0, False),
+        ("(t^2+1)/t", 1, False),  # 1 -> 2 -> 5/2: period 2 mod 3, a tail mod 5
+        ("(t^3+1)/(t^2)", 0, False),  # 0 -> infinity, which is fixed
+        ("(t-2^300)^3+(t-2^300)^2+2^300", 2**300, True),
+    ],
+)
+def test_has_periodic_root_decides_a_rational_critical_point(text, point, periodic):
+    assert has_periodic_root(_map(text), PPoint.of(point)) is periodic
+
+
+def test_the_portrait_loop_skips_the_exceptional_pair_and_names_a_periodic_place():
+    newton_of_t2_plus_2 = _map("(t^2-2)/(2*t)")
+    assert aperiodic_critical_places(newton_of_t2_plus_2, ramification_portrait(newton_of_t2_plus_2)) == []
+    two_cycle = _map("t^3/4-3*t/2")
+    with pytest.raises(PeriodicCriticalPoint, match="a conjugate critical point is periodic"):
+        aperiodic_critical_places(two_cycle, ramification_portrait(two_cycle))
+
+
+# maps with periodic and with wandering critical points, rational and not
+NAMED_CRITICAL_DYNAMICS = [
+    _map(text)
+    for text in ("t^2-1", "t^2+1", "(t^2+2)/t", "(2*t^3+2)/(3*t^2)", "t^3/4-3*t/2", "(2*t^2+1)/(t^2+t)", "t^3+6*t")
+]
+
+
+@st.composite
+def _small_maps(draw):
+    d = draw(st.sampled_from([2, 3]))
+    coeff = st.integers(-4, 4)
+    try:
+        return RationalMap([draw(coeff) for _ in range(d + 1)], [draw(coeff) for _ in range(d + 1)])
+    except ValueError:
+        assume(False)
+
+
+def _verdicts(phi):
+    """(degree, ramification index, periodic) for each critical place, sorted."""
+    places = ramification_portrait(phi)
+    return sorted((1 if isinstance(p, PPoint) else p.degree("t"), e, has_periodic_root(phi, p)) for p, e in places)
+
+
+# shifts of up to 401 bits, past the height cutoff of dynsys.orbit_status
+SHIFTS = st.builds(
+    lambda sign, e, r: sign * 2**e + r, st.sampled_from([1, -1]), st.integers(0, 400), st.integers(-3, 3)
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.sampled_from(NAMED_CRITICAL_DYNAMICS), _small_maps()), SHIFTS)
+def test_periodicity_verdicts_are_invariant_under_translation(phi, s):
+    # psi(t) = phi(t + s) - s moves each critical point by -s and keeps its dynamics
+    assume(phi.degree >= 2)
+    assert _verdicts(conjugate(phi, MoebiusMap(1, s, 0, 1))) == _verdicts(phi)
